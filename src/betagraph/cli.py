@@ -23,10 +23,13 @@ import sys
 import time
 from dataclasses import asdict, fields, replace
 
+import numpy as np
+
 from . import __version__, evaluation, graphs
 from .ioutil import atomic_write_text, sha256_dir, sha256_file
-from .training import (TrainConfig, TrainingDivergence, train_alternating,
-                       load_checkpoint, save_checkpoint, variant_config)
+from .training import (TrainConfig, TrainingDivergence, build_context,
+                       forward_scores, train_alternating, load_checkpoint,
+                       save_checkpoint, variant_config)
 
 REQUIRED_CONFIG_KEYS = ("lr_p1", "dropout_p1", "gamma", "lr_p2",
                         "dropout_p2", "seed")
@@ -134,7 +137,7 @@ def _now():
 
 def _csv(path, header, rows):
     lines = [",".join(header)]
-    lines += [",".join(str(c) for c in row) for row in rows]
+    lines += [",".join(map(str, row)) for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -219,6 +222,44 @@ def cmd_train(args):
 
 # -- eval --------------------------------------------------------------
 
+SPLIT_PARTS = ("train", "val", "test", "ood_val", "ood_test")
+
+
+def _check_split(split, graph, config, path):
+    """A split file must fit the dataset and the checkpoint it is scored
+    with: node ids in [0, n), partitions disjoint, the checkpoint's class
+    partition, and ID nodes in the ID parts, OOD nodes in the OOD parts."""
+    ood = tuple(sorted(set(config.ood_classes)))
+    known = tuple(c for c in range(graph.class_count) if c not in ood)
+    if tuple(sorted(split.ood_classes)) != ood:
+        raise UsageError(f"split {path}: ood_classes {list(split.ood_classes)}"
+                         f" differ from the checkpoint's {list(ood)}")
+    if tuple(split.id_classes) != known:
+        raise UsageError(f"split {path}: id_classes {list(split.id_classes)}"
+                         f" differ from the checkpoint's {list(known)}")
+    owner = np.full(graph.n, -1)
+    for i, part in enumerate(SPLIT_PARTS):
+        ids = getattr(split, part)
+        if ids.size and (ids.min() < 0 or ids.max() >= graph.n):
+            bad = ids[(ids < 0) | (ids >= graph.n)][0]
+            raise UsageError(f"split {path}: {part} node id {bad} outside"
+                             f" [0, {graph.n})")
+        if np.unique(ids).size != ids.size:
+            raise UsageError(f"split {path}: {part} repeats a node id")
+        taken = owner[ids] >= 0
+        if taken.any():
+            raise UsageError(
+                f"split {path}: {part} and {SPLIT_PARTS[owner[ids][taken][0]]}"
+                f" share node {ids[taken][0]}")
+        owner[ids] = i
+        classes = ood if part.startswith("ood_") else known
+        stray = ~np.isin(graph.labels[ids], classes)
+        if stray.any():
+            raise UsageError(
+                f"split {path}: {part} node {ids[stray][0]} has class "
+                f"{graph.labels[ids[stray][0]]}, not one of {list(classes)}")
+
+
 def cmd_eval(args):
     started = _now()
     out = _out_dir(args.out)
@@ -239,20 +280,33 @@ def cmd_eval(args):
 
     if args.split:
         with open(args.split) as fh:
-            split = graphs.SplitSpec.from_json(fh.read())
+            text = fh.read()
+        try:
+            split = graphs.SplitSpec.from_json(text)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"split {args.split} is malformed: {exc!r}") \
+                from None
+        _check_split(split, graph, config, args.split)
     else:
         split = graphs.make_split(graph, config.ood_classes,
                                   ratios=config.split_ratios,
                                   ood_val_fraction=config.ood_val_fraction,
                                   seed=config.seed)
 
+    # the checkpoint's own scores feed its report, the curves and scores.csv
+    t0 = time.perf_counter()
+    ctx = build_context(graph, split, config)
+    sb = forward_scores(state, ctx)
+    scoring_s = time.perf_counter() - t0
     seeds = args.seeds if args.seeds else [config.seed]
     reports = []
     chk_hash = sha256_file(args.checkpoint)
     for s in seeds:
         if s == config.seed:
-            rep = evaluation.evaluate(state, graph, split, seed=s,
-                                      config_hash=chk_hash)
+            rep = evaluation.evaluate(state, graph, split, ctx=ctx, seed=s,
+                                      config_hash=chk_hash, scores=sb)
+            # wall_clock covers scoring, as for the seeds scored in evaluate
+            rep.wall_clock += scoring_s
         else:
             # fresh protocol run: re-split and retrain under this seed
             sp = graphs.make_split(graph, config.ood_classes,
@@ -274,20 +328,18 @@ def cmd_eval(args):
         "aggregate": agg,
     }, indent=1) + "\n")
 
-    cv = evaluation.curves(state, graph, split)
-    coverage, risk = cv["risk_coverage"]
+    cv = evaluation.curves(sb, ctx, split)
     rc_path = os.path.join(out, "curves_risk_coverage.csv")
     _csv(rc_path, ["coverage", "risk"],
-         [[repr(float(a)), repr(float(b))] for a, b in zip(coverage, risk)])
+         zip(*map(evaluation.repr_column, cv["risk_coverage"])))
     outputs = [report_path, rc_path]
     if "roc" in cv:
-        fpr, tpr = cv["roc"]
         roc_path = os.path.join(out, "curves_roc.csv")
         _csv(roc_path, ["fpr", "tpr"],
-             [[repr(float(a)), repr(float(b))] for a, b in zip(fpr, tpr)])
+             zip(*map(evaluation.repr_column, cv["roc"])))
         outputs.append(roc_path)
 
-    header, rows = evaluation.node_scores_table(state, graph, split)
+    header, rows = evaluation.node_scores_table(sb, split)
     scores_path = os.path.join(out, "scores.csv")
     _csv(scores_path, header, rows)
     outputs.append(scores_path)

@@ -30,6 +30,7 @@ from .autodiff import Adam, Tensor, no_grad
 from .graphs import Graph, SplitSpec, make_split
 from .reasoning import glorot
 from .rng import substream
+from .evidence import ScoreBatch
 from .training import (ModelState, RunContext, TrainConfig, build_context,
                        forward_scores, train_alternating)
 
@@ -75,11 +76,15 @@ METRIC_FIELDS = ("acc", "aurc", "aurc_x1000", "fpr95", "auroc", "aupr",
 
 
 def evaluate(state: ModelState, graph: Graph, split: SplitSpec,
-             ctx: RunContext = None, seed=None, config_hash=None) -> EvalReport:
-    """Score a trained model on its split's test partitions."""
+             ctx: RunContext = None, seed=None, config_hash=None,
+             scores=None) -> EvalReport:
+    """Score a trained model on its split's test partitions.
+
+    scores: forward_scores(state, ctx) when the caller already has them.
+    """
     t0 = time.perf_counter()
     ctx = ctx or build_context(graph, split, state.config)
-    sb = forward_scores(state, ctx)
+    sb = forward_scores(state, ctx) if scores is None else scores
     test = split.test
     labels = ctx.labels
     correct = sb.prediction[test] == labels[test]
@@ -153,41 +158,37 @@ def config_hash(config: TrainConfig) -> str:
         json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def curves(state: ModelState, graph: Graph, split: SplitSpec,
-           ctx: RunContext = None):
-    """Plot-ready risk-coverage and ROC curves for a trained model."""
-    ctx = ctx or build_context(graph, split, state.config)
-    sb = forward_scores(state, ctx)
+def curves(scores: ScoreBatch, ctx: RunContext, split: SplitSpec):
+    """Plot-ready risk-coverage and ROC curves from forward_scores output."""
     test = split.test
-    correct = sb.prediction[test] == ctx.labels[test]
-    coverage, risk = mt.risk_coverage_curve(-sb.dissonance[test], correct)
+    correct = scores.prediction[test] == ctx.labels[test]
+    coverage, risk = mt.risk_coverage_curve(-scores.dissonance[test], correct)
     out = {"risk_coverage": (coverage, risk)}
     if split.has_ood:
-        fpr, tpr = mt.roc_curve(sb.vacuity[split.ood_test], sb.vacuity[test])
-        out["roc"] = (fpr, tpr)
+        out["roc"] = mt.roc_curve(scores.vacuity[split.ood_test],
+                                  scores.vacuity[test])
     return out
 
 
-def node_scores_table(state: ModelState, graph: Graph, split: SplitSpec,
-                      ctx: RunContext = None):
+def repr_column(values):
+    """CSV cells of a float array: repr of each value, the round-trip form."""
+    return map(repr, values.tolist())
+
+
+def node_scores_table(scores: ScoreBatch, split: SplitSpec):
     """Per-node rows: node_id, prediction, dissonance, vacuity, p_0..p_{K-1}.
 
     Predictions are reported as original dataset class ids.
     """
-    ctx = ctx or build_context(graph, split, state.config)
-    sb = forward_scores(state, ctx)
     id_classes = np.asarray(split.id_classes, dtype=np.int64)
-    preds = id_classes[sb.prediction]
-    k = sb.probability.shape[1]
+    preds = id_classes[scores.prediction]
+    k = scores.probability.shape[1]
     header = ["node_id", "prediction", "dissonance", "vacuity"] + \
         [f"p_{i}" for i in range(k)]
-    rows = []
-    for i in range(graph.n):
-        row = [str(i), str(int(preds[i])), repr(float(sb.dissonance[i])),
-               repr(float(sb.vacuity[i]))]
-        row += [repr(float(v)) for v in sb.probability[i]]
-        rows.append(row)
-    return header, rows
+    columns = [map(str, range(preds.size)), map(str, preds.tolist()),
+               repr_column(scores.dissonance), repr_column(scores.vacuity)]
+    columns += [repr_column(col) for col in scores.probability.T]
+    return header, [list(row) for row in zip(*columns)]
 
 
 # -- plain cross-entropy classifier for MaxLogit / Energy -------------------

@@ -14,6 +14,14 @@ Conventions (shared by every consumer):
     risk(i) = errors among the i most confident over i, and averages over
     all prefixes.
 
+The ranking metrics cost O(n log n): one stable sort of the pooled
+scores, then cumulative counts of positives and negatives.  Equal
+scores form one tie group and share one threshold, so the curves of
+roc_curve and aupr are read only at the last index of each group (every
+sample scoring >= the group's value is counted), and _rankdata gives
+each group the mean of its ranks.  aupr adds its trapezoids left to
+right, in threshold order.
+
 Each metric has a brute-force oracle twin in the test suite.
 """
 
@@ -62,16 +70,32 @@ def _rankdata(x):
     """Average ranks (1-based); ties share the mean rank."""
     x = np.asarray(x)
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
     sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    starts, ends = _tie_groups(sx)
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
+
+
+def _tie_groups(sx):
+    """First and last index of each run of equal values in a sorted array."""
+    if sx.size == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    ends = np.append(np.flatnonzero(sx[1:] != sx[:-1]), sx.size - 1)
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    return starts, ends
+
+
+def _descending_counts(scores_pos, scores_neg):
+    """(tp, fp): positives and negatives scoring >= t, for every distinct
+    score t in descending order."""
+    scores = np.concatenate([scores_pos, scores_neg])
+    order = np.argsort(scores, kind="stable")[::-1]
+    is_pos = order < scores_pos.size
+    _, ends = _tie_groups(scores[order])
+    tp = np.cumsum(is_pos)[ends]
+    fp = np.cumsum(~is_pos)[ends]
+    return tp, fp
 
 
 def auroc(scores_pos, scores_neg) -> float:
@@ -89,13 +113,10 @@ def roc_curve(scores_pos, scores_neg):
     """(fpr, tpr) over all thresholds, descending, with the (0,0) endpoint."""
     scores_pos = np.asarray(scores_pos, dtype=np.float64)
     scores_neg = np.asarray(scores_neg, dtype=np.float64)
-    thresholds = np.unique(np.concatenate([scores_pos, scores_neg]))[::-1]
-    fpr = [0.0]
-    tpr = [0.0]
-    for t in thresholds:
-        tpr.append(np.mean(scores_pos >= t))
-        fpr.append(np.mean(scores_neg >= t))
-    return np.asarray(fpr), np.asarray(tpr)
+    tp, fp = _descending_counts(scores_pos, scores_neg)
+    fpr = np.concatenate([[0.0], fp / scores_neg.size])
+    tpr = np.concatenate([[0.0], tp / scores_pos.size])
+    return fpr, tpr
 
 
 def fpr_at_tpr(scores_id, scores_ood, tpr_target=0.95) -> float:
@@ -116,20 +137,14 @@ def aupr(scores_pos, scores_neg) -> float:
     scores_neg = np.asarray(scores_neg, dtype=np.float64)
     if scores_pos.size == 0 or scores_neg.size == 0:
         raise ValueError("aupr needs samples on both sides")
-    thresholds = np.unique(np.concatenate([scores_pos, scores_neg]))[::-1]
-    recalls = [0.0]
-    precisions = []
-    for t in thresholds:
-        tp = float(np.sum(scores_pos >= t))
-        fp = float(np.sum(scores_neg >= t))
-        recalls.append(tp / scores_pos.size)
-        precisions.append(tp / (tp + fp))
-    precisions = [precisions[0]] + precisions   # precision at recall 0
-    area = 0.0
-    for i in range(1, len(recalls)):
-        area += (recalls[i] - recalls[i - 1]) * \
-            0.5 * (precisions[i] + precisions[i - 1])
-    return float(area)
+    tp, fp = _descending_counts(scores_pos, scores_neg)
+    recalls = np.concatenate([[0.0], tp / scores_pos.size])
+    precisions = tp / (tp + fp)
+    precisions = np.concatenate([precisions[:1], precisions])  # at recall 0
+    terms = (recalls[1:] - recalls[:-1]) * 0.5 * \
+        (precisions[1:] + precisions[:-1])
+    # cumsum adds left to right like a loop; np.sum would pair terms up
+    return float(np.cumsum(terms)[-1])
 
 
 def baseline_scores(logits):

@@ -17,6 +17,7 @@ dropout streams are independent substreams of the config seed.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -427,27 +428,42 @@ def save_checkpoint(path, state: ModelState, extra_meta=None):
 
 
 def load_checkpoint(path):
-    """Returns (ModelState with loaded parameters, meta dict)."""
-    with np.load(path) as zf:
-        arrays = {name: zf[name] for name in zf.files}
-    meta = json.loads(bytes(arrays.pop("__meta__")).decode("utf-8"))
-    if meta["version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {meta['version']}")
-    cfg_dict = dict(meta["config"])
-    cfg_dict["ood_classes"] = tuple(cfg_dict.get("ood_classes", ()))
-    cfg_dict["split_ratios"] = tuple(cfg_dict.get("split_ratios", (1, 1, 8)))
-    config = TrainConfig(**cfg_dict)
-    state = init_model(meta["feature_dim"], meta["class_count"], config)
+    """Returns (ModelState with loaded parameters, meta dict).
+
+    A file that is not a complete checkpoint raises ValueError naming the
+    path and the cause.
+    """
+    try:
+        with np.load(path) as zf:
+            arrays = {name: zf[name] for name in zf.files}
+    except (zipfile.BadZipFile, EOFError, TypeError, ValueError) as exc:
+        raise ValueError(f"cannot read checkpoint {path}: {exc}") from None
+    try:
+        meta = json.loads(bytes(arrays.pop("__meta__")).decode("utf-8"))
+        if meta["version"] != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported version {meta['version']}")
+        cfg_dict = dict(meta["config"])
+        cfg_dict["ood_classes"] = tuple(cfg_dict.get("ood_classes", ()))
+        cfg_dict["split_ratios"] = tuple(cfg_dict.get("split_ratios", (1, 1, 8)))
+        config = TrainConfig(**cfg_dict)
+        state = init_model(meta["feature_dim"], meta["class_count"], config)
+    except (KeyError, TypeError, ValueError) as exc:
+        cause = f"missing {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"checkpoint {path} has bad __meta__: {cause}") \
+            from None
     state.best_round = meta.get("best_round")
     state.best_score = meta.get("best_score")
-    for name, t in state.all_tensors().items():
+    expected = {name: t.data for name, t in state.all_tensors().items()}
+    expected.update(state.running_stats())
+    for name, ref in expected.items():
         if name not in arrays:
-            raise ValueError(f"checkpoint missing tensor '{name}'")
-        if tuple(arrays[name].shape) != t.data.shape:
+            raise ValueError(f"checkpoint {path} is missing tensor '{name}'")
+        if arrays[name].shape != ref.shape:
             raise ValueError(
                 f"checkpoint tensor '{name}' has shape "
-                f"{arrays[name].shape}, model expects {t.data.shape}"
+                f"{arrays[name].shape}, model expects {ref.shape}"
             )
+    for name, t in state.all_tensors().items():
         t.data = arrays[name].astype(t.data.dtype)
     if state.encoder is not None:
         state.encoder.bn1.running_mean = arrays["encoder.bn1.running_mean"]

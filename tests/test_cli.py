@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -173,6 +175,106 @@ class TestEval:
         assert "maxlogit_auroc" in agg["baselines"]
 
 
+class TestEvalInputs:
+    @staticmethod
+    def run_eval(tmp_path, dataset, trained_run, split=None, checkpoint=None):
+        argv = ["eval", dataset, "--checkpoint",
+                checkpoint or os.path.join(trained_run, "checkpoint.npz"),
+                "--out", str(tmp_path / "e")]
+        if split is not None:
+            path = tmp_path / "split.json"
+            path.write_text(json.dumps(split) if isinstance(split, dict)
+                            else split)
+            argv += ["--split", str(path)]
+        return main(argv)
+
+    @staticmethod
+    def split_of(trained_run):
+        return json.load(open(os.path.join(trained_run, "split.json")))
+
+    def test_node_id_out_of_range(self, tmp_path, dataset, trained_run,
+                                  capsys):
+        split = self.split_of(trained_run)
+        split["test"].append(160)
+        assert self.run_eval(tmp_path, dataset, trained_run, split) == 1
+        assert "test node id 160 outside [0, 160)" in capsys.readouterr().err
+
+    def test_negative_node_id(self, tmp_path, dataset, trained_run, capsys):
+        split = self.split_of(trained_run)
+        split["ood_test"][0] = -1
+        assert self.run_eval(tmp_path, dataset, trained_run, split) == 1
+        assert "ood_test node id -1" in capsys.readouterr().err
+
+    def test_overlapping_partitions(self, tmp_path, dataset, trained_run,
+                                    capsys):
+        split = self.split_of(trained_run)
+        split["test"].append(split["train"][0])
+        assert self.run_eval(tmp_path, dataset, trained_run, split) == 1
+        assert "test and train share node" in capsys.readouterr().err
+
+    def test_repeated_node(self, tmp_path, dataset, trained_run, capsys):
+        split = self.split_of(trained_run)
+        split["val"].append(split["val"][0])
+        assert self.run_eval(tmp_path, dataset, trained_run, split) == 1
+        assert "val repeats a node id" in capsys.readouterr().err
+
+    def test_ood_classes_differ_from_checkpoint(self, tmp_path, dataset,
+                                                trained_run, capsys):
+        split = self.split_of(trained_run)
+        split["ood_classes"] = [2]
+        assert self.run_eval(tmp_path, dataset, trained_run, split) == 1
+        assert "ood_classes [2] differ" in capsys.readouterr().err
+
+    def test_id_classes_differ_from_checkpoint(self, tmp_path, dataset,
+                                               trained_run, capsys):
+        split = self.split_of(trained_run)
+        split["id_classes"] = [0, 1]
+        assert self.run_eval(tmp_path, dataset, trained_run, split) == 1
+        assert "id_classes [0, 1] differ" in capsys.readouterr().err
+
+    def test_ood_node_in_id_partition(self, tmp_path, dataset, trained_run,
+                                      capsys):
+        split = self.split_of(trained_run)
+        node = split["ood_test"].pop()
+        split["test"].append(node)
+        assert self.run_eval(tmp_path, dataset, trained_run, split) == 1
+        assert f"test node {node} has class 3" in capsys.readouterr().err
+
+    def test_malformed_split_json(self, tmp_path, dataset, trained_run,
+                                  capsys):
+        split = self.split_of(trained_run)
+        del split["ood_test"]
+        assert self.run_eval(tmp_path, dataset, trained_run, split) == 1
+        assert "ood_test" in capsys.readouterr().err
+
+    def test_truncated_checkpoint(self, tmp_path, dataset, trained_run,
+                                  capsys):
+        payload = open(os.path.join(trained_run, "checkpoint.npz"),
+                       "rb").read()
+        bad = tmp_path / "cut.npz"
+        bad.write_bytes(payload[:len(payload) // 2])
+        assert self.run_eval(tmp_path, dataset, trained_run,
+                             checkpoint=str(bad)) == 1
+        assert "cannot read checkpoint" in capsys.readouterr().err
+
+    def test_graph_scored_once(self, tmp_path, dataset, trained_run,
+                               monkeypatch):
+        from betagraph import cli, evaluation, training
+        calls = []
+        original = training.forward_scores
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (training, evaluation, cli):
+            if getattr(module, "forward_scores", None) is original:
+                monkeypatch.setattr(module, "forward_scores", counted)
+        split = self.split_of(trained_run)
+        assert self.run_eval(tmp_path, dataset, trained_run, split) == 0
+        assert len(calls) == 1
+
+
 class TestAblate:
     def test_single_variant_single_row(self, tmp_path, dataset):
         out = tmp_path / "ab"
@@ -258,6 +360,18 @@ class TestExitCodes:
                    "--seed", "0", "--ood-classes", "3"])
         assert rc == 2
         assert os.path.exists(tmp_path / "div" / "history.csv")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "betagraph", "--help"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert "eval" in done.stdout
 
 
 def test_output_root_env(tmp_path, monkeypatch, dataset):

@@ -94,7 +94,8 @@ class TestRunProtocol:
 class TestCurvesAndScores:
     def test_curves_shapes(self, trained):
         g, split, state = trained
-        cv = evl.curves(state, g, split)
+        ctx = tr.build_context(g, split, state.config)
+        cv = evl.curves(tr.forward_scores(state, ctx), ctx, split)
         coverage, risk = cv["risk_coverage"]
         assert coverage.size == split.test.size
         assert risk.size == coverage.size
@@ -105,7 +106,9 @@ class TestCurvesAndScores:
 
     def test_node_scores_table(self, trained):
         g, split, state = trained
-        header, rows = evl.node_scores_table(state, g, split)
+        ctx = tr.build_context(g, split, state.config)
+        header, rows = evl.node_scores_table(tr.forward_scores(state, ctx),
+                                             split)
         assert header[:4] == ["node_id", "prediction", "dissonance", "vacuity"]
         assert header[4:] == ["p_0", "p_1", "p_2"]
         assert len(rows) == g.n
@@ -114,6 +117,18 @@ class TestCurvesAndScores:
         assert preds <= {0, 1, 2}
         probs = np.array([[float(v) for v in r[4:]] for r in rows])
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-5
+
+
+class TestSharedScores:
+    def test_passed_scores_give_the_same_report(self, trained):
+        g, split, state = trained
+        ctx = tr.build_context(g, split, state.config)
+        sb = tr.forward_scores(state, ctx)
+        fresh = evl.evaluate(state, g, split).to_dict()
+        shared = evl.evaluate(state, g, split, ctx=ctx, scores=sb).to_dict()
+        fresh.pop("wall_clock")
+        shared.pop("wall_clock")
+        assert shared == fresh
 
 
 class TestBaselines:

@@ -2,13 +2,14 @@
 
 The oracles recompute each metric from its definition with no shared
 code: pairwise enumeration for auroc, per-prefix recounts for aurc, and
-exhaustive threshold sweeps for fpr95/aupr.
+exhaustive threshold sweeps for fpr95/aupr/roc_curve.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from betagraph import metrics as mt
 
@@ -56,6 +57,14 @@ def aupr_oracle(pos, neg):
     return float(sum((recalls[i] - recalls[i - 1])
                      * 0.5 * (precs[i] + precs[i - 1])
                      for i in range(1, len(recalls))))
+
+
+def roc_oracle(pos, neg):
+    fpr, tpr = [0.0], [0.0]
+    for t in sorted(set(pos) | set(neg), reverse=True):
+        tpr.append(sum(1 for p in pos if p >= t) / len(pos))
+        fpr.append(sum(1 for q in neg if q >= t) / len(neg))
+    return np.asarray(fpr), np.asarray(tpr)
 
 
 def random_instance(rng, allow_ties=True):
@@ -210,12 +219,51 @@ class TestAupr:
             assert mt.aupr(pos, neg) == pytest.approx(
                 aupr_oracle(pos, neg), abs=1e-12)
 
+    def test_exactly_matches_sweep_oracle(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            pos, neg = random_instance(rng)
+            assert mt.aupr(pos, neg) == aupr_oracle(pos, neg)
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)
         pos, neg = rng.standard_normal(30), rng.standard_normal(20)
         base = mt.aupr(pos, neg)
         assert mt.aupr(rng.permutation(pos), rng.permutation(neg)) == \
             pytest.approx(base, abs=1e-12)
+
+
+# -- roc curve ---------------------------------------------------------------
+
+class TestRocCurve:
+    def test_two_by_two_example(self):
+        fpr, tpr = mt.roc_curve([0.9, 0.5], [0.8, 0.1])
+        assert np.array_equal(fpr, [0.0, 0.0, 0.5, 0.5, 1.0])
+        assert np.array_equal(tpr, [0.0, 0.5, 0.5, 1.0, 1.0])
+
+    def test_tie_across_sides_is_one_step(self):
+        fpr, tpr = mt.roc_curve([0.5, 0.2], [0.5])
+        assert np.array_equal(fpr, [0.0, 1.0, 1.0])
+        assert np.array_equal(tpr, [0.0, 0.5, 1.0])
+
+    def test_exactly_matches_sweep_oracle_on_200_instances(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            pos, neg = random_instance(rng)
+            fpr, tpr = mt.roc_curve(pos, neg)
+            fpr_o, tpr_o = roc_oracle(pos, neg)
+            assert np.array_equal(fpr, fpr_o) and np.array_equal(tpr, tpr_o)
+
+
+# -- average ranks -------------------------------------------------------------
+
+@given(st.lists(st.one_of(st.integers(-3, 3).map(float),
+                          st.floats(min_value=-50, max_value=50,
+                                    allow_nan=False)), max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_rankdata_matches_scipy(values):
+    x = np.asarray(values, dtype=np.float64)
+    assert np.array_equal(mt._rankdata(x), rankdata(x, method="average"))
 
 
 # -- post-hoc baseline scores -------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -170,20 +171,57 @@ class TestCheckpoint:
         assert rep2.auroc == rep.auroc
         assert meta["config"]["gamma"] == cfg.gamma
 
-    def test_shape_mismatch_rejected(self, tmp_path, small_ppm, small_split):
+    @pytest.fixture
+    def saved(self, tmp_path, small_ppm, small_split):
         cfg = quick_config(epochs_p1=2, epochs_p2=2, rounds=1)
         state, _ = tr.train_alternating(small_ppm, small_split, cfg)
         path = tmp_path / "ckpt.npz"
         tr.save_checkpoint(path, state)
-        import numpy as _np
-        import json as _json
-        with _np.load(path) as zf:
-            arrays = {k: zf[k] for k in zf.files}
-        meta = _json.loads(bytes(arrays["__meta__"]).decode())
-        meta["feature_dim"] = 3
-        arrays["__meta__"] = _np.frombuffer(
-            _json.dumps(meta).encode(), dtype=_np.uint8)
+        with np.load(path) as zf:
+            return path, {k: zf[k] for k in zf.files}
+
+    @staticmethod
+    def rewrite(path, arrays):
         with open(path, "wb") as fh:
-            _np.savez(fh, **arrays)
+            np.savez(fh, **arrays)
+
+    def test_truncated_file_named(self, saved):
+        path, _ = saved
+        payload = path.read_bytes()
+        path.write_bytes(payload[:len(payload) // 2])
+        with pytest.raises(ValueError, match="cannot read checkpoint .*ckpt"):
+            tr.load_checkpoint(path)
+
+    def test_missing_running_stats_named(self, saved):
+        path, arrays = saved
+        del arrays["encoder.bn2.running_var"]
+        self.rewrite(path, arrays)
+        with pytest.raises(ValueError, match="encoder.bn2.running_var"):
+            tr.load_checkpoint(path)
+
+    def test_bad_meta_json_named(self, saved):
+        path, arrays = saved
+        arrays["__meta__"] = np.frombuffer(b'{"version": 1,', dtype=np.uint8)
+        self.rewrite(path, arrays)
+        with pytest.raises(ValueError, match="bad __meta__"):
+            tr.load_checkpoint(path)
+
+    def test_meta_missing_field_named(self, saved):
+        path, arrays = saved
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        del meta["feature_dim"]
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                           dtype=np.uint8)
+        self.rewrite(path, arrays)
+        with pytest.raises(ValueError, match="feature_dim"):
+            tr.load_checkpoint(path)
+
+    def test_shape_mismatch_rejected(self, saved):
+        path, arrays = saved
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        meta["feature_dim"] = 3
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                           dtype=np.uint8)
+        self.rewrite(path, arrays)
         with pytest.raises(ValueError, match="shape"):
             tr.load_checkpoint(path)
