@@ -344,17 +344,6 @@ def rows(x, start, stop):
     return _node(x.data[start:stop], ((x, vjp),))
 
 
-def broadcast_rows(x, n):
-    """Tile a (1, d) tensor to (n, d); gradient sums the rows."""
-    x = as_tensor(x)
-    if x.data.ndim != 2 or x.data.shape[0] != 1:
-        raise ValueError("broadcast_rows expects a (1, d) tensor")
-    data = np.broadcast_to(x.data, (n, x.data.shape[1])).copy()
-    return _node(data, (
-        (x, lambda g: g.sum(axis=0, keepdims=True)),
-    ))
-
-
 # -- elementwise nonlinearities ----------------------------------------
 
 def relu(x):
@@ -369,12 +358,6 @@ def softplus(x):
     x = as_tensor(x)
     out = special.softplus(x.data)
     return _node(out, ((x, lambda g: g * special.sigmoid(x.data)),))
-
-
-def log_sigmoid(x):
-    x = as_tensor(x)
-    out = -special.softplus(-x.data)
-    return _node(out, ((x, lambda g: g * special.sigmoid(-x.data)),))
 
 
 def exp(x):

@@ -108,7 +108,8 @@ def _build_config(args, graph=None) -> TrainConfig:
 
 
 def _write_manifest(out_dir, command, outputs, *, config_path=None,
-                    config=None, dataset=None, seeds=(), started=None):
+                    config=None, dataset=None, checkpoint=None, seeds=(),
+                    started=None):
     manifest = {
         "command": command,
         "artifact_version": __version__,
@@ -126,6 +127,9 @@ def _write_manifest(out_dir, command, outputs, *, config_path=None,
     if dataset:
         manifest["dataset"] = os.path.abspath(dataset)
         manifest["dataset_hash"] = sha256_dir(dataset)
+    if checkpoint:
+        manifest["checkpoint"] = os.path.abspath(checkpoint)
+        manifest["checkpoint_hash"] = sha256_file(checkpoint)
     path = os.path.join(out_dir, "manifest.json")
     atomic_write_text(path, json.dumps(manifest, indent=1) + "\n")
     return path
@@ -265,8 +269,9 @@ def cmd_eval(args):
     out = _out_dir(args.out)
     state, meta = load_checkpoint(args.checkpoint)
     config = state.config
-    graph = graphs.load_dataset(args.dataset,
-                                normalize_features=config.normalize_features)
+    graph = graphs.load_dataset(args.dataset)
+    if config.normalize_features:
+        graph = graphs.zscore_features(graph)
     if graph.feature_dim != state.feature_dim:
         raise UsageError(
             f"checkpoint expects {state.feature_dim} features, dataset has "
@@ -300,11 +305,11 @@ def cmd_eval(args):
     scoring_s = time.perf_counter() - t0
     seeds = args.seeds if args.seeds else [config.seed]
     reports = []
-    chk_hash = sha256_file(args.checkpoint)
+    chash = evaluation.config_hash(config)
     for s in seeds:
         if s == config.seed:
             rep = evaluation.evaluate(state, graph, split, ctx=ctx, seed=s,
-                                      config_hash=chk_hash, scores=sb)
+                                      config_hash=chash, scores=sb)
             # wall_clock covers scoring, as for the seeds scored in evaluate
             rep.wall_clock += scoring_s
         else:
@@ -314,7 +319,7 @@ def cmd_eval(args):
                                    ood_val_fraction=config.ood_val_fraction,
                                    seed=s)
             st, _ = train_alternating(graph, sp, replace(config, seed=s))
-            rep = evaluation.evaluate(st, graph, sp, seed=s)
+            rep = evaluation.evaluate(st, graph, sp, seed=s, config_hash=chash)
         reports.append(rep)
     agg = evaluation.aggregate(reports)
 
@@ -355,8 +360,9 @@ def cmd_eval(args):
             "aupr_std")]])
     outputs.append(table_path)
 
-    _write_manifest(out, "eval", outputs, dataset=args.dataset, seeds=seeds,
-                    config=config, started=started)
+    _write_manifest(out, "eval", outputs, dataset=args.dataset,
+                    checkpoint=args.checkpoint, seeds=seeds, config=config,
+                    started=started)
     print(f"evaluated {len(seeds)} seed(s): acc={agg['acc_mean']:.4f}"
           + (f" auroc={agg['auroc_mean']:.4f}" if agg["auroc_mean"] is not None
              else ""))

@@ -99,14 +99,6 @@ def init_evidence_heads(generator, embed_dim, hidden_dim, class_count,
     )
 
 
-def context_features(node_embs_2d: Tensor, class_emb: BetaEmbedding) -> Tensor:
-    """Rows [alpha_i || beta_i || alpha_C || beta_C], the class part
-    broadcast to every node row."""
-    n = node_embs_2d.data.shape[0]
-    cls_row = class_emb.stacked()
-    return ad.concat([node_embs_2d, ad.broadcast_rows(cls_row, n)], axis=1)
-
-
 def evidence_forward(adj: SparseMatrix, node_embs_2d: Tensor,
                      class_embs: ClassEmbeddings, params: EvidenceHeadParams,
                      *, training=False, dropout_rate=0.0, generator=None,

@@ -136,12 +136,9 @@ def build_graph(edges, features, labels, class_count, name="graph") -> Graph:
 
 # -- dataset directory IO ------------------------------------------------
 
-def load_dataset(directory, normalize_features=False) -> Graph:
-    """Load and validate a dataset directory.
-
-    normalize_features applies per-column z-scoring (constant columns are
-    left centered); the stored files always contain raw values.
-    """
+def load_dataset(directory) -> Graph:
+    """Load and validate a dataset directory (raw features; see
+    zscore_features)."""
     def path(fname):
         p = os.path.join(directory, fname)
         if not os.path.exists(p) and fname not in ("features.csv", "features.bin"):
@@ -188,12 +185,6 @@ def load_dataset(directory, normalize_features=False) -> Graph:
         edges = np.loadtxt(edge_path, dtype=np.int64, ndmin=2)
     if edges.size and edges.shape[1] != 2:
         raise DatasetError("edges.tsv must have two columns")
-
-    if normalize_features:
-        mu = features.mean(axis=0)
-        sd = features.std(axis=0)
-        sd = np.where(sd > 0, sd, 1.0)
-        features = (features - mu) / sd
 
     return build_graph(edges, features, labels, c,
                        name=str(meta.get("name", os.path.basename(directory))))

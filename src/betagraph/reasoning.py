@@ -268,11 +268,6 @@ def beta_kl(node: BetaEmbedding, cls: BetaEmbedding) -> Tensor:
     return ad.tsum(term, axis=-1)
 
 
-def dist(node: BetaEmbedding, cls: BetaEmbedding) -> Tensor:
-    """Row-wise distance, one value per aligned row pair."""
-    return beta_kl(node, cls)
-
-
 def dist_matrix(nodes: BetaEmbedding, classes: BetaEmbedding) -> Tensor:
     """(m, C) distances from every node row to every class row."""
     m, d = nodes.alpha.data.shape

@@ -112,8 +112,3 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
-
-
-def spmm(adj: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    """Sparse-dense matrix product (raw arrays; see autodiff.spmm for tapes)."""
-    return adj.matmul(x)

@@ -1,42 +1,32 @@
 """Special functions used by the Beta-embedding losses.
 
-All kernels accept scalars or numpy arrays, compute internally in float64,
-and return results in the input's floating dtype.  Accuracy targets
-(checked against high-precision references in the test suite):
+All kernels accept scalars or numpy arrays, compute in float64, and
+return the input's floating dtype (a Python float for scalar input).
+The gamma-family kernels raise ValueError on non-positive or non-finite
+input.
 
-    softplus   exact branches, no overflow for any finite input
-    lgamma     <= 1e-10 relative for x in [1e-3, 1e6]
-    digamma    <= 1e-10 relative (same range)
-    trigamma   <= 1e-10 relative (same range)
+lgamma and digamma are scipy.special.gammaln and scipy.special.psi.
+trigamma stays hand-written: scipy.special.polygamma(1, x) is about 6x
+slower than the kernel below at the phase-1 shape (80, 1, 32), since it
+goes through the Hurwitz zeta function.  The kernel takes nine unmasked
+steps of the recurrence
 
-The gamma-family kernels use the classic scheme: shift the argument
-upward with the recurrences
+    psi'(x) = psi'(x+1) + 1/x^2,
 
-    ln Gamma(x) = ln Gamma(x+1) - ln x
-    psi(x)      = psi(x+1) - 1/x
-    psi'(x)     = psi'(x+1) + 1/x^2
-
-until x >= _SHIFT_CUTOFF, then evaluate the asymptotic (Stirling-type)
-series, whose truncation error at the cutoff is far below 1e-12.
+so z = x + 9 >= 9 for every x > 0, then sums the asymptotic series
+psi'(z) ~ 1/z + 1/(2z^2) + sum_k B_2k / z^(2k+1), whose first omitted
+term is below 1e-13 at z = 9.  The test suite checks all three kernels
+against mpmath to 1e-12 relative on [1e-10, 1e10]: the EMB_EPS floor up
+to the novel region's 1/alpha.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.special as sc
 
-_SHIFT_CUTOFF = 9.0
-_HALF_LOG_2PI = 0.9189385332046727418
-
-# Bernoulli-number coefficients B_{2k} for the asymptotic series.
-_BERN = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-)
+# Bernoulli numbers B_2 .. B_10 for the trigamma series.
+_BERN = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0)
 
 
 def _out_dtype(x):
@@ -76,81 +66,33 @@ def _check_positive(x, name):
         raise ValueError(f"{name} requires strictly positive finite input")
 
 
+def _positive_f64(x, name):
+    """Float64 copy of x, checked to be positive and finite."""
+    xd = x.astype(np.float64)
+    _check_positive(xd, name)
+    return xd
+
+
 def lgamma(x):
-    """ln Gamma(x) for x > 0 via upward recurrence plus Stirling series."""
+    """ln Gamma(x) for x > 0."""
     x = np.asarray(x)
-    scalar = x.ndim == 0
-    xd = np.atleast_1d(x.astype(np.float64, copy=True))
-    _check_positive(xd, "lgamma")
-    shift = np.zeros_like(xd)
-    z = xd.copy()
-    while True:
-        m = z < _SHIFT_CUTOFF
-        if not m.any():
-            break
-        shift[m] += np.log(z[m])
-        z[m] += 1.0
-    r2 = 1.0 / (z * z)
-    # sum_k B_2k / (2k (2k-1) z^{2k-1})
-    series = (
-        1.0 / 12.0
-        + r2 * (-1.0 / 360.0
-        + r2 * (1.0 / 1260.0
-        + r2 * (-1.0 / 1680.0
-        + r2 * (1.0 / 1188.0
-        + r2 * (-691.0 / 360360.0)))))
-    ) / z
-    out = (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + series - shift
-    out = out.reshape(x.shape)
-    return _ret(out, x, scalar)
+    return _ret(sc.gammaln(_positive_f64(x, "lgamma")), x, x.ndim == 0)
 
 
 def digamma(x):
-    """psi(x) = d/dx ln Gamma(x) for x > 0.
-
-    Uses psi(x) = psi(x+1) - 1/x to reach the asymptotic region, then
-    psi(z) ~ ln z - 1/(2z) - sum_k B_2k / (2k z^{2k}).
-    """
+    """psi(x) = d/dx ln Gamma(x) for x > 0."""
     x = np.asarray(x)
-    scalar = x.ndim == 0
-    xd = np.atleast_1d(x.astype(np.float64, copy=True))
-    _check_positive(xd, "digamma")
-    shift = np.zeros_like(xd)
-    z = xd.copy()
-    while True:
-        m = z < _SHIFT_CUTOFF
-        if not m.any():
-            break
-        shift[m] += 1.0 / z[m]
-        z[m] += 1.0
-    r2 = 1.0 / (z * z)
-    series = r2 * (
-        _BERN[0] / 2.0
-        + r2 * (_BERN[1] / 4.0
-        + r2 * (_BERN[2] / 6.0
-        + r2 * (_BERN[3] / 8.0
-        + r2 * (_BERN[4] / 10.0
-        + r2 * (_BERN[5] / 12.0)))))
-    )
-    out = np.log(z) - 0.5 / z - series - shift
-    out = out.reshape(x.shape)
-    return _ret(out, x, scalar)
+    return _ret(sc.psi(_positive_f64(x, "digamma")), x, x.ndim == 0)
 
 
 def trigamma(x):
     """psi'(x) for x > 0; needed for the gradient of digamma."""
     x = np.asarray(x)
-    scalar = x.ndim == 0
-    xd = np.atleast_1d(x.astype(np.float64, copy=True))
-    _check_positive(xd, "trigamma")
-    shift = np.zeros_like(xd)
-    z = xd.copy()
-    while True:
-        m = z < _SHIFT_CUTOFF
-        if not m.any():
-            break
-        shift[m] += 1.0 / (z[m] * z[m])
-        z[m] += 1.0
+    z = _positive_f64(x, "trigamma")
+    shift = np.zeros_like(z)
+    for _ in range(9):
+        shift += 1.0 / (z * z)
+        z += 1.0
     r = 1.0 / z
     r2 = r * r
     series = r * (
@@ -162,9 +104,7 @@ def trigamma(x):
         + r2 * (_BERN[3]
         + r2 * _BERN[4])))))
     )
-    out = series + shift
-    out = out.reshape(x.shape)
-    return _ret(out, x, scalar)
+    return _ret(series + shift, x, x.ndim == 0)
 
 
 def log_beta(a, b):
@@ -172,10 +112,8 @@ def log_beta(a, b):
     a = np.asarray(a)
     b = np.asarray(b)
     scalar = a.ndim == 0 and b.ndim == 0
-    ad = a.astype(np.float64, copy=False)
-    bd = b.astype(np.float64, copy=False)
-    _check_positive(ad, "log_beta")
-    _check_positive(bd, "log_beta")
+    ad = _positive_f64(a, "log_beta")
+    bd = _positive_f64(b, "log_beta")
     out = np.asarray(lgamma(ad) + lgamma(bd) - lgamma(ad + bd))
     if scalar:
         return out.item()

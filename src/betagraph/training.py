@@ -189,12 +189,9 @@ class ModelState:
 
     def load_snapshot(self, snap: dict):
         for name, t in self.all_tensors().items():
-            t.data = snap[name].copy()
-        if self.encoder is not None:
-            self.encoder.bn1.running_mean = snap["encoder.bn1.running_mean"].copy()
-            self.encoder.bn1.running_var = snap["encoder.bn1.running_var"].copy()
-            self.encoder.bn2.running_mean = snap["encoder.bn2.running_mean"].copy()
-            self.encoder.bn2.running_var = snap["encoder.bn2.running_var"].copy()
+            t.data = snap[name].astype(t.data.dtype)
+        for name, arr in self.running_stats().items():
+            arr[...] = snap[name]
 
 
 def init_model(feature_dim: int, class_count: int, config: TrainConfig) -> ModelState:
@@ -463,11 +460,5 @@ def load_checkpoint(path):
                 f"checkpoint tensor '{name}' has shape "
                 f"{arrays[name].shape}, model expects {ref.shape}"
             )
-    for name, t in state.all_tensors().items():
-        t.data = arrays[name].astype(t.data.dtype)
-    if state.encoder is not None:
-        state.encoder.bn1.running_mean = arrays["encoder.bn1.running_mean"]
-        state.encoder.bn1.running_var = arrays["encoder.bn1.running_var"]
-        state.encoder.bn2.running_mean = arrays["encoder.bn2.running_mean"]
-        state.encoder.bn2.running_var = arrays["encoder.bn2.running_var"]
+    state.load_snapshot(arrays)
     return state, meta

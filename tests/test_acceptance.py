@@ -116,7 +116,7 @@ def test_criterion_2_special_functions():
         worst_kl = 0.0
         for _ in range(100):
             a1, b1, a2, b2 = gen.uniform(0.2, 20.0, 4).round(6)
-            mine = rs.dist(
+            mine = rs.beta_kl(
                 rs.BetaEmbedding(alpha=ad.Tensor(np.array([[a1]])),
                                  beta=ad.Tensor(np.array([[b1]]))),
                 rs.BetaEmbedding(alpha=ad.Tensor(np.array([[a2]])),

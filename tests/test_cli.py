@@ -165,6 +165,24 @@ class TestEval:
         assert report["aggregate"]["runs"] == 2
         assert report["aggregate"]["acc_std"] >= 0.0
 
+    def test_config_hash_shared_and_checkpoint_in_manifest(self, tmp_path,
+                                                           dataset):
+        from betagraph.ioutil import sha256_file
+        run = tmp_path / "tiny"
+        assert main(["train", dataset, "--out", str(run)] + TRAIN_FLAGS
+                    + ["--rounds", "1", "--epochs-p1", "1",
+                       "--epochs-p2", "1"]) == 0
+        ckpt = str(run / "checkpoint.npz")
+        out = tmp_path / "eval"
+        assert main(["eval", dataset, "--checkpoint", ckpt,
+                     "--seeds", "1", "2", "--out", str(out)]) == 0
+        hashes = [r["config_hash"] for r in
+                  json.load(open(out / "report.json"))["per_seed"]]
+        assert hashes[0] is not None and hashes == [hashes[0]] * 2
+        manifest = json.load(open(out / "manifest.json"))
+        assert manifest["checkpoint"] == os.path.abspath(ckpt)
+        assert manifest["checkpoint_hash"] == sha256_file(ckpt)
+
     def test_with_baselines(self, tmp_path, dataset, trained_run):
         out = tmp_path / "evalb"
         rc = main(["eval", dataset,

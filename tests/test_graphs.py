@@ -67,7 +67,7 @@ class TestLoadDataset:
     def test_zscore_on_load(self, tmp_path):
         g = graphs.gen_planted_partition(2, 10, 0.4, 0.1, 3, 4.0, seed=3)
         graphs.save_dataset(g, tmp_path / "ds", feature_format="csv")
-        norm = graphs.load_dataset(tmp_path / "ds", normalize_features=True)
+        norm = graphs.zscore_features(graphs.load_dataset(tmp_path / "ds"))
         assert np.abs(norm.features.mean(axis=0)).max() < 1e-9
         assert np.abs(norm.features.std(axis=0) - 1.0).max() < 1e-9
 

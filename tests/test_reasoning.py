@@ -171,39 +171,39 @@ class TestDist:
 
     def test_self_distance_zero(self):
         e = self.mk([1.7, 0.4, 2.2], [0.9, 3.0, 1.1])
-        assert abs(rs.dist(e, e).data).max() < 1e-9
+        assert abs(rs.beta_kl(e, e).data).max() < 1e-9
 
     def test_reference_value_vs_quadrature(self):
         n = self.mk([2.0], [2.0])
         c = self.mk([1.0], [1.0])
-        assert float(rs.dist(n, c).data[0]) == pytest.approx(KL_22_11, abs=1e-9)
+        assert float(rs.beta_kl(n, c).data[0]) == pytest.approx(KL_22_11, abs=1e-9)
 
     def test_reference_value_rounded(self):
         n = self.mk([2.0], [2.0])
         c = self.mk([1.0], [1.0])
-        assert float(rs.dist(n, c).data[0]) == pytest.approx(0.12508, abs=5e-5)
+        assert float(rs.beta_kl(n, c).data[0]) == pytest.approx(0.12508, abs=5e-5)
 
     def test_asymmetric(self):
         a = self.mk([2.0, 3.0], [1.0, 0.5])
         b = self.mk([0.7, 1.2], [2.5, 4.0])
-        assert float(rs.dist(a, b).data[0]) != pytest.approx(
-            float(rs.dist(b, a).data[0]), abs=1e-6)
+        assert float(rs.beta_kl(a, b).data[0]) != pytest.approx(
+            float(rs.beta_kl(b, a).data[0]), abs=1e-6)
 
     def test_sums_over_dimensions(self):
         a = self.mk([2.0, 2.0], [2.0, 2.0])
         b = self.mk([1.0, 1.0], [1.0, 1.0])
-        assert float(rs.dist(a, b).data[0]) == pytest.approx(2 * KL_22_11, abs=1e-9)
+        assert float(rs.beta_kl(a, b).data[0]) == pytest.approx(2 * KL_22_11, abs=1e-9)
 
     def test_nonnegative_on_random_pairs(self):
         gen = rng(14)
         a = rs.split_embedding(ad.Tensor(gen.uniform(0.2, 20.0, (10_000, 6))))
         b = rs.split_embedding(ad.Tensor(gen.uniform(0.2, 20.0, (10_000, 6))))
-        vals = rs.dist(a, b).data
+        vals = rs.beta_kl(a, b).data
         assert vals.min() > -1e-9
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            rs.dist(self.mk([1.0], [1.0]), self.mk([1.0, 2.0], [1.0, 2.0]))
+            rs.beta_kl(self.mk([1.0], [1.0]), self.mk([1.0, 2.0], [1.0, 2.0]))
 
     def test_dist_matrix_matches_loops(self):
         gen = rng(15)
@@ -219,7 +219,7 @@ class TestDist:
                     alpha=ad.Tensor(classes.alpha.data[j:j + 1]),
                     beta=ad.Tensor(classes.beta.data[j:j + 1]))
                 assert dm[i, j] == pytest.approx(
-                    float(rs.dist(ni, cj).data[0]), rel=1e-12)
+                    float(rs.beta_kl(ni, cj).data[0]), rel=1e-12)
 
 
 def ones_class_embeddings(k, d):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betagraph.sparse import SparseMatrix, spmm
+from betagraph.sparse import SparseMatrix
 
 
 def random_csr(rng, rows, cols, density=0.4):
@@ -21,19 +21,19 @@ def test_identity_times_anything():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((6, 3))
     eye = SparseMatrix.identity(6)
-    assert np.array_equal(spmm(eye, x), x)
+    assert np.array_equal(eye @ x, x)
 
 
 def test_one_by_one():
     m = SparseMatrix.from_coo([0], [0], [2.0], (1, 1))
-    assert spmm(m, np.array([[3.0]])) == np.array([[6.0]])
+    assert m @ np.array([[3.0]]) == np.array([[6.0]])
 
 
 def test_random_5x5_vs_dense_oracle():
     rng = np.random.default_rng(3)
     m, dense = random_csr(rng, 5, 5)
     x = rng.standard_normal((5, 4))
-    assert np.abs(spmm(m, x) - dense @ x).max() < 1e-12
+    assert np.abs(m @ x - dense @ x).max() < 1e-12
 
 
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 4),
@@ -43,13 +43,13 @@ def test_spmm_matches_dense_oracle(rows, cols, width, seed):
     rng = np.random.default_rng(seed)
     m, dense = random_csr(rng, rows, cols)
     x = rng.standard_normal((cols, width))
-    assert np.abs(spmm(m, x) - dense @ x).max() < 1e-12
+    assert np.abs(m @ x - dense @ x).max() < 1e-12
 
 
 def test_shape_mismatch():
     m = SparseMatrix.identity(3)
     with pytest.raises(ValueError):
-        spmm(m, np.zeros((4, 2)))
+        m @ np.zeros((4, 2))
 
 
 def test_transpose_roundtrip():
@@ -82,7 +82,7 @@ def test_validation_rejects_out_of_range_column():
 def test_empty_rows_allowed():
     m = SparseMatrix(np.array([0, 0, 1, 1]), np.array([2]),
                      np.array([4.0]), (3, 3))
-    out = spmm(m, np.eye(3))
+    out = m @ np.eye(3)
     assert out[1, 2] == 4.0
     assert out.sum() == 4.0
 
@@ -90,16 +90,16 @@ def test_empty_rows_allowed():
 def test_dtype_preserved():
     m = SparseMatrix.identity(3)
     x32 = np.ones((3, 2), dtype=np.float32)
-    assert spmm(m, x32).dtype == np.float32
+    assert (m @ x32).dtype == np.float32
 
 
 def test_deterministic_product():
     rng = np.random.default_rng(9)
     m, _ = random_csr(rng, 50, 50, density=0.2)
     x = rng.standard_normal((50, 8))
-    first = spmm(m, x)
+    first = m @ x
     for _ in range(3):
-        assert np.array_equal(spmm(m, x), first)
+        assert np.array_equal(m @ x, first)
 
 
 def test_row_sums():

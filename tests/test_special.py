@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as ss
@@ -122,6 +123,40 @@ class TestLgamma:
     @settings(max_examples=60)
     def test_pointwise(self, x):
         assert rel_err(special.lgamma(x), ss.gammaln(x)).max() < 1e-10
+
+
+class TestGammaKernels:
+    """mpmath at 30 digits is the oracle independent of scipy."""
+
+    # the EMB_EPS floor (1e-10) up to the novel region's 1/alpha (1e10)
+    XS = np.geomspace(1e-10, 1e10, 81)
+
+    @pytest.mark.parametrize("name, oracle, floor", [
+        ("lgamma", mp.loggamma, 1.0),  # roots at 1 and 2
+        ("digamma", mp.digamma, 0.0),
+        ("trigamma", lambda x: mp.psi(1, x), 0.0),
+    ])
+    def test_against_mpmath(self, name, oracle, floor):
+        with mp.workdps(30):
+            ref = np.array([float(oracle(mp.mpf(float(x)))) for x in self.XS])
+        got = getattr(special, name)(self.XS)
+        err = np.abs(got - ref) / np.maximum(floor, np.abs(ref))
+        assert err.max() <= 1e-12
+
+    @pytest.mark.parametrize("name", ["lgamma", "digamma", "trigamma"])
+    def test_dtype_contract(self, name):
+        fn = getattr(special, name)
+        x32 = np.array([[0.5, 3.0], [1e-3, 40.0]], dtype=np.float32)
+        out = fn(x32)
+        assert out.dtype == np.float32 and out.shape == x32.shape
+        assert type(fn(2.5)) is float
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_lgamma_domain_error(self, bad):
+        with pytest.raises(ValueError):
+            special.lgamma(bad)
+        with pytest.raises(ValueError):
+            special.lgamma(np.array([1.0, bad]))
 
 
 class TestSigmoid:
