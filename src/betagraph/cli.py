@@ -140,9 +140,11 @@ def _now():
 
 
 def _csv(path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(map(str, row)) for row in rows]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _csv_lines(path, header, [",".join(map(str, row)) for row in rows])
+
+
+def _csv_lines(path, header, lines):
+    atomic_write_text(path, "\n".join([",".join(header), *lines]) + "\n")
 
 
 def _fmt(v):
@@ -335,18 +337,18 @@ def cmd_eval(args):
 
     cv = evaluation.curves(sb, ctx, split)
     rc_path = os.path.join(out, "curves_risk_coverage.csv")
-    _csv(rc_path, ["coverage", "risk"],
-         zip(*map(evaluation.repr_column, cv["risk_coverage"])))
+    _csv_lines(rc_path, ["coverage", "risk"], evaluation.csv_lines(
+        map(evaluation.repr_column, cv["risk_coverage"])))
     outputs = [report_path, rc_path]
     if "roc" in cv:
         roc_path = os.path.join(out, "curves_roc.csv")
-        _csv(roc_path, ["fpr", "tpr"],
-             zip(*map(evaluation.repr_column, cv["roc"])))
+        _csv_lines(roc_path, ["fpr", "tpr"], evaluation.csv_lines(
+            map(evaluation.repr_column, cv["roc"])))
         outputs.append(roc_path)
 
-    header, rows = evaluation.node_scores_table(sb, split)
+    header, lines = evaluation.node_scores_table(sb, split)
     scores_path = os.path.join(out, "scores.csv")
-    _csv(scores_path, header, rows)
+    _csv_lines(scores_path, header, lines)
     outputs.append(scores_path)
 
     table_path = os.path.join(out, "aggregate.csv")

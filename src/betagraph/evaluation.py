@@ -11,8 +11,8 @@ Task conventions:
 
 run_protocol repeats split -> train -> evaluate over a seed list and
 aggregates mean and standard deviation per metric, mirroring the usual
-report-five-runs convention.  A plain cross-entropy graph classifier
-provides MaxLogit and Energy comparison scores.
+report-five-runs convention.  The direct head's graph network, trained
+with plain cross entropy, provides MaxLogit and Energy comparison scores.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import evidence as ev
 from . import metrics as mt
 from .autodiff import Adam, Tensor, no_grad
-from .graphs import Graph, SplitSpec, make_split
-from .reasoning import glorot
+from .graphs import (Graph, SplitSpec, make_split, normalize_adjacency,
+                     remap_labels)
 from .rng import substream
 from .evidence import ScoreBatch
 from .training import (ModelState, RunContext, TrainConfig, build_context,
@@ -175,8 +176,14 @@ def repr_column(values):
     return map(repr, values.tolist())
 
 
+def csv_lines(columns):
+    """CSV lines of a table given as columns of string cells."""
+    return list(map(",".join, zip(*columns)))
+
+
 def node_scores_table(scores: ScoreBatch, split: SplitSpec):
-    """Per-node rows: node_id, prediction, dissonance, vacuity, p_0..p_{K-1}.
+    """Header and CSV lines of the per-node rows: node_id, prediction,
+    dissonance, vacuity, p_0..p_{K-1}.
 
     Predictions are reported as original dataset class ids.
     """
@@ -188,56 +195,33 @@ def node_scores_table(scores: ScoreBatch, split: SplitSpec):
     columns = [map(str, range(preds.size)), map(str, preds.tolist()),
                repr_column(scores.dissonance), repr_column(scores.vacuity)]
     columns += [repr_column(col) for col in scores.probability.T]
-    return header, [list(row) for row in zip(*columns)]
+    return header, csv_lines(columns)
 
 
 # -- plain cross-entropy classifier for MaxLogit / Energy -------------------
 
-@dataclass
-class BaselineClassifier:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-    def params(self):
-        return [self.w1, self.b1, self.w2, self.b2]
-
-
 def train_baseline(graph: Graph, split: SplitSpec, *, hidden_dim=64, lr=0.01,
                    dropout=0.5, epochs=200, seed=0, dtype="float32"):
-    """Two-layer graph classifier trained with cross entropy on the split's
-    training nodes; returns (model, logits over all nodes)."""
-    from .graphs import normalize_adjacency, remap_labels
+    """The direct head's graph network trained with cross entropy on the
+    split's training nodes; returns (its parameters, logits over all
+    nodes)."""
     adj = normalize_adjacency(graph)
     labels = remap_labels(graph, split)
     k = len(split.id_classes)
     dt = np.dtype(dtype)
-    gen = substream(seed, 10)
+    model = ev.init_direct_head(substream(seed, 10), graph.feature_dim,
+                                hidden_dim, k, dt)
     drop = substream(seed, 11)
-    x = Tensor(graph.features.astype(dt))
-    model = BaselineClassifier(
-        w1=glorot(gen, graph.feature_dim, hidden_dim, dt),
-        b1=Tensor(np.zeros(hidden_dim, dtype=dt), requires_grad=True),
-        w2=glorot(gen, hidden_dim, k, dt),
-        b2=Tensor(np.zeros(k, dtype=dt), requires_grad=True),
-    )
     with no_grad():
-        px = ad.spmm(adj, x)
-
-    def forward(training):
-        h = ad.relu(ad.add(ad.matmul(px, model.w1), model.b1))
-        if training and dropout > 0:
-            h = ad.dropout(h, dropout, drop, training=True)
-        return ad.add(ad.spmm(adj, ad.matmul(h, model.w2)), model.b2)
-
-    opt = Adam(model.params(), lr=lr)
+        px = ad.spmm(adj, Tensor(graph.features.astype(dt)))
+    opt = Adam(model.tensors().values(), lr=lr)
     train_idx = split.train
-    y = labels[train_idx]
     onehot = np.zeros((train_idx.size, k), dtype=dt)
-    onehot[np.arange(train_idx.size), y] = 1.0
+    onehot[np.arange(train_idx.size), labels[train_idx]] = 1.0
     for _ in range(epochs):
-        logits = ad.take_rows(forward(True), train_idx)
+        logits = ad.take_rows(ev.direct_logits(
+            adj, px, model, training=True, dropout_rate=dropout,
+            generator=drop), train_idx)
         lse = ad.logsumexp(logits, axis=1)
         picked = ad.tsum(ad.mul(logits, onehot), axis=1)
         loss = ad.tmean(ad.sub(lse, picked))
@@ -247,7 +231,7 @@ def train_baseline(graph: Graph, split: SplitSpec, *, hidden_dim=64, lr=0.01,
         loss.backward()
         opt.step()
     with no_grad():
-        logits = forward(False)
+        logits = ev.direct_logits(adj, px, model)
     return model, logits.data
 
 
@@ -256,14 +240,12 @@ def baseline_report(graph: Graph, split: SplitSpec, seed=0, epochs=200) -> dict:
     classifier (markers for the uncertainty-based pipeline to beat)."""
     _, logits = train_baseline(graph, split, seed=seed, epochs=epochs)
     maxlogit, energy = mt.baseline_scores(logits)
-    out = {}
     labels_pred = logits.argmax(axis=1)
-    from .graphs import remap_labels
     labels = remap_labels(graph, split)
     test = split.test
-    out["acc"] = mt.accuracy(labels_pred[test], labels[test])
+    correct = labels_pred[test] == labels[test]
+    out = {"acc": mt.accuracy(labels_pred[test], labels[test])}
     for name, score in (("maxlogit", maxlogit), ("energy", energy)):
-        correct = labels_pred[test] == labels[test]
         out[f"{name}_md_aurc"] = mt.aurc(-score[test], correct)
         if split.has_ood:
             out[f"{name}_fpr95"] = mt.fpr_at_tpr(score[test],

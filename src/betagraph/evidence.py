@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from . import subjective
 from .autodiff import Tensor
-from .reasoning import BetaEmbedding, ClassEmbeddings, glorot
+from .reasoning import ClassEmbeddings, glorot
 from .sparse import SparseMatrix
 
 PRIOR_EPS = 1e-6
@@ -123,10 +123,9 @@ def evidence_forward(adj: SparseMatrix, node_embs_2d: Tensor,
 
     d2 = node_embs_2d.data.shape[1]
 
-    def layer1(head, cls_emb):
+    def layer1(head, cls_row):
         w_node = ad.rows(head.w1, 0, d2)
         w_cls = ad.rows(head.w1, d2, 2 * d2)
-        cls_row = cls_emb.stacked()                      # (1, 2d)
         shift = ad.matmul(cls_row, w_cls)                # (1, H)
         z = ad.add(ad.matmul(prop, w_node),
                    ad.mul(Tensor(row_scale), shift))
@@ -137,21 +136,17 @@ def evidence_forward(adj: SparseMatrix, node_embs_2d: Tensor,
         return h
 
     heads = list(params.per_class)
-    regions = [_class_region(class_embs, i) for i in range(k)]
+    regions = [ad.take_rows(class_embs.per_class, [i]) for i in range(k)]
     if learned_prior:
         heads.append(params.novel)
         regions.append(class_embs.novel)
 
-    outputs = []
-    biases = []
-    for head, region in zip(heads, regions):
-        h = layer1(head, region)
-        outputs.append(ad.matmul(h, head.w2))            # (n, 1) each
-        biases.append(head.b2)
-    stacked = ad.concat(outputs, axis=1)                 # (n, K or K+1)
+    stacked = ad.concat([ad.matmul(layer1(head, region), head.w2)
+                         for head, region in zip(heads, regions)],
+                        axis=1)                          # (n, K or K+1)
     if propagate:
         stacked = ad.spmm(adj, stacked)                  # heads batched
-    stacked = ad.add(stacked, ad.concat(biases, axis=0))
+    stacked = ad.add(stacked, ad.concat([head.b2 for head in heads], axis=0))
 
     evidence = ad.softplus(ad.cols(stacked, 0, k))
     if learned_prior:
@@ -160,13 +155,6 @@ def evidence_forward(adj: SparseMatrix, node_embs_2d: Tensor,
         prior = Tensor(np.full((n, 1), float(k), dtype=dtype))
     return NodeOpinionBatch(evidence=evidence, prior_weight=prior,
                             base_rates=np.full(k, 1.0 / k))
-
-
-def _class_region(class_embs: ClassEmbeddings, i) -> BetaEmbedding:
-    return BetaEmbedding(
-        alpha=ad.take_rows(class_embs.per_class.alpha, np.array([i])),
-        beta=ad.take_rows(class_embs.per_class.beta, np.array([i])),
-    )
 
 
 def score(batch: NodeOpinionBatch) -> ScoreBatch:
@@ -233,20 +221,26 @@ def init_direct_head(generator, feature_dim, hidden_dim, class_count,
     )
 
 
+def direct_logits(adj: SparseMatrix, px, params: DirectHeadParams, *,
+                  training=False, dropout_rate=0.0, generator=None) -> Tensor:
+    """(n, K) outputs of the plain two-layer graph network on px = adj @ x;
+    also the logits of the MaxLogit/Energy baseline."""
+    h = ad.relu(ad.add(ad.matmul(px, params.w1), params.b1))
+    if training and dropout_rate > 0.0:
+        h = ad.dropout(h, dropout_rate, generator, training=True)
+    return ad.add(ad.spmm(adj, ad.matmul(h, params.w2)), params.b2)
+
+
 def direct_evidence_forward(adj: SparseMatrix, x, params: DirectHeadParams,
                             class_count, *, training=False, dropout_rate=0.0,
                             generator=None) -> NodeOpinionBatch:
-    """Plain two-layer graph network emitting evidence for every class at
-    once, with the classic fixed prior W = K."""
-    x = ad.as_tensor(x)
-    n = x.data.shape[0]
-    dtype = x.data.dtype
-    z1 = ad.add(ad.matmul(ad.spmm(adj, x), params.w1), params.b1)
-    h = ad.relu(z1)
-    if training and dropout_rate > 0.0:
-        h = ad.dropout(h, dropout_rate, generator, training=True)
-    z2 = ad.add(ad.spmm(adj, ad.matmul(h, params.w2)), params.b2)
-    evidence = ad.softplus(z2)
-    prior = Tensor(np.full((n, 1), float(class_count), dtype=dtype))
+    """Evidence for every class at once from direct_logits, with the
+    classic fixed prior W = K."""
+    evidence = ad.softplus(direct_logits(
+        adj, ad.spmm(adj, x), params, training=training,
+        dropout_rate=dropout_rate, generator=generator))
+    n = evidence.data.shape[0]
+    prior = Tensor(np.full((n, 1), float(class_count),
+                           dtype=evidence.data.dtype))
     return NodeOpinionBatch(evidence=evidence, prior_weight=prior,
                             base_rates=np.full(class_count, 1.0 / class_count))

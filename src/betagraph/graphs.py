@@ -90,15 +90,26 @@ class SplitSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SplitSpec":
+        """Parse to_json output; a partition that is not a flat list of
+        integer node ids raises ValueError naming it."""
         d = json.loads(text)
+
+        def node_ids(part):
+            ids = d[part]
+            if not (isinstance(ids, list) and all(
+                    type(i) is int for i in ids)):
+                raise ValueError(f"{part} must be a flat list of integer "
+                                 "node ids")
+            return np.asarray(ids, dtype=np.int64)
+
         return cls(
             id_classes=tuple(d["id_classes"]),
             ood_classes=tuple(d["ood_classes"]),
-            train=np.asarray(d["train"], dtype=np.int64),
-            val=np.asarray(d["val"], dtype=np.int64),
-            test=np.asarray(d["test"], dtype=np.int64),
-            ood_val=np.asarray(d["ood_val"], dtype=np.int64),
-            ood_test=np.asarray(d["ood_test"], dtype=np.int64),
+            train=node_ids("train"),
+            val=node_ids("val"),
+            test=node_ids("test"),
+            ood_val=node_ids("ood_val"),
+            ood_test=node_ids("ood_test"),
             seed=int(d["seed"]),
         )
 

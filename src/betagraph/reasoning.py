@@ -1,9 +1,10 @@
 """Beta embeddings: graph encoder, neural disjunction, negation, KL distance.
 
-A Beta embedding is d independent Beta distributions; node and class
-embeddings are carried as (rows, 2d) tensors laid out [alpha || beta],
-with every producer ending in a softplus (or a reciprocal), so all
-parameters stay strictly positive.
+A Beta embedding is d independent Beta distributions.  Every embedding
+(nodes, class regions, the known union and the novel region) is one
+(rows, 2d) tensor laid out [alpha || beta]; beta_kl is the only code
+that reads the two halves apart.  Every producer ends in a softplus (or
+a reciprocal), so all parameters stay strictly positive.
 
 The set-to-one disjunction operator is
 
@@ -34,29 +35,6 @@ from .sparse import SparseMatrix
 # floor added to softplus outputs so Beta parameters stay positive even
 # where float32 softplus would underflow to exactly zero
 EMB_EPS = 1e-10
-
-
-@dataclass
-class BetaEmbedding:
-    """(rows, d) alpha/beta parameter pair; rows may be 1 for a single region."""
-    alpha: Tensor
-    beta: Tensor
-
-    @property
-    def d(self):
-        return self.alpha.data.shape[-1]
-
-    def stacked(self) -> Tensor:
-        """[alpha || beta] layout, shape (rows, 2d)."""
-        return ad.concat([self.alpha, self.beta], axis=1)
-
-    def values(self):
-        return self.alpha.data, self.beta.data
-
-
-def split_embedding(x2d: Tensor) -> BetaEmbedding:
-    d = x2d.data.shape[-1] // 2
-    return BetaEmbedding(alpha=ad.cols(x2d, 0, d), beta=ad.cols(x2d, d, 2 * d))
 
 
 @dataclass
@@ -118,13 +96,13 @@ class DisjunctionParams:
 @dataclass
 class ClassEmbeddings:
     """Support regions: one per known class, their union, its complement."""
-    per_class: BetaEmbedding   # (K, d) pair
-    known: BetaEmbedding       # (1, d) pair
-    novel: BetaEmbedding       # (1, d) pair
+    per_class: Tensor          # (K, 2d)
+    known: Tensor              # (1, 2d)
+    novel: Tensor              # (1, 2d)
 
     @property
     def class_count(self):
-        return self.per_class.alpha.data.shape[0]
+        return self.per_class.data.shape[0]
 
 
 def glorot(generator, rows, cols, dtype):
@@ -190,41 +168,24 @@ def encode(adj: SparseMatrix, x, params: EncoderParams, *, training=False,
     return out
 
 
-def disjunction(inputs, params: DisjunctionParams) -> BetaEmbedding:
-    """Aggregate a set of Beta embeddings into one region.
+def disjunction(x2d: Tensor, params: DisjunctionParams) -> Tensor:
+    """Aggregate the (m, 2d) rows of x2d into one (1, 2d) region.
 
-    inputs: a (m, 2d) tensor of [alpha || beta] rows, a BetaEmbedding, or
-    a list of either (rows are concatenated).  Order and multiplicity of
-    the rows do not affect the result.
+    Order and multiplicity of the rows do not affect the result.
     """
-    x2d = _rows_2d(inputs)
     if x2d.data.shape[0] == 0:
         raise ValueError("disjunction over an empty set")
     u = ad.relu(ad.add(ad.matmul(x2d, params.h1_w), params.h1_b))
     pooled = ad.colmean_exact(u)
     z = ad.add(ad.mul(pooled, params.w), params.bias)
     z = ad.reshape(z, (1, z.data.shape[0]))
-    out = ad.add(ad.softplus(ad.add(ad.matmul(z, params.h2_w), params.h2_b)),
-                 EMB_EPS)
-    return split_embedding(out)
+    return ad.add(ad.softplus(ad.add(ad.matmul(z, params.h2_w), params.h2_b)),
+                  EMB_EPS)
 
 
-def _rows_2d(inputs) -> Tensor:
-    if isinstance(inputs, Tensor):
-        return inputs
-    if isinstance(inputs, BetaEmbedding):
-        return inputs.stacked()
-    if isinstance(inputs, (list, tuple)):
-        if not inputs:
-            raise ValueError("disjunction over an empty set")
-        return ad.concat([_rows_2d(e) for e in inputs], axis=0)
-    raise TypeError(f"cannot interpret {type(inputs)!r} as Beta embeddings")
-
-
-def negation(emb: BetaEmbedding) -> BetaEmbedding:
+def negation(x: Tensor) -> Tensor:
     """(alpha, beta) -> (1/alpha, 1/beta); an exact involution."""
-    return BetaEmbedding(alpha=ad.div(1.0, emb.alpha),
-                         beta=ad.div(1.0, emb.beta))
+    return ad.div(1.0, x)
 
 
 def build_class_embeddings(node_embs_2d: Tensor, class_train_indices,
@@ -237,25 +198,24 @@ def build_class_embeddings(node_embs_2d: Tensor, class_train_indices,
         if idx.size == 0:
             raise ValueError("a known class has no training nodes")
         per.append(disjunction(ad.take_rows(node_embs_2d, idx), params))
-    stacked = ad.concat([c.stacked() for c in per], axis=0)
-    known = disjunction(stacked, params)
-    return ClassEmbeddings(
-        per_class=split_embedding(stacked),
-        known=known,
-        novel=negation(known),
-    )
+    per_class = ad.concat(per, axis=0)
+    known = disjunction(per_class, params)
+    return ClassEmbeddings(per_class=per_class, known=known,
+                           novel=negation(known))
 
 
-def beta_kl(node: BetaEmbedding, cls: BetaEmbedding) -> Tensor:
+def beta_kl(node: Tensor, cls: Tensor) -> Tensor:
     """Summed per-dimension KL(Beta_node || Beta_class).
 
-    Shapes broadcast: (m, d) against (C, d) evaluates every pair when the
-    operands are reshaped to (m, 1, d) and (1, C, d) by dist_matrix.
+    Operands are [alpha || beta] along the last axis.  Shapes broadcast:
+    (m, 2d) against (C, 2d) evaluates every pair when the operands are
+    reshaped to (m, 1, 2d) and (1, C, 2d) by dist_matrix.
     """
-    a_n, b_n = node.alpha, node.beta
-    a_c, b_c = cls.alpha, cls.beta
-    if node.d != cls.d:
+    if node.data.shape[-1] != cls.data.shape[-1]:
         raise ValueError("embedding dimension mismatch")
+    d = node.data.shape[-1] // 2
+    a_n, b_n = ad.cols(node, 0, d), ad.cols(node, d, 2 * d)
+    a_c, b_c = ad.cols(cls, 0, d), ad.cols(cls, d, 2 * d)
     ln_b_c = ad.add(ad.lgamma(a_c), ad.lgamma(b_c))
     ln_b_c = ad.sub(ln_b_c, ad.lgamma(ad.add(a_c, b_c)))
     ln_b_n = ad.add(ad.lgamma(a_n), ad.lgamma(b_n))
@@ -268,15 +228,12 @@ def beta_kl(node: BetaEmbedding, cls: BetaEmbedding) -> Tensor:
     return ad.tsum(term, axis=-1)
 
 
-def dist_matrix(nodes: BetaEmbedding, classes: BetaEmbedding) -> Tensor:
+def dist_matrix(nodes: Tensor, classes: Tensor) -> Tensor:
     """(m, C) distances from every node row to every class row."""
-    m, d = nodes.alpha.data.shape
-    c = classes.alpha.data.shape[0]
-    left = BetaEmbedding(alpha=ad.reshape(nodes.alpha, (m, 1, d)),
-                         beta=ad.reshape(nodes.beta, (m, 1, d)))
-    right = BetaEmbedding(alpha=ad.reshape(classes.alpha, (1, c, d)),
-                          beta=ad.reshape(classes.beta, (1, c, d)))
-    return beta_kl(left, right)
+    m, d2 = nodes.data.shape
+    c = classes.data.shape[0]
+    return beta_kl(ad.reshape(nodes, (m, 1, d2)),
+                   ad.reshape(classes, (1, c, d2)))
 
 
 def beta_loss(node_embs_2d: Tensor, labels, class_embs: ClassEmbeddings,
@@ -289,17 +246,10 @@ def beta_loss(node_embs_2d: Tensor, labels, class_embs: ClassEmbeddings,
     """
     labels = np.asarray(labels, dtype=np.int64)
     k = class_embs.class_count
-    nodes = split_embedding(node_embs_2d)
+    stack = class_embs.per_class
     if include_novel:
-        stack = BetaEmbedding(
-            alpha=ad.concat([class_embs.per_class.alpha, class_embs.novel.alpha],
-                            axis=0),
-            beta=ad.concat([class_embs.per_class.beta, class_embs.novel.beta],
-                           axis=0),
-        )
-    else:
-        stack = class_embs.per_class
-    dists = dist_matrix(nodes, stack)                     # (m, K or K+1)
+        stack = ad.concat([stack, class_embs.novel], axis=0)
+    dists = dist_matrix(node_embs_2d, stack)              # (m, K or K+1)
     m, c = dists.data.shape
     onehot = np.zeros((m, c), dtype=dists.data.dtype)
     onehot[np.arange(m), labels] = 1.0

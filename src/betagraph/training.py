@@ -289,38 +289,33 @@ def frozen_reasoning(state: ModelState, ctx: RunContext):
     return emb, class_embs, prop
 
 
+def _phase2_forward(state: ModelState, ctx: RunContext):
+    """training -> NodeOpinionBatch for the model's evidence heads, the
+    direct head or the Beta heads over class regions frozen here, once."""
+    cfg = state.config
+    if state.direct is not None:
+        return lambda training: ev.direct_evidence_forward(
+            ctx.adj, ctx.x, state.direct, ctx.class_count, training=training,
+            dropout_rate=cfg.dropout_p2, generator=state.rng_p2)
+    emb, class_embs, prop = frozen_reasoning(state, ctx)
+    return lambda training: ev.evidence_forward(
+        ctx.adj, emb, class_embs, state.heads, training=training,
+        dropout_rate=cfg.dropout_p2, generator=state.rng_p2,
+        propagate=cfg.context_propagation, learned_prior=cfg.learned_prior,
+        propagated_nodes=prop)
+
+
 def train_phase2(state: ModelState, ctx: RunContext, epochs: int) -> float:
     """Dirichlet-loss epochs for the evidence heads; reasoning parameters
     stay frozen (class regions are rebuilt once at entry)."""
     if epochs == 0:
         return float("nan")
-    cfg = state.config
     last = float("nan")
-    if state.direct is not None:
-        for epoch in range(epochs):
-            with _divergence_guard(2, epoch, state):
-                batch = ev.direct_evidence_forward(
-                    ctx.adj, ctx.x, state.direct, ctx.class_count,
-                    training=True, dropout_rate=cfg.dropout_p2,
-                    generator=state.rng_p2)
-                loss = ev.dirichlet_loss(batch, ctx.labels, ctx.split.train)
-                _check_finite(loss, 2, epoch, state)
-                state.opt_p2.zero_grad()
-                loss.backward()
-                state.opt_p2.step()
-                last = float(loss.data)
-        return last
-
     with _divergence_guard(2, -1, state):
-        emb, class_embs, prop = frozen_reasoning(state, ctx)
+        forward = _phase2_forward(state, ctx)
     for epoch in range(epochs):
         with _divergence_guard(2, epoch, state):
-            batch = ev.evidence_forward(
-                ctx.adj, emb, class_embs, state.heads, training=True,
-                dropout_rate=cfg.dropout_p2, generator=state.rng_p2,
-                propagate=cfg.context_propagation,
-                learned_prior=cfg.learned_prior, propagated_nodes=prop)
-            loss = ev.dirichlet_loss(batch, ctx.labels, ctx.split.train)
+            loss = ev.dirichlet_loss(forward(True), ctx.labels, ctx.split.train)
             _check_finite(loss, 2, epoch, state)
             state.opt_p2.zero_grad()
             loss.backward()
@@ -332,16 +327,7 @@ def train_phase2(state: ModelState, ctx: RunContext, epochs: int) -> float:
 def forward_scores(state: ModelState, ctx: RunContext) -> ev.ScoreBatch:
     """Inference-mode scores for every node."""
     with no_grad():
-        if state.direct is not None:
-            batch = ev.direct_evidence_forward(ctx.adj, ctx.x, state.direct,
-                                               ctx.class_count, training=False)
-        else:
-            emb, class_embs, prop = frozen_reasoning(state, ctx)
-            batch = ev.evidence_forward(
-                ctx.adj, emb, class_embs, state.heads, training=False,
-                propagate=state.config.context_propagation,
-                learned_prior=state.config.learned_prior,
-                propagated_nodes=prop)
+        batch = _phase2_forward(state, ctx)(False)
     return ev.score(batch)
 
 

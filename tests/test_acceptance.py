@@ -95,6 +95,7 @@ def beta_kl_quadrature(a1, b1, a2, b2):
 
 
 def test_criterion_2_special_functions():
+    # the time bound covers the code under test, not the mpmath oracle
     t0 = time.perf_counter()
     worst_rec = 0.0
     for x in (0.5, 1.0, 3.7, 100.0):
@@ -106,9 +107,10 @@ def test_criterion_2_special_functions():
         abs(special.log_beta(2.0, 2.0) - math.log(1 / 6)),
         abs(special.log_beta(0.5, 0.5) - math.log(math.pi)),
     )
+    elapsed = time.perf_counter() - t0
 
     # 15 digits keeps the oracle ~8 orders below the 1e-6 budget and the
-    # tanh-sinh rule cheap enough for the runtime bound
+    # tanh-sinh rule cheap
     old_dps = mp.mp.dps
     mp.mp.dps = 15
     try:
@@ -116,18 +118,15 @@ def test_criterion_2_special_functions():
         worst_kl = 0.0
         for _ in range(100):
             a1, b1, a2, b2 = gen.uniform(0.2, 20.0, 4).round(6)
-            mine = rs.beta_kl(
-                rs.BetaEmbedding(alpha=ad.Tensor(np.array([[a1]])),
-                                 beta=ad.Tensor(np.array([[b1]]))),
-                rs.BetaEmbedding(alpha=ad.Tensor(np.array([[a2]])),
-                                 beta=ad.Tensor(np.array([[b2]]))),
-            ).data[0]
+            t0 = time.perf_counter()
+            mine = rs.beta_kl(ad.Tensor(np.array([[a1, b1]])),
+                              ad.Tensor(np.array([[a2, b2]]))).data[0]
+            elapsed += time.perf_counter() - t0
             worst_kl = max(worst_kl,
                            abs(mine - beta_kl_quadrature(a1, b1, a2, b2)))
     finally:
         mp.mp.dps = old_dps
 
-    elapsed = time.perf_counter() - t0
     ok = worst_rec < 1e-10 and lb_err < 1e-10 and worst_kl < 1e-6 \
         and elapsed < 10.0
     report("criterion 2 (special functions vs quadrature)", ok,
@@ -187,10 +186,9 @@ def test_criterion_4_operator_algebra():
     gen = rng(404)
     params = rs.init_disjunction(gen, 4, 8, np.float64)
 
-    recip = rs.split_embedding(ad.Tensor(gen.uniform(0.05, 50.0, (500, 8))))
+    recip = ad.Tensor(gen.uniform(0.05, 50.0, (500, 8)))
     back = rs.negation(rs.negation(recip))
-    inv_err = max(np.abs(back.alpha.data - recip.alpha.data).max(),
-                  np.abs(back.beta.data - recip.beta.data).max())
+    inv_err = np.abs(back.data - recip.data).max()
 
     x = ad.Tensor(gen.uniform(0.2, 6.0, (17, 8)))
     base = rs.disjunction(x, params)
@@ -198,21 +196,16 @@ def test_criterion_4_operator_algebra():
     for s in range(10):
         perm = rng(s).permutation(17)
         out = rs.disjunction(ad.Tensor(x.data[perm]), params)
-        perm_exact &= np.array_equal(out.alpha.data, base.alpha.data)
-        perm_exact &= np.array_equal(out.beta.data, base.beta.data)
+        perm_exact &= np.array_equal(out.data, base.data)
     doubled = rs.disjunction(ad.Tensor(np.repeat(x.data, 2, axis=0)), params)
-    dup_exact &= np.array_equal(doubled.alpha.data, base.alpha.data)
-    dup_exact &= np.array_equal(doubled.beta.data, base.beta.data)
+    dup_exact &= np.array_equal(doubled.data, base.data)
 
     positive = True
     for trial in range(1000):
         rows = ad.Tensor(gen.uniform(0.01, 20.0, (gen.integers(1, 9), 8)))
         out = rs.disjunction(rows, params)
-        positive &= bool((out.alpha.data > 0).all()
-                         and (out.beta.data > 0).all())
-        neg = rs.negation(out)
-        positive &= bool((neg.alpha.data > 0).all()
-                         and (neg.beta.data > 0).all())
+        positive &= bool((out.data > 0).all())
+        positive &= bool((rs.negation(out).data > 0).all())
 
     ok = inv_err < 1e-12 and perm_exact and dup_exact and positive
     report("criterion 4 (operator algebra)", ok,

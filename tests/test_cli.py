@@ -258,12 +258,20 @@ class TestEvalInputs:
         assert self.run_eval(tmp_path, dataset, trained_run, split) == 1
         assert f"test node {node} has class 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("part, edit, message", [
+        ("ood_test", None, "ood_test"),
+        ("train", lambda ids: [ids], "train must be a flat list"),
+        ("val", lambda ids: ids + [0.7], "val must be a flat list"),
+        ("test", lambda ids: ids[0], "test must be a flat list"),
+    ], ids=["missing", "nested", "float-id", "scalar"])
     def test_malformed_split_json(self, tmp_path, dataset, trained_run,
-                                  capsys):
+                                  capsys, part, edit, message):
         split = self.split_of(trained_run)
-        del split["ood_test"]
+        ids = split.pop(part)
+        if edit is not None:
+            split[part] = edit(ids)
         assert self.run_eval(tmp_path, dataset, trained_run, split) == 1
-        assert "ood_test" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_truncated_checkpoint(self, tmp_path, dataset, trained_run,
                                   capsys):

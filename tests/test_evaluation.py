@@ -107,8 +107,9 @@ class TestCurvesAndScores:
     def test_node_scores_table(self, trained):
         g, split, state = trained
         ctx = tr.build_context(g, split, state.config)
-        header, rows = evl.node_scores_table(tr.forward_scores(state, ctx),
-                                             split)
+        header, lines = evl.node_scores_table(tr.forward_scores(state, ctx),
+                                              split)
+        rows = [line.split(",") for line in lines]
         assert header[:4] == ["node_id", "prediction", "dissonance", "vacuity"]
         assert header[4:] == ["p_0", "p_1", "p_2"]
         assert len(rows) == g.n

@@ -29,32 +29,28 @@ def context_features(node_embs_2d, class_emb):
     """Rows [alpha_i || beta_i || alpha_C || beta_C]: the explicit input of
     one head, the class part repeated on every node row."""
     n = node_embs_2d.data.shape[0]
-    cls_row = ad.matmul(np.ones((n, 1)), class_emb.stacked())
+    cls_row = ad.matmul(np.ones((n, 1)), class_emb)
     return ad.concat([node_embs_2d, cls_row], axis=1)
 
 
 class TestContextFeatures:
     def test_shape_1x4(self):
         emb = ad.Tensor(np.array([[2.0, 3.0]]))
-        cls = rs.BetaEmbedding(alpha=ad.Tensor(np.array([[5.0]])),
-                               beta=ad.Tensor(np.array([[7.0]])))
+        cls = ad.Tensor(np.array([[5.0, 7.0]]))
         out = context_features(emb, cls)
         assert out.data.shape == (1, 4)
         assert np.array_equal(out.data, np.array([[2.0, 3.0, 5.0, 7.0]]))
 
     def test_identical_nodes_identical_rows(self):
         emb = ad.Tensor(np.tile([1.0, 2.0], (4, 1)))
-        cls = rs.BetaEmbedding(alpha=ad.Tensor(np.array([[3.0]])),
-                               beta=ad.Tensor(np.array([[4.0]])))
+        cls = ad.Tensor(np.array([[3.0, 4.0]]))
         out = context_features(emb, cls).data
         assert np.abs(out - out[0]).max() == 0.0
 
     def test_class_change_touches_only_class_columns(self):
         emb = ad.Tensor(np.random.default_rng(0).uniform(1, 2, (5, 4)))
-        c1 = rs.BetaEmbedding(alpha=ad.Tensor(np.array([[1.0, 1.0]])),
-                              beta=ad.Tensor(np.array([[1.0, 1.0]])))
-        c2 = rs.BetaEmbedding(alpha=ad.Tensor(np.array([[9.0, 9.0]])),
-                              beta=ad.Tensor(np.array([[9.0, 9.0]])))
+        c1 = ad.Tensor(np.array([[1.0, 1.0, 1.0, 1.0]]))
+        c2 = ad.Tensor(np.array([[9.0, 9.0, 9.0, 9.0]]))
         a = context_features(emb, c1).data
         b = context_features(emb, c2).data
         assert np.array_equal(a[:, :4], b[:, :4])
@@ -102,10 +98,8 @@ class TestEvidenceForward:
         g, adj, emb, ce, heads = small_setup(seed=3)
         batch = ev.evidence_forward(adj, emb, ce, heads, propagate=True,
                                     learned_prior=True)
-        regions = [rs.BetaEmbedding(
-            alpha=ad.take_rows(ce.per_class.alpha, np.array([i])),
-            beta=ad.take_rows(ce.per_class.beta, np.array([i])))
-            for i in range(3)] + [ce.novel]
+        regions = [ad.take_rows(ce.per_class, [i])
+                   for i in range(3)] + [ce.novel]
         outs = []
         for head, region in zip(heads.per_class + [heads.novel], regions):
             xk = context_features(emb, region)

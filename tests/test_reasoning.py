@@ -66,8 +66,7 @@ class TestDisjunction:
         for seed in range(4):
             perm = rng(seed).permutation(12)
             out = rs.disjunction(ad.Tensor(x.data[perm]), params)
-            assert np.array_equal(out.alpha.data, base.alpha.data)
-            assert np.array_equal(out.beta.data, base.beta.data)
+            assert np.array_equal(out.data, base.data)
 
     def test_duplication_invariance_exact(self):
         gen = rng(5)
@@ -76,55 +75,39 @@ class TestDisjunction:
         doubled = ad.Tensor(np.repeat(x.data, 2, axis=0))
         a = rs.disjunction(x, params)
         b = rs.disjunction(doubled, params)
-        assert np.array_equal(a.alpha.data, b.alpha.data)
-        assert np.array_equal(a.beta.data, b.beta.data)
+        assert np.array_equal(a.data, b.data)
 
     def test_single_element_valid(self):
         params = unit_params()
         out = rs.disjunction(make_embedding(rng(6), 1, 4), params)
-        assert out.alpha.data.shape == (1, 4)
-        assert (out.alpha.data > 0).all() and (out.beta.data > 0).all()
+        assert out.data.shape == (1, 8)
+        assert (out.data > 0).all()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            rs.disjunction([], unit_params())
-
-    def test_accepts_list_of_embeddings(self):
-        gen = rng(7)
-        params = unit_params()
-        rows = [make_embedding(gen, 1, 4) for _ in range(3)]
-        stacked = ad.Tensor(np.concatenate([r.data for r in rows], axis=0))
-        a = rs.disjunction(rows, params)
-        b = rs.disjunction(stacked, params)
-        assert np.array_equal(a.alpha.data, b.alpha.data)
+            rs.disjunction(ad.Tensor(np.zeros((0, 8))), unit_params())
 
 
 class TestNegation:
     def test_reciprocal_example(self):
-        e = rs.BetaEmbedding(alpha=ad.Tensor(np.array([[2.0]])),
-                             beta=ad.Tensor(np.array([[0.5]])))
-        n = rs.negation(e)
-        assert n.alpha.data[0, 0] == 0.5
-        assert n.beta.data[0, 0] == 2.0
+        n = rs.negation(ad.Tensor(np.array([[2.0, 0.5]])))
+        assert n.data[0, 0] == 0.5
+        assert n.data[0, 1] == 2.0
 
     def test_unit_fixed_point(self):
-        e = rs.BetaEmbedding(alpha=ad.Tensor(np.ones((1, 3))),
-                             beta=ad.Tensor(np.ones((1, 3))))
-        n = rs.negation(e)
-        assert np.array_equal(n.alpha.data, np.ones((1, 3)))
+        n = rs.negation(ad.Tensor(np.ones((1, 6))))
+        assert np.array_equal(n.data, np.ones((1, 6)))
 
     def test_involution_within_1e12(self):
         gen = rng(8)
-        e = rs.split_embedding(make_embedding(gen, 10, 4))
+        e = make_embedding(gen, 10, 4)
         back = rs.negation(rs.negation(e))
-        assert np.abs(back.alpha.data - e.alpha.data).max() < 1e-12
-        assert np.abs(back.beta.data - e.beta.data).max() < 1e-12
+        assert np.abs(back.data - e.data).max() < 1e-12
 
     def test_positivity_preserved(self):
         gen = rng(9)
-        e = rs.split_embedding(ad.Tensor(gen.uniform(1e-4, 1e4, (50, 8))))
-        n = rs.negation(e)
-        assert (n.alpha.data > 0).all() and (n.beta.data > 0).all()
+        n = rs.negation(ad.Tensor(gen.uniform(1e-4, 1e4, (50, 8))))
+        assert (n.data > 0).all()
 
 
 class TestClassEmbeddings:
@@ -135,10 +118,10 @@ class TestClassEmbeddings:
         idx = [np.arange(0, 7), np.arange(7, 13), np.arange(13, 20)]
         base = rs.build_class_embeddings(emb, idx, params)
         perm = rs.build_class_embeddings(emb, [idx[2], idx[0], idx[1]], params)
-        assert np.array_equal(perm.per_class.alpha.data,
-                              base.per_class.alpha.data[[2, 0, 1]])
+        assert np.array_equal(perm.per_class.data,
+                              base.per_class.data[[2, 0, 1]])
         # union over a set is order-free, so the novel region is identical
-        assert np.array_equal(perm.novel.alpha.data, base.novel.alpha.data)
+        assert np.array_equal(perm.novel.data, base.novel.data)
 
     def test_novel_is_exact_negation_of_known(self):
         gen = rng(11)
@@ -146,8 +129,7 @@ class TestClassEmbeddings:
         emb = make_embedding(gen, 10, 4)
         ce = rs.build_class_embeddings(emb, [np.arange(5), np.arange(5, 10)],
                                        params)
-        assert np.array_equal(ce.novel.alpha.data, 1.0 / ce.known.alpha.data)
-        assert np.array_equal(ce.novel.beta.data, 1.0 / ce.known.beta.data)
+        assert np.array_equal(ce.novel.data, 1.0 / ce.known.data)
 
     def test_single_class(self):
         gen = rng(12)
@@ -167,7 +149,7 @@ class TestDist:
     def mk(self, a, b):
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
-        return rs.BetaEmbedding(alpha=ad.Tensor(a), beta=ad.Tensor(b))
+        return ad.Tensor(np.concatenate([a, b], axis=1))
 
     def test_self_distance_zero(self):
         e = self.mk([1.7, 0.4, 2.2], [0.9, 3.0, 1.1])
@@ -196,8 +178,8 @@ class TestDist:
 
     def test_nonnegative_on_random_pairs(self):
         gen = rng(14)
-        a = rs.split_embedding(ad.Tensor(gen.uniform(0.2, 20.0, (10_000, 6))))
-        b = rs.split_embedding(ad.Tensor(gen.uniform(0.2, 20.0, (10_000, 6))))
+        a = ad.Tensor(gen.uniform(0.2, 20.0, (10_000, 6)))
+        b = ad.Tensor(gen.uniform(0.2, 20.0, (10_000, 6)))
         vals = rs.beta_kl(a, b).data
         assert vals.min() > -1e-9
 
@@ -207,28 +189,20 @@ class TestDist:
 
     def test_dist_matrix_matches_loops(self):
         gen = rng(15)
-        nodes = rs.split_embedding(make_embedding(gen, 5, 3))
-        classes = rs.split_embedding(make_embedding(gen, 4, 3))
+        nodes = make_embedding(gen, 5, 3)
+        classes = make_embedding(gen, 4, 3)
         dm = rs.dist_matrix(nodes, classes).data
         for i in range(5):
             for j in range(4):
-                ni = rs.BetaEmbedding(
-                    alpha=ad.Tensor(nodes.alpha.data[i:i + 1]),
-                    beta=ad.Tensor(nodes.beta.data[i:i + 1]))
-                cj = rs.BetaEmbedding(
-                    alpha=ad.Tensor(classes.alpha.data[j:j + 1]),
-                    beta=ad.Tensor(classes.beta.data[j:j + 1]))
+                ni = ad.Tensor(nodes.data[i:i + 1])
+                cj = ad.Tensor(classes.data[j:j + 1])
                 assert dm[i, j] == pytest.approx(
                     float(rs.beta_kl(ni, cj).data[0]), rel=1e-12)
 
 
 def ones_class_embeddings(k, d):
-    ones = lambda r: ad.Tensor(np.ones((r, d)))
-    return rs.ClassEmbeddings(
-        per_class=rs.BetaEmbedding(alpha=ones(k), beta=ones(k)),
-        known=rs.BetaEmbedding(alpha=ones(1), beta=ones(1)),
-        novel=rs.BetaEmbedding(alpha=ones(1), beta=ones(1)),
-    )
+    ones = lambda r: ad.Tensor(np.ones((r, 2 * d)))
+    return rs.ClassEmbeddings(per_class=ones(k), known=ones(1), novel=ones(1))
 
 
 class TestBetaLoss:
