@@ -57,7 +57,10 @@ def sigmoid(x):
     x = np.asarray(x)
     scalar = x.ndim == 0
     e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # 1/(1+e) for x >= 0, e/(1+e) otherwise: the numerator max(e, x >= 0)
+    # is 1 or e (e <= 1 when x >= 0), bit for bit the np.where of the two
+    # quotients, without computing both or branching per element.
+    out = np.maximum(e, x >= 0) / (1 + e)
     return out.item() if scalar else out.astype(_out_dtype(x), copy=False)
 
 

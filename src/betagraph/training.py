@@ -79,6 +79,12 @@ class TrainConfig:
             raise ValueError("gamma must be positive")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        for name in ("epochs_p1", "epochs_p2"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        for name in ("hidden_dim", "embed_dim", "reasoning_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
 
@@ -295,8 +301,9 @@ def _phase2_forward(state: ModelState, ctx: RunContext):
     cfg = state.config
     if state.direct is not None:
         return lambda training: ev.direct_evidence_forward(
-            ctx.adj, ctx.x, state.direct, ctx.class_count, training=training,
-            dropout_rate=cfg.dropout_p2, generator=state.rng_p2)
+            ctx.adj, ctx.propagated_x, state.direct, ctx.class_count,
+            training=training, dropout_rate=cfg.dropout_p2,
+            generator=state.rng_p2)
     emb, class_embs, prop = frozen_reasoning(state, ctx)
     return lambda training: ev.evidence_forward(
         ctx.adj, emb, class_embs, state.heads, training=training,
@@ -305,14 +312,22 @@ def _phase2_forward(state: ModelState, ctx: RunContext):
         propagated_nodes=prop)
 
 
-def train_phase2(state: ModelState, ctx: RunContext, epochs: int) -> float:
+def _frozen_forward(state: ModelState, ctx: RunContext):
+    """_phase2_forward with a numerical failure reported as phase 2's."""
+    with _divergence_guard(2, -1, state):
+        return _phase2_forward(state, ctx)
+
+
+def train_phase2(state: ModelState, ctx: RunContext, epochs: int,
+                 forward=None) -> float:
     """Dirichlet-loss epochs for the evidence heads; reasoning parameters
-    stay frozen (class regions are rebuilt once at entry)."""
+    stay frozen.  forward is a _phase2_forward result to reuse; without
+    one the class regions are rebuilt once at entry."""
     if epochs == 0:
         return float("nan")
     last = float("nan")
-    with _divergence_guard(2, -1, state):
-        forward = _phase2_forward(state, ctx)
+    if forward is None:
+        forward = _frozen_forward(state, ctx)
     for epoch in range(epochs):
         with _divergence_guard(2, epoch, state):
             loss = ev.dirichlet_loss(forward(True), ctx.labels, ctx.split.train)
@@ -324,10 +339,14 @@ def train_phase2(state: ModelState, ctx: RunContext, epochs: int) -> float:
     return last
 
 
-def forward_scores(state: ModelState, ctx: RunContext) -> ev.ScoreBatch:
-    """Inference-mode scores for every node."""
+def forward_scores(state: ModelState, ctx: RunContext,
+                   forward=None) -> ev.ScoreBatch:
+    """Inference-mode scores for every node, from forward (a
+    _phase2_forward result) when given."""
+    if forward is None:
+        forward = _phase2_forward(state, ctx)
     with no_grad():
-        batch = _phase2_forward(state, ctx)(False)
+        batch = forward(False)
     return ev.score(batch)
 
 
@@ -340,9 +359,9 @@ def selection_score(acc, roc, rc, config: TrainConfig) -> float:
     return float(score)
 
 
-def validation_metrics(state: ModelState, ctx: RunContext, scores=None):
+def validation_metrics(state: ModelState, ctx: RunContext, forward=None):
     split = ctx.split
-    sb = scores if scores is not None else forward_scores(state, ctx)
+    sb = forward_scores(state, ctx, forward)
     correct = sb.prediction[split.val] == ctx.labels[split.val]
     acc = accuracy(sb.prediction[split.val], ctx.labels[split.val])
     rc = aurc(-sb.dissonance[split.val], correct)
@@ -362,8 +381,10 @@ def train_alternating(graph: Graph, split: SplitSpec, config: TrainConfig,
     for r in range(config.rounds):
         state.round = r
         bl = train_phase1(state, ctx, config.epochs_p1)
-        dl = train_phase2(state, ctx, config.epochs_p2)
-        acc, rc, roc = validation_metrics(state, ctx)
+        # phase 2 and validation share one frozen encoder pass
+        forward = _frozen_forward(state, ctx)
+        dl = train_phase2(state, ctx, config.epochs_p2, forward)
+        acc, rc, roc = validation_metrics(state, ctx, forward)
         score = selection_score(acc, roc, rc, config)
         history.append({
             "round": r,

@@ -373,6 +373,17 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--epochs-p1", "-1"), ("--hidden-dim", "0"), ("--embed-dim", "-2"),
+    ])
+    def test_bad_size_exit_code_1(self, tmp_path, dataset, capsys, flag,
+                                  value):
+        out = tmp_path / "bad"
+        rc = main(["train", dataset, "--out", str(out), flag, value])
+        assert rc == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not (out / "history.csv").exists()
+
     def test_usage_error_from_argparse(self):
         rc = main(["synth", "nonsense-kind", "--out", "/tmp/x"])
         assert rc == 1

@@ -33,6 +33,131 @@ def context_features(node_embs_2d, class_emb):
     return ad.concat([node_embs_2d, cls_row], axis=1)
 
 
+def per_op_forward(adj, node_embs_2d, class_embs, params, *, training=False,
+                   dropout_rate=0.0, generator=None, propagate=True,
+                   learned_prior=True):
+    """The evidence heads composed op by op (about ten tape nodes per head):
+    the reference the fused head node must reproduce bit for bit."""
+    n = node_embs_2d.data.shape[0]
+    k = class_embs.class_count
+    dtype = node_embs_2d.data.dtype
+    if propagate:
+        prop = ad.spmm(adj, node_embs_2d)
+        row_scale = adj.row_sums().astype(dtype).reshape(n, 1)
+    else:
+        prop = node_embs_2d
+        row_scale = np.ones((n, 1), dtype=dtype)
+    d2 = node_embs_2d.data.shape[1]
+
+    def head_out(head, cls_row):
+        w_node = ad.take_rows(head.w1, np.arange(0, d2))
+        w_cls = ad.take_rows(head.w1, np.arange(d2, 2 * d2))
+        shift = ad.matmul(cls_row, w_cls)
+        z = ad.add(ad.matmul(prop, w_node), ad.mul(ad.Tensor(row_scale), shift))
+        h = ad.relu(ad.add(z, head.b1))
+        if training and dropout_rate > 0.0:
+            h = ad.dropout(h, dropout_rate, generator, training=True)
+        return ad.matmul(h, head.w2)
+
+    heads = list(params.per_class)
+    regions = [ad.take_rows(class_embs.per_class, [i]) for i in range(k)]
+    if learned_prior:
+        heads.append(params.novel)
+        regions.append(class_embs.novel)
+    stacked = ad.concat([head_out(h, r) for h, r in zip(heads, regions)],
+                        axis=1)
+    if propagate:
+        stacked = ad.spmm(adj, stacked)
+    stacked = ad.add(stacked, ad.concat([head.b2 for head in heads], axis=0))
+    evidence = ad.softplus(ad.cols(stacked, 0, k))
+    if learned_prior:
+        prior = ad.add(ad.softplus(ad.cols(stacked, k, k + 1)), ev.PRIOR_EPS)
+    else:
+        prior = ad.Tensor(np.full((n, 1), float(k), dtype=dtype))
+    return ev.NodeOpinionBatch(evidence=evidence, prior_weight=prior,
+                               base_rates=np.full(k, 1.0 / k))
+
+
+def grad_setup(dtype, seed=0, n=40, d=3, k=3, hidden=6):
+    """small_setup with grad-requiring node embeddings and disjunction
+    parameters (so the class regions require grad too) in the given dtype."""
+    gen = rng(seed)
+    g = graphs.gen_erdos_renyi(n, 0.2, 4, seed=seed, class_count=k)
+    adj = graphs.normalize_adjacency(g)
+    emb = ad.Tensor(gen.uniform(0.3, 4.0, size=(n, 2 * d)).astype(dtype),
+                    requires_grad=True)
+    disj = rs.init_disjunction(gen, d, 6, dtype)
+    heads = ev.init_evidence_heads(gen, d, hidden, k, dtype)
+    for h in heads.per_class + [heads.novel]:
+        for t in (h.b1, h.w2, h.b2):      # init zeroes these
+            t.data = gen.standard_normal(t.data.shape).astype(dtype)
+    idx = np.array_split(np.arange(n), k)
+    labels = np.repeat(np.arange(k), [len(i) for i in idx])
+    return adj, emb, disj, idx, heads, labels
+
+
+class TestFusedHeads:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    @pytest.mark.parametrize("propagate", [True, False])
+    @pytest.mark.parametrize("learned_prior", [True, False])
+    def test_bit_equal_to_per_op_composition(self, dtype, dropout, propagate,
+                                             learned_prior):
+        adj, emb, disj, idx, heads, labels = grad_setup(dtype)
+        tensors = {**heads.tensors(), **disj.tensors(), "emb": emb}
+        runs = []
+        for forward in (ev.evidence_forward, per_op_forward):
+            for t in tensors.values():
+                t.grad = None
+            ce = rs.build_class_embeddings(emb, idx, disj)
+            batch = forward(adj, emb, ce, heads, training=True,
+                            dropout_rate=dropout, generator=rng(7),
+                            propagate=propagate, learned_prior=learned_prior)
+            loss = ev.dirichlet_loss(batch, labels, np.arange(labels.size))
+            loss.backward()
+            runs.append((batch, {name: t.grad for name, t in tensors.items()}))
+        (fused, fused_grads), (ref, ref_grads) = runs
+        assert fused.evidence.data.dtype == dtype
+        assert fused.evidence.data.tobytes() == ref.evidence.data.tobytes()
+        assert fused.prior_weight.data.tobytes() == \
+            ref.prior_weight.data.tobytes()
+        for name, ref_grad in ref_grads.items():
+            got = fused_grads[name]
+            if ref_grad is None:
+                assert got is None, name
+                continue
+            assert got.dtype == ref_grad.dtype, name
+            assert np.array_equal(got, ref_grad), name
+
+    def test_grad_check_with_dropout(self):
+        adj, emb, disj, idx, heads, labels = grad_setup(np.float64, n=15,
+                                                        hidden=4)
+
+        def loss_fn():
+            # a fresh generator per call: the same dropout mask every probe
+            ce = rs.build_class_embeddings(emb, idx, disj)
+            batch = ev.evidence_forward(adj, emb, ce, heads, training=True,
+                                        dropout_rate=0.5, generator=rng(3))
+            return ev.dirichlet_loss(batch, labels, np.arange(labels.size))
+
+        params = {**heads.tensors(), "emb": emb,
+                  "disjunction.h2_w": disj.h2_w}
+        worst = max(r.max_rel_err for r in ad.grad_check(loss_fn, params))
+        assert worst < 1e-6
+
+    def test_one_tape_node_per_head(self):
+        adj, emb, disj, idx, heads, labels = grad_setup(np.float64)
+        ce = rs.build_class_embeddings(emb, idx, disj)
+        batch = ev.evidence_forward(adj, emb, ce, heads)
+        stacked = batch.evidence._vjps[0][0]._vjps[0][0]     # cols <- add
+        concat = stacked._vjps[0][0]._vjps[0][0]             # add <- spmm
+        parents = [p for p, _ in concat._vjps]
+        assert len(parents) == 4                               # K + 1 heads
+        for p, head in zip(parents, heads.per_class + [heads.novel]):
+            assert {id(q) for q, _ in p._vjps} >= {id(head.w1), id(head.b1),
+                                                    id(head.w2)}
+
+
 class TestContextFeatures:
     def test_shape_1x4(self):
         emb = ad.Tensor(np.array([[2.0, 3.0]]))
@@ -240,8 +365,8 @@ class TestDirectEvidence:
         g = graphs.gen_erdos_renyi(15, 0.3, 4, seed=3, class_count=3)
         adj = graphs.normalize_adjacency(g)
         params = ev.init_direct_head(rng(0), 4, 6, 3, np.float64)
-        x = ad.Tensor(g.features)
-        batch = ev.direct_evidence_forward(adj, x, params, 3)
+        px = ad.spmm(adj, ad.Tensor(g.features))
+        batch = ev.direct_evidence_forward(adj, px, params, 3)
         assert batch.evidence.data.shape == (15, 3)
         assert np.all(batch.prior_weight.data == 3.0)
         assert (batch.evidence.data >= 0).all()

@@ -6,6 +6,7 @@ import pytest
 import scipy.special as ss
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from betagraph import special
 
@@ -159,7 +160,50 @@ class TestGammaKernels:
             special.lgamma(np.array([1.0, bad]))
 
 
+def float_arrays():
+    """float32/float64 arrays of any values: +-0, +-inf, NaN, subnormals."""
+    return st.sampled_from([np.float32, np.float64]).flatmap(
+        lambda dt: hnp.arrays(
+            dt, hnp.array_shapes(min_dims=0, max_dims=2, max_side=40),
+            elements=st.floats(width=np.dtype(dt).itemsize * 8,
+                               allow_nan=True, allow_infinity=True,
+                               allow_subnormal=True)))
+
+
+def edge_values(dtype):
+    tiny = np.finfo(dtype).smallest_subnormal
+    return np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny,
+                     -tiny, 1.0, -1.0, 88.0, -88.0, 800.0, -800.0] * 3,
+                    dtype=dtype)
+
+
+def where_sigmoid(x):
+    """The np.where form of special.sigmoid that the branch-free one
+    replaced."""
+    x = np.asarray(x)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return out.astype(x.dtype, copy=False)
+
+
 class TestSigmoid:
+    @settings(max_examples=300, deadline=None)
+    @given(float_arrays())
+    def test_bit_equal_to_where_form(self, x):
+        with np.errstate(all="ignore"):
+            got = np.asarray(special.sigmoid(x), dtype=x.dtype)
+            assert got.tobytes() == where_sigmoid(x).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edge_values_bit_equal(self, dtype):
+        x = edge_values(dtype)
+        got = special.sigmoid(x)
+        assert got.dtype == dtype
+        assert got.tobytes() == where_sigmoid(x).tobytes()
+        for v in x:                            # 0-d: numpy's scalar loops
+            assert np.asarray(special.sigmoid(v), dtype=dtype).tobytes() \
+                == where_sigmoid(v).tobytes()
+
     def test_half_at_zero(self):
         assert special.sigmoid(0.0) == pytest.approx(0.5, abs=1e-15)
 

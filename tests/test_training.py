@@ -22,10 +22,15 @@ class TestTrainConfig:
     @pytest.mark.parametrize("bad", [
         dict(lr_p1=0.0), dict(lr_p2=-1.0), dict(dropout_p1=1.0),
         dict(gamma=0.0), dict(rounds=0), dict(dtype="float16"),
+        dict(epochs_p1=-1), dict(epochs_p2=-3), dict(hidden_dim=0),
+        dict(embed_dim=-2), dict(reasoning_dim=0),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             tr.TrainConfig(**bad)
+
+    def test_zero_epochs_allowed(self):
+        assert tr.TrainConfig(epochs_p1=0, epochs_p2=0).epochs_p1 == 0
 
     def test_variant_presets(self):
         base = quick_config()
@@ -96,6 +101,45 @@ class TestPhases:
         with np.errstate(all="ignore"):
             with pytest.raises(tr.TrainingDivergence):
                 tr.train_phase1(state, ctx, 60)
+
+
+def count_calls(monkeypatch, owner, name, keep=lambda *a, **k: True):
+    """Wrap owner.name; returns the list of calls that pass `keep`."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        if keep(*args, **kwargs):
+            calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestSharedWork:
+    def test_round_encodes_frozen_model_once(self, monkeypatch, small_ppm,
+                                             small_split):
+        """Phase 2 and the validation after it score one frozen forward."""
+        frozen = count_calls(monkeypatch, tr.rs, "encode",
+                             lambda *a, training=False, **k: not training)
+        tr.train_alternating(small_ppm, small_split,
+                             quick_config(rounds=2, epochs_p1=2, epochs_p2=2))
+        assert len(frozen) == 2
+
+    def test_direct_head_propagates_features_once(self, monkeypatch,
+                                                  small_ppm, small_split):
+        """One forward product by the adjacency per direct-head epoch: the
+        output propagation; the features come from ctx.propagated_x."""
+        cfg = tr.variant_config(quick_config(), "a")
+        ctx = tr.build_context(small_ppm, small_split, cfg)
+        state = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
+        calls = count_calls(monkeypatch, type(ctx.adj), "matmul",
+                            lambda m, x: m is ctx.adj)
+        tr.train_phase2(state, ctx, 1)
+        one = len(calls)
+        tr.train_phase2(state, ctx, 4)
+        assert one == 1 and len(calls) - one == 4
 
 
 class TestAlternating:
