@@ -11,16 +11,21 @@ Special-function nodes (lgamma, digamma) delegate to betagraph.special,
 so losses built from Beta/Dirichlet terms differentiate exactly
 (d lgamma = digamma, d digamma = trigamma).
 
-grad_check compares these analytic gradients against central finite
-differences, parameter by parameter, and is the independent oracle for
-every gradient used in training.
+backward() frees the tape as it goes: each interior node drops its VJP
+closures (and with them every intermediate array they hold) once its
+gradient has reached its parents.  A finished backward therefore holds
+nothing of the graph, and a graph can be back-propagated only once.
+Layers with a hand-written VJP use fused_node, one tape node whose
+gradients for all parents come from a single call.
+
+The finite-difference oracle for these gradients lives with the tests
+(tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,22 +70,26 @@ class Tensor:
         self.grad = None
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into every reachable leaf's grad.
+
+        Interior nodes lose their grad and their VJPs as soon as their
+        gradient has been passed on, so the graph cannot be walked again.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         order = _topo_order(self)
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            g = node.grad
-            if g is None:
+            vjps, node._vjps = node._vjps, ()
+            if node.grad is None or not vjps:
                 continue
-            for parent, vjp in node._vjps:
-                pg = vjp(g)
-                if parent.grad is None:
-                    parent.grad = pg
-                else:
-                    parent.grad = parent.grad + pg
-            if node._vjps:
-                node.grad = None if node is not self else node.grad
+            g = node.grad
+            if node is not self:
+                node.grad = None
+            for parent, vjp in vjps:
+                parent.grad = vjp(g) if parent.grad is None \
+                    else parent.grad + vjp(g)
+            del g
         return self
 
     # -- operator sugar ------------------------------------------------
@@ -145,6 +154,13 @@ def parameter(data, dtype=None):
     return Tensor(arr, requires_grad=True)
 
 
+def grad_needed(*parents):
+    """Whether a node over these parents is taped: grad is enabled and
+    one of them requires grad.  Lets a fused node skip computing what
+    only its VJP would use."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _node(data, vjps):
     out = Tensor(data)
     if _GRAD_ENABLED:
@@ -153,6 +169,28 @@ def _node(data, vjps):
             out._vjps = live
             out.requires_grad = True
     return out
+
+
+def fused_node(data, parents, grads):
+    """One tape node over several parents whose gradients share work.
+
+    grads(g) returns one gradient per parent, in the order of parents; it
+    runs once per backward, and each gradient is dropped as soon as the
+    engine has taken it.  Entries for parents that do not require grad
+    are ignored.
+    """
+    live = {i for i, p in enumerate(parents) if p.requires_grad}
+    pending = {}
+
+    def vjp_of(i):
+        def vjp(g):
+            if not pending:
+                pending.update((j, pg) for j, pg in enumerate(grads(g))
+                               if j in live)
+            return pending.pop(i)
+        return vjp
+
+    return _node(data, [(p, vjp_of(i)) for i, p in enumerate(parents)])
 
 
 def _unbroadcast(grad, shape):
@@ -421,7 +459,13 @@ def dropout_mask(shape, dtype, rate, generator):
 # -- optimization -------------------------------------------------------
 
 class Adam:
-    """Adam over a list of parameter tensors (full-batch usage)."""
+    """Adam over a list of parameter tensors (full-batch usage).
+
+    The first and second moments of all parameters are two flat float64
+    vectors, so a step is a few numpy calls over the concatenated
+    gradients.  A parameter whose grad is None keeps its data and its
+    moments.
+    """
 
     def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
         self.params = list(params)
@@ -429,8 +473,9 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = float(eps)
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self._sizes = [p.data.size for p in self.params]
+        self.m = np.zeros(sum(self._sizes))
+        self.v = np.zeros(sum(self._sizes))
 
     def zero_grad(self):
         for p in self.params:
@@ -441,72 +486,33 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad.astype(np.float64, copy=False)
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
-            mhat = self.m[i] / bias1
-            vhat = self.v[i] / bias2
-            upd = self.lr * mhat / (np.sqrt(vhat) + self.eps)
-            p.data = (p.data - upd.astype(p.data.dtype, copy=False)).astype(
+        has_grad = [p.grad is not None for p in self.params]
+        live = [p for p in self.params if p.grad is not None]
+        if not live:
+            return
+        g = np.concatenate([np.ravel(p.grad) for p in live], dtype=np.float64)
+        sel = slice(None) if all(has_grad) \
+            else np.repeat(has_grad, self._sizes)
+        # the per-parameter update b1*m + (1-b1)*g, ..., evaluated in place
+        # over the flat vectors: the same operations, so the same bits
+        m, v = self.m[sel], self.v[sel]
+        m *= b1
+        m += (1.0 - b1) * g
+        g *= g
+        g *= 1.0 - b2
+        v *= b2
+        v += g
+        self.m[sel], self.v[sel] = m, v
+        upd = m / bias1
+        upd *= self.lr
+        np.divide(v, bias2, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        upd /= g
+        start = 0
+        for p in live:
+            u = upd[start:start + p.data.size].reshape(p.data.shape)
+            start += p.data.size
+            p.data = (p.data - u.astype(p.data.dtype, copy=False)).astype(
                 p.data.dtype, copy=False
             )
-
-
-# -- finite-difference verification -------------------------------------
-
-@dataclass
-class GradCheckReport:
-    name: str
-    analytic: np.ndarray
-    numeric: np.ndarray
-    max_rel_err: float
-
-
-def _rel_err(a, n):
-    return np.abs(a - n) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
-
-
-def grad_check(loss_fn, params, epsilon=1e-6):
-    """Compare analytic gradients of loss_fn against central differences.
-
-    loss_fn must rebuild its graph from the live parameter tensors on
-    every call.  params maps name -> Tensor.  Raises if the loss is
-    non-finite at any probe point.
-    """
-    if not (1e-7 <= epsilon <= 1e-3):
-        raise ValueError("epsilon must lie in [1e-7, 1e-3]")
-
-    loss = loss_fn()
-    if not np.isfinite(loss.data).all():
-        raise FloatingPointError("non-finite loss at the base point")
-    for p in params.values():
-        p.grad = None
-    loss.backward()
-    analytic = {
-        name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
-        for name, p in params.items()
-    }
-
-    reports = []
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
-        numeric = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            with no_grad():
-                lp = float(loss_fn().data)
-            flat[i] = orig - epsilon
-            with no_grad():
-                lm = float(loss_fn().data)
-            flat[i] = orig
-            if not (np.isfinite(lp) and np.isfinite(lm)):
-                raise FloatingPointError(f"non-finite loss probing {name}[{i}]")
-            numeric[i] = (lp - lm) / (2.0 * epsilon)
-        numeric = numeric.reshape(p.data.shape)
-        err = float(_rel_err(analytic[name], numeric).max()) if flat.size else 0.0
-        reports.append(GradCheckReport(name, analytic[name], numeric, err))
-    return reports

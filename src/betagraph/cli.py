@@ -94,13 +94,13 @@ def _build_config(args, graph=None) -> TrainConfig:
             raw[name] = v
     if getattr(args, "ood_classes", None) is not None:
         raw["ood_classes"] = tuple(args.ood_classes)
-    if "ood_classes" in raw:
-        raw["ood_classes"] = tuple(raw["ood_classes"])
-    elif graph is not None and graph.class_count >= 4:
+    if "ood_classes" not in raw and graph is not None \
+            and graph.class_count >= 4:
         # default leave-out: the two highest class ids
         raw["ood_classes"] = (graph.class_count - 2, graph.class_count - 1)
-    if "split_ratios" in raw:
-        raw["split_ratios"] = tuple(raw["split_ratios"])
+    for name in ("ood_classes", "split_ratios"):
+        if isinstance(raw.get(name), list):
+            raw[name] = tuple(raw[name])
     try:
         return TrainConfig(**raw)
     except (TypeError, ValueError) as exc:

@@ -161,7 +161,8 @@ def _head(prop: Tensor, cls_row: Tensor, row_scale, head: HeadParams,
         h = dropout(relu(z)),  out = h @ w2
 
     in that op order, so it equals the per-op composition bit for bit.
-    Backward keeps only h, the dropout mask and the relu mask.
+    Backward keeps only h, the dropout mask and the relu mask, and makes
+    dL/dz once for every parent.
     """
     w = prop.data.shape[1]
     w1, w2 = head.w1.data, head.w2.data
@@ -174,43 +175,21 @@ def _head(prop: Tensor, cls_row: Tensor, row_scale, head: HeadParams,
     if dropout_rate > 0.0:
         mask = ad.dropout_mask(h.shape, h.dtype, dropout_rate, generator)
         h *= mask
-    z_users = [t for t in (head.w1, head.b1, prop, cls_row) if t.requires_grad]
-    memo = {}
 
-    def grads_z(g):
-        """(dL/dz, dL/d(cls_row @ w1[w:])): made by the first VJP that
-        needs them and dropped by the last, so backward holds one copy."""
-        if not memo:
-            gz = g @ w2.T
-            if mask is not None:
-                gz *= mask
-            gz *= active
-            memo["gz"] = gz
-            memo["gshift"] = (gz * row_scale).sum(axis=0, keepdims=True)
-            memo["left"] = len(z_users)
-        out = memo["gz"], memo["gshift"]
-        memo["left"] -= 1
-        if not memo["left"]:
-            memo.clear()
-        return out
+    def grads(g):
+        gz = g @ w2.T                                   # dL/dz
+        if mask is not None:
+            gz *= mask
+        gz *= active
+        gshift = (gz * row_scale).sum(axis=0, keepdims=True)
+        return (np.concatenate([prop.data.T @ gz, cls_row.data.T @ gshift]),
+                gz.sum(axis=0),
+                gz @ w1[:w].T if prop.requires_grad else None,
+                gshift @ w1[w:].T if cls_row.requires_grad else None,
+                h.T @ g)
 
-    def vjp_w1(g):
-        gz, gshift = grads_z(g)
-        return np.concatenate([prop.data.T @ gz, cls_row.data.T @ gshift])
-
-    def vjp_b1(g):
-        return grads_z(g)[0].sum(axis=0)
-
-    def vjp_prop(g):
-        return grads_z(g)[0] @ w1[:w].T
-
-    def vjp_cls(g):
-        return grads_z(g)[1] @ w1[w:].T
-
-    return ad._node(h @ w2, (
-        (head.w1, vjp_w1), (head.b1, vjp_b1), (prop, vjp_prop),
-        (cls_row, vjp_cls), (head.w2, lambda g: h.T @ g),
-    ))
+    return ad.fused_node(h @ w2, (head.w1, head.b1, prop, cls_row, head.w2),
+                         grads)
 
 
 def score(batch: NodeOpinionBatch) -> ScoreBatch:

@@ -165,6 +165,7 @@ def load_dataset(directory) -> Graph:
 
     csv_path = os.path.join(directory, "features.csv")
     bin_path = os.path.join(directory, "features.bin")
+    feature_path = csv_path if os.path.exists(csv_path) else bin_path
     if os.path.exists(csv_path):
         try:
             features = np.loadtxt(csv_path, delimiter=",", dtype=np.float64,
@@ -183,6 +184,12 @@ def load_dataset(directory) -> Graph:
     if features.shape != (n, f_dim):
         raise DatasetError(
             f"feature shape {features.shape} != meta ({n}, {f_dim})"
+        )
+    if not np.isfinite(features).all():
+        row, col = np.argwhere(~np.isfinite(features))[0]
+        raise DatasetError(
+            f"non-finite feature value {features[row, col]} at row {row}, "
+            f"column {col} of {feature_path}"
         )
 
     labels = np.loadtxt(path("labels.csv"), dtype=np.int64, ndmin=1)

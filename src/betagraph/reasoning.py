@@ -19,6 +19,13 @@ duplication of its inputs.
 The distance between two embeddings is the summed per-dimension
 KL(Beta_node || Beta_class); node-first ordering makes the trained class
 embeddings cover the node modes rather than the reverse.
+
+Each encoder layer (batch norm, softplus, dropout) and the Beta-KL are
+one tape node each, with a hand-written VJP that replays the per-op
+composition's operations and gradient accumulations in the tape's
+order, so values and gradients equal that composition bit for bit
+(tests/oracles.py keeps it).  Backward through an encoder layer holds
+the softplus derivative and the dropout mask, not every intermediate.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import special
 from .autodiff import Tensor
 from .sparse import SparseMatrix
 
@@ -45,23 +53,6 @@ class BatchNormParams:
     running_var: np.ndarray
     momentum: float = 0.1
     eps: float = 1e-5
-
-
-def batch_norm(x, bn: BatchNormParams, training, update_running=True):
-    if training:
-        mu = ad.tmean(x, axis=0, keepdims=True)
-        centered = ad.sub(x, mu)
-        var = ad.tmean(ad.mul(centered, centered), axis=0, keepdims=True)
-        if update_running:
-            m = bn.momentum
-            bn.running_mean = (1 - m) * bn.running_mean + m * mu.data.ravel()
-            bn.running_var = (1 - m) * bn.running_var + m * var.data.ravel()
-        xhat = ad.div(centered, ad.sqrt(ad.add(var, bn.eps)))
-    else:
-        mean = bn.running_mean.astype(x.data.dtype)
-        std = np.sqrt(bn.running_var + bn.eps).astype(x.data.dtype)
-        xhat = ad.div(ad.sub(x, mean), std)
-    return ad.add(ad.mul(xhat, bn.gamma), bn.beta)
 
 
 @dataclass
@@ -158,14 +149,99 @@ def encode(adj: SparseMatrix, x, params: EncoderParams, *, training=False,
     """
     x = ad.as_tensor(x)
     px = propagated_x if propagated_x is not None else ad.spmm(adj, x)
-    z1 = ad.matmul(px, params.w1)
-    h1 = ad.softplus(batch_norm(z1, params.bn1, training, update_running))
-    if training and dropout_rate > 0.0:
-        h1 = ad.dropout(h1, dropout_rate, generator, training=True)
+    h1 = encoder_layer(ad.matmul(px, params.w1), params.bn1,
+                       training=training, update_running=update_running,
+                       dropout_rate=dropout_rate if training else 0.0,
+                       generator=generator)
     z2 = ad.spmm(adj, ad.matmul(h1, params.w2))
-    out = ad.add(ad.softplus(batch_norm(z2, params.bn2, training,
-                                        update_running)), EMB_EPS)
-    return out
+    return encoder_layer(z2, params.bn2, training=training,
+                         update_running=update_running, floor=EMB_EPS)
+
+
+def encoder_layer(z: Tensor, bn: BatchNormParams, *, training,
+                  update_running=True, floor=0.0, dropout_rate=0.0,
+                  generator=None) -> Tensor:
+    """softplus(batch_norm(z)) + floor, then inverted dropout, as one tape
+    node.
+
+    Batch norm uses the column statistics of z in training (updating the
+    running ones unless update_running is off) and the running ones
+    otherwise.  The forward runs the ops of the per-op composition in its
+    order, in place where it can, and its VJP replays the tape's order of
+    operations and accumulations, so values and gradients equal that
+    composition bit for bit.  exp(-|y|) serves both the softplus and its
+    derivative.  Backward keeps only the softplus derivative, the dropout
+    mask and two (1, H) statistics; it recomputes z - mean from z.
+    """
+    x = z.data
+    if training:
+        mean = x.mean(axis=0, keepdims=True)
+        y = x - mean
+        var = (y * y).mean(axis=0, keepdims=True)
+        if update_running:
+            m = bn.momentum
+            bn.running_mean = (1 - m) * bn.running_mean + m * mean.ravel()
+            bn.running_var = (1 - m) * bn.running_var + m * var.ravel()
+        std = np.sqrt(var + bn.eps)
+    else:
+        mean = bn.running_mean.astype(x.dtype)
+        std = np.sqrt(bn.running_var + bn.eps).astype(x.dtype)
+        y = x - mean
+    gamma, beta = bn.gamma.data, bn.beta.data
+    y /= std
+    y *= gamma
+    y += beta
+    e = np.abs(y)
+    np.negative(e, out=e)
+    np.exp(e, out=e)                        # exp(-|y|)
+    taped = ad.grad_needed(z, bn.gamma, bn.beta)
+    if taped:                               # special.sigmoid, see there
+        sig = np.maximum(e, y >= 0)
+    np.maximum(y, 0, out=y)
+    y += np.log1p(e)                        # special.softplus
+    if taped:
+        e += 1
+        sig /= e
+    del e
+    if floor:
+        y += floor
+    mask = None
+    if dropout_rate > 0.0:
+        mask = ad.dropout_mask(y.shape, y.dtype, dropout_rate, generator)
+        y *= mask
+    n = x.shape[0]
+
+    def grads(g):
+        # through dropout and softplus: dL/dy
+        if mask is None:
+            gy = g * sig
+        else:
+            gy = g * mask
+            gy *= sig
+        g_beta = gy.sum(axis=0)
+        c = z.data - mean
+        xhat = c / std
+        g_gamma = (gy * xhat).sum(axis=0)
+        gy *= gamma                         # dL/dxhat
+        if not training:                    # mean and std are constants
+            gy /= std
+            return gy, g_gamma, g_beta
+        # std = sqrt(var + eps): dL/dvar = sum(-dL/dxhat xhat / std) / 2std
+        t = -gy
+        t *= xhat
+        t /= std
+        g_var = t.sum(axis=0, keepdims=True) * 0.5 / std
+        del xhat
+        gy /= std                           # dL/dc through xhat = c / std
+        c *= g_var / n                      # through var = mean(c c), per c
+        gy += c
+        gy += c
+        # c = z - mean(z): less the column mean of dL/dc
+        np.negative(gy, out=t)
+        gy += t.sum(axis=0, keepdims=True) / n
+        return gy, g_gamma, g_beta
+
+    return ad.fused_node(y, (z, bn.gamma, bn.beta), grads)
 
 
 def disjunction(x2d: Tensor, params: DisjunctionParams) -> Tensor:
@@ -205,27 +281,89 @@ def build_class_embeddings(node_embs_2d: Tensor, class_train_indices,
 
 
 def beta_kl(node: Tensor, cls: Tensor) -> Tensor:
-    """Summed per-dimension KL(Beta_node || Beta_class).
+    """Summed per-dimension KL(Beta_node || Beta_class), one tape node.
 
     Operands are [alpha || beta] along the last axis.  Shapes broadcast:
     (m, 2d) against (C, 2d) evaluates every pair when the operands are
-    reshaped to (m, 1, 2d) and (1, C, 2d) by dist_matrix.
+    reshaped to (m, 1, 2d) and (1, C, 2d) by dist_matrix.  Per dimension,
+    with s = alpha + beta,
+
+        ln B(a_c, b_c) - ln B(a_n, b_n) + (a_n - a_c) psi(a_n)
+        + (b_n - b_c) psi(b_n) + (s_c - s_n) psi(s_n).
+
+    The forward runs the ops of the per-op composition in its order; the
+    VJP replays the tape's operations and gradient accumulations in the
+    tape's order, reusing the forward digammas, so values and gradients
+    equal that composition bit for bit.
     """
     if node.data.shape[-1] != cls.data.shape[-1]:
         raise ValueError("embedding dimension mismatch")
     d = node.data.shape[-1] // 2
-    a_n, b_n = ad.cols(node, 0, d), ad.cols(node, d, 2 * d)
-    a_c, b_c = ad.cols(cls, 0, d), ad.cols(cls, d, 2 * d)
-    ln_b_c = ad.add(ad.lgamma(a_c), ad.lgamma(b_c))
-    ln_b_c = ad.sub(ln_b_c, ad.lgamma(ad.add(a_c, b_c)))
-    ln_b_n = ad.add(ad.lgamma(a_n), ad.lgamma(b_n))
-    ln_b_n = ad.sub(ln_b_n, ad.lgamma(ad.add(a_n, b_n)))
-    s_n = ad.add(a_n, b_n)
-    term = ad.sub(ln_b_c, ln_b_n)
-    term = ad.add(term, ad.mul(ad.sub(a_n, a_c), ad.digamma(a_n)))
-    term = ad.add(term, ad.mul(ad.sub(b_n, b_c), ad.digamma(b_n)))
-    term = ad.add(term, ad.mul(ad.sub(ad.add(a_c, b_c), s_n), ad.digamma(s_n)))
-    return ad.tsum(term, axis=-1)
+    a_n, b_n = node.data[..., :d], node.data[..., d:2 * d]
+    a_c, b_c = cls.data[..., :d], cls.data[..., d:2 * d]
+    s_c, s_n = a_c + b_c, a_n + b_n
+    ln_b_c = special.lgamma(a_c) + special.lgamma(b_c)
+    ln_b_c -= special.lgamma(s_c)
+    ln_b_n = special.lgamma(a_n) + special.lgamma(b_n)
+    ln_b_n -= special.lgamma(s_n)
+    psi_a, psi_b, psi_s = (special.digamma(v) for v in (a_n, b_n, s_n))
+    term = ln_b_c - ln_b_n
+    del ln_b_c, ln_b_n
+    term += (a_n - a_c) * psi_a
+    term += (b_n - b_c) * psi_b
+    term += (s_c - s_n) * psi_s
+    full, n_shape, c_shape = term.shape, a_n.shape, a_c.shape
+    out = term.sum(axis=-1)
+    dtype = term.dtype
+    del term
+
+    def grads(g):
+        unb = ad._unbroadcast
+        g = np.broadcast_to(np.expand_dims(g, -1), full)
+        g = g.astype(dtype, copy=False)
+        g_lbc = unb(g, c_shape)
+        g_lbn = unb(-g, n_shape)
+        # ln B(a_c, b_c) and ln B(a_n, b_n): d lgamma = digamma
+        g_ac = g_lbc * special.digamma(a_c)
+        g_bc = g_lbc * special.digamma(b_c)
+        g_sc = -g_lbc * special.digamma(s_c)
+        g_ac += g_sc
+        g_bc += g_sc
+        g_an = g_lbn * psi_a
+        g_bn = g_lbn * psi_b
+        g_sn = -g_lbn * psi_s
+        g_an += g_sn
+        g_bn += g_sn
+        # the three (x_n - x_c) psi(x_n) products; s_c - s_n flips signs
+        for x_n, x_c, psi, g_n, g_c in ((a_n, a_c, psi_a, g_an, g_ac),
+                                         (b_n, b_c, psi_b, g_bn, g_bc)):
+            g_diff = g * psi
+            g_psi = unb(g * (x_n - x_c), n_shape)
+            g_n += unb(g_diff, n_shape)
+            g_c += unb(-g_diff, c_shape)
+            g_n += g_psi * special.trigamma(x_n)
+        g_diff = g * psi_s
+        g_psi = unb(g * (s_c - s_n), n_shape)
+        g_s = unb(g_diff, c_shape)
+        g_ac += g_s
+        g_bc += g_s
+        g_sn = unb(-g_diff, n_shape)
+        g_sn += g_psi * special.trigamma(s_n)
+        g_an += g_sn
+        g_bn += g_sn
+        return _join(g_an, g_bn, node), _join(g_ac, g_bc, cls)
+
+    return ad.fused_node(out, (node, cls), grads)
+
+
+def _join(g_a, g_b, x):
+    """Gradient of x from those of its alpha and beta halves, as the sum
+    of the two zero-padded halves (so -0 reads +0, like the tape's)."""
+    out = np.zeros_like(x.data)
+    d = g_a.shape[-1]
+    out[..., :d] += g_a
+    out[..., d:2 * d] += g_b
+    return out
 
 
 def dist_matrix(nodes: Tensor, classes: Tensor) -> Tensor:

@@ -17,6 +17,7 @@ dropout streams are independent substreams of the config seed.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import asdict, dataclass, replace
 
@@ -33,6 +34,26 @@ from .rng import substream
 
 class TrainingDivergence(RuntimeError):
     """Raised when a loss goes non-finite; carries phase/round/epoch info."""
+
+
+def _integer(name, value):
+    """value if it is an integer (bools are not), else TypeError naming
+    the field."""
+    if isinstance(value, (bool, np.bool_)) or \
+            not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _real(name, value):
+    """value if it is a finite real number (bools are not), else
+    TypeError or ValueError naming the field."""
+    if isinstance(value, (bool, np.bool_)) or \
+            not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 @dataclass
@@ -71,22 +92,36 @@ class TrainConfig:
     normalize_features: bool = True
 
     def __post_init__(self):
-        if self.lr_p1 <= 0 or self.lr_p2 <= 0:
-            raise ValueError("learning rates must be positive")
-        if not (0 <= self.dropout_p1 < 1 and 0 <= self.dropout_p2 < 1):
-            raise ValueError("dropout rates must lie in [0, 1)")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        for name in ("epochs_p1", "epochs_p2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("hidden_dim", "embed_dim", "reasoning_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name, low in (("epochs_p1", 0), ("epochs_p2", 0), ("rounds", 1),
+                          ("seed", 0), ("hidden_dim", 1), ("embed_dim", 1),
+                          ("reasoning_dim", 1)):
+            if _integer(name, getattr(self, name)) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        for name in ("lr_p1", "lr_p2", "gamma", "adam_eps"):
+            if _real(name, getattr(self, name)) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("dropout_p1", "dropout_p2", "adam_beta1", "adam_beta2",
+                     "ood_val_fraction"):
+            if not 0 <= _real(name, getattr(self, name)) < 1:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        for name in ("sel_weight_acc", "sel_weight_auroc", "sel_weight_aurc"):
+            _real(name, getattr(self, name))
+        for name in ("use_beta_reasoning", "learned_prior",
+                     "context_propagation", "normalize_features"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise TypeError(f"{name} must be true or false")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
+        if not isinstance(self.ood_classes, (tuple, list)):
+            raise TypeError("ood_classes must be a list of class ids")
+        for c in self.ood_classes:
+            if _integer("ood_classes", c) < 0:
+                raise ValueError("ood_classes must be >= 0")
+        ratios = self.split_ratios
+        if not isinstance(ratios, (tuple, list)) or len(ratios) != 3:
+            raise TypeError("split_ratios must be three numbers")
+        if any(_real("split_ratios", r) <= 0 for r in ratios):
+            raise ValueError("split_ratios must be positive")
 
     @property
     def np_dtype(self):
@@ -264,15 +299,20 @@ def train_phase1(state: ModelState, ctx: RunContext, epochs: int) -> float:
     cfg = state.config
     last = float("nan")
     train_labels = ctx.labels[ctx.split.train]
+    # class regions come from the gathered training rows: one (m, 2d)
+    # gather per epoch instead of one per class out of (n, 2d)
+    class_rows = [np.flatnonzero(train_labels == c)
+                  for c in range(ctx.class_count)]
     for epoch in range(epochs):
         with _divergence_guard(1, epoch, state):
             emb = rs.encode(ctx.adj, ctx.x, state.encoder, training=True,
                             dropout_rate=cfg.dropout_p1,
                             generator=state.rng_p1,
                             propagated_x=ctx.propagated_x)
-            class_embs = rs.build_class_embeddings(emb, ctx.class_train_idx,
-                                                   state.disjunction)
             train_emb = ad.take_rows(emb, ctx.split.train)
+            del emb         # the tape holds it until backward, no longer
+            class_embs = rs.build_class_embeddings(train_emb, class_rows,
+                                                   state.disjunction)
             loss = rs.beta_loss(train_emb, train_labels, class_embs,
                                 cfg.gamma, include_novel=cfg.learned_prior)
             _check_finite(loss, 1, epoch, state)

@@ -1,0 +1,167 @@
+"""Test-only oracles: per-op reference compositions and the
+finite-difference gradient check.
+
+The library fuses some layers into single tape nodes with hand-written
+VJPs, and steps Adam over flat vectors.  The per-op compositions and the
+per-parameter Adam step here are what those replaced; the library must
+equal them bit for bit, in values and in gradients.  grad_check is the
+independent oracle for every gradient used in training.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from betagraph import autodiff as ad
+from betagraph import reasoning as rs
+
+
+# -- per-op encoder layer -------------------------------------------------
+
+def batch_norm(x, bn: rs.BatchNormParams, training, update_running=True):
+    """Batch norm composed of tape ops (ten nodes in training mode)."""
+    if training:
+        mu = ad.tmean(x, axis=0, keepdims=True)
+        centered = ad.sub(x, mu)
+        var = ad.tmean(ad.mul(centered, centered), axis=0, keepdims=True)
+        if update_running:
+            m = bn.momentum
+            bn.running_mean = (1 - m) * bn.running_mean + m * mu.data.ravel()
+            bn.running_var = (1 - m) * bn.running_var + m * var.data.ravel()
+        xhat = ad.div(centered, ad.sqrt(ad.add(var, bn.eps)))
+    else:
+        mean = bn.running_mean.astype(x.data.dtype)
+        std = np.sqrt(bn.running_var + bn.eps).astype(x.data.dtype)
+        xhat = ad.div(ad.sub(x, mean), std)
+    return ad.add(ad.mul(xhat, bn.gamma), bn.beta)
+
+
+def encoder_layer(z, bn, *, training, update_running=True, floor=0.0,
+                  dropout_rate=0.0, generator=None):
+    """softplus(batch_norm(z)) (+ floor), then dropout, op by op: the
+    reference for reasoning.encoder_layer."""
+    out = ad.softplus(batch_norm(z, bn, training, update_running))
+    if floor:
+        out = ad.add(out, floor)
+    if dropout_rate > 0.0:
+        out = ad.dropout(out, dropout_rate, generator, training=True)
+    return out
+
+
+def encode(adj, x, params, *, training=False, dropout_rate=0.0,
+           generator=None, update_running=True, propagated_x=None):
+    """reasoning.encode with both layers composed op by op."""
+    x = ad.as_tensor(x)
+    px = propagated_x if propagated_x is not None else ad.spmm(adj, x)
+    h1 = encoder_layer(ad.matmul(px, params.w1), params.bn1,
+                       training=training, update_running=update_running,
+                       dropout_rate=dropout_rate if training else 0.0,
+                       generator=generator)
+    z2 = ad.spmm(adj, ad.matmul(h1, params.w2))
+    return encoder_layer(z2, params.bn2, training=training,
+                         update_running=update_running, floor=rs.EMB_EPS)
+
+
+# -- per-op Beta-KL -------------------------------------------------------
+
+def beta_kl(node, cls):
+    """Summed per-dimension KL(Beta_node || Beta_class) from tape ops
+    (about 25 nodes); operands are [alpha || beta] and broadcast."""
+    d = node.data.shape[-1] // 2
+    a_n, b_n = ad.cols(node, 0, d), ad.cols(node, d, 2 * d)
+    a_c, b_c = ad.cols(cls, 0, d), ad.cols(cls, d, 2 * d)
+    ln_b_c = ad.add(ad.lgamma(a_c), ad.lgamma(b_c))
+    ln_b_c = ad.sub(ln_b_c, ad.lgamma(ad.add(a_c, b_c)))
+    ln_b_n = ad.add(ad.lgamma(a_n), ad.lgamma(b_n))
+    ln_b_n = ad.sub(ln_b_n, ad.lgamma(ad.add(a_n, b_n)))
+    s_n = ad.add(a_n, b_n)
+    term = ad.sub(ln_b_c, ln_b_n)
+    term = ad.add(term, ad.mul(ad.sub(a_n, a_c), ad.digamma(a_n)))
+    term = ad.add(term, ad.mul(ad.sub(b_n, b_c), ad.digamma(b_n)))
+    term = ad.add(term, ad.mul(ad.sub(ad.add(a_c, b_c), s_n), ad.digamma(s_n)))
+    return ad.tsum(term, axis=-1)
+
+
+def dist_matrix(nodes, classes):
+    """(m, C) distances, every node row against every class row, through
+    (m, 1, 2d) and (1, C, 2d) reshapes of the per-op beta_kl."""
+    m, d2 = nodes.data.shape
+    c = classes.data.shape[0]
+    return beta_kl(ad.reshape(nodes, (m, 1, d2)),
+                   ad.reshape(classes, (1, c, d2)))
+
+
+# -- per-parameter Adam -----------------------------------------------------
+
+def adam_step(params, lr, t, m, v, b1=0.9, b2=0.999, eps=1e-8):
+    """Step t of Adam, parameter by parameter, with the moments in the
+    lists m and v: the reference for autodiff.Adam's flat-vector step."""
+    bias1, bias2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    for i, p in enumerate(params):
+        if p.grad is None:
+            continue
+        g = p.grad.astype(np.float64, copy=False)
+        m[i] = b1 * m[i] + (1.0 - b1) * g
+        v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+        upd = lr * (m[i] / bias1) / (np.sqrt(v[i] / bias2) + eps)
+        p.data = (p.data - upd.astype(p.data.dtype, copy=False)).astype(
+            p.data.dtype, copy=False)
+
+
+# -- finite-difference verification ----------------------------------------
+
+@dataclass
+class GradCheckReport:
+    name: str
+    analytic: np.ndarray
+    numeric: np.ndarray
+    max_rel_err: float
+
+
+def _rel_err(a, n):
+    return np.abs(a - n) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
+
+
+def grad_check(loss_fn, params, epsilon=1e-6):
+    """Compare analytic gradients of loss_fn against central differences.
+
+    loss_fn must rebuild its graph from the live parameter tensors on
+    every call.  params maps name -> Tensor.  Raises if the loss is
+    non-finite at any probe point.
+    """
+    if not (1e-7 <= epsilon <= 1e-3):
+        raise ValueError("epsilon must lie in [1e-7, 1e-3]")
+
+    loss = loss_fn()
+    if not np.isfinite(loss.data).all():
+        raise FloatingPointError("non-finite loss at the base point")
+    for p in params.values():
+        p.grad = None
+    loss.backward()
+    analytic = {
+        name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
+        for name, p in params.items()
+    }
+
+    reports = []
+    for name, p in params.items():
+        flat = p.data.reshape(-1)
+        numeric = np.zeros_like(flat)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + epsilon
+            with ad.no_grad():
+                lp = float(loss_fn().data)
+            flat[i] = orig - epsilon
+            with ad.no_grad():
+                lm = float(loss_fn().data)
+            flat[i] = orig
+            if not (np.isfinite(lp) and np.isfinite(lm)):
+                raise FloatingPointError(f"non-finite loss probing {name}[{i}]")
+            numeric[i] = (lp - lm) / (2.0 * epsilon)
+        numeric = numeric.reshape(p.data.shape)
+        err = float(_rel_err(analytic[name], numeric).max()) if flat.size else 0.0
+        reports.append(GradCheckReport(name, analytic[name], numeric, err))
+    return reports

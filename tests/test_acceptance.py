@@ -24,6 +24,7 @@ from betagraph.rng import rng
 from betagraph.training import (TrainConfig, build_context, init_model,
                                 frozen_reasoning, train_alternating,
                                 variant_config)
+from oracles import grad_check
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -159,7 +160,7 @@ def test_criterion_3_gradient_suite():
             return rs.beta_loss(te, ctx.labels[ctx.split.train], ce,
                                 cfg.gamma)
 
-        for r in ad.grad_check(bl, state.phase1_tensors(), epsilon=1e-6):
+        for r in grad_check(bl, state.phase1_tensors(), epsilon=1e-6):
             worst = max(worst, r.max_rel_err)
 
         emb, ce, prop = frozen_reasoning(state, ctx)
@@ -171,7 +172,7 @@ def test_criterion_3_gradient_suite():
                 propagated_nodes=prop)
             return ev.dirichlet_loss(batch, ctx.labels, ctx.split.train)
 
-        for r in ad.grad_check(dl, state.phase2_tensors(), epsilon=1e-6):
+        for r in grad_check(dl, state.phase2_tensors(), epsilon=1e-6):
             worst = max(worst, r.max_rel_err)
 
     elapsed = time.perf_counter() - t0

@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betagraph import autodiff as ad
+from betagraph import special
 from betagraph.rng import rng
 from betagraph.sparse import SparseMatrix
+import oracles
+from oracles import grad_check
 from test_special import edge_values, float_arrays
 
 
@@ -42,7 +45,7 @@ def check_op(build, *shapes, seed=0, tol=1e-6):
 class TestBasicOps:
     def test_square_example(self):
         x = ad.parameter(3.0)
-        reports = ad.grad_check(lambda: ad.mul(x, x), {"x": x})
+        reports = grad_check(lambda: ad.mul(x, x), {"x": x})
         assert reports[0].analytic == pytest.approx(6.0)
         assert reports[0].numeric == pytest.approx(6.0, abs=1e-6)
 
@@ -67,7 +70,7 @@ class TestBasicOps:
 
     def test_softplus_grad_is_sigmoid(self):
         x = ad.parameter(0.0)
-        reports = ad.grad_check(lambda: ad.softplus(x), {"x": x})
+        reports = grad_check(lambda: ad.softplus(x), {"x": x})
         assert reports[0].analytic == pytest.approx(0.5, abs=1e-12)
 
     def test_add_mul_broadcast(self):
@@ -170,6 +173,43 @@ class TestEngineMechanics:
         ad.tsum(y).backward()
         assert x.grad.dtype == np.float32
 
+    def test_backward_releases_the_tape(self):
+        x = ad.parameter(np.array([2.0, -1.0]))
+        w = ad.parameter(np.array([[1.0, 3.0], [0.5, -2.0]]))
+        h = ad.softplus(ad.matmul(ad.reshape(x, (1, 2)), w))
+        loss = ad.tsum(ad.add(ad.mul(h, h), ad.mul(x, 3.0)))
+        interior = [t for t in ad._topo_order(loss) if t._vjps]
+        assert len(interior) == 7
+        loss.backward()
+        for t in interior:
+            assert t._vjps == ()
+            assert t.grad is None or t is loss
+        hx = special.softplus(x.data @ w.data)
+        gz = 2.0 * hx * special.sigmoid(x.data @ w.data)
+        assert np.allclose(x.grad, gz @ w.data.T + 3.0, rtol=1e-12)
+        assert np.allclose(w.grad, np.outer(x.data, gz), rtol=1e-12)
+        grads = x.grad.copy(), w.grad.copy()
+        loss.backward()                   # nothing left to walk
+        assert np.array_equal(x.grad, grads[0])
+        assert np.array_equal(w.grad, grads[1])
+
+    def test_fused_node_hands_out_each_gradient_once(self):
+        a = ad.parameter(np.array([1.0, 2.0]))
+        b = ad.Tensor(np.array([3.0, 4.0]))
+        c = ad.parameter(np.array([5.0, 6.0]))
+        calls = []
+
+        def grads(g):
+            calls.append(g)
+            return g * 2.0, None, g * 3.0
+
+        out = ad.fused_node(a.data + b.data + c.data, (a, b, c), grads)
+        assert [p for p, _ in out._vjps] == [a, c]
+        ad.tsum(out).backward()
+        assert len(calls) == 1
+        assert np.array_equal(a.grad, [2.0, 2.0])
+        assert np.array_equal(c.grad, [3.0, 3.0])
+
     def test_dropout_scaling_and_determinism(self):
         x = ad.Tensor(np.ones((2000, 4)))
         a = ad.dropout(x, 0.25, rng(3), training=True)
@@ -206,21 +246,61 @@ class TestAdam:
         assert not np.array_equal(x.data, np.ones(2))
 
 
+class TestFlatAdam:
+    def test_bit_equal_to_per_parameter_steps(self):
+        gen = rng(4)
+        shapes = [(3, 4), (4,), (2, 2), (5,)]
+        dtypes = [np.float32, np.float32, np.float64, np.float32]
+        flat = [ad.Tensor(gen.standard_normal(s).astype(dt), requires_grad=True)
+                for s, dt in zip(shapes, dtypes)]
+        ref = [ad.Tensor(p.data.copy(), requires_grad=True) for p in flat]
+        opt = ad.Adam(flat, lr=0.05)
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        for step in range(1, 8):
+            # the second parameter has no gradient on odd steps, the last
+            # one never: both must keep their data and moments
+            for i, (p, q) in enumerate(zip(flat, ref)):
+                g = gen.standard_normal(shapes[i]).astype(dtypes[i])
+                missing = i == 3 or (i == 1 and step % 2)
+                p.grad = None if missing else g
+                q.grad = None if missing else g.copy()
+            opt.step()
+            oracles.adam_step(ref, 0.05, step, m, v)
+            for p, q in zip(flat, ref):
+                assert p.data.dtype == q.data.dtype
+                assert p.data.tobytes() == q.data.tobytes()
+            bounds = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
+            for i in range(len(shapes)):
+                lo, hi = bounds[i], bounds[i + 1]
+                assert opt.m[lo:hi].tobytes() == m[i].ravel().tobytes()
+                assert opt.v[lo:hi].tobytes() == v[i].ravel().tobytes()
+        assert not opt.m[bounds[3]:].any() and not opt.v[bounds[3]:].any()
+
+    def test_params_and_grads_stay_readable(self):
+        x = ad.parameter(np.ones(3))
+        opt = ad.Adam([x], lr=0.1)
+        ad.tsum(ad.mul(x, x)).backward()
+        opt.step()
+        assert opt.params == [x]
+        assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
 class TestGradCheckContract:
     def test_epsilon_range_enforced(self):
         x = ad.parameter(1.0)
         with pytest.raises(ValueError):
-            ad.grad_check(lambda: ad.mul(x, x), {"x": x}, epsilon=1e-8)
+            grad_check(lambda: ad.mul(x, x), {"x": x}, epsilon=1e-8)
 
     def test_non_finite_loss_raises(self):
         x = ad.parameter(0.0)
         with np.errstate(divide="ignore"):
             with pytest.raises(FloatingPointError):
-                ad.grad_check(lambda: ad.log(x), {"x": x})
+                grad_check(lambda: ad.log(x), {"x": x})
 
     def test_report_fields(self):
         x = ad.parameter(np.array([1.0, 2.0]))
-        reports = ad.grad_check(lambda: ad.tsum(ad.mul(x, x)), {"x": x})
+        reports = grad_check(lambda: ad.tsum(ad.mul(x, x)), {"x": x})
         r = reports[0]
         assert r.name == "x"
         assert r.analytic.shape == (2,)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from betagraph.cli import main
@@ -383,6 +384,51 @@ class TestExitCodes:
         assert rc == 1
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not (out / "history.csv").exists()
+
+    @pytest.mark.parametrize("line,field", [
+        ("hidden_dim = 2.5", "hidden_dim"), ("seed = 1.5", "seed"),
+        ("rounds = true", "rounds"), ("gamma = inf", "gamma"),
+        ("ood_val_fraction = 2.0", "ood_val_fraction"),
+        ("split_ratios = [0, 0, 0]", "split_ratios"),
+        ("split_ratios = 5", "split_ratios"), ("lr_p2 = nan", "lr_p2"),
+    ])
+    def test_bad_config_value_exit_code_1(self, tmp_path, dataset, capsys,
+                                          line, field):
+        cfg = tmp_path / "bad.toml"
+        fields = {"lr_p1": "0.01", "dropout_p1": "0.2", "gamma": "15.0",
+                  "lr_p2": "0.01", "dropout_p2": "0.2", "seed": "1",
+                  "epochs_p1": "2", "epochs_p2": "2", "rounds": "1",
+                  "ood_classes": "[3]"}
+        fields[field] = line.split(" = ")[1]
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+        rc = main(["train", dataset, "--config", str(cfg),
+                   "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert field in err and "Traceback" not in err
+
+    def test_nan_learning_rate_flag_exit_code_1(self, tmp_path, dataset,
+                                                capsys):
+        out = tmp_path / "nan"
+        rc = main(["train", dataset, "--out", str(out), "--lr-p1", "nan",
+                   "--epochs-p1", "2", "--epochs-p2", "2", "--rounds", "2",
+                   "--ood-classes", "3"])
+        assert rc == 1
+        assert "lr_p1" in capsys.readouterr().err
+        assert not (out / "checkpoint.npz").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_non_finite_feature_exit_code_1(self, tmp_path, capsys, fmt):
+        from betagraph import graphs
+        g = graphs.gen_planted_partition(4, 10, 0.3, 0.05, 3, 2.0, seed=5)
+        g.features[7, 1] = np.nan
+        ds = tmp_path / "ds"
+        graphs.save_dataset(g, ds, feature_format=fmt)
+        rc = main(["train", str(ds), "--out", str(tmp_path / "o"),
+                   "--epochs-p1", "1", "--epochs-p2", "1", "--rounds", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"features.{fmt}" in err and "Traceback" not in err
 
     def test_usage_error_from_argparse(self):
         rc = main(["synth", "nonsense-kind", "--out", "/tmp/x"])

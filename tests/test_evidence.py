@@ -7,6 +7,7 @@ from betagraph import graphs
 from betagraph import reasoning as rs
 from betagraph.rng import rng
 from betagraph.special import digamma, softplus
+from oracles import grad_check
 
 
 def small_setup(seed=0, n=12, d=3, k=3, hidden=5):
@@ -142,7 +143,7 @@ class TestFusedHeads:
 
         params = {**heads.tensors(), "emb": emb,
                   "disjunction.h2_w": disj.h2_w}
-        worst = max(r.max_rel_err for r in ad.grad_check(loss_fn, params))
+        worst = max(r.max_rel_err for r in grad_check(loss_fn, params))
         assert worst < 1e-6
 
     def test_one_tape_node_per_head(self):

@@ -34,6 +34,16 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="non-numeric"):
             graphs.load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_file(self, tmp_path, fmt, bad):
+        g = graphs.gen_planted_partition(2, 5, 0.4, 0.1, 3, 2.0, seed=4)
+        g.features[3, 2] = bad
+        graphs.save_dataset(g, tmp_path, feature_format=fmt)
+        with pytest.raises(DatasetError,
+                           match=rf"non-finite.*row 3, column 2.*features\.{fmt}"):
+            graphs.load_dataset(tmp_path)
+
     def test_duplicate_and_reversed_edges_deduplicated(self, tmp_path):
         (tmp_path / "edges.tsv").write_text("0\t1\n1\t0\n0\t1\n1\t1\n")
         (tmp_path / "features.csv").write_text("0.0\n1.0\n")

@@ -8,6 +8,8 @@ from betagraph import graphs
 from betagraph import reasoning as rs
 from betagraph.rng import rng
 from betagraph.training import TrainConfig, build_context, init_model
+from oracles import grad_check
+import oracles
 
 # KL(Beta(2,2) || Beta(1,1)) from a high-precision quadrature of the
 # defining integral (logit substitution, tanh-sinh)
@@ -252,3 +254,166 @@ class TestBetaLoss:
         assert params.h1_w.grad is not None
         assert np.abs(params.h1_w.grad).max() > 0
         assert rows.grad is not None
+
+
+def layer_setup(dtype, seed=0, n=60, width=6):
+    """A (n, width) layer input that requires grad, batch-norm parameters
+    off their initial values, and random running statistics."""
+    gen = rng(seed)
+    z = ad.Tensor((3.0 * gen.standard_normal((n, width))).astype(dtype),
+                  requires_grad=True)
+    bn = rs.init_encoder(gen, width, width, 2, dtype).bn1
+    bn.gamma.data = gen.uniform(0.5, 2.0, width).astype(dtype)
+    bn.beta.data = gen.standard_normal(width).astype(dtype)
+    bn.running_mean = gen.standard_normal(width)
+    bn.running_var = gen.uniform(0.5, 2.0, width)
+    weights = gen.standard_normal((n, width)).astype(dtype)
+    return z, bn, weights
+
+
+def assert_same_bits(got, want, what):
+    assert got.dtype == want.dtype, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+class TestFusedEncoderLayer:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("update_running", [True, False])
+    @pytest.mark.parametrize("floor", [0.0, rs.EMB_EPS])
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    def test_bit_equal_to_per_op_composition(self, dtype, update_running,
+                                             floor, dropout):
+        z, bn, weights = layer_setup(dtype)
+        runs = []
+        for layer in (rs.encoder_layer, oracles.encoder_layer):
+            stats = bn.running_mean.copy(), bn.running_var.copy()
+            for t in (z, bn.gamma, bn.beta):
+                t.grad = None
+            out = layer(z, bn, training=True, update_running=update_running,
+                        floor=floor, dropout_rate=dropout, generator=rng(5))
+            ad.tsum(ad.mul(out, weights)).backward()
+            runs.append((out.data, z.grad, bn.gamma.grad, bn.beta.grad,
+                         bn.running_mean, bn.running_var))
+            bn.running_mean, bn.running_var = stats
+        names = ("forward", "z grad", "gamma grad", "beta grad",
+                 "running mean", "running var")
+        for name, got, want in zip(names, *runs):
+            assert_same_bits(got, want, name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inference_mode_bit_equal(self, dtype):
+        z, bn, weights = layer_setup(dtype, seed=1)
+        runs = []
+        for layer in (rs.encoder_layer, oracles.encoder_layer):
+            for t in (z, bn.gamma, bn.beta):
+                t.grad = None
+            out = layer(z, bn, training=False, floor=rs.EMB_EPS)
+            ad.tsum(ad.mul(out, weights)).backward()
+            runs.append((out.data, z.grad, bn.gamma.grad, bn.beta.grad))
+        for got, want in zip(*runs):
+            assert_same_bits(got, want, "inference layer")
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_encode_bit_equal_to_per_op(self, tiny_graph, dropout):
+        cfg = TrainConfig(seed=1, dtype="float32", hidden_dim=6, embed_dim=4,
+                          reasoning_dim=6, ood_classes=(2,))
+        split = graphs.make_split(tiny_graph, (2,), seed=0)
+        ctx = build_context(tiny_graph, split, cfg)
+        state = init_model(tiny_graph.feature_dim, ctx.class_count, cfg)
+        params = state.encoder.tensors()
+        runs = []
+        for encode in (rs.encode, oracles.encode):
+            for t in params.values():
+                t.grad = None
+            out = encode(ctx.adj, ctx.x, state.encoder, training=True,
+                         dropout_rate=dropout, generator=rng(2),
+                         update_running=False, propagated_x=ctx.propagated_x)
+            ad.tsum(ad.mul(out, out)).backward()
+            runs.append([out.data] + [t.grad for t in params.values()])
+        for name, got, want in zip(["forward", *params], *runs):
+            assert_same_bits(got, want, name)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_grad_check(self, training):
+        z, bn, weights = layer_setup(np.float64, n=12, width=3)
+
+        def loss_fn():
+            # a fresh generator per call: the same dropout mask every probe
+            out = rs.encoder_layer(z, bn, training=training,
+                                   update_running=False, floor=rs.EMB_EPS,
+                                   dropout_rate=0.3 if training else 0.0,
+                                   generator=rng(4))
+            return ad.tsum(ad.mul(out, weights))
+
+        params = {"z": z, "gamma": bn.gamma, "beta": bn.beta}
+        worst = max(r.max_rel_err for r in grad_check(loss_fn, params))
+        assert worst < 1e-6
+
+    def test_one_tape_node_per_layer(self):
+        z, bn, _ = layer_setup(np.float64)
+        out = rs.encoder_layer(z, bn, training=True, floor=rs.EMB_EPS,
+                               dropout_rate=0.2, generator=rng(0))
+        assert [id(p) for p, _ in out._vjps] == \
+            [id(z), id(bn.gamma), id(bn.beta)]
+
+
+class TestFusedBetaKL:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m,c,d", [(80, 5, 32), (7, 4, 3), (1, 3, 2),
+                                       (5, 1, 4)])
+    def test_dist_matrix_bit_equal_to_per_op(self, dtype, m, c, d):
+        gen = rng(m + c + d)
+        nodes = ad.Tensor(gen.uniform(0.05, 30.0, (m, 2 * d)).astype(dtype),
+                          requires_grad=True)
+        classes = ad.Tensor(gen.uniform(0.05, 30.0, (c, 2 * d)).astype(dtype),
+                            requires_grad=True)
+        weights = gen.standard_normal((m, c)).astype(dtype)
+        runs = []
+        for dist in (rs.dist_matrix, oracles.dist_matrix):
+            nodes.grad = classes.grad = None
+            out = dist(nodes, classes)
+            # a margin term like beta_loss's, so the upstream gradient varies
+            loss = ad.add(ad.tsum(ad.mul(out, weights)),
+                          ad.tsum(ad.softplus(ad.sub(3.0, out))))
+            loss.backward()
+            runs.append((out.data, nodes.grad, classes.grad))
+        for name, got, want in zip(("forward", "nodes grad", "classes grad"),
+                                   *runs):
+            assert_same_bits(got, want, name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_elementwise_beta_kl_bit_equal(self, dtype):
+        gen = rng(21)
+        a = ad.Tensor(gen.uniform(0.2, 20.0, (50, 6)).astype(dtype),
+                      requires_grad=True)
+        b = ad.Tensor(gen.uniform(0.2, 20.0, (1, 6)).astype(dtype),
+                      requires_grad=True)
+        runs = []
+        for kl in (rs.beta_kl, oracles.beta_kl):
+            a.grad = b.grad = None
+            out = kl(a, b)
+            ad.tsum(ad.mul(out, out)).backward()
+            runs.append((out.data, a.grad, b.grad))
+        for got, want in zip(*runs):
+            assert_same_bits(got, want, "beta_kl")
+
+    def test_grad_check(self):
+        gen = rng(22)
+        nodes = ad.Tensor(gen.uniform(0.3, 5.0, (4, 6)), requires_grad=True)
+        classes = ad.Tensor(gen.uniform(0.3, 5.0, (3, 6)), requires_grad=True)
+        weights = gen.standard_normal((4, 3))
+
+        def loss_fn():
+            return ad.tsum(ad.mul(rs.dist_matrix(nodes, classes), weights))
+
+        reports = grad_check(loss_fn, {"nodes": nodes, "classes": classes})
+        assert max(r.max_rel_err for r in reports) < 1e-6
+
+    def test_one_tape_node(self):
+        gen = rng(23)
+        nodes = ad.Tensor(gen.uniform(0.3, 5.0, (4, 6)), requires_grad=True)
+        classes = ad.Tensor(gen.uniform(0.3, 5.0, (3, 6)), requires_grad=True)
+        out = rs.dist_matrix(nodes, classes)
+        reshaped = [p for p, _ in out._vjps]
+        assert len(reshaped) == 2
+        assert [p._vjps[0][0] for p in reshaped] == [nodes, classes]

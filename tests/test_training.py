@@ -1,9 +1,14 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
+from betagraph import autodiff as ad
+from betagraph import graphs
+from betagraph import reasoning as rs
 from betagraph import training as tr
 from betagraph.evaluation import evaluate
 from conftest import quick_config
@@ -28,6 +33,27 @@ class TestTrainConfig:
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             tr.TrainConfig(**bad)
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", 1.5), ("seed", -1), ("rounds", True), ("epochs_p1", 1.5),
+        ("hidden_dim", 2.5), ("embed_dim", "4"), ("lr_p1", float("nan")),
+        ("lr_p2", float("inf")), ("gamma", float("inf")), ("gamma", True),
+        ("dropout_p2", float("nan")), ("adam_beta1", 1.0),
+        ("adam_beta2", float("nan")), ("adam_eps", 0.0),
+        ("sel_weight_aurc", float("inf")), ("sel_weight_acc", "1"),
+        ("ood_val_fraction", 2.0), ("ood_val_fraction", -0.1),
+        ("split_ratios", (0, 0, 0)), ("split_ratios", (1, 1)),
+        ("split_ratios", (1, float("nan"), 8)), ("ood_classes", (1.5,)),
+        ("ood_classes", 3), ("learned_prior", 1),
+    ])
+    def test_rejects_bad_field(self, field, value):
+        with pytest.raises((TypeError, ValueError), match=field):
+            tr.TrainConfig(**{field: value})
+
+    def test_accepts_ints_for_real_fields(self):
+        cfg = tr.TrainConfig(gamma=55, lr_p1=1, split_ratios=[2, 1, 7],
+                             ood_classes=[np.int64(3)], seed=np.int64(4))
+        assert cfg.gamma == 55 and cfg.seed == 4
 
     def test_zero_epochs_allowed(self):
         assert tr.TrainConfig(epochs_p1=0, epochs_p2=0).epochs_p1 == 0
@@ -93,6 +119,69 @@ class TestPhases:
         first_dl = tr.train_phase2(state, ctx, 1)
         later_dl = tr.train_phase2(state, ctx, 60)
         assert later_dl < first_dl
+
+    @pytest.mark.parametrize("learned_prior", [True, False])
+    def test_phase1_bit_equal_to_per_op_reference(self, monkeypatch, small_ppm,
+                                                  small_split, learned_prior):
+        """Fused encoder layers, the fused Beta-KL node, class regions from
+        the gathered training rows and the flat Adam step reproduce the
+        per-op phase 1 with per-class gathers and per-parameter Adam."""
+        cfg = quick_config(learned_prior=learned_prior, dropout_p1=0.3)
+        ctx = tr.build_context(small_ppm, small_split, cfg)
+        state = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
+        ref = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
+        tr.train_phase1(state, ctx, 3)
+
+        monkeypatch.setattr(rs, "dist_matrix", oracles.dist_matrix)
+        params = list(ref.phase1_tensors().values())
+        m = [np.zeros(p.data.shape) for p in params]
+        v = [np.zeros(p.data.shape) for p in params]
+        train_labels = ctx.labels[ctx.split.train]
+        for epoch in range(3):
+            emb = oracles.encode(ctx.adj, ctx.x, ref.encoder, training=True,
+                                 dropout_rate=cfg.dropout_p1,
+                                 generator=ref.rng_p1,
+                                 propagated_x=ctx.propagated_x)
+            class_embs = rs.build_class_embeddings(emb, ctx.class_train_idx,
+                                                   ref.disjunction)
+            loss = rs.beta_loss(ad.take_rows(emb, ctx.split.train),
+                                train_labels, class_embs, cfg.gamma,
+                                include_novel=learned_prior)
+            for p in params:
+                p.grad = None
+            loss.backward()
+            oracles.adam_step(params, cfg.lr_p1, epoch + 1, m, v)
+
+        def arrays(s):
+            return {**{name: t.data for name, t in s.phase1_tensors().items()},
+                    **s.running_stats()}
+
+        got = arrays(state)
+        for name, want in arrays(ref).items():
+            assert got[name].dtype == want.dtype, name
+            assert got[name].tobytes() == want.tobytes(), name
+
+    def test_phase1_peak_heap_bounded(self):
+        """Three phase-1 epochs on n=2e4 nodes at H=2d=64 keep the traced
+        heap peak under 20 (n, H) float32 arrays; a tape that outlived its
+        backward, with per-op encoder layers, peaked at 42."""
+        n = 20_000
+        g = graphs.zscore_features(
+            graphs.gen_erdos_renyi(n, 4e-4, 16, seed=0, class_count=6))
+        split = graphs.make_split(g, (4, 5), seed=0)
+        cfg = tr.TrainConfig(seed=0, ood_classes=(4, 5), hidden_dim=64,
+                             embed_dim=32, reasoning_dim=64, dtype="float32")
+        ctx = tr.build_context(g, split, cfg)
+        state = tr.init_model(g.feature_dim, ctx.class_count, cfg)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tr.train_phase1(state, ctx, 3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        arrays = peak / (n * 64 * 4)
+        assert arrays < 20, f"phase-1 heap peak {arrays:.1f} (n, H) arrays"
 
     def test_divergence_detected(self, small_ppm, small_split):
         cfg = quick_config(lr_p1=1e18, epochs_p1=60)
