@@ -52,8 +52,7 @@ def main():
     print(f"  OODD aupr         {ms('aupr')}")
 
     print("\npost-hoc baselines (plain classifier, split of seed 0):")
-    split = graphs.make_split(graph, graphs.PPM6_OOD_CLASSES,
-                              seed=SEEDS[0])
+    split = config.split(graph, seed=SEEDS[0])
     base = baseline_report(graph, split, seed=SEEDS[0])
     for name in ("maxlogit", "energy"):
         print(f"  {name:9s} fpr95={base[name + '_fpr95']:.4f} "

@@ -7,9 +7,8 @@ with requires_grad=True.  Only the operations the models need are
 implemented; all of them broadcast like numpy and un-broadcast their
 gradients.
 
-Special-function nodes (lgamma, digamma) delegate to betagraph.special,
-so losses built from Beta/Dirichlet terms differentiate exactly
-(d lgamma = digamma, d digamma = trigamma).
+The digamma node delegates to betagraph.special, so the Dirichlet loss
+differentiates exactly (d digamma = trigamma).
 
 backward() frees the tape as it goes: each interior node drops its VJP
 closures (and with them every intermediate array they hold) once its
@@ -18,7 +17,8 @@ nothing of the graph, and a graph can be back-propagated only once.
 Layers with a hand-written VJP use fused_node, one tape node whose
 gradients for all parents come from a single call.
 
-The finite-difference oracle for these gradients lives with the tests
+The finite-difference oracle for these gradients, and the lgamma and
+sqrt nodes only the per-op references use, live with the tests
 (tests/oracles.py).
 """
 
@@ -55,20 +55,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._vjps = ()
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self):
-        return self.data.item()
-
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         """Accumulate d(self)/d(leaf) into every reachable leaf's grad.
 
@@ -92,41 +78,6 @@ class Tensor:
             del g
         return self
 
-    # -- operator sugar ------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __repr__(self):
-        flag = ", grad" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
-
 
 def _topo_order(root):
     order, seen, stack = [], set(), [(root, False)]
@@ -147,11 +98,6 @@ def _topo_order(root):
 
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def parameter(data, dtype=None):
-    arr = np.array(data, dtype=dtype if dtype is not None else np.float64)
-    return Tensor(arr, requires_grad=True)
 
 
 def grad_needed(*parents):
@@ -405,18 +351,6 @@ def exp(x):
 def log(x):
     x = as_tensor(x)
     return _node(np.log(x.data), ((x, lambda g: g / x.data),))
-
-
-def sqrt(x):
-    x = as_tensor(x)
-    out = np.sqrt(x.data)
-    return _node(out, ((x, lambda g: g * 0.5 / out),))
-
-
-def lgamma(x):
-    x = as_tensor(x)
-    return _node(special.lgamma(x.data),
-                 ((x, lambda g: g * special.digamma(x.data)),))
 
 
 def digamma(x):

@@ -10,6 +10,9 @@ the TrainConfig fields; the per-phase names lr_p1, dropout_p1, gamma,
 lr_p2, dropout_p2 plus seed are required in explicit config files.  The
 BETAGRAPH_OUT_ROOT environment variable, when set, anchors relative
 output directories.
+
+train, eval, ablate and gridsearch z-score the dataset's features per
+column on load; scale trains on its generated features as drawn.
 """
 
 from __future__ import annotations
@@ -88,19 +91,14 @@ def _build_config(args, graph=None) -> TrainConfig:
         raw.update(_load_config_file(args.config))
     for name in ("seed", "rounds", "epochs_p1", "epochs_p2", "gamma",
                  "lr_p1", "lr_p2", "dropout_p1", "dropout_p2", "hidden_dim",
-                 "embed_dim", "reasoning_dim", "dtype"):
+                 "embed_dim", "reasoning_dim", "dtype", "ood_classes"):
         v = getattr(args, name, None)
         if v is not None:
             raw[name] = v
-    if getattr(args, "ood_classes", None) is not None:
-        raw["ood_classes"] = tuple(args.ood_classes)
     if "ood_classes" not in raw and graph is not None \
             and graph.class_count >= 4:
         # default leave-out: the two highest class ids
         raw["ood_classes"] = (graph.class_count - 2, graph.class_count - 1)
-    for name in ("ood_classes", "split_ratios"):
-        if isinstance(raw.get(name), list):
-            raw[name] = tuple(raw[name])
     try:
         return TrainConfig(**raw)
     except (TypeError, ValueError) as exc:
@@ -133,6 +131,12 @@ def _write_manifest(out_dir, command, outputs, *, config_path=None,
     path = os.path.join(out_dir, "manifest.json")
     atomic_write_text(path, json.dumps(manifest, indent=1) + "\n")
     return path
+
+
+def _load_graph(path):
+    """The dataset directory at path with z-scored features, as every
+    model trained or scored from a dataset directory sees it."""
+    return graphs.zscore_features(graphs.load_dataset(path))
 
 
 def _now():
@@ -191,15 +195,10 @@ def _history_csv(path, history):
 
 def cmd_train(args):
     started = _now()
-    graph = graphs.load_dataset(args.dataset)
+    graph = _load_graph(args.dataset)
     config = _build_config(args, graph)
-    if config.normalize_features:
-        graph = graphs.zscore_features(graph)
     out = _out_dir(args.out)
-    split = graphs.make_split(graph, config.ood_classes,
-                              ratios=config.split_ratios,
-                              ood_val_fraction=config.ood_val_fraction,
-                              seed=config.seed)
+    split = config.split(graph)
     atomic_write_text(os.path.join(out, "split.json"), split.to_json() + "\n")
     history = []
     try:
@@ -229,6 +228,9 @@ def cmd_train(args):
 # -- eval --------------------------------------------------------------
 
 SPLIT_PARTS = ("train", "val", "test", "ood_val", "ood_test")
+AGGREGATE_COLUMNS = ("runs", "acc_mean", "acc_std", "aurc_x1000_mean",
+                     "aurc_x1000_std", "fpr95_mean", "fpr95_std",
+                     "auroc_mean", "auroc_std", "aupr_mean", "aupr_std")
 
 
 def _check_split(split, graph, config, path):
@@ -271,9 +273,7 @@ def cmd_eval(args):
     out = _out_dir(args.out)
     state, meta = load_checkpoint(args.checkpoint)
     config = state.config
-    graph = graphs.load_dataset(args.dataset)
-    if config.normalize_features:
-        graph = graphs.zscore_features(graph)
+    graph = _load_graph(args.dataset)
     if graph.feature_dim != state.feature_dim:
         raise UsageError(
             f"checkpoint expects {state.feature_dim} features, dataset has "
@@ -295,10 +295,7 @@ def cmd_eval(args):
                 from None
         _check_split(split, graph, config, args.split)
     else:
-        split = graphs.make_split(graph, config.ood_classes,
-                                  ratios=config.split_ratios,
-                                  ood_val_fraction=config.ood_val_fraction,
-                                  seed=config.seed)
+        split = config.split(graph)
 
     # the checkpoint's own scores feed its report, the curves and scores.csv
     t0 = time.perf_counter()
@@ -316,10 +313,7 @@ def cmd_eval(args):
             rep.wall_clock += scoring_s
         else:
             # fresh protocol run: re-split and retrain under this seed
-            sp = graphs.make_split(graph, config.ood_classes,
-                                   ratios=config.split_ratios,
-                                   ood_val_fraction=config.ood_val_fraction,
-                                   seed=s)
+            sp = config.split(graph, seed=s)
             st, _ = train_alternating(graph, sp, replace(config, seed=s))
             rep = evaluation.evaluate(st, graph, sp, seed=s, config_hash=chash)
         reports.append(rep)
@@ -352,14 +346,8 @@ def cmd_eval(args):
     outputs.append(scores_path)
 
     table_path = os.path.join(out, "aggregate.csv")
-    _csv(table_path,
-         ["runs", "acc_mean", "acc_std", "aurc_x1000_mean", "aurc_x1000_std",
-          "fpr95_mean", "fpr95_std", "auroc_mean", "auroc_std", "aupr_mean",
-          "aupr_std"],
-         [[_fmt(agg.get(k)) for k in
-           ("runs", "acc_mean", "acc_std", "aurc_x1000_mean", "aurc_x1000_std",
-            "fpr95_mean", "fpr95_std", "auroc_mean", "auroc_std", "aupr_mean",
-            "aupr_std")]])
+    _csv(table_path, AGGREGATE_COLUMNS,
+         [[_fmt(agg.get(k)) for k in AGGREGATE_COLUMNS]])
     outputs.append(table_path)
 
     _write_manifest(out, "eval", outputs, dataset=args.dataset,
@@ -382,15 +370,10 @@ def cmd_ablate(args):
         if v not in ABLATION_VARIANTS:
             raise UsageError(f"unknown variant '{v}'"
                              f" (choose from {', '.join(ABLATION_VARIANTS)})")
-    graph = graphs.load_dataset(args.dataset)
+    graph = _load_graph(args.dataset)
     base = _build_config(args, graph)
-    if base.normalize_features:
-        graph = graphs.zscore_features(graph)
     out = _out_dir(args.out)
-    split = graphs.make_split(graph, base.ood_classes,
-                              ratios=base.split_ratios,
-                              ood_val_fraction=base.ood_val_fraction,
-                              seed=base.seed)
+    split = base.split(graph)
     rows = []
     for v in args.variants:
         cfg = variant_config(base, v)
@@ -421,8 +404,7 @@ def cmd_scale(args):
         try:
             g = graphs.gen_erdos_renyi(n, density, args.feature_dim,
                                        seed=base.seed, class_count=args.classes)
-            split = graphs.make_split(g, (), ratios=base.split_ratios,
-                                      seed=base.seed)
+            split = base.split(g)
             t0 = time.perf_counter()
             train_alternating(g, split, base)
             elapsed = time.perf_counter() - t0
@@ -447,15 +429,10 @@ GRID_GAMMA = (15.0, 55.0, 95.0, 135.0)
 
 def cmd_gridsearch(args):
     started = _now()
-    graph = graphs.load_dataset(args.dataset)
+    graph = _load_graph(args.dataset)
     base = _build_config(args, graph)
-    if base.normalize_features:
-        graph = graphs.zscore_features(graph)
     out = _out_dir(args.out)
-    split = graphs.make_split(graph, base.ood_classes,
-                              ratios=base.split_ratios,
-                              ood_val_fraction=base.ood_val_fraction,
-                              seed=base.seed)
+    split = base.split(graph)
     lr1 = args.lr_p1_grid or GRID_LR
     lr2 = args.lr_p2_grid or GRID_LR
     dr1 = args.dropout_p1_grid or GRID_DROPOUT

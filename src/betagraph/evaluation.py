@@ -20,16 +20,15 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import evidence as ev
 from . import metrics as mt
-from .autodiff import Adam, Tensor, no_grad
-from .graphs import (Graph, SplitSpec, make_split, normalize_adjacency,
-                     remap_labels)
+from .autodiff import Adam, no_grad
+from .graphs import Graph, SplitSpec, remap_labels
 from .rng import substream
 from .evidence import ScoreBatch
 from .training import (ModelState, RunContext, TrainConfig, build_context,
@@ -52,20 +51,9 @@ class EvalReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self):
-        out = {
-            "seed": self.seed,
-            "acc": self.acc,
-            "aurc": self.aurc,
-            "aurc_x1000": self.aurc_x1000,
-            "fpr95": self.fpr95,
-            "auroc": self.auroc,
-            "aupr": self.aupr,
-            "md_auroc": self.md_auroc,
-            "md_aupr": self.md_aupr,
-            "wall_clock": self.wall_clock,
-            "config_hash": self.config_hash,
-        }
-        out.update(self.extras)
+        """The fields in order, then the extras."""
+        out = asdict(self)
+        out.update(out.pop("extras"))
         return out
 
     def to_json(self):
@@ -131,14 +119,14 @@ def run_protocol(graph: Graph, ood_classes, config: TrainConfig, seeds,
                  progress=None):
     """split -> train -> evaluate per seed; returns (reports, aggregate).
 
-    Each seed drives both the split construction and the training run.
+    Each seed drives both the split construction, which leaves out
+    ood_classes, and the training run.
     """
     reports = []
     chash = config_hash(config)
     for s in seeds:
-        split = make_split(graph, ood_classes, ratios=config.split_ratios,
-                           ood_val_fraction=config.ood_val_fraction, seed=s)
-        cfg = TrainConfig(**{**asdict(config), "seed": int(s)})
+        cfg = replace(config, ood_classes=tuple(ood_classes), seed=int(s))
+        split = cfg.split(graph)
         t0 = time.perf_counter()
         state, _ = train_alternating(graph, split, cfg)
         rep = evaluate(state, graph, split, seed=int(s), config_hash=chash)
@@ -205,19 +193,16 @@ def train_baseline(graph: Graph, split: SplitSpec, *, hidden_dim=64, lr=0.01,
     """The direct head's graph network trained with cross entropy on the
     split's training nodes; returns (its parameters, logits over all
     nodes)."""
-    adj = normalize_adjacency(graph)
-    labels = remap_labels(graph, split)
-    k = len(split.id_classes)
+    ctx = build_context(graph, split, TrainConfig(dtype=dtype))
+    adj, px, k = ctx.adj, ctx.propagated_x, ctx.class_count
     dt = np.dtype(dtype)
     model = ev.init_direct_head(substream(seed, 10), graph.feature_dim,
                                 hidden_dim, k, dt)
     drop = substream(seed, 11)
-    with no_grad():
-        px = ad.spmm(adj, Tensor(graph.features.astype(dt)))
     opt = Adam(model.tensors().values(), lr=lr)
     train_idx = split.train
     onehot = np.zeros((train_idx.size, k), dtype=dt)
-    onehot[np.arange(train_idx.size), labels[train_idx]] = 1.0
+    onehot[np.arange(train_idx.size), ctx.labels[train_idx]] = 1.0
     for _ in range(epochs):
         logits = ad.take_rows(ev.direct_logits(
             adj, px, model, training=True, dropout_rate=dropout,

@@ -116,10 +116,6 @@ class SplitSpec:
 
 def _symmetric_adjacency(edges: np.ndarray, n: int) -> SparseMatrix:
     """Build a clean symmetric 0/1 adjacency from an edge list."""
-    if edges.size == 0:
-        return SparseMatrix(np.zeros(n + 1, dtype=np.int64),
-                            np.zeros(0, dtype=np.int64),
-                            np.zeros(0), (n, n))
     u, v = edges[:, 0], edges[:, 1]
     keep = u != v
     u, v = u[keep], v[keep]
@@ -171,7 +167,8 @@ def load_dataset(directory) -> Graph:
             features = np.loadtxt(csv_path, delimiter=",", dtype=np.float64,
                                   ndmin=2)
         except ValueError as exc:
-            raise DatasetError(f"non-numeric feature cell: {exc}") from None
+            raise DatasetError(f"non-numeric feature cell in {csv_path}: "
+                               f"{exc}") from None
     elif os.path.exists(bin_path):
         raw = np.fromfile(bin_path, dtype="<f4")
         if raw.size != n * f_dim:
@@ -192,7 +189,7 @@ def load_dataset(directory) -> Graph:
             f"column {col} of {feature_path}"
         )
 
-    labels = np.loadtxt(path("labels.csv"), dtype=np.int64, ndmin=1)
+    labels = _load_ints(path("labels.csv"), ndmin=1)
     if labels.shape != (n,):
         raise DatasetError("labels.csv row count != n")
 
@@ -200,7 +197,7 @@ def load_dataset(directory) -> Graph:
     if os.path.getsize(edge_path) == 0:
         edges = np.zeros((0, 2), dtype=np.int64)
     else:
-        edges = np.loadtxt(edge_path, dtype=np.int64, ndmin=2)
+        edges = _load_ints(edge_path, ndmin=2)
     if edges.size and edges.shape[1] != 2:
         raise DatasetError("edges.tsv must have two columns")
 
@@ -208,17 +205,32 @@ def load_dataset(directory) -> Graph:
                        name=str(meta.get("name", os.path.basename(directory))))
 
 
+def _load_ints(path, ndmin):
+    """np.loadtxt of an integer file; an entry that is not an integer
+    raises a DatasetError naming the file and the line."""
+    try:
+        return np.loadtxt(path, dtype=np.int64, ndmin=ndmin)
+    except ValueError as exc:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                for cell in line.split("#", 1)[0].split():
+                    if not cell.lstrip("+-").isdigit():
+                        raise DatasetError(f"{path}, line {lineno}: {cell!r}"
+                                           " is not an integer") from None
+        raise DatasetError(f"{path}: {exc}") from None
+
+
 def save_dataset(graph: Graph, directory, feature_format="bin"):
     """Write a Graph as a dataset directory (atomic per file)."""
     os.makedirs(directory, exist_ok=True)
+    # each undirected edge once, as (i, j) with i < j in CSR order
     a = graph.adjacency
-    lines = []
-    for i in range(graph.n):
-        for k in range(a.indptr[i], a.indptr[i + 1]):
-            j = int(a.indices[k])
-            if i < j:
-                lines.append(f"{i}\t{j}\n")
-    atomic_write_bytes(os.path.join(directory, "edges.tsv"), "".join(lines).encode())
+    rows = np.repeat(np.arange(graph.n), np.diff(a.indptr))
+    upper = rows < a.indices
+    pairs = np.column_stack([rows[upper], a.indices[upper]])
+    atomic_write_bytes(os.path.join(directory, "edges.tsv"),
+                       ("%d\t%d\n" * len(pairs)
+                        % tuple(pairs.ravel().tolist())).encode())
 
     if feature_format == "bin":
         payload = graph.features.astype("<f4").tobytes()

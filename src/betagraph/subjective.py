@@ -14,100 +14,16 @@ Dissonance measures conflict among beliefs:
     Bal(x, y) = 1 - |x - y| / (x + y)
 
 with a term defined as 0 when its denominator vanishes (the limit value,
-and the only choice that keeps the score total).  All functions are pure;
-the *_batch variants vectorize over rows and are verified against the
-scalar forms in the tests.
+and the only choice that keeps the score total).  All functions are pure
+and vectorize over the rows of (n, K) evidence batches; the scalar
+one-opinion forms they are verified against live with the tests
+(tests/oracles.py).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass(frozen=True)
-class MultinomialOpinion:
-    evidence: np.ndarray          # (K,) nonnegative
-    prior_weight: float           # > 0
-    base_rates: np.ndarray = None  # (K,) summing to 1; uniform if omitted
-
-    def __post_init__(self):
-        e = np.asarray(self.evidence, dtype=np.float64)
-        object.__setattr__(self, "evidence", e)
-        if e.ndim != 1 or e.size == 0:
-            raise ValueError("evidence must be a nonempty vector")
-        if np.any(e < 0) or not np.all(np.isfinite(e)):
-            raise ValueError("evidence must be nonnegative and finite")
-        if not (self.prior_weight > 0 and np.isfinite(self.prior_weight)):
-            raise ValueError("prior weight must be positive")
-        if self.base_rates is None:
-            a = np.full(e.size, 1.0 / e.size)
-        else:
-            a = np.asarray(self.base_rates, dtype=np.float64)
-            if a.shape != e.shape or np.any(a < 0):
-                raise ValueError("base rates must be nonnegative, one per class")
-            if abs(a.sum() - 1.0) > 1e-9:
-                raise ValueError("base rates must sum to 1")
-        object.__setattr__(self, "base_rates", a)
-
-    @property
-    def strength(self) -> float:
-        return float(self.prior_weight + self.evidence.sum())
-
-
-@dataclass(frozen=True)
-class OpinionView:
-    belief: np.ndarray
-    uncertainty: float
-    strength: float
-
-
-def to_view(op: MultinomialOpinion) -> OpinionView:
-    s = op.strength
-    return OpinionView(belief=op.evidence / s, uncertainty=op.prior_weight / s,
-                       strength=s)
-
-
-def vacuity(op: MultinomialOpinion) -> float:
-    return op.prior_weight / op.strength
-
-
-def balance(b_j: float, b_i: float) -> float:
-    """Relative mass balance; 0 by convention when both masses vanish."""
-    if b_j < 0 or b_i < 0:
-        raise ValueError("balance requires nonnegative masses")
-    tot = b_j + b_i
-    if tot == 0.0:
-        return 0.0
-    return 1.0 - abs(b_j - b_i) / tot
-
-
-def dissonance(op: MultinomialOpinion) -> float:
-    b = to_view(op).belief
-    total = 0.0
-    for i in range(b.size):
-        others = np.delete(b, i)
-        denom = others.sum()
-        if denom == 0.0:
-            continue
-        num = sum(bj * balance(bj, b[i]) for bj in others)
-        total += b[i] * num / denom
-    return total
-
-
-def projected_probability(op: MultinomialOpinion) -> np.ndarray:
-    view = to_view(op)
-    return view.belief + op.base_rates * view.uncertainty
-
-
-def expected_probability(op: MultinomialOpinion) -> np.ndarray:
-    """xi_k / sum(xi) with xi_k = e_k + a_k W; equals projected_probability."""
-    xi = op.evidence + op.base_rates * op.prior_weight
-    return xi / xi.sum()
-
-
-# -- vectorized forms over (n, K) evidence batches ----------------------
 
 def belief_batch(evidence, prior_weight):
     e = np.asarray(evidence)

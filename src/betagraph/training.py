@@ -27,7 +27,8 @@ from . import autodiff as ad
 from . import evidence as ev
 from . import reasoning as rs
 from .autodiff import Adam, Tensor, no_grad
-from .graphs import Graph, SplitSpec, normalize_adjacency, remap_labels
+from .graphs import (Graph, SplitSpec, make_split, normalize_adjacency,
+                     remap_labels)
 from .metrics import accuracy, aurc, auroc
 from .rng import substream
 
@@ -85,11 +86,10 @@ class TrainConfig:
     sel_weight_acc: float = 1.0
     sel_weight_auroc: float = 1.0
     sel_weight_aurc: float = 10.0
-    # split construction (used by drivers that build splits from configs)
+    # split construction (see split)
     ood_classes: tuple = ()
     split_ratios: tuple = (1, 1, 8)
     ood_val_fraction: float = 0.2
-    normalize_features: bool = True
 
     def __post_init__(self):
         for name, low in (("epochs_p1", 0), ("epochs_p2", 0), ("rounds", 1),
@@ -107,7 +107,7 @@ class TrainConfig:
         for name in ("sel_weight_acc", "sel_weight_auroc", "sel_weight_aurc"):
             _real(name, getattr(self, name))
         for name in ("use_beta_reasoning", "learned_prior",
-                     "context_propagation", "normalize_features"):
+                     "context_propagation"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):
                 raise TypeError(f"{name} must be true or false")
         if self.dtype not in ("float32", "float64"):
@@ -122,10 +122,21 @@ class TrainConfig:
             raise TypeError("split_ratios must be three numbers")
         if any(_real("split_ratios", r) <= 0 for r in ratios):
             raise ValueError("split_ratios must be positive")
+        # lists from config files and JSON metadata are held as tuples
+        self.ood_classes = tuple(self.ood_classes)
+        self.split_ratios = tuple(ratios)
 
     @property
     def np_dtype(self):
         return np.dtype(self.dtype)
+
+    def split(self, graph: Graph, seed=None) -> SplitSpec:
+        """The leave-out split of graph under this config's OOD classes,
+        ratios and OOD validation fraction, drawn with seed (by default
+        the config's)."""
+        return make_split(graph, self.ood_classes, ratios=self.split_ratios,
+                          ood_val_fraction=self.ood_val_fraction,
+                          seed=self.seed if seed is None else seed)
 
 
 # ablation variants: presets over the three switches; "no_at" folds the
@@ -487,8 +498,11 @@ def load_checkpoint(path):
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported version {meta['version']}")
         cfg_dict = dict(meta["config"])
-        cfg_dict["ood_classes"] = tuple(cfg_dict.get("ood_classes", ()))
-        cfg_dict["split_ratios"] = tuple(cfg_dict.get("split_ratios", (1, 1, 8)))
+        # features are always z-scored now; older checkpoints recorded it
+        if cfg_dict.pop("normalize_features", True) is not True:
+            raise ValueError("normalize_features is not true: the model "
+                             "was trained on raw features, which are no "
+                             "longer supported")
         config = TrainConfig(**cfg_dict)
         state = init_model(meta["feature_dim"], meta["class_count"], config)
     except (KeyError, TypeError, ValueError) as exc:

@@ -1,11 +1,12 @@
-"""Test-only oracles: per-op reference compositions and the
-finite-difference gradient check.
+"""Test-only oracles: per-op reference compositions, the
+finite-difference gradient check and the scalar subjective-logic forms.
 
 The library fuses some layers into single tape nodes with hand-written
 VJPs, and steps Adam over flat vectors.  The per-op compositions and the
 per-parameter Adam step here are what those replaced; the library must
 equal them bit for bit, in values and in gradients.  grad_check is the
-independent oracle for every gradient used in training.
+independent oracle for every gradient used in training, and the
+one-opinion forms are the reference for subjective's batch forms.
 """
 
 from __future__ import annotations
@@ -16,6 +17,26 @@ import numpy as np
 
 from betagraph import autodiff as ad
 from betagraph import reasoning as rs
+from betagraph import special
+
+
+# -- tape helpers only the tests use ----------------------------------------
+
+def parameter(data, dtype=None):
+    arr = np.array(data, dtype=dtype if dtype is not None else np.float64)
+    return ad.Tensor(arr, requires_grad=True)
+
+
+def sqrt(x):
+    x = ad.as_tensor(x)
+    out = np.sqrt(x.data)
+    return ad._node(out, ((x, lambda g: g * 0.5 / out),))
+
+
+def lgamma(x):
+    x = ad.as_tensor(x)
+    return ad._node(special.lgamma(x.data),
+                    ((x, lambda g: g * special.digamma(x.data)),))
 
 
 # -- per-op encoder layer -------------------------------------------------
@@ -30,7 +51,7 @@ def batch_norm(x, bn: rs.BatchNormParams, training, update_running=True):
             m = bn.momentum
             bn.running_mean = (1 - m) * bn.running_mean + m * mu.data.ravel()
             bn.running_var = (1 - m) * bn.running_var + m * var.data.ravel()
-        xhat = ad.div(centered, ad.sqrt(ad.add(var, bn.eps)))
+        xhat = ad.div(centered, sqrt(ad.add(var, bn.eps)))
     else:
         mean = bn.running_mean.astype(x.data.dtype)
         std = np.sqrt(bn.running_var + bn.eps).astype(x.data.dtype)
@@ -72,10 +93,10 @@ def beta_kl(node, cls):
     d = node.data.shape[-1] // 2
     a_n, b_n = ad.cols(node, 0, d), ad.cols(node, d, 2 * d)
     a_c, b_c = ad.cols(cls, 0, d), ad.cols(cls, d, 2 * d)
-    ln_b_c = ad.add(ad.lgamma(a_c), ad.lgamma(b_c))
-    ln_b_c = ad.sub(ln_b_c, ad.lgamma(ad.add(a_c, b_c)))
-    ln_b_n = ad.add(ad.lgamma(a_n), ad.lgamma(b_n))
-    ln_b_n = ad.sub(ln_b_n, ad.lgamma(ad.add(a_n, b_n)))
+    ln_b_c = ad.add(lgamma(a_c), lgamma(b_c))
+    ln_b_c = ad.sub(ln_b_c, lgamma(ad.add(a_c, b_c)))
+    ln_b_n = ad.add(lgamma(a_n), lgamma(b_n))
+    ln_b_n = ad.sub(ln_b_n, lgamma(ad.add(a_n, b_n)))
     s_n = ad.add(a_n, b_n)
     term = ad.sub(ln_b_c, ln_b_n)
     term = ad.add(term, ad.mul(ad.sub(a_n, a_c), ad.digamma(a_n)))
@@ -165,3 +186,86 @@ def grad_check(loss_fn, params, epsilon=1e-6):
         err = float(_rel_err(analytic[name], numeric).max()) if flat.size else 0.0
         reports.append(GradCheckReport(name, analytic[name], numeric, err))
     return reports
+
+
+# -- scalar subjective-logic forms ------------------------------------------
+
+@dataclass(frozen=True)
+class MultinomialOpinion:
+    evidence: np.ndarray          # (K,) nonnegative
+    prior_weight: float           # > 0
+    base_rates: np.ndarray = None  # (K,) summing to 1; uniform if omitted
+
+    def __post_init__(self):
+        e = np.asarray(self.evidence, dtype=np.float64)
+        object.__setattr__(self, "evidence", e)
+        if e.ndim != 1 or e.size == 0:
+            raise ValueError("evidence must be a nonempty vector")
+        if np.any(e < 0) or not np.all(np.isfinite(e)):
+            raise ValueError("evidence must be nonnegative and finite")
+        if not (self.prior_weight > 0 and np.isfinite(self.prior_weight)):
+            raise ValueError("prior weight must be positive")
+        if self.base_rates is None:
+            a = np.full(e.size, 1.0 / e.size)
+        else:
+            a = np.asarray(self.base_rates, dtype=np.float64)
+            if a.shape != e.shape or np.any(a < 0):
+                raise ValueError("base rates must be nonnegative, one per class")
+            if abs(a.sum() - 1.0) > 1e-9:
+                raise ValueError("base rates must sum to 1")
+        object.__setattr__(self, "base_rates", a)
+
+    @property
+    def strength(self) -> float:
+        return float(self.prior_weight + self.evidence.sum())
+
+
+@dataclass(frozen=True)
+class OpinionView:
+    belief: np.ndarray
+    uncertainty: float
+    strength: float
+
+
+def to_view(op: MultinomialOpinion) -> OpinionView:
+    s = op.strength
+    return OpinionView(belief=op.evidence / s, uncertainty=op.prior_weight / s,
+                       strength=s)
+
+
+def vacuity(op: MultinomialOpinion) -> float:
+    return op.prior_weight / op.strength
+
+
+def balance(b_j: float, b_i: float) -> float:
+    """Relative mass balance; 0 by convention when both masses vanish."""
+    if b_j < 0 or b_i < 0:
+        raise ValueError("balance requires nonnegative masses")
+    tot = b_j + b_i
+    if tot == 0.0:
+        return 0.0
+    return 1.0 - abs(b_j - b_i) / tot
+
+
+def dissonance(op: MultinomialOpinion) -> float:
+    b = to_view(op).belief
+    total = 0.0
+    for i in range(b.size):
+        others = np.delete(b, i)
+        denom = others.sum()
+        if denom == 0.0:
+            continue
+        num = sum(bj * balance(bj, b[i]) for bj in others)
+        total += b[i] * num / denom
+    return total
+
+
+def projected_probability(op: MultinomialOpinion) -> np.ndarray:
+    view = to_view(op)
+    return view.belief + op.base_rates * view.uncertainty
+
+
+def expected_probability(op: MultinomialOpinion) -> np.ndarray:
+    """xi_k / sum(xi) with xi_k = e_k + a_k W; equals projected_probability."""
+    xi = op.evidence + op.base_rates * op.prior_weight
+    return xi / xi.sum()

@@ -24,7 +24,7 @@ from betagraph.rng import rng
 from betagraph.training import (TrainConfig, build_context, init_model,
                                 frozen_reasoning, train_alternating,
                                 variant_config)
-from oracles import grad_check
+from oracles import MultinomialOpinion, dissonance, grad_check, vacuity
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -55,10 +55,10 @@ def test_criterion_1_subjective_identities():
     expected = xi / xi.sum(axis=1, keepdims=True)
     worst_eq = np.abs(p - expected).max()
 
-    vac_zero = sl.vacuity(sl.MultinomialOpinion(np.zeros(k), 3.3))
+    vac_zero = vacuity(MultinomialOpinion(np.zeros(k), 3.3))
     one_hot = np.zeros(k)
     one_hot[2] = 9.0
-    diss_onehot = sl.dissonance(sl.MultinomialOpinion(one_hot, 1.0))
+    diss_onehot = dissonance(MultinomialOpinion(one_hot, 1.0))
 
     c = 3.7
     b2, u2 = sl.belief_batch(c * e, c * w)

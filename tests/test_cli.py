@@ -301,6 +301,44 @@ class TestEvalInputs:
         assert self.run_eval(tmp_path, dataset, trained_run, split) == 0
         assert len(calls) == 1
 
+    @staticmethod
+    def with_meta_config(trained_run, path, **config):
+        """A copy of the trained checkpoint whose __meta__ config has the
+        given entries added or replaced."""
+        with np.load(os.path.join(trained_run, "checkpoint.npz")) as zf:
+            arrays = {name: zf[name] for name in zf.files}
+        meta = json.loads(bytes(arrays["__meta__"]))
+        meta["config"].update(config)
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                           dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        return str(path)
+
+    def test_checkpoint_with_normalize_features_true_loads(
+            self, tmp_path, dataset, trained_run):
+        # written before features were always z-scored
+        old = self.with_meta_config(trained_run, tmp_path / "old.npz",
+                                    normalize_features=True)
+        split = self.split_of(trained_run)
+        scores = []
+        for name, ckpt in (("new", None), ("old", old)):
+            (tmp_path / name).mkdir()
+            assert self.run_eval(tmp_path / name, dataset, trained_run,
+                                 split, checkpoint=ckpt) == 0
+            scores.append((tmp_path / name / "e" / "scores.csv").read_bytes())
+        assert scores[0] == scores[1]
+
+    def test_checkpoint_trained_on_raw_features_rejected(
+            self, tmp_path, dataset, trained_run, capsys):
+        raw = self.with_meta_config(trained_run, tmp_path / "raw.npz",
+                                    normalize_features=False)
+        assert self.run_eval(tmp_path, dataset, trained_run,
+                             checkpoint=raw) == 1
+        err = capsys.readouterr().err
+        assert "normalize_features" in err and "Traceback" not in err
+        assert not (tmp_path / "e" / "scores.csv").exists()
+
 
 class TestAblate:
     def test_single_variant_single_row(self, tmp_path, dataset):
@@ -429,6 +467,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 1
         assert f"features.{fmt}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("fname,text,where", [
+        ("edges.tsv", "0\t1\n1\tx\n", "line 2"),
+        ("edges.tsv", "# header\n0\t1.5\n", "line 2"),
+        ("labels.csv", None, "line 3"),
+    ])
+    def test_non_integer_entry_exit_code_1(self, tmp_path, dataset, capsys,
+                                           fname, text, where):
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        for f in ("edges.tsv", "features.bin", "labels.csv", "meta.json"):
+            (ds / f).write_bytes(open(os.path.join(dataset, f), "rb").read())
+        if text is None:        # the third label becomes a float
+            lines = (ds / fname).read_text().splitlines()
+            lines[2] = "1.0"
+            text = "\n".join(lines) + "\n"
+        (ds / fname).write_text(text)
+        rc = main(["train", str(ds), "--out", str(tmp_path / "o"),
+                   "--epochs-p1", "1", "--epochs-p2", "1", "--rounds", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert fname in err and where in err and "Traceback" not in err
 
     def test_usage_error_from_argparse(self):
         rc = main(["synth", "nonsense-kind", "--out", "/tmp/x"])

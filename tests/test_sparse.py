@@ -17,10 +17,14 @@ def dense_to_csr(dense):
     return SparseMatrix.from_coo(rows, cols, dense[rows, cols], dense.shape)
 
 
+def identity(n):
+    return SparseMatrix(np.arange(n + 1), np.arange(n), np.ones(n), (n, n))
+
+
 def test_identity_times_anything():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((6, 3))
-    eye = SparseMatrix.identity(6)
+    eye = identity(6)
     assert np.array_equal(eye @ x, x)
 
 
@@ -47,7 +51,7 @@ def test_spmm_matches_dense_oracle(rows, cols, width, seed):
 
 
 def test_shape_mismatch():
-    m = SparseMatrix.identity(3)
+    m = identity(3)
     with pytest.raises(ValueError):
         m @ np.zeros((4, 2))
 
@@ -57,7 +61,7 @@ def test_transpose_roundtrip():
     m, dense = random_csr(rng, 4, 6)
     t = m.T
     assert t.shape == (6, 4)
-    assert np.abs(t.to_dense() - dense.T).max() == 0.0
+    assert np.abs(t.csr.toarray() - dense.T).max() == 0.0
     assert t.T is m
 
 
@@ -79,6 +83,37 @@ def test_validation_rejects_out_of_range_column():
                      np.array([1.0]), (1, 2))
 
 
+def test_validation_rejects_entries_past_indptr_end():
+    # scipy would silently drop the second entry
+    with pytest.raises(ValueError, match="nnz"):
+        SparseMatrix(np.array([0, 1]), np.array([0, 1]),
+                     np.array([1.0, 1.0]), (1, 2))
+
+
+def test_validation_rejects_nonzero_indptr_start():
+    with pytest.raises(ValueError):
+        SparseMatrix(np.array([1, 1]), np.array([0]), np.array([1.0]), (1, 2))
+
+
+def test_validation_rejects_duplicate_column():
+    with pytest.raises(ValueError, match="increasing"):
+        SparseMatrix(np.array([0, 2]), np.array([1, 1]),
+                     np.array([1.0, 1.0]), (1, 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validation_rejects_non_finite_value(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SparseMatrix(np.array([0, 1]), np.array([0]), np.array([bad]), (1, 2))
+
+
+def test_one_copy_of_the_arrays():
+    m, _ = random_csr(np.random.default_rng(4), 5, 5)
+    assert m.indptr is m.csr.indptr
+    assert m.indices is m.csr.indices
+    assert m.data is m.csr.data and m.data.dtype == np.float64
+
+
 def test_empty_rows_allowed():
     m = SparseMatrix(np.array([0, 0, 1, 1]), np.array([2]),
                      np.array([4.0]), (3, 3))
@@ -88,7 +123,7 @@ def test_empty_rows_allowed():
 
 
 def test_dtype_preserved():
-    m = SparseMatrix.identity(3)
+    m = identity(3)
     x32 = np.ones((3, 2), dtype=np.float32)
     assert (m @ x32).dtype == np.float32
 

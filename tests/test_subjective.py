@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betagraph import subjective as sl
+from oracles import (MultinomialOpinion, balance, dissonance,
+                     expected_probability, projected_probability, to_view,
+                     vacuity)
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -17,23 +20,23 @@ def opinions(draw, max_k=6):
     e = draw(st.lists(st.floats(min_value=0.0, max_value=50.0, **finite),
                       min_size=k, max_size=k))
     w = draw(st.floats(min_value=1e-3, max_value=20.0, **finite))
-    return sl.MultinomialOpinion(np.array(e), w)
+    return MultinomialOpinion(np.array(e), w)
 
 
 class TestToView:
     def test_zero_evidence(self):
-        v = sl.to_view(sl.MultinomialOpinion(np.zeros(2), 2.0))
+        v = to_view(MultinomialOpinion(np.zeros(2), 2.0))
         assert np.array_equal(v.belief, np.zeros(2))
         assert v.uncertainty == 1.0
 
     def test_symmetric_evidence(self):
-        v = sl.to_view(sl.MultinomialOpinion(np.array([2.0, 2.0]), 2.0))
+        v = to_view(MultinomialOpinion(np.array([2.0, 2.0]), 2.0))
         assert v.belief == pytest.approx([1 / 3, 1 / 3])
         assert v.uncertainty == pytest.approx(1 / 3)
         assert v.strength == pytest.approx(6.0)
 
     def test_one_sided(self):
-        v = sl.to_view(sl.MultinomialOpinion(np.array([4.0, 0.0]), 2.0))
+        v = to_view(MultinomialOpinion(np.array([4.0, 0.0]), 2.0))
         assert v.belief == pytest.approx([2 / 3, 0.0])
         assert v.uncertainty == pytest.approx(1 / 3)
 
@@ -41,56 +44,56 @@ class TestToView:
 class TestVacuity:
     def test_no_evidence_is_total_vacuity(self):
         for w in (0.5, 1.0, 7.0):
-            assert sl.vacuity(sl.MultinomialOpinion(np.zeros(3), w)) == 1.0
+            assert vacuity(MultinomialOpinion(np.zeros(3), w)) == 1.0
 
     def test_examples(self):
-        assert sl.vacuity(sl.MultinomialOpinion(np.array([3.0, 1.0]), 1.0)) \
+        assert vacuity(MultinomialOpinion(np.array([3.0, 1.0]), 1.0)) \
             == pytest.approx(0.2)
-        assert sl.vacuity(sl.MultinomialOpinion(np.array([8.0, 0.0]), 2.0)) \
+        assert vacuity(MultinomialOpinion(np.array([8.0, 0.0]), 2.0)) \
             == pytest.approx(0.2)
 
     @given(opinions())
     @settings(max_examples=100)
     def test_strictly_decreases_with_evidence(self, op):
-        base = sl.vacuity(op)
-        bumped = sl.MultinomialOpinion(op.evidence + np.eye(op.evidence.size)[0],
-                                       op.prior_weight)
-        assert sl.vacuity(bumped) < base
+        base = vacuity(op)
+        bumped = MultinomialOpinion(op.evidence + np.eye(op.evidence.size)[0],
+                                    op.prior_weight)
+        assert vacuity(bumped) < base
 
 
 class TestBalance:
     def test_equal_masses(self):
-        assert sl.balance(0.3, 0.3) == 1.0
+        assert balance(0.3, 0.3) == 1.0
 
     def test_zero_against_positive(self):
-        assert sl.balance(0.0, 0.7) == 0.0
+        assert balance(0.0, 0.7) == 0.0
 
     def test_quarter_three_quarters(self):
-        assert sl.balance(0.25, 0.75) == pytest.approx(0.5)
+        assert balance(0.25, 0.75) == pytest.approx(0.5)
 
     def test_both_zero_convention(self):
-        assert sl.balance(0.0, 0.0) == 0.0
+        assert balance(0.0, 0.0) == 0.0
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            sl.balance(-0.1, 0.5)
+            balance(-0.1, 0.5)
 
 
 class TestDissonance:
     def test_one_hot_no_conflict(self):
-        assert sl.dissonance(sl.MultinomialOpinion(np.array([4.0, 0.0]), 2.0)) == 0.0
+        assert dissonance(MultinomialOpinion(np.array([4.0, 0.0]), 2.0)) == 0.0
 
     def test_balanced_two_class(self):
-        op = sl.MultinomialOpinion(np.array([2.0, 2.0]), 2.0)
-        assert sl.dissonance(op) == pytest.approx(2 / 3)
+        op = MultinomialOpinion(np.array([2.0, 2.0]), 2.0)
+        assert dissonance(op) == pytest.approx(2 / 3)
 
     def test_all_zero(self):
-        assert sl.dissonance(sl.MultinomialOpinion(np.zeros(2), 1.0)) == 0.0
+        assert dissonance(MultinomialOpinion(np.zeros(2), 1.0)) == 0.0
 
     @given(opinions())
     @settings(max_examples=150)
     def test_bounded(self, op):
-        d = sl.dissonance(op)
+        d = dissonance(op)
         assert -1e-12 <= d <= 1.0 + 1e-12
 
     @given(opinions())
@@ -98,55 +101,54 @@ class TestDissonance:
     def test_zero_when_single_support(self, op):
         e = np.zeros_like(op.evidence)
         e[1] = 5.0
-        assert sl.dissonance(sl.MultinomialOpinion(e, op.prior_weight)) == 0.0
+        assert dissonance(MultinomialOpinion(e, op.prior_weight)) == 0.0
 
 
 class TestProjectedProbability:
     def test_zero_evidence_returns_base_rates(self):
-        op = sl.MultinomialOpinion(np.zeros(2), 2.0)
-        assert sl.projected_probability(op) == pytest.approx([0.5, 0.5])
+        op = MultinomialOpinion(np.zeros(2), 2.0)
+        assert projected_probability(op) == pytest.approx([0.5, 0.5])
 
     def test_symmetric(self):
-        op = sl.MultinomialOpinion(np.array([2.0, 2.0]), 2.0)
-        assert sl.projected_probability(op) == pytest.approx([0.5, 0.5])
+        op = MultinomialOpinion(np.array([2.0, 2.0]), 2.0)
+        assert projected_probability(op) == pytest.approx([0.5, 0.5])
 
     def test_one_sided(self):
-        op = sl.MultinomialOpinion(np.array([4.0, 0.0]), 2.0)
-        assert sl.projected_probability(op) == pytest.approx([5 / 6, 1 / 6])
+        op = MultinomialOpinion(np.array([4.0, 0.0]), 2.0)
+        assert projected_probability(op) == pytest.approx([5 / 6, 1 / 6])
 
     def test_three_class_expected(self):
-        op = sl.MultinomialOpinion(np.array([1.0, 0.0, 0.0]), 3.0)
-        assert sl.expected_probability(op) == pytest.approx([0.5, 0.25, 0.25])
+        op = MultinomialOpinion(np.array([1.0, 0.0, 0.0]), 3.0)
+        assert expected_probability(op) == pytest.approx([0.5, 0.25, 0.25])
 
 
 class TestIdentities:
     @given(opinions())
     @settings(max_examples=200)
     def test_belief_plus_uncertainty_is_one(self, op):
-        v = sl.to_view(op)
+        v = to_view(op)
         assert abs(v.belief.sum() + v.uncertainty - 1.0) < 1e-12
 
     @given(opinions())
     @settings(max_examples=200)
     def test_projected_sums_to_one(self, op):
-        assert abs(sl.projected_probability(op).sum() - 1.0) < 1e-12
+        assert abs(projected_probability(op).sum() - 1.0) < 1e-12
 
     @given(opinions())
     @settings(max_examples=200)
     def test_expected_equals_projected(self, op):
-        diff = np.abs(sl.expected_probability(op)
-                      - sl.projected_probability(op))
+        diff = np.abs(expected_probability(op) - projected_probability(op))
         assert diff.max() < 1e-12
 
     @given(opinions(), st.floats(min_value=0.1, max_value=10.0, **finite))
     @settings(max_examples=150)
     def test_scale_invariance(self, op, c):
-        scaled = sl.MultinomialOpinion(op.evidence * c, op.prior_weight * c,
-                                       op.base_rates)
-        for fn in (sl.vacuity, sl.dissonance):
+        scaled = MultinomialOpinion(op.evidence * c, op.prior_weight * c,
+                                    op.base_rates)
+        for fn in (vacuity, dissonance):
             assert fn(scaled) == pytest.approx(fn(op), abs=1e-9)
-        assert sl.projected_probability(scaled) == pytest.approx(
-            sl.projected_probability(op), abs=1e-9)
+        assert projected_probability(scaled) == pytest.approx(
+            projected_probability(op), abs=1e-9)
 
 
 class TestBatchForms:
@@ -159,23 +161,23 @@ class TestBatchForms:
         p = sl.projected_batch(e, w, np.full(4, 0.25))
         d = sl.dissonance_batch(b)
         for i in range(64):
-            op = sl.MultinomialOpinion(e[i], w[i])
-            v = sl.to_view(op)
+            op = MultinomialOpinion(e[i], w[i])
+            v = to_view(op)
             assert b[i] == pytest.approx(v.belief, abs=1e-12)
             assert u[i] == pytest.approx(v.uncertainty, abs=1e-12)
-            assert p[i] == pytest.approx(sl.projected_probability(op), abs=1e-12)
-            assert d[i] == pytest.approx(sl.dissonance(op), abs=1e-12)
+            assert p[i] == pytest.approx(projected_probability(op), abs=1e-12)
+            assert d[i] == pytest.approx(dissonance(op), abs=1e-12)
 
 
 class TestValidation:
     def test_negative_evidence_rejected(self):
         with pytest.raises(ValueError):
-            sl.MultinomialOpinion(np.array([-1.0, 1.0]), 2.0)
+            MultinomialOpinion(np.array([-1.0, 1.0]), 2.0)
 
     def test_nonpositive_prior_rejected(self):
         with pytest.raises(ValueError):
-            sl.MultinomialOpinion(np.ones(2), 0.0)
+            MultinomialOpinion(np.ones(2), 0.0)
 
     def test_base_rates_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            sl.MultinomialOpinion(np.ones(2), 1.0, np.array([0.9, 0.3]))
+            MultinomialOpinion(np.ones(2), 1.0, np.array([0.9, 0.3]))

@@ -58,6 +58,34 @@ class TestTrainConfig:
     def test_zero_epochs_allowed(self):
         assert tr.TrainConfig(epochs_p1=0, epochs_p2=0).epochs_p1 == 0
 
+    def test_split_from_config_fields(self, small_ppm):
+        cfg = tr.TrainConfig(seed=5, ood_classes=(3,), split_ratios=(2, 1, 7),
+                             ood_val_fraction=0.5)
+        want = graphs.make_split(small_ppm, (3,), ratios=(2, 1, 7),
+                                 ood_val_fraction=0.5, seed=5)
+        assert cfg.split(small_ppm).to_json() == want.to_json()
+        other = graphs.make_split(small_ppm, (3,), ratios=(2, 1, 7),
+                                  ood_val_fraction=0.5, seed=6)
+        assert cfg.split(small_ppm, seed=6).to_json() == other.to_json()
+
+    def test_protocol_splits_leave_out_its_own_classes(self, monkeypatch,
+                                                        small_ppm):
+        from betagraph import evaluation
+        seen = []
+
+        def fake_train(graph, split, config):
+            seen.append((split.ood_classes, split.seed, config.seed))
+            return tr.ModelState(config=config, class_count=3,
+                                 feature_dim=8), []
+
+        monkeypatch.setattr(evaluation, "train_alternating", fake_train)
+        monkeypatch.setattr(evaluation, "evaluate",
+                            lambda *a, **k: evaluation.EvalReport(0, 1.0, 0.0,
+                                                                  0.0))
+        evaluation.run_protocol(small_ppm, [3], quick_config(ood_classes=()),
+                                seeds=[4, 7])
+        assert seen == [((3,), 4, 4), ((3,), 7, 7)]
+
     def test_variant_presets(self):
         base = quick_config()
         a = tr.variant_config(base, "a")
