@@ -89,12 +89,11 @@ def _build_config(args, graph=None) -> TrainConfig:
     raw = {}
     if getattr(args, "config", None):
         raw.update(_load_config_file(args.config))
-    for name in ("seed", "rounds", "epochs_p1", "epochs_p2", "gamma",
-                 "lr_p1", "lr_p2", "dropout_p1", "dropout_p2", "hidden_dim",
-                 "embed_dim", "reasoning_dim", "dtype", "ood_classes"):
-        v = getattr(args, name, None)
+    # a flag overrides the field its dest names
+    for f in fields(TrainConfig):
+        v = getattr(args, f.name, None)
         if v is not None:
-            raw[name] = v
+            raw[f.name] = v
     if "ood_classes" not in raw and graph is not None \
             and graph.class_count >= 4:
         # default leave-out: the two highest class ids
@@ -200,11 +199,10 @@ def cmd_train(args):
     out = _out_dir(args.out)
     split = config.split(graph)
     atomic_write_text(os.path.join(out, "split.json"), split.to_json() + "\n")
-    history = []
     try:
         state, history = train_alternating(graph, split, config)
     except TrainingDivergence as exc:
-        _history_csv(os.path.join(out, "history.csv"), history)
+        _history_csv(os.path.join(out, "history.csv"), exc.history)
         print(f"training diverged: {exc}", file=sys.stderr)
         return 2
     ckpt = os.path.join(out, "checkpoint.npz")
@@ -458,9 +456,8 @@ def cmd_gridsearch(args):
 
 # -- parser ---------------------------------------------------------------
 
-def _add_config_flags(p, with_file=True):
-    if with_file:
-        p.add_argument("--config", help="TOML or JSON training config")
+def _add_config_flags(p):
+    p.add_argument("--config", help="TOML or JSON training config")
     p.add_argument("--seed", type=int)
     p.add_argument("--rounds", type=int)
     p.add_argument("--epochs-p1", dest="epochs_p1", type=int)

@@ -32,7 +32,7 @@ from .graphs import Graph, SplitSpec, remap_labels
 from .rng import substream
 from .evidence import ScoreBatch
 from .training import (ModelState, RunContext, TrainConfig, build_context,
-                       forward_scores, train_alternating)
+                       fit, forward_scores, train_alternating)
 
 
 @dataclass
@@ -55,9 +55,6 @@ class EvalReport:
         out = asdict(self)
         out.update(out.pop("extras"))
         return out
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=1)
 
 
 METRIC_FIELDS = ("acc", "aurc", "aurc_x1000", "fpr95", "auroc", "aupr",
@@ -199,22 +196,19 @@ def train_baseline(graph: Graph, split: SplitSpec, *, hidden_dim=64, lr=0.01,
     model = ev.init_direct_head(substream(seed, 10), graph.feature_dim,
                                 hidden_dim, k, dt)
     drop = substream(seed, 11)
-    opt = Adam(model.tensors().values(), lr=lr)
     train_idx = split.train
     onehot = np.zeros((train_idx.size, k), dtype=dt)
     onehot[np.arange(train_idx.size), ctx.labels[train_idx]] = 1.0
-    for _ in range(epochs):
+
+    def loss():
         logits = ad.take_rows(ev.direct_logits(
             adj, px, model, training=True, dropout_rate=dropout,
             generator=drop), train_idx)
         lse = ad.logsumexp(logits, axis=1)
         picked = ad.tsum(ad.mul(logits, onehot), axis=1)
-        loss = ad.tmean(ad.sub(lse, picked))
-        if not np.isfinite(loss.data):
-            raise RuntimeError("baseline classifier diverged")
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
+        return ad.tmean(ad.sub(lse, picked))
+
+    fit(Adam(model.tensors().values(), lr=lr), epochs, loss, "baseline", 0)
     with no_grad():
         logits = ev.direct_logits(adj, px, model)
     return model, logits.data

@@ -314,27 +314,18 @@ def make_split(graph: Graph, ood_classes, ratios=(1, 1, 8),
     else:
         raise ValueError("could not build a split covering every ID class")
 
-    split = SplitSpec(
+    operm = ood_nodes[gen.permutation(ood_nodes.size)]
+    n_oval = int(round(ood_nodes.size * ood_val_fraction))
+    return SplitSpec(
         id_classes=id_classes,
         ood_classes=ood_classes,
         train=np.sort(train),
         val=np.sort(perm[n_train:n_train + n_val]),
         test=np.sort(perm[n_train + n_val:]),
-        ood_val=np.zeros(0, dtype=np.int64),
-        ood_test=np.zeros(0, dtype=np.int64),
+        ood_val=np.sort(operm[:n_oval]),
+        ood_test=np.sort(operm[n_oval:]),
         seed=int(seed),
     )
-    if ood_nodes.size:
-        operm = ood_nodes[gen.permutation(ood_nodes.size)]
-        n_oval = int(round(ood_nodes.size * ood_val_fraction))
-        split = SplitSpec(
-            id_classes=split.id_classes, ood_classes=split.ood_classes,
-            train=split.train, val=split.val, test=split.test,
-            ood_val=np.sort(operm[:n_oval]),
-            ood_test=np.sort(operm[n_oval:]),
-            seed=int(seed),
-        )
-    return split
 
 
 def zscore_features(graph: Graph) -> Graph:

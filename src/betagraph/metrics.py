@@ -16,11 +16,11 @@ Conventions (shared by every consumer):
 
 The ranking metrics cost O(n log n): one stable sort of the pooled
 scores, then cumulative counts of positives and negatives.  Equal
-scores form one tie group and share one threshold, so the curves of
-roc_curve and aupr are read only at the last index of each group (every
-sample scoring >= the group's value is counted), and _rankdata gives
-each group the mean of its ranks.  aupr adds its trapezoids left to
-right, in threshold order.
+scores form one tie group and share one threshold, so roc_curve, aupr
+and auroc read this sweep only at the last index of each group (every
+sample scoring >= the group's value is counted).  auroc is the
+trapezoid area under the sweep in counts, which is the Mann-Whitney U;
+aupr adds its trapezoids left to right, in threshold order.
 
 Each metric has a brute-force oracle twin in the test suite.
 """
@@ -43,15 +43,9 @@ def accuracy(predictions, labels, mask=None) -> float:
 
 def aurc(confidence, correct) -> float:
     """Mean risk over confidence-ranked prefixes (lower is better)."""
-    confidence = np.asarray(confidence, dtype=np.float64)
-    correct = np.asarray(correct, dtype=bool)
-    n = confidence.size
-    if n == 0:
+    if np.size(confidence) == 0:
         raise ValueError("aurc needs at least one sample")
-    order = np.argsort(-confidence, kind="stable")
-    errors = ~correct[order]
-    risks = np.cumsum(errors) / np.arange(1, n + 1)
-    return float(risks.mean())
+    return float(risk_coverage_curve(confidence, correct)[1].mean())
 
 
 def risk_coverage_curve(confidence, correct):
@@ -66,24 +60,11 @@ def risk_coverage_curve(confidence, correct):
     return coverage, risk
 
 
-def _rankdata(x):
-    """Average ranks (1-based); ties share the mean rank."""
-    x = np.asarray(x)
-    order = np.argsort(x, kind="stable")
-    sx = x[order]
-    starts, ends = _tie_groups(sx)
-    ranks = np.empty(x.size, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
-    return ranks
-
-
-def _tie_groups(sx):
-    """First and last index of each run of equal values in a sorted array."""
+def _group_ends(sx):
+    """Last index of each run of equal values in a sorted array."""
     if sx.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    ends = np.append(np.flatnonzero(sx[1:] != sx[:-1]), sx.size - 1)
-    starts = np.concatenate([[0], ends[:-1] + 1])
-    return starts, ends
+        return np.zeros(0, dtype=np.int64)
+    return np.append(np.flatnonzero(sx[1:] != sx[:-1]), sx.size - 1)
 
 
 def _descending_counts(scores_pos, scores_neg):
@@ -92,7 +73,7 @@ def _descending_counts(scores_pos, scores_neg):
     scores = np.concatenate([scores_pos, scores_neg])
     order = np.argsort(scores, kind="stable")[::-1]
     is_pos = order < scores_pos.size
-    _, ends = _tie_groups(scores[order])
+    ends = _group_ends(scores[order])
     tp = np.cumsum(is_pos)[ends]
     fp = np.cumsum(~is_pos)[ends]
     return tp, fp
@@ -103,10 +84,12 @@ def auroc(scores_pos, scores_neg) -> float:
     scores_neg = np.asarray(scores_neg, dtype=np.float64)
     if scores_pos.size == 0 or scores_neg.size == 0:
         raise ValueError("auroc needs samples on both sides")
-    n_p, n_n = scores_pos.size, scores_neg.size
-    ranks = _rankdata(np.concatenate([scores_pos, scores_neg]))
-    u = ranks[:n_p].sum() - n_p * (n_p + 1) / 2.0
-    return float(u / (n_p * n_n))
+    tp, fp = _descending_counts(scores_pos, scores_neg)
+    # each group's trapezoid, doubled: the negatives it adds times the
+    # positives before it plus those after it, integer counts, so the
+    # sum is exact in any order and U = twice_u / 2 is exact too
+    twice_u = np.diff(fp, prepend=0) @ (tp + np.append(0, tp[:-1]))
+    return float(twice_u / 2 / (scores_pos.size * scores_neg.size))
 
 
 def roc_curve(scores_pos, scores_neg):

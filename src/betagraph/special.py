@@ -108,16 +108,3 @@ def trigamma(x):
         + r2 * _BERN[4])))))
     )
     return _ret(series + shift, x, x.ndim == 0)
-
-
-def log_beta(a, b):
-    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b), a, b > 0."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    scalar = a.ndim == 0 and b.ndim == 0
-    ad = _positive_f64(a, "log_beta")
-    bd = _positive_f64(b, "log_beta")
-    out = np.asarray(lgamma(ad) + lgamma(bd) - lgamma(ad + bd))
-    if scalar:
-        return out.item()
-    return out.astype(np.result_type(_out_dtype(a), _out_dtype(b)), copy=False)

@@ -8,7 +8,8 @@ model is scored on validation as
 
     acc + auroc - 10 * aurc
 
-(weights configurable) and the best-scoring snapshot is returned.
+and the best-scoring snapshot is returned.  One loop, fit, runs the
+epochs of both phases and of the evaluation baseline.
 
 Everything is full batch and deterministic: parameter init and the two
 dropout streams are independent substreams of the config seed.
@@ -34,7 +35,10 @@ from .rng import substream
 
 
 class TrainingDivergence(RuntimeError):
-    """Raised when a loss goes non-finite; carries phase/round/epoch info."""
+    """Raised when training fails numerically; the message names the
+    phase, round and epoch.  train_alternating sets history to the
+    rounds it finished."""
+    history = ()
 
 
 def _integer(name, value):
@@ -75,17 +79,10 @@ class TrainConfig:
     embed_dim: int = 32
     reasoning_dim: int = 64
     dtype: str = "float32"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     # ablation switches
     use_beta_reasoning: bool = True      # encoder + disjunction + phase 1
     learned_prior: bool = True           # per-node W from the novel head
     context_propagation: bool = True     # graph propagation inside heads
-    # selection-score weights
-    sel_weight_acc: float = 1.0
-    sel_weight_auroc: float = 1.0
-    sel_weight_aurc: float = 10.0
     # split construction (see split)
     ood_classes: tuple = ()
     split_ratios: tuple = (1, 1, 8)
@@ -97,15 +94,12 @@ class TrainConfig:
                           ("reasoning_dim", 1)):
             if _integer(name, getattr(self, name)) < low:
                 raise ValueError(f"{name} must be >= {low}")
-        for name in ("lr_p1", "lr_p2", "gamma", "adam_eps"):
+        for name in ("lr_p1", "lr_p2", "gamma"):
             if _real(name, getattr(self, name)) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("dropout_p1", "dropout_p2", "adam_beta1", "adam_beta2",
-                     "ood_val_fraction"):
+        for name in ("dropout_p1", "dropout_p2", "ood_val_fraction"):
             if not 0 <= _real(name, getattr(self, name)) < 1:
                 raise ValueError(f"{name} must lie in [0, 1)")
-        for name in ("sel_weight_acc", "sel_weight_auroc", "sel_weight_aurc"):
-            _real(name, getattr(self, name))
         for name in ("use_beta_reasoning", "learned_prior",
                      "context_propagation"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):
@@ -262,42 +256,37 @@ def init_model(feature_dim: int, class_count: int, config: TrainConfig) -> Model
     else:
         state.direct = ev.init_direct_head(gen, feature_dim, config.hidden_dim,
                                            class_count, dtype)
-    state.opt_p1 = Adam(state.phase1_tensors().values(), lr=config.lr_p1,
-                        betas=(config.adam_beta1, config.adam_beta2),
-                        eps=config.adam_eps)
-    state.opt_p2 = Adam(state.phase2_tensors().values(), lr=config.lr_p2,
-                        betas=(config.adam_beta1, config.adam_beta2),
-                        eps=config.adam_eps)
+    state.opt_p1 = Adam(state.phase1_tensors().values(), lr=config.lr_p1)
+    state.opt_p2 = Adam(state.phase2_tensors().values(), lr=config.lr_p2)
     state.rng_p1 = substream(config.seed, 1)
     state.rng_p2 = substream(config.seed, 2)
     return state
 
 
-def _check_finite(loss, phase, epoch, state):
-    if not np.isfinite(loss.data).all():
-        raise TrainingDivergence(
-            f"non-finite loss in phase {phase}, round {state.round}, "
-            f"epoch {epoch}"
-        )
+def fit(opt: Adam, epochs: int, loss_fn, phase, rnd) -> float:
+    """epochs full-batch Adam steps on the scalar Tensor loss_fn() builds;
+    returns the last loss (nan without epochs).
 
-
-class _divergence_guard:
-    """Convert numerical domain errors inside a step into a diagnostic."""
-
-    def __init__(self, phase, epoch, state):
-        self.where = (phase, epoch, state.round)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type in (ValueError, FloatingPointError):
-            phase, epoch, rnd = self.where
+    A non-finite loss, or a ValueError or FloatingPointError inside an
+    epoch, raises TrainingDivergence naming phase, round and epoch.
+    """
+    last = float("nan")
+    for epoch in range(epochs):
+        try:
+            loss = loss_fn()
+            if not np.isfinite(loss.data).all():
+                raise TrainingDivergence(
+                    f"non-finite loss in phase {phase}, round {rnd}, "
+                    f"epoch {epoch}")
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+        except (ValueError, FloatingPointError) as exc:
             raise TrainingDivergence(
                 f"numerical failure in phase {phase}, round {rnd}, "
-                f"epoch {epoch}: {exc}"
-            ) from exc
-        return False
+                f"epoch {epoch}: {exc}") from exc
+        last = float(loss.data)
+    return last
 
 
 def train_phase1(state: ModelState, ctx: RunContext, epochs: int) -> float:
@@ -305,33 +294,27 @@ def train_phase1(state: ModelState, ctx: RunContext, epochs: int) -> float:
 
     Only encoder and disjunction parameters change.
     """
-    if not state.config.use_beta_reasoning or epochs == 0:
+    if not state.config.use_beta_reasoning:
         return float("nan")
     cfg = state.config
-    last = float("nan")
     train_labels = ctx.labels[ctx.split.train]
     # class regions come from the gathered training rows: one (m, 2d)
     # gather per epoch instead of one per class out of (n, 2d)
     class_rows = [np.flatnonzero(train_labels == c)
                   for c in range(ctx.class_count)]
-    for epoch in range(epochs):
-        with _divergence_guard(1, epoch, state):
-            emb = rs.encode(ctx.adj, ctx.x, state.encoder, training=True,
-                            dropout_rate=cfg.dropout_p1,
-                            generator=state.rng_p1,
-                            propagated_x=ctx.propagated_x)
-            train_emb = ad.take_rows(emb, ctx.split.train)
-            del emb         # the tape holds it until backward, no longer
-            class_embs = rs.build_class_embeddings(train_emb, class_rows,
-                                                   state.disjunction)
-            loss = rs.beta_loss(train_emb, train_labels, class_embs,
-                                cfg.gamma, include_novel=cfg.learned_prior)
-            _check_finite(loss, 1, epoch, state)
-            state.opt_p1.zero_grad()
-            loss.backward()
-            state.opt_p1.step()
-            last = float(loss.data)
-    return last
+
+    def loss():
+        emb = rs.encode(ctx.adj, ctx.x, state.encoder, training=True,
+                        dropout_rate=cfg.dropout_p1, generator=state.rng_p1,
+                        propagated_x=ctx.propagated_x)
+        train_emb = ad.take_rows(emb, ctx.split.train)
+        del emb         # the tape holds it until backward, no longer
+        class_embs = rs.build_class_embeddings(train_emb, class_rows,
+                                               state.disjunction)
+        return rs.beta_loss(train_emb, train_labels, class_embs, cfg.gamma,
+                            include_novel=cfg.learned_prior)
+
+    return fit(state.opt_p1, epochs, loss, 1, state.round)
 
 
 def frozen_reasoning(state: ModelState, ctx: RunContext):
@@ -363,12 +346,6 @@ def _phase2_forward(state: ModelState, ctx: RunContext):
         propagated_nodes=prop)
 
 
-def _frozen_forward(state: ModelState, ctx: RunContext):
-    """_phase2_forward with a numerical failure reported as phase 2's."""
-    with _divergence_guard(2, -1, state):
-        return _phase2_forward(state, ctx)
-
-
 def train_phase2(state: ModelState, ctx: RunContext, epochs: int,
                  forward=None) -> float:
     """Dirichlet-loss epochs for the evidence heads; reasoning parameters
@@ -376,18 +353,11 @@ def train_phase2(state: ModelState, ctx: RunContext, epochs: int,
     one the class regions are rebuilt once at entry."""
     if epochs == 0:
         return float("nan")
-    last = float("nan")
-    if forward is None:
-        forward = _frozen_forward(state, ctx)
-    for epoch in range(epochs):
-        with _divergence_guard(2, epoch, state):
-            loss = ev.dirichlet_loss(forward(True), ctx.labels, ctx.split.train)
-            _check_finite(loss, 2, epoch, state)
-            state.opt_p2.zero_grad()
-            loss.backward()
-            state.opt_p2.step()
-            last = float(loss.data)
-    return last
+    forward = forward or _phase2_forward(state, ctx)
+    return fit(state.opt_p2, epochs,
+               lambda: ev.dirichlet_loss(forward(True), ctx.labels,
+                                         ctx.split.train),
+               2, state.round)
 
 
 def forward_scores(state: ModelState, ctx: RunContext,
@@ -401,12 +371,12 @@ def forward_scores(state: ModelState, ctx: RunContext,
     return ev.score(batch)
 
 
-def selection_score(acc, roc, rc, config: TrainConfig) -> float:
-    """acc + auroc - 10*aurc with configurable weights; the auroc term is
-    dropped when no validation OOD nodes exist."""
-    score = config.sel_weight_acc * acc - config.sel_weight_aurc * rc
+def selection_score(acc, roc, rc) -> float:
+    """acc + auroc - 10*aurc; the auroc term is dropped when no
+    validation OOD nodes exist."""
+    score = acc - 10.0 * rc
     if roc is not None:
-        score += config.sel_weight_auroc * roc
+        score += roc
     return float(score)
 
 
@@ -429,27 +399,31 @@ def train_alternating(graph: Graph, split: SplitSpec, config: TrainConfig,
     ctx = ctx or build_context(graph, split, config)
     state = init_model(graph.feature_dim, ctx.class_count, config)
     history = []
-    for r in range(config.rounds):
-        state.round = r
-        bl = train_phase1(state, ctx, config.epochs_p1)
-        # phase 2 and validation share one frozen encoder pass
-        forward = _frozen_forward(state, ctx)
-        dl = train_phase2(state, ctx, config.epochs_p2, forward)
-        acc, rc, roc = validation_metrics(state, ctx, forward)
-        score = selection_score(acc, roc, rc, config)
-        history.append({
-            "round": r,
-            "bl_loss": bl,
-            "dl_loss": dl,
-            "val_acc": acc,
-            "val_aurc": rc,
-            "val_auroc": float("nan") if roc is None else roc,
-            "selection_score": score,
-        })
-        if state.best_score is None or score > state.best_score:
-            state.best_score = score
-            state.best_round = r
-            state.best_params = state.snapshot()
+    try:
+        for r in range(config.rounds):
+            state.round = r
+            bl = train_phase1(state, ctx, config.epochs_p1)
+            # phase 2 and validation share one frozen encoder pass
+            forward = _phase2_forward(state, ctx)
+            dl = train_phase2(state, ctx, config.epochs_p2, forward)
+            acc, rc, roc = validation_metrics(state, ctx, forward)
+            score = selection_score(acc, roc, rc)
+            history.append({
+                "round": r,
+                "bl_loss": bl,
+                "dl_loss": dl,
+                "val_acc": acc,
+                "val_aurc": rc,
+                "val_auroc": float("nan") if roc is None else roc,
+                "selection_score": score,
+            })
+            if state.best_score is None or score > state.best_score:
+                state.best_score = score
+                state.best_round = r
+                state.best_params = state.snapshot()
+    except TrainingDivergence as exc:
+        exc.history = history
+        raise
     state.load_snapshot(state.best_params)
     return state, history
 
@@ -457,6 +431,13 @@ def train_alternating(graph: Graph, split: SplitSpec, config: TrainConfig,
 # -- checkpoint container -------------------------------------------------
 
 CHECKPOINT_VERSION = 1
+# config fields older checkpoints record, each with the one value this
+# version supports: features are always z-scored, Adam runs with its
+# defaults and selection uses acc + auroc - 10 * aurc
+RETIRED_FIELDS = {"normalize_features": True, "adam_beta1": 0.9,
+                  "adam_beta2": 0.999, "adam_eps": 1e-8,
+                  "sel_weight_acc": 1.0, "sel_weight_auroc": 1.0,
+                  "sel_weight_aurc": 10.0}
 
 
 def save_checkpoint(path, state: ModelState, extra_meta=None):
@@ -485,8 +466,8 @@ def save_checkpoint(path, state: ModelState, extra_meta=None):
 def load_checkpoint(path):
     """Returns (ModelState with loaded parameters, meta dict).
 
-    A file that is not a complete checkpoint raises ValueError naming the
-    path and the cause.
+    A file that is not a complete checkpoint, or holds a non-finite
+    value, raises ValueError naming the path and the cause.
     """
     try:
         with np.load(path) as zf:
@@ -498,11 +479,13 @@ def load_checkpoint(path):
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported version {meta['version']}")
         cfg_dict = dict(meta["config"])
-        # features are always z-scored now; older checkpoints recorded it
-        if cfg_dict.pop("normalize_features", True) is not True:
-            raise ValueError("normalize_features is not true: the model "
-                             "was trained on raw features, which are no "
-                             "longer supported")
+        for name, only in RETIRED_FIELDS.items():
+            value = cfg_dict.pop(name, only)
+            # 1 == True in Python, but a switch must be the boolean
+            if value != only or \
+                    isinstance(value, bool) != isinstance(only, bool):
+                raise ValueError(f"{name} is {value!r}; this version "
+                                 f"supports only {only!r}")
         config = TrainConfig(**cfg_dict)
         state = init_model(meta["feature_dim"], meta["class_count"], config)
     except (KeyError, TypeError, ValueError) as exc:
@@ -521,5 +504,8 @@ def load_checkpoint(path):
                 f"checkpoint tensor '{name}' has shape "
                 f"{arrays[name].shape}, model expects {ref.shape}"
             )
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"checkpoint {path} tensor '{name}' holds a "
+                             "non-finite value")
     state.load_snapshot(arrays)
     return state, meta

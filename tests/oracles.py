@@ -1,5 +1,6 @@
 """Test-only oracles: per-op reference compositions, the
-finite-difference gradient check and the scalar subjective-logic forms.
+finite-difference gradient check, the scalar subjective-logic forms and
+ln B(a, b).
 
 The library fuses some layers into single tape nodes with hand-written
 VJPs, and steps Adam over flat vectors.  The per-op compositions and the
@@ -37,6 +38,14 @@ def lgamma(x):
     x = ad.as_tensor(x)
     return ad._node(special.lgamma(x.data),
                     ((x, lambda g: g * special.digamma(x.data)),))
+
+
+def log_beta(a, b):
+    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b), a, b > 0,
+    in float64 (a Python float for scalars); lgamma rejects a <= 0."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return special.lgamma(a) + special.lgamma(b) - special.lgamma(a + b)
 
 
 # -- per-op encoder layer -------------------------------------------------

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from betagraph.cli import main
+from betagraph import training
+from betagraph.cli import _add_config_flags, _Parser, build_parser, main
 
 PPM_ARGS = ["synth", "ppm", "--blocks", "4", "--nodes-per-block", "40",
             "--p-in", "0.15", "--p-out", "0.01", "--feature-dim", "8",
@@ -96,6 +98,17 @@ class TestTrain:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "learning_speed" in capsys.readouterr().err
+
+    def test_retired_config_field_unknown(self, tmp_path, dataset, capsys):
+        cfg = tmp_path / "old.toml"
+        cfg.write_text(
+            "lr_p1 = 0.01\ndropout_p1 = 0.2\ngamma = 15.0\nlr_p2 = 0.01\n"
+            "dropout_p2 = 0.2\nseed = 1\nsel_weight_aurc = 10.0\n")
+        rc = main(["train", dataset, "--config", str(cfg),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "unknown config field 'sel_weight_aurc'" in \
+            capsys.readouterr().err
 
     def test_toml_config_accepted(self, tmp_path, dataset):
         cfg = tmp_path / "ok.toml"
@@ -339,6 +352,50 @@ class TestEvalInputs:
         assert "normalize_features" in err and "Traceback" not in err
         assert not (tmp_path / "e" / "scores.csv").exists()
 
+    def test_checkpoint_with_retired_defaults_loads(self, tmp_path, dataset,
+                                                    trained_run):
+        # the config as versions that still had the Adam and selection
+        # fields recorded it
+        old = self.with_meta_config(trained_run, tmp_path / "old.npz",
+                                    **training.RETIRED_FIELDS)
+        split = self.split_of(trained_run)
+        scores = []
+        for name, ckpt in (("new", None), ("old", old)):
+            (tmp_path / name).mkdir()
+            assert self.run_eval(tmp_path / name, dataset, trained_run,
+                                 split, checkpoint=ckpt) == 0
+            scores.append((tmp_path / name / "e" / "scores.csv").read_bytes())
+        assert scores[0] == scores[1]
+
+    def test_checkpoint_with_other_adam_beta_rejected(
+            self, tmp_path, dataset, trained_run, capsys):
+        ckpt = self.with_meta_config(trained_run, tmp_path / "b.npz",
+                                     adam_beta1=0.8)
+        assert self.run_eval(tmp_path, dataset, trained_run,
+                             checkpoint=ckpt) == 1
+        err = capsys.readouterr().err
+        assert "adam_beta1" in err and "Traceback" not in err
+        assert not (tmp_path / "e" / "scores.csv").exists()
+
+    @pytest.mark.parametrize("tensor,value", [
+        ("encoder.w1", np.nan), ("head0.w1", np.inf),
+        ("encoder.bn1.running_var", np.nan),
+    ])
+    def test_non_finite_tensor_rejected(self, tmp_path, dataset, trained_run,
+                                        capsys, tensor, value):
+        with np.load(os.path.join(trained_run, "checkpoint.npz")) as zf:
+            arrays = {name: zf[name] for name in zf.files}
+        arrays[tensor] = arrays[tensor].copy()
+        arrays[tensor].flat[0] = value
+        path = tmp_path / "nan.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        assert self.run_eval(tmp_path, dataset, trained_run,
+                             checkpoint=str(path)) == 1
+        err = capsys.readouterr().err
+        assert "nan.npz" in err and tensor in err and "Traceback" not in err
+        assert not (tmp_path / "e" / "scores.csv").exists()
+
 
 class TestAblate:
     def test_single_variant_single_row(self, tmp_path, dataset):
@@ -503,6 +560,45 @@ class TestExitCodes:
                    "--seed", "0", "--ood-classes", "3"])
         assert rc == 2
         assert os.path.exists(tmp_path / "div" / "history.csv")
+
+    def test_divergence_keeps_finished_rounds(self, tmp_path, dataset,
+                                              monkeypatch):
+        flags = ["--epochs-p1", "2", "--epochs-p2", "2", "--gamma", "15",
+                 "--hidden-dim", "8", "--embed-dim", "4",
+                 "--reasoning-dim", "8", "--seed", "0", "--ood-classes", "3"]
+        assert main(["train", dataset, "--out", str(tmp_path / "two"),
+                     "--rounds", "2"] + flags) == 0
+        original = training.train_phase1
+
+        def phase1(state, ctx, epochs):
+            if state.round == 2:
+                raise training.TrainingDivergence("forced in round 2")
+            return original(state, ctx, epochs)
+
+        monkeypatch.setattr(training, "train_phase1", phase1)
+        assert main(["train", dataset, "--out", str(tmp_path / "div"),
+                     "--rounds", "3"] + flags) == 2
+        kept = (tmp_path / "div" / "history.csv").read_text()
+        assert kept == (tmp_path / "two" / "history.csv").read_text()
+        assert [line[0] for line in kept.splitlines()[1:]] == ["0", "1"]
+
+
+def test_only_config_flags_name_config_fields():
+    """_build_config reads every TrainConfig field off the parsed args, so
+    in a command that builds a config no other option may share a name
+    with a field."""
+    flags = _Parser()
+    _add_config_flags(flags)
+    flag_dests = {a.dest for a in flags._actions}
+    names = {f.name for f in fields(training.TrainConfig)}
+    commands = build_parser()._subparsers._group_actions[0].choices
+    checked = 0
+    for sub in commands.values():
+        dests = {a.dest for a in sub._actions}
+        if "config" in dests:
+            checked += 1
+            assert dests & names <= flag_dests
+    assert checked == 4
 
 
 def test_python_dash_m_runs_the_cli():

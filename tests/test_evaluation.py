@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -45,7 +47,7 @@ class TestEvaluate:
 
     def test_json_serializable(self, trained):
         g, split, state = trained
-        text = evl.evaluate(state, g, split).to_json()
+        text = json.dumps(evl.evaluate(state, g, split).to_dict())
         assert '"acc"' in text
 
 
@@ -141,3 +143,10 @@ class TestBaselines:
             assert key in out
         assert out["acc"] > 0.5
         assert 0 <= out["energy_auroc"] <= 1
+
+    def test_baseline_divergence_named(self, small_ppm_module):
+        g, split = small_ppm_module
+        with np.errstate(all="ignore"):
+            with pytest.raises(tr.TrainingDivergence,
+                               match=r"phase baseline, round 0, epoch \d+"):
+                evl.train_baseline(g, split, lr=1e30, epochs=20)

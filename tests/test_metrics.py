@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import rankdata
 
 from betagraph import metrics as mt
 
@@ -253,17 +252,6 @@ class TestRocCurve:
             fpr, tpr = mt.roc_curve(pos, neg)
             fpr_o, tpr_o = roc_oracle(pos, neg)
             assert np.array_equal(fpr, fpr_o) and np.array_equal(tpr, tpr_o)
-
-
-# -- average ranks -------------------------------------------------------------
-
-@given(st.lists(st.one_of(st.integers(-3, 3).map(float),
-                          st.floats(min_value=-50, max_value=50,
-                                    allow_nan=False)), max_size=40))
-@settings(max_examples=100, deadline=None)
-def test_rankdata_matches_scipy(values):
-    x = np.asarray(values, dtype=np.float64)
-    assert np.array_equal(mt._rankdata(x), rankdata(x, method="average"))
 
 
 # -- post-hoc baseline scores -------------------------------------------------

@@ -38,9 +38,9 @@ class TestTrainConfig:
         ("seed", 1.5), ("seed", -1), ("rounds", True), ("epochs_p1", 1.5),
         ("hidden_dim", 2.5), ("embed_dim", "4"), ("lr_p1", float("nan")),
         ("lr_p2", float("inf")), ("gamma", float("inf")), ("gamma", True),
-        ("dropout_p2", float("nan")), ("adam_beta1", 1.0),
-        ("adam_beta2", float("nan")), ("adam_eps", 0.0),
-        ("sel_weight_aurc", float("inf")), ("sel_weight_acc", "1"),
+        ("dropout_p2", float("nan")), ("reasoning_dim", 1.5),
+        ("epochs_p2", 2.0), ("dropout_p1", -0.1),
+        ("use_beta_reasoning", "yes"), ("context_propagation", 0),
         ("ood_val_fraction", 2.0), ("ood_val_fraction", -0.1),
         ("split_ratios", (0, 0, 0)), ("split_ratios", (1, 1)),
         ("split_ratios", (1, float("nan"), 8)), ("ood_classes", (1.5,)),
@@ -215,9 +215,61 @@ class TestPhases:
         cfg = quick_config(lr_p1=1e18, epochs_p1=60)
         ctx = tr.build_context(small_ppm, small_split, cfg)
         state = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
+        state.round = 3
         with np.errstate(all="ignore"):
-            with pytest.raises(tr.TrainingDivergence):
+            with pytest.raises(tr.TrainingDivergence,
+                               match=r"phase 1, round 3, epoch \d+"):
                 tr.train_phase1(state, ctx, 60)
+
+    def test_phase2_divergence_named(self, small_ppm, small_split):
+        cfg = quick_config(lr_p2=1e18)
+        ctx = tr.build_context(small_ppm, small_split, cfg)
+        state = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
+        state.round = 3
+        with np.errstate(all="ignore"):
+            with pytest.raises(tr.TrainingDivergence,
+                               match=r"phase 2, round 3, epoch \d+"):
+                tr.train_phase2(state, ctx, 60)
+
+
+class TestFit:
+    def test_one_step_per_epoch_returns_last_loss(self):
+        w = oracles.parameter([3.0, -2.0])
+        opt = ad.Adam([w], lr=0.1)
+        seen = []
+
+        def loss():
+            out = ad.tsum(ad.mul(w, w))
+            seen.append(float(out.data))
+            return out
+
+        assert tr.fit(opt, 4, loss, 1, 0) == seen[-1]
+        assert len(seen) == 4 and opt.t == 4 and seen[-1] < seen[0]
+        assert np.isnan(tr.fit(opt, 0, loss, 1, 0)) and opt.t == 4
+
+    @pytest.mark.parametrize("error", [ValueError, FloatingPointError])
+    def test_numerical_error_names_phase_round_epoch(self, error):
+        w = oracles.parameter([1.0])
+        calls = []
+
+        def loss():
+            calls.append(1)
+            if len(calls) == 3:
+                raise error("domain")
+            return ad.tsum(w)
+
+        with pytest.raises(tr.TrainingDivergence,
+                           match="phase 2, round 1, epoch 2: domain"):
+            tr.fit(ad.Adam([w], lr=0.1), 5, loss, 2, 1)
+
+    def test_non_finite_loss_stops_before_the_step(self):
+        w = oracles.parameter([1.0])
+        opt = ad.Adam([w], lr=0.1)
+        with pytest.raises(tr.TrainingDivergence,
+                           match="non-finite loss in phase 1, round 0, "
+                                 "epoch 0"):
+            tr.fit(opt, 3, lambda: ad.tsum(ad.mul(w, np.inf)), 1, 0)
+        assert opt.t == 0 and w.data[0] == 1.0
 
 
 def count_calls(monkeypatch, owner, name, keep=lambda *a, **k: True):
@@ -285,8 +337,24 @@ class TestAlternating:
         state, history = tr.train_alternating(small_ppm, small_split, cfg)
         ctx = tr.build_context(small_ppm, small_split, cfg)
         acc, rc, roc = tr.validation_metrics(state, ctx)
-        score = tr.selection_score(acc, roc, rc, cfg)
+        score = tr.selection_score(acc, roc, rc)
         assert score == pytest.approx(state.best_score, abs=1e-9)
+
+    def test_divergence_carries_finished_rounds(self, monkeypatch, small_ppm,
+                                                small_split):
+        cfg = quick_config(rounds=3, epochs_p1=2, epochs_p2=2)
+        _, full = tr.train_alternating(small_ppm, small_split, cfg)
+        original = tr.train_phase1
+
+        def phase1(state, ctx, epochs):
+            if state.round == 2:
+                raise tr.TrainingDivergence("forced in round 2")
+            return original(state, ctx, epochs)
+
+        monkeypatch.setattr(tr, "train_phase1", phase1)
+        with pytest.raises(tr.TrainingDivergence) as info:
+            tr.train_alternating(small_ppm, small_split, cfg)
+        assert info.value.history == full[:2]
 
     def test_direct_variant_trains(self, small_ppm, small_split):
         cfg = tr.variant_config(quick_config(epochs_p2=40), "a")
@@ -299,23 +367,19 @@ class TestAlternating:
 
 class TestSelectionScore:
     def test_perfect_model(self):
-        cfg = tr.TrainConfig()
-        assert tr.selection_score(1.0, 1.0, 0.0, cfg) == 2.0
+        assert tr.selection_score(1.0, 1.0, 0.0) == 2.0
 
     def test_arith_example(self):
-        cfg = tr.TrainConfig()
-        assert tr.selection_score(0.9, 0.95, 0.02, cfg) == pytest.approx(1.65)
+        assert tr.selection_score(0.9, 0.95, 0.02) == pytest.approx(1.65)
 
     def test_monotone_in_each_metric(self):
-        cfg = tr.TrainConfig()
-        base = tr.selection_score(0.8, 0.8, 0.1, cfg)
-        assert tr.selection_score(0.9, 0.8, 0.1, cfg) > base
-        assert tr.selection_score(0.8, 0.9, 0.1, cfg) > base
-        assert tr.selection_score(0.8, 0.8, 0.05, cfg) > base
+        base = tr.selection_score(0.8, 0.8, 0.1)
+        assert tr.selection_score(0.9, 0.8, 0.1) > base
+        assert tr.selection_score(0.8, 0.9, 0.1) > base
+        assert tr.selection_score(0.8, 0.8, 0.05) > base
 
     def test_missing_ood_drops_term(self):
-        cfg = tr.TrainConfig()
-        assert tr.selection_score(1.0, None, 0.0, cfg) == 1.0
+        assert tr.selection_score(1.0, None, 0.0) == 1.0
 
 
 class TestCheckpoint:
@@ -375,6 +439,20 @@ class TestCheckpoint:
                                            dtype=np.uint8)
         self.rewrite(path, arrays)
         with pytest.raises(ValueError, match="feature_dim"):
+            tr.load_checkpoint(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("adam_beta2", 0.99), ("adam_eps", 1e-6), ("sel_weight_aurc", 5.0),
+        ("normalize_features", 1), ("normalize_features", False),
+    ])
+    def test_retired_field_other_value_named(self, saved, field, value):
+        path, arrays = saved
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        meta["config"][field] = value
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                           dtype=np.uint8)
+        self.rewrite(path, arrays)
+        with pytest.raises(ValueError, match=f"bad __meta__: {field}"):
             tr.load_checkpoint(path)
 
     def test_shape_mismatch_rejected(self, saved):
