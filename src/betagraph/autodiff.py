@@ -214,11 +214,11 @@ def matmul(a, b):
 
 
 def spmm(adj: SparseMatrix, x):
-    """adj @ x with the adjacency held constant; gradient is adj^T @ g."""
+    """adj @ x with the adjacency held constant.  adj must be symmetric,
+    as graphs.normalize_adjacency's output is bit for bit: the gradient
+    adj^T @ g is then adj @ g."""
     x = as_tensor(x)
-    return _node(adj.matmul(x.data), (
-        (x, lambda g: adj.T.matmul(g)),
-    ))
+    return _node(adj.matmul(x.data), ((x, adj.matmul),))
 
 
 # -- reductions and shaping --------------------------------------------
@@ -359,21 +359,18 @@ def digamma(x):
                  ((x, lambda g: g * special.trigamma(x.data)),))
 
 
-def logsumexp(x, axis=1, keepdims=False):
-    """log(sum(exp(x))) with the usual max shift (composite, fully taped)."""
+def logsumexp(x, axis=1):
+    """log(sum(exp(x))) along axis, which the result drops, with the usual
+    max shift (composite, fully taped)."""
     x = as_tensor(x)
     m = x.data.max(axis=axis, keepdims=True)
-    shifted = exp(sub(x, m))
-    s = log(tsum(shifted, axis=axis, keepdims=True))
-    out = add(s, m)
-    if not keepdims:
-        out = reshape(out, tuple(d for i, d in enumerate(out.data.shape) if i != axis))
-    return out
+    s = log(tsum(exp(sub(x, m)), axis=axis, keepdims=True))
+    return reshape(add(s, m), x.data.shape[:axis] + x.data.shape[axis + 1:])
 
 
-def dropout(x, rate, generator, training=True):
+def dropout(x, rate, generator):
     """Inverted dropout with a mask drawn from the given generator."""
-    if not training or rate <= 0.0:
+    if rate <= 0.0:
         return as_tensor(x)
     x = as_tensor(x)
     return mul(x, dropout_mask(x.data.shape, x.data.dtype, rate, generator))
@@ -393,7 +390,8 @@ def dropout_mask(shape, dtype, rate, generator):
 # -- optimization -------------------------------------------------------
 
 class Adam:
-    """Adam over a list of parameter tensors (full-batch usage).
+    """Adam with the default betas and eps over named parameter tensors
+    (full-batch usage); params maps each name to its tensor.
 
     The first and second moments of all parameters are two flat float64
     vectors, so a step is a few numpy calls over the concatenated
@@ -401,11 +399,12 @@ class Adam:
     moments.
     """
 
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
-        self.params = list(params)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
+        self.names = list(params)
+        self.params = list(params.values())
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
         self.t = 0
         self._sizes = [p.data.size for p in self.params]
         self.m = np.zeros(sum(self._sizes))

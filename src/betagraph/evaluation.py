@@ -185,16 +185,16 @@ def node_scores_table(scores: ScoreBatch, split: SplitSpec):
 
 # -- plain cross-entropy classifier for MaxLogit / Energy -------------------
 
-def train_baseline(graph: Graph, split: SplitSpec, *, hidden_dim=64, lr=0.01,
-                   dropout=0.5, epochs=200, seed=0, dtype="float32"):
-    """The direct head's graph network trained with cross entropy on the
-    split's training nodes; returns (its parameters, logits over all
-    nodes)."""
-    ctx = build_context(graph, split, TrainConfig(dtype=dtype))
+def train_baseline(graph: Graph, split: SplitSpec, *, lr=0.01, epochs=200,
+                   seed=0):
+    """The direct head's graph network (float32, 64 hidden units, dropout
+    0.5) trained with cross entropy on the split's training nodes; returns
+    (its parameters, logits over all nodes)."""
+    ctx = build_context(graph, split, TrainConfig())
     adj, px, k = ctx.adj, ctx.propagated_x, ctx.class_count
-    dt = np.dtype(dtype)
+    dt = px.data.dtype
     model = ev.init_direct_head(substream(seed, 10), graph.feature_dim,
-                                hidden_dim, k, dt)
+                                64, k, dt)
     drop = substream(seed, 11)
     train_idx = split.train
     onehot = np.zeros((train_idx.size, k), dtype=dt)
@@ -202,13 +202,13 @@ def train_baseline(graph: Graph, split: SplitSpec, *, hidden_dim=64, lr=0.01,
 
     def loss():
         logits = ad.take_rows(ev.direct_logits(
-            adj, px, model, training=True, dropout_rate=dropout,
+            adj, px, model, training=True, dropout_rate=0.5,
             generator=drop), train_idx)
         lse = ad.logsumexp(logits, axis=1)
         picked = ad.tsum(ad.mul(logits, onehot), axis=1)
         return ad.tmean(ad.sub(lse, picked))
 
-    fit(Adam(model.tensors().values(), lr=lr), epochs, loss, "baseline", 0)
+    fit(Adam(model.tensors(), lr=lr), epochs, loss, "baseline", 0)
     with no_grad():
         logits = ev.direct_logits(adj, px, model)
     return model, logits.data

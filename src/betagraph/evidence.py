@@ -73,10 +73,6 @@ class NodeOpinionBatch:
     prior_weight: Tensor       # (n, 1) strictly positive
     base_rates: np.ndarray     # (K,), uniform 1/K
 
-    @property
-    def class_count(self):
-        return self.evidence.data.shape[1]
-
 
 @dataclass
 class ScoreBatch:
@@ -107,27 +103,23 @@ def init_evidence_heads(generator, embed_dim, hidden_dim, class_count,
     )
 
 
-def evidence_forward(adj: SparseMatrix, node_embs_2d: Tensor,
+def evidence_forward(adj: SparseMatrix, prop: Tensor,
                      class_embs: ClassEmbeddings, params: EvidenceHeadParams,
                      *, training=False, dropout_rate=0.0, generator=None,
-                     propagate=True, learned_prior=True,
-                     propagated_nodes=None) -> NodeOpinionBatch:
+                     propagate=True, learned_prior=True) -> NodeOpinionBatch:
     """Run every head and assemble the per-node opinions.
 
     e_ik = softplus(head_k over [N || C_k]), W_i = softplus(head_nov over
     [N || C_Nov]) + eps (or the constant K when learned_prior is off).
+    prop is the node embedding matrix N propagated once, adj @ N, or N
+    itself when propagate is off.
     """
-    n = node_embs_2d.data.shape[0]
+    n = prop.data.shape[0]
     k = class_embs.class_count
-    dtype = node_embs_2d.data.dtype
+    dtype = prop.data.dtype
 
-    if propagate:
-        prop = propagated_nodes if propagated_nodes is not None \
-            else ad.spmm(adj, node_embs_2d)
-        row_scale = adj.row_sums().astype(dtype).reshape(n, 1)
-    else:
-        prop = node_embs_2d
-        row_scale = np.ones((n, 1), dtype=dtype)
+    row_scale = adj.row_sums().astype(dtype).reshape(n, 1) if propagate \
+        else np.ones((n, 1), dtype=dtype)
 
     drop = dropout_rate if training else 0.0
     heads = list(params.per_class)
@@ -217,7 +209,7 @@ def dirichlet_loss(batch: NodeOpinionBatch, labels, mask) -> Tensor:
     """
     labels = np.asarray(labels, dtype=np.int64)
     mask = np.asarray(mask, dtype=np.int64)
-    k = batch.class_count
+    k = batch.base_rates.size
     e = ad.take_rows(batch.evidence, mask)
     w = ad.take_rows(batch.prior_weight, mask)
     s = ad.add(ad.tsum(e, axis=1, keepdims=True), w)     # (m, 1)
@@ -262,7 +254,7 @@ def direct_logits(adj: SparseMatrix, px, params: DirectHeadParams, *,
     also the logits of the MaxLogit/Energy baseline."""
     h = ad.relu(ad.add(ad.matmul(px, params.w1), params.b1))
     if training and dropout_rate > 0.0:
-        h = ad.dropout(h, dropout_rate, generator, training=True)
+        h = ad.dropout(h, dropout_rate, generator)
     return ad.add(ad.spmm(adj, ad.matmul(h, params.w2)), params.b2)
 
 

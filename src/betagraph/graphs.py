@@ -256,7 +256,9 @@ def save_dataset(graph: Graph, directory, feature_format="bin"):
 # -- GCN adjacency normalization -----------------------------------------
 
 def normalize_adjacency(graph: Graph) -> SparseMatrix:
-    """D^{-1/2} (A + I) D^{-1/2} with degrees taken after self-loop insertion."""
+    """D^{-1/2} (A + I) D^{-1/2} with degrees taken after self-loop insertion;
+    entry (i, j) is scale[i] * scale[j], so the result equals its transpose
+    bit for bit, as autodiff.spmm's gradient requires."""
     a = graph.adjacency
     n = graph.n
     deg = np.diff(a.indptr) + 1.0
@@ -272,9 +274,14 @@ def normalize_adjacency(graph: Graph) -> SparseMatrix:
 
 # -- splits ----------------------------------------------------------------
 
-def make_split(graph: Graph, ood_classes, ratios=(1, 1, 8),
-               ood_val_fraction=0.2, seed=0) -> SplitSpec:
-    """Leave-out split: chosen classes become OOD, ID nodes get train/val/test.
+# the leave-out protocol: ID train:val:test, and OOD nodes in validation
+SPLIT_RATIOS = (1, 1, 8)
+OOD_VAL_FRACTION = 0.2
+
+
+def make_split(graph: Graph, ood_classes, seed=0) -> SplitSpec:
+    """Leave-out split: chosen classes become OOD, ID nodes get train/val/test
+    by SPLIT_RATIOS and OOD nodes ood_val/ood_test by OOD_VAL_FRACTION.
 
     Deterministic in the seed.  Re-draws the ID permutation (up to 100
     times from the same stream) until every ID class with >= 10 nodes has
@@ -283,10 +290,12 @@ def make_split(graph: Graph, ood_classes, ratios=(1, 1, 8),
     ood_classes = tuple(sorted(set(int(c) for c in ood_classes)))
     all_classes = set(range(graph.class_count))
     if not set(ood_classes) <= all_classes:
-        raise ValueError("ood_classes outside the graph's class range")
+        raise ValueError(f"ood_classes {list(ood_classes)} outside the "
+                         f"graph's classes 0..{graph.class_count - 1}")
     id_classes = tuple(sorted(all_classes - set(ood_classes)))
     if len(id_classes) < 2:
-        raise ValueError("need at least 2 in-distribution classes")
+        raise ValueError(f"ood_classes {list(ood_classes)} leave fewer than "
+                         "2 in-distribution classes")
 
     is_ood = np.isin(graph.labels, ood_classes)
     id_nodes = np.flatnonzero(~is_ood)
@@ -295,7 +304,7 @@ def make_split(graph: Graph, ood_classes, ratios=(1, 1, 8),
         if not np.any(graph.labels[id_nodes] == c):
             raise ValueError(f"in-distribution class {c} has no nodes")
 
-    r = np.asarray(ratios, dtype=np.float64)
+    r = np.asarray(SPLIT_RATIOS, dtype=np.float64)
     fr = r / r.sum()
     n_id = id_nodes.size
     n_train = int(n_id * fr[0])
@@ -315,7 +324,7 @@ def make_split(graph: Graph, ood_classes, ratios=(1, 1, 8),
         raise ValueError("could not build a split covering every ID class")
 
     operm = ood_nodes[gen.permutation(ood_nodes.size)]
-    n_oval = int(round(ood_nodes.size * ood_val_fraction))
+    n_oval = int(round(ood_nodes.size * OOD_VAL_FRACTION))
     return SplitSpec(
         id_classes=id_classes,
         ood_classes=ood_classes,

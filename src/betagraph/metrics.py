@@ -30,12 +30,9 @@ from __future__ import annotations
 import numpy as np
 
 
-def accuracy(predictions, labels, mask=None) -> float:
+def accuracy(predictions, labels) -> float:
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
-    if mask is not None:
-        predictions = predictions[mask]
-        labels = labels[mask]
     if predictions.size == 0:
         raise ValueError("accuracy over an empty selection")
     return float(np.mean(predictions == labels))

@@ -43,6 +43,9 @@ from .sparse import SparseMatrix
 # floor added to softplus outputs so Beta parameters stay positive even
 # where float32 softplus would underflow to exactly zero
 EMB_EPS = 1e-10
+# batch norm: running-statistics momentum and the variance epsilon
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
 
 @dataclass
@@ -51,8 +54,6 @@ class BatchNormParams:
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
 
 
 @dataclass
@@ -138,54 +139,50 @@ def init_disjunction(generator, embed_dim, reasoning_dim, dtype):
     )
 
 
-def encode(adj: SparseMatrix, x, params: EncoderParams, *, training=False,
-           dropout_rate=0.0, generator=None, update_running=True,
-           propagated_x=None) -> Tensor:
+def encode(adj: SparseMatrix, px: Tensor, params: EncoderParams, *,
+           training=False, dropout_rate=0.0, generator=None) -> Tensor:
     """Two propagation layers, each batch-normed then softplused; the
     (n, 2d) output is the [alpha || beta] node embedding matrix.
 
-    propagated_x may carry a cached adj @ x (the features are constant,
-    so the first propagation never changes between epochs).
+    px is the propagated feature matrix adj @ x: the features are
+    constant, so the first propagation is computed once per graph
+    (RunContext.propagated_x).  Training updates the batch-norm running
+    statistics; inference reads them.
     """
-    x = ad.as_tensor(x)
-    px = propagated_x if propagated_x is not None else ad.spmm(adj, x)
     h1 = encoder_layer(ad.matmul(px, params.w1), params.bn1,
-                       training=training, update_running=update_running,
+                       training=training,
                        dropout_rate=dropout_rate if training else 0.0,
                        generator=generator)
     z2 = ad.spmm(adj, ad.matmul(h1, params.w2))
-    return encoder_layer(z2, params.bn2, training=training,
-                         update_running=update_running, floor=EMB_EPS)
+    return encoder_layer(z2, params.bn2, training=training, floor=EMB_EPS)
 
 
-def encoder_layer(z: Tensor, bn: BatchNormParams, *, training,
-                  update_running=True, floor=0.0, dropout_rate=0.0,
-                  generator=None) -> Tensor:
+def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
+                  dropout_rate=0.0, generator=None) -> Tensor:
     """softplus(batch_norm(z)) + floor, then inverted dropout, as one tape
     node.
 
-    Batch norm uses the column statistics of z in training (updating the
-    running ones unless update_running is off) and the running ones
-    otherwise.  The forward runs the ops of the per-op composition in its
-    order, in place where it can, and its VJP replays the tape's order of
-    operations and accumulations, so values and gradients equal that
-    composition bit for bit.  exp(-|y|) serves both the softplus and its
-    derivative.  Backward keeps only the softplus derivative, the dropout
-    mask and two (1, H) statistics; it recomputes z - mean from z.
+    Batch norm uses the column statistics of z in training (and updates
+    the running ones) and the running ones otherwise.  The forward runs
+    the ops of the per-op composition in its order, in place where it
+    can, and its VJP replays the tape's order of operations and
+    accumulations, so values and gradients equal that composition bit
+    for bit.  exp(-|y|) serves both the softplus and its derivative.
+    Backward keeps only the softplus derivative, the dropout mask and two
+    (1, H) statistics; it recomputes z - mean from z.
     """
     x = z.data
     if training:
         mean = x.mean(axis=0, keepdims=True)
         y = x - mean
         var = (y * y).mean(axis=0, keepdims=True)
-        if update_running:
-            m = bn.momentum
-            bn.running_mean = (1 - m) * bn.running_mean + m * mean.ravel()
-            bn.running_var = (1 - m) * bn.running_var + m * var.ravel()
-        std = np.sqrt(var + bn.eps)
+        m = BN_MOMENTUM
+        bn.running_mean = (1 - m) * bn.running_mean + m * mean.ravel()
+        bn.running_var = (1 - m) * bn.running_var + m * var.ravel()
+        std = np.sqrt(var + BN_EPS)
     else:
         mean = bn.running_mean.astype(x.dtype)
-        std = np.sqrt(bn.running_var + bn.eps).astype(x.dtype)
+        std = np.sqrt(bn.running_var + BN_EPS).astype(x.dtype)
         y = x - mean
     gamma, beta = bn.gamma.data, bn.beta.data
     y /= std

@@ -3,7 +3,9 @@
 A SparseMatrix is a checked, immutable shell over one scipy CSR matrix
 (row offsets, sorted column indices, float64 values); the multiply is
 scipy's sequential CSR kernel, which accumulates each output row in
-index order, so results are deterministic for a fixed build.
+index order, so results are deterministic for a fixed build.  There is
+no transpose: the only matrix multiplied in training is the symmetric
+normalized adjacency, whose gradient product is the matrix itself.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ class SparseMatrix:
         self.csr = m
         self.shape = m.shape
         self._by_dtype = {np.dtype(np.float64): m}
-        self._transpose = None
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape):
@@ -54,16 +55,6 @@ class SparseMatrix:
     def nnz(self):
         return int(self.indices.size)
 
-    @property
-    def T(self):
-        if self._transpose is None:
-            t = self.csr.T.tocsr()
-            t.sort_indices()
-            self._transpose = SparseMatrix(t.indptr, t.indices, t.data,
-                                           t.shape)
-            self._transpose._transpose = self
-        return self._transpose
-
     def matmul(self, x):
         """Sparse @ dense with shape checking; preserves the dense dtype."""
         x = np.asarray(x)
@@ -81,9 +72,6 @@ class SparseMatrix:
             )
             self._by_dtype[x.dtype] = m
         return m @ x
-
-    def __matmul__(self, x):
-        return self.matmul(x)
 
     def row_sums(self):
         return np.asarray(self.csr.sum(axis=1)).ravel()

@@ -83,10 +83,8 @@ class TrainConfig:
     use_beta_reasoning: bool = True      # encoder + disjunction + phase 1
     learned_prior: bool = True           # per-node W from the novel head
     context_propagation: bool = True     # graph propagation inside heads
-    # split construction (see split)
+    # held-out classes of the leave-out split (see split)
     ood_classes: tuple = ()
-    split_ratios: tuple = (1, 1, 8)
-    ood_val_fraction: float = 0.2
 
     def __post_init__(self):
         for name, low in (("epochs_p1", 0), ("epochs_p2", 0), ("rounds", 1),
@@ -97,7 +95,7 @@ class TrainConfig:
         for name in ("lr_p1", "lr_p2", "gamma"):
             if _real(name, getattr(self, name)) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("dropout_p1", "dropout_p2", "ood_val_fraction"):
+        for name in ("dropout_p1", "dropout_p2"):
             if not 0 <= _real(name, getattr(self, name)) < 1:
                 raise ValueError(f"{name} must lie in [0, 1)")
         for name in ("use_beta_reasoning", "learned_prior",
@@ -111,14 +109,8 @@ class TrainConfig:
         for c in self.ood_classes:
             if _integer("ood_classes", c) < 0:
                 raise ValueError("ood_classes must be >= 0")
-        ratios = self.split_ratios
-        if not isinstance(ratios, (tuple, list)) or len(ratios) != 3:
-            raise TypeError("split_ratios must be three numbers")
-        if any(_real("split_ratios", r) <= 0 for r in ratios):
-            raise ValueError("split_ratios must be positive")
         # lists from config files and JSON metadata are held as tuples
         self.ood_classes = tuple(self.ood_classes)
-        self.split_ratios = tuple(ratios)
 
     @property
     def np_dtype(self):
@@ -126,10 +118,8 @@ class TrainConfig:
 
     def split(self, graph: Graph, seed=None) -> SplitSpec:
         """The leave-out split of graph under this config's OOD classes,
-        ratios and OOD validation fraction, drawn with seed (by default
-        the config's)."""
-        return make_split(graph, self.ood_classes, ratios=self.split_ratios,
-                          ood_val_fraction=self.ood_val_fraction,
+        drawn with seed (by default the config's)."""
+        return make_split(graph, self.ood_classes,
                           seed=self.seed if seed is None else seed)
 
 
@@ -157,32 +147,30 @@ def variant_config(base: TrainConfig, name: str) -> TrainConfig:
 
 @dataclass
 class RunContext:
-    """Everything about a (graph, split) pair the loops reuse."""
+    """Everything about a (graph, split) pair the loops reuse.  Features
+    enter the model only as propagated_x; class regions are built from
+    the training rows, gathered in split.train order."""
     graph: Graph
     split: SplitSpec
-    adj: object                     # normalized adjacency
-    x: Tensor                       # (n, F) features, constant
-    propagated_x: Tensor            # adj @ x, constant
+    adj: object                     # normalized adjacency, symmetric
+    propagated_x: Tensor            # adj @ features, constant
     labels: np.ndarray              # remapped: ID classes 0..K-1, OOD -1
     class_count: int
-    class_train_idx: list           # train node ids per remapped class
+    class_rows: list                # positions in split.train per class
 
 
 def build_context(graph: Graph, split: SplitSpec, config: TrainConfig) -> RunContext:
     adj = normalize_adjacency(graph)
     labels = remap_labels(graph, split)
     k = len(split.id_classes)
-    x = Tensor(graph.features.astype(config.np_dtype))
-    with no_grad():
-        px = ad.spmm(adj, x)
-    class_train_idx = [split.train[labels[split.train] == c]
-                       for c in range(k)]
-    for c, idx in enumerate(class_train_idx):
-        if idx.size == 0:
+    px = Tensor(adj.matmul(graph.features.astype(config.np_dtype)))
+    train_labels = labels[split.train]
+    class_rows = [np.flatnonzero(train_labels == c) for c in range(k)]
+    for c, rows in enumerate(class_rows):
+        if rows.size == 0:
             raise ValueError(f"class {split.id_classes[c]} has no training nodes")
-    return RunContext(graph=graph, split=split, adj=adj, x=x,
-                      propagated_x=px, labels=labels, class_count=k,
-                      class_train_idx=class_train_idx)
+    return RunContext(graph=graph, split=split, adj=adj, propagated_x=px,
+                      labels=labels, class_count=k, class_rows=class_rows)
 
 
 @dataclass
@@ -204,11 +192,9 @@ class ModelState:
     best_params: dict = None
 
     def phase1_tensors(self) -> dict:
-        out = {}
-        if self.encoder is not None:
-            out.update(self.encoder.tensors())
-            out.update(self.disjunction.tensors())
-        return out
+        if self.encoder is None:
+            return {}
+        return {**self.encoder.tensors(), **self.disjunction.tensors()}
 
     def phase2_tensors(self) -> dict:
         if self.direct is not None:
@@ -256,8 +242,8 @@ def init_model(feature_dim: int, class_count: int, config: TrainConfig) -> Model
     else:
         state.direct = ev.init_direct_head(gen, feature_dim, config.hidden_dim,
                                            class_count, dtype)
-    state.opt_p1 = Adam(state.phase1_tensors().values(), lr=config.lr_p1)
-    state.opt_p2 = Adam(state.phase2_tensors().values(), lr=config.lr_p2)
+    state.opt_p1 = Adam(state.phase1_tensors(), lr=config.lr_p1)
+    state.opt_p2 = Adam(state.phase2_tensors(), lr=config.lr_p2)
     state.rng_p1 = substream(config.seed, 1)
     state.rng_p2 = substream(config.seed, 2)
     return state
@@ -267,24 +253,28 @@ def fit(opt: Adam, epochs: int, loss_fn, phase, rnd) -> float:
     """epochs full-batch Adam steps on the scalar Tensor loss_fn() builds;
     returns the last loss (nan without epochs).
 
-    A non-finite loss, or a ValueError or FloatingPointError inside an
-    epoch, raises TrainingDivergence naming phase, round and epoch.
+    A non-finite loss, a parameter left non-finite by a step, or a
+    ValueError or FloatingPointError inside an epoch raises
+    TrainingDivergence naming phase, round and epoch (and the parameter).
     """
     last = float("nan")
     for epoch in range(epochs):
+        where = f"phase {phase}, round {rnd}, epoch {epoch}"
         try:
             loss = loss_fn()
             if not np.isfinite(loss.data).all():
-                raise TrainingDivergence(
-                    f"non-finite loss in phase {phase}, round {rnd}, "
-                    f"epoch {epoch}")
+                raise TrainingDivergence(f"non-finite loss in {where}")
             opt.zero_grad()
             loss.backward()
             opt.step()
+            for name, p in zip(opt.names, opt.params):
+                if not np.isfinite(p.data).all():
+                    raise TrainingDivergence(
+                        f"non-finite parameter {name} after the step in "
+                        f"{where}")
         except (ValueError, FloatingPointError) as exc:
             raise TrainingDivergence(
-                f"numerical failure in phase {phase}, round {rnd}, "
-                f"epoch {epoch}: {exc}") from exc
+                f"numerical failure in {where}: {exc}") from exc
         last = float(loss.data)
     return last
 
@@ -298,18 +288,16 @@ def train_phase1(state: ModelState, ctx: RunContext, epochs: int) -> float:
         return float("nan")
     cfg = state.config
     train_labels = ctx.labels[ctx.split.train]
-    # class regions come from the gathered training rows: one (m, 2d)
-    # gather per epoch instead of one per class out of (n, 2d)
-    class_rows = [np.flatnonzero(train_labels == c)
-                  for c in range(ctx.class_count)]
 
     def loss():
-        emb = rs.encode(ctx.adj, ctx.x, state.encoder, training=True,
-                        dropout_rate=cfg.dropout_p1, generator=state.rng_p1,
-                        propagated_x=ctx.propagated_x)
+        emb = rs.encode(ctx.adj, ctx.propagated_x, state.encoder,
+                        training=True, dropout_rate=cfg.dropout_p1,
+                        generator=state.rng_p1)
+        # one (m, 2d) gather of the training rows feeds the loss and
+        # every class region
         train_emb = ad.take_rows(emb, ctx.split.train)
         del emb         # the tape holds it until backward, no longer
-        class_embs = rs.build_class_embeddings(train_emb, class_rows,
+        class_embs = rs.build_class_embeddings(train_emb, ctx.class_rows,
                                                state.disjunction)
         return rs.beta_loss(train_emb, train_labels, class_embs, cfg.gamma,
                             include_novel=cfg.learned_prior)
@@ -318,15 +306,18 @@ def train_phase1(state: ModelState, ctx: RunContext, epochs: int) -> float:
 
 
 def frozen_reasoning(state: ModelState, ctx: RunContext):
-    """Inference-mode node embeddings, class regions, and the propagated
-    embedding matrix, all detached for phase 2 / evaluation."""
+    """Inference-mode class regions and the node embeddings the heads
+    read (propagated once when context propagation is on), detached for
+    phase 2 / evaluation."""
     with no_grad():
-        emb = rs.encode(ctx.adj, ctx.x, state.encoder, training=False,
-                        update_running=False, propagated_x=ctx.propagated_x)
-        class_embs = rs.build_class_embeddings(emb, ctx.class_train_idx,
-                                               state.disjunction)
-        prop = ad.spmm(ctx.adj, emb) if state.config.context_propagation else None
-    return emb, class_embs, prop
+        emb = rs.encode(ctx.adj, ctx.propagated_x, state.encoder,
+                        training=False)
+        class_embs = rs.build_class_embeddings(
+            ad.take_rows(emb, ctx.split.train), ctx.class_rows,
+            state.disjunction)
+        if state.config.context_propagation:
+            emb = ad.spmm(ctx.adj, emb)
+    return class_embs, emb
 
 
 def _phase2_forward(state: ModelState, ctx: RunContext):
@@ -338,12 +329,11 @@ def _phase2_forward(state: ModelState, ctx: RunContext):
             ctx.adj, ctx.propagated_x, state.direct, ctx.class_count,
             training=training, dropout_rate=cfg.dropout_p2,
             generator=state.rng_p2)
-    emb, class_embs, prop = frozen_reasoning(state, ctx)
+    class_embs, prop = frozen_reasoning(state, ctx)
     return lambda training: ev.evidence_forward(
-        ctx.adj, emb, class_embs, state.heads, training=training,
+        ctx.adj, prop, class_embs, state.heads, training=training,
         dropout_rate=cfg.dropout_p2, generator=state.rng_p2,
-        propagate=cfg.context_propagation, learned_prior=cfg.learned_prior,
-        propagated_nodes=prop)
+        propagate=cfg.context_propagation, learned_prior=cfg.learned_prior)
 
 
 def train_phase2(state: ModelState, ctx: RunContext, epochs: int,
@@ -351,8 +341,6 @@ def train_phase2(state: ModelState, ctx: RunContext, epochs: int,
     """Dirichlet-loss epochs for the evidence heads; reasoning parameters
     stay frozen.  forward is a _phase2_forward result to reuse; without
     one the class regions are rebuilt once at entry."""
-    if epochs == 0:
-        return float("nan")
     forward = forward or _phase2_forward(state, ctx)
     return fit(state.opt_p2, epochs,
                lambda: ev.dirichlet_loss(forward(True), ctx.labels,
@@ -392,11 +380,10 @@ def validation_metrics(state: ModelState, ctx: RunContext, forward=None):
     return acc, rc, roc
 
 
-def train_alternating(graph: Graph, split: SplitSpec, config: TrainConfig,
-                      ctx: RunContext = None):
+def train_alternating(graph: Graph, split: SplitSpec, config: TrainConfig):
     """Run R alternating rounds, score each on validation, and return the
     model restored to its best snapshot plus the per-round history."""
-    ctx = ctx or build_context(graph, split, config)
+    ctx = build_context(graph, split, config)
     state = init_model(graph.feature_dim, ctx.class_count, config)
     history = []
     try:
@@ -433,17 +420,18 @@ def train_alternating(graph: Graph, split: SplitSpec, config: TrainConfig,
 CHECKPOINT_VERSION = 1
 # config fields older checkpoints record, each with the one value this
 # version supports: features are always z-scored, Adam runs with its
-# defaults and selection uses acc + auroc - 10 * aurc
+# defaults, selection uses acc + auroc - 10 * aurc and splits follow
+# graphs.SPLIT_RATIOS (a list, as JSON holds it) and OOD_VAL_FRACTION
 RETIRED_FIELDS = {"normalize_features": True, "adam_beta1": 0.9,
                   "adam_beta2": 0.999, "adam_eps": 1e-8,
                   "sel_weight_acc": 1.0, "sel_weight_auroc": 1.0,
-                  "sel_weight_aurc": 10.0}
+                  "sel_weight_aurc": 10.0, "split_ratios": [1, 1, 8],
+                  "ood_val_fraction": 0.2}
 
 
 def save_checkpoint(path, state: ModelState, extra_meta=None):
     """Single .npz holding every tensor by name plus a JSON meta entry."""
-    arrays = {name: t.data for name, t in state.all_tensors().items()}
-    arrays.update(state.running_stats())
+    arrays = state.snapshot()
     meta = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(state.config),
@@ -451,8 +439,6 @@ def save_checkpoint(path, state: ModelState, extra_meta=None):
         "feature_dim": state.feature_dim,
         "best_round": state.best_round,
         "best_score": state.best_score,
-        "dtypes": {name: str(a.dtype) for name, a in arrays.items()},
-        "shapes": {name: list(a.shape) for name, a in arrays.items()},
     }
     if extra_meta:
         meta.update(extra_meta)
@@ -494,9 +480,7 @@ def load_checkpoint(path):
             from None
     state.best_round = meta.get("best_round")
     state.best_score = meta.get("best_score")
-    expected = {name: t.data for name, t in state.all_tensors().items()}
-    expected.update(state.running_stats())
-    for name, ref in expected.items():
+    for name, ref in state.snapshot().items():
         if name not in arrays:
             raise ValueError(f"checkpoint {path} is missing tensor '{name}'")
         if arrays[name].shape != ref.shape:

@@ -50,48 +50,44 @@ def log_beta(a, b):
 
 # -- per-op encoder layer -------------------------------------------------
 
-def batch_norm(x, bn: rs.BatchNormParams, training, update_running=True):
+def batch_norm(x, bn: rs.BatchNormParams, training):
     """Batch norm composed of tape ops (ten nodes in training mode)."""
     if training:
         mu = ad.tmean(x, axis=0, keepdims=True)
         centered = ad.sub(x, mu)
         var = ad.tmean(ad.mul(centered, centered), axis=0, keepdims=True)
-        if update_running:
-            m = bn.momentum
-            bn.running_mean = (1 - m) * bn.running_mean + m * mu.data.ravel()
-            bn.running_var = (1 - m) * bn.running_var + m * var.data.ravel()
-        xhat = ad.div(centered, sqrt(ad.add(var, bn.eps)))
+        m = rs.BN_MOMENTUM
+        bn.running_mean = (1 - m) * bn.running_mean + m * mu.data.ravel()
+        bn.running_var = (1 - m) * bn.running_var + m * var.data.ravel()
+        xhat = ad.div(centered, sqrt(ad.add(var, rs.BN_EPS)))
     else:
         mean = bn.running_mean.astype(x.data.dtype)
-        std = np.sqrt(bn.running_var + bn.eps).astype(x.data.dtype)
+        std = np.sqrt(bn.running_var + rs.BN_EPS).astype(x.data.dtype)
         xhat = ad.div(ad.sub(x, mean), std)
     return ad.add(ad.mul(xhat, bn.gamma), bn.beta)
 
 
-def encoder_layer(z, bn, *, training, update_running=True, floor=0.0,
-                  dropout_rate=0.0, generator=None):
+def encoder_layer(z, bn, *, training, floor=0.0, dropout_rate=0.0,
+                  generator=None):
     """softplus(batch_norm(z)) (+ floor), then dropout, op by op: the
     reference for reasoning.encoder_layer."""
-    out = ad.softplus(batch_norm(z, bn, training, update_running))
+    out = ad.softplus(batch_norm(z, bn, training))
     if floor:
         out = ad.add(out, floor)
     if dropout_rate > 0.0:
-        out = ad.dropout(out, dropout_rate, generator, training=True)
+        out = ad.dropout(out, dropout_rate, generator)
     return out
 
 
-def encode(adj, x, params, *, training=False, dropout_rate=0.0,
-           generator=None, update_running=True, propagated_x=None):
+def encode(adj, px, params, *, training=False, dropout_rate=0.0,
+           generator=None):
     """reasoning.encode with both layers composed op by op."""
-    x = ad.as_tensor(x)
-    px = propagated_x if propagated_x is not None else ad.spmm(adj, x)
     h1 = encoder_layer(ad.matmul(px, params.w1), params.bn1,
-                       training=training, update_running=update_running,
+                       training=training,
                        dropout_rate=dropout_rate if training else 0.0,
                        generator=generator)
     z2 = ad.spmm(adj, ad.matmul(h1, params.w2))
-    return encoder_layer(z2, params.bn2, training=training,
-                         update_running=update_running, floor=rs.EMB_EPS)
+    return encoder_layer(z2, params.bn2, training=training, floor=rs.EMB_EPS)
 
 
 # -- per-op Beta-KL -------------------------------------------------------

@@ -152,25 +152,23 @@ def test_criterion_3_gradient_suite():
         state = init_model(g.feature_dim, ctx.class_count, cfg)
 
         def bl():
-            emb = rs.encode(ctx.adj, ctx.x, state.encoder, training=True,
-                            dropout_rate=0.0, update_running=False,
-                            propagated_x=ctx.propagated_x)
-            ce = rs.build_class_embeddings(emb, ctx.class_train_idx,
-                                           state.disjunction)
+            emb = rs.encode(ctx.adj, ctx.propagated_x, state.encoder,
+                            training=True, dropout_rate=0.0)
             te = ad.take_rows(emb, ctx.split.train)
+            ce = rs.build_class_embeddings(te, ctx.class_rows,
+                                           state.disjunction)
             return rs.beta_loss(te, ctx.labels[ctx.split.train], ce,
                                 cfg.gamma)
 
         for r in grad_check(bl, state.phase1_tensors(), epsilon=1e-6):
             worst = max(worst, r.max_rel_err)
 
-        emb, ce, prop = frozen_reasoning(state, ctx)
+        ce, prop = frozen_reasoning(state, ctx)
 
         def dl():
             batch = ev.evidence_forward(
-                ctx.adj, emb, ce, state.heads, training=True,
-                dropout_rate=0.0, propagate=True, learned_prior=True,
-                propagated_nodes=prop)
+                ctx.adj, prop, ce, state.heads, training=True,
+                dropout_rate=0.0, propagate=True, learned_prior=True)
             return ev.dirichlet_loss(batch, ctx.labels, ctx.split.train)
 
         for r in grad_check(dl, state.phase2_tensors(), epsilon=1e-6):

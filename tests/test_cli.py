@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from betagraph import training
 from betagraph.cli import _add_config_flags, _Parser, build_parser, main
@@ -109,6 +114,20 @@ class TestTrain:
         assert rc == 1
         assert "unknown config field 'sel_weight_aurc'" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["split_ratios = [1, 1, 8]",
+                                      "ood_val_fraction = 0.2"])
+    def test_retired_split_field_unknown(self, tmp_path, dataset, capsys,
+                                         line):
+        cfg = tmp_path / "old.toml"
+        cfg.write_text(
+            "lr_p1 = 0.01\ndropout_p1 = 0.2\ngamma = 15.0\nlr_p2 = 0.01\n"
+            f"dropout_p2 = 0.2\nseed = 1\n{line}\n")
+        rc = main(["train", dataset, "--config", str(cfg),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        name = line.split(" = ")[0]
+        assert f"unknown config field '{name}'" in capsys.readouterr().err
 
     def test_toml_config_accepted(self, tmp_path, dataset):
         cfg = tmp_path / "ok.toml"
@@ -377,6 +396,19 @@ class TestEvalInputs:
         assert "adam_beta1" in err and "Traceback" not in err
         assert not (tmp_path / "e" / "scores.csv").exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("split_ratios", [2, 1, 7]), ("ood_val_fraction", 0.5),
+    ])
+    def test_checkpoint_with_other_split_rejected(
+            self, tmp_path, dataset, trained_run, capsys, field, value):
+        ckpt = self.with_meta_config(trained_run, tmp_path / "s.npz",
+                                     **{field: value})
+        assert self.run_eval(tmp_path, dataset, trained_run,
+                             checkpoint=ckpt) == 1
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "e" / "scores.csv").exists()
+
     @pytest.mark.parametrize("tensor,value", [
         ("encoder.w1", np.nan), ("head0.w1", np.inf),
         ("encoder.bn1.running_var", np.nan),
@@ -561,6 +593,22 @@ class TestExitCodes:
         assert rc == 2
         assert os.path.exists(tmp_path / "div" / "history.csv")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_step_exit_code_2(self, tmp_path, dataset, capsys):
+        """A finite loss whose Adam step overflows the float32 heads: the
+        run stops naming the parameter and writes no checkpoint."""
+        out = tmp_path / "inf"
+        rc = main(["train", dataset, "--out", str(out), "--lr-p2", "1e300",
+                   "--epochs-p1", "2", "--epochs-p2", "1", "--rounds", "1",
+                   "--gamma", "15", "--hidden-dim", "8", "--embed-dim", "4",
+                   "--reasoning-dim", "8", "--seed", "0",
+                   "--ood-classes", "3"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "non-finite parameter head0.w2 after the step in phase 2, " \
+               "round 0, epoch 0" in err
+        assert not (out / "checkpoint.npz").exists()
+
     def test_divergence_keeps_finished_rounds(self, tmp_path, dataset,
                                               monkeypatch):
         flags = ["--epochs-p1", "2", "--epochs-p2", "2", "--gamma", "15",
@@ -618,3 +666,81 @@ def test_output_root_env(tmp_path, monkeypatch, dataset):
     rc = main(PPM_ARGS + ["--out", "nested/ds"])
     assert rc == 0
     assert (tmp_path / "nested" / "ds" / "meta.json").exists()
+
+
+# -- config fuzzing ---------------------------------------------------------
+
+FIELD_NAMES = [f.name for f in fields(training.TrainConfig)]
+STRAY_KEYS = list(training.RETIRED_FIELDS) + ["learning_speed", "Seed",
+                                              "lr p1", ""]
+# the schedule and the widths are pinned small by flags, which override
+# whatever the file says
+FUZZ_FLAGS = ["--rounds", "1", "--epochs-p1", "1", "--epochs-p2", "1",
+              "--hidden-dim", "4", "--embed-dim", "2", "--reasoning-dim", "4"]
+VALID_REQUIRED = {"lr_p1": 0.01, "dropout_p1": 0.2, "gamma": 15.0,
+                  "lr_p2": 0.01, "dropout_p2": 0.2, "seed": 1}
+
+# values each field accepts (the pinned ones are overridden anyway), so
+# that many tables reach training, and hostile ones: huge, non-finite,
+# wrong types, for any field or a stray name
+_count = st.integers(1, 10**6)
+_rate = st.floats(0, 1, exclude_max=True)
+_positive = st.floats(1e-300, 1e300)
+VALID_VALUES = {
+    "lr_p1": _positive, "dropout_p1": _rate, "gamma": _positive,
+    "lr_p2": _positive, "dropout_p2": _rate, "epochs_p1": _count,
+    "epochs_p2": _count, "rounds": _count, "seed": st.integers(0, 2**80),
+    "hidden_dim": _count, "embed_dim": _count, "reasoning_dim": _count,
+    "dtype": st.sampled_from(["float32", "float64"]),
+    "use_beta_reasoning": st.booleans(), "learned_prior": st.booleans(),
+    "context_propagation": st.booleans(),
+    "ood_classes": st.lists(st.integers(0, 4), max_size=4),
+}
+_scalars = st.one_of(
+    st.integers(), st.floats(), st.booleans(),
+    st.sampled_from(["float32", "float16", "", "1"]),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6))
+_values = st.one_of(_scalars, st.lists(_scalars, max_size=3))
+
+
+def toml_value(v):
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return {"nan": "nan", "inf": "inf", "-inf": "-inf"}.get(repr(v),
+                                                              repr(v))
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, str):
+        return json.dumps(v)
+    return "[" + ", ".join(toml_value(x) for x in v) + "]"
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(drop=st.sets(st.sampled_from(sorted(VALID_REQUIRED)), max_size=1),
+       valid=st.fixed_dictionaries({}, optional=VALID_VALUES),
+       hostile=st.dictionaries(st.sampled_from(FIELD_NAMES + STRAY_KEYS),
+                               _values, max_size=1))
+def test_config_fuzz_exits_cleanly(dataset, drop, valid, hostile):
+    """Any TOML table as a train config exits 0, 1 or 2 without a
+    traceback, and an exit-1 message names a field or the file."""
+    table = {k: v for k, v in VALID_REQUIRED.items() if k not in drop}
+    table.update(valid)
+    table.update(hostile)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "fuzz.toml")
+        with open(cfg, "w") as fh:
+            fh.writelines(f"{json.dumps(k)} = {toml_value(v)}\n"
+                          for k, v in table.items())
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                np.errstate(all="ignore"):
+            rc = main(["train", dataset, "--config", cfg,
+                       "--out", os.path.join(tmp, "o")] + FUZZ_FLAGS)
+    err = err.getvalue()
+    assert rc in (0, 1, 2), err
+    assert "Traceback" not in err
+    if rc == 1:
+        assert cfg in err or any(k in err for k in FIELD_NAMES), err

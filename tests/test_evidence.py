@@ -26,6 +26,14 @@ def small_setup(seed=0, n=12, d=3, k=3, hidden=5):
     return g, adj, emb, ce, heads
 
 
+def evidence_forward(adj, emb, class_embs, heads, *, propagate=True, **kw):
+    """ev.evidence_forward over the node embeddings emb, propagated first
+    (a taped adj @ emb) when propagate is on."""
+    prop = ad.spmm(adj, emb) if propagate else emb
+    return ev.evidence_forward(adj, prop, class_embs, heads,
+                               propagate=propagate, **kw)
+
+
 def context_features(node_embs_2d, class_emb):
     """Rows [alpha_i || beta_i || alpha_C || beta_C]: the explicit input of
     one head, the class part repeated on every node row."""
@@ -57,7 +65,7 @@ def per_op_forward(adj, node_embs_2d, class_embs, params, *, training=False,
         z = ad.add(ad.matmul(prop, w_node), ad.mul(ad.Tensor(row_scale), shift))
         h = ad.relu(ad.add(z, head.b1))
         if training and dropout_rate > 0.0:
-            h = ad.dropout(h, dropout_rate, generator, training=True)
+            h = ad.dropout(h, dropout_rate, generator)
         return ad.matmul(h, head.w2)
 
     heads = list(params.per_class)
@@ -107,7 +115,7 @@ class TestFusedHeads:
         adj, emb, disj, idx, heads, labels = grad_setup(dtype)
         tensors = {**heads.tensors(), **disj.tensors(), "emb": emb}
         runs = []
-        for forward in (ev.evidence_forward, per_op_forward):
+        for forward in (evidence_forward, per_op_forward):
             for t in tensors.values():
                 t.grad = None
             ce = rs.build_class_embeddings(emb, idx, disj)
@@ -137,7 +145,7 @@ class TestFusedHeads:
         def loss_fn():
             # a fresh generator per call: the same dropout mask every probe
             ce = rs.build_class_embeddings(emb, idx, disj)
-            batch = ev.evidence_forward(adj, emb, ce, heads, training=True,
+            batch = evidence_forward(adj, emb, ce, heads, training=True,
                                         dropout_rate=0.5, generator=rng(3))
             return ev.dirichlet_loss(batch, labels, np.arange(labels.size))
 
@@ -149,7 +157,7 @@ class TestFusedHeads:
     def test_one_tape_node_per_head(self):
         adj, emb, disj, idx, heads, labels = grad_setup(np.float64)
         ce = rs.build_class_embeddings(emb, idx, disj)
-        batch = ev.evidence_forward(adj, emb, ce, heads)
+        batch = evidence_forward(adj, emb, ce, heads)
         stacked = batch.evidence._vjps[0][0]._vjps[0][0]     # cols <- add
         concat = stacked._vjps[0][0]._vjps[0][0]             # add <- spmm
         parents = [p for p, _ in concat._vjps]
@@ -186,7 +194,7 @@ class TestContextFeatures:
 class TestEvidenceForward:
     def test_shapes(self):
         g, adj, emb, ce, heads = small_setup()
-        batch = ev.evidence_forward(adj, emb, ce, heads)
+        batch = evidence_forward(adj, emb, ce, heads)
         assert batch.evidence.data.shape == (g.n, 3)
         assert batch.prior_weight.data.shape == (g.n, 1)
         assert batch.base_rates == pytest.approx(np.full(3, 1 / 3))
@@ -198,7 +206,7 @@ class TestEvidenceForward:
             for h in heads.per_class + [heads.novel]:
                 for t in (h.w1, h.b1, h.w2, h.b2):
                     t.data = gen.standard_normal(t.data.shape) * 3.0
-            batch = ev.evidence_forward(adj, emb, ce, heads)
+            batch = evidence_forward(adj, emb, ce, heads)
             assert (batch.evidence.data >= 0).all()
             assert (batch.prior_weight.data > 0).all()
 
@@ -211,7 +219,7 @@ class TestEvidenceForward:
         for i, h in enumerate(heads.per_class):
             h.b2.data[:] = float(i)
         heads.novel.b2.data[:] = 2.5
-        batch = ev.evidence_forward(adj, emb, ce, heads)
+        batch = evidence_forward(adj, emb, ce, heads)
         for i in range(3):
             assert batch.evidence.data[:, i] == pytest.approx(
                 softplus(float(i)), abs=1e-12)
@@ -222,7 +230,7 @@ class TestEvidenceForward:
         """The batched/factored forward must equal running each head on the
         explicit context-feature matrix."""
         g, adj, emb, ce, heads = small_setup(seed=3)
-        batch = ev.evidence_forward(adj, emb, ce, heads, propagate=True,
+        batch = evidence_forward(adj, emb, ce, heads, propagate=True,
                                     learned_prior=True)
         regions = [ad.take_rows(ce.per_class, [i])
                    for i in range(3)] + [ce.novel]
@@ -241,16 +249,16 @@ class TestEvidenceForward:
 
     def test_mlp_mode_ignores_graph(self):
         g, adj, emb, ce, heads = small_setup(seed=4)
-        a = ev.evidence_forward(adj, emb, ce, heads, propagate=False)
+        a = evidence_forward(adj, emb, ce, heads, propagate=False)
         eye = graphs.normalize_adjacency(
             graphs.build_graph(np.zeros((0, 2)), np.zeros((g.n, 1)),
                                np.zeros(g.n), 1))
-        b = ev.evidence_forward(eye, emb, ce, heads, propagate=False)
+        b = evidence_forward(eye, emb, ce, heads, propagate=False)
         assert np.array_equal(a.evidence.data, b.evidence.data)
 
     def test_fixed_prior_mode(self):
         g, adj, emb, ce, heads = small_setup(seed=5)
-        batch = ev.evidence_forward(adj, emb, ce, heads, learned_prior=False)
+        batch = evidence_forward(adj, emb, ce, heads, learned_prior=False)
         assert np.all(batch.prior_weight.data == 3.0)
 
 

@@ -136,6 +136,41 @@ class TestNormalizeAdjacency:
             assert np.abs(rec - (dense + np.eye(n))).max() < 1e-12
 
 
+class TestNormalizedAdjacencyIsSymmetric:
+    """autodiff.spmm back-propagates through adj @ g, not adj.T @ g: the
+    normalized adjacency must equal its transpose bit for bit."""
+
+    @staticmethod
+    def assert_symmetric_bits(g):
+        m = graphs.normalize_adjacency(g)
+        t = m.csr.T.tocsr()
+        t.sort_indices()
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(t, name), getattr(m, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_ppm6(self):
+        self.assert_symmetric_bits(graphs.gen_ppm6())
+
+    def test_erdos_renyi(self):
+        self.assert_symmetric_bits(
+            graphs.gen_erdos_renyi(3000, 2e-3, 4, seed=3, class_count=6))
+
+    def test_toy3(self, toy3_dir):
+        self.assert_symmetric_bits(graphs.load_dataset(toy3_dir))
+
+    def test_duplicate_reversed_and_self_loop_edges(self):
+        edges = np.array([[0, 1], [1, 0], [0, 1], [2, 2], [3, 1], [1, 3],
+                          [4, 0], [3, 3], [2, 4], [4, 2], [2, 4]])
+        self.assert_symmetric_bits(graphs.build_graph(
+            edges, np.zeros((5, 1)), np.zeros(5), 1))
+
+    def test_edgeless(self):
+        self.assert_symmetric_bits(graphs.build_graph(
+            np.zeros((0, 2)), np.zeros((4, 1)), np.zeros(4), 1))
+
+
 class TestMakeSplit:
     def test_ratio_sizes(self):
         g = graphs.gen_planted_partition(2, 50, 0.3, 0.1, 4, 2.0, seed=4)

@@ -33,8 +33,8 @@ class TestEncoder:
         split = graphs.make_split(tiny_graph, (2,), seed=0)
         ctx = build_context(tiny_graph, split, cfg)
         state = init_model(tiny_graph.feature_dim, ctx.class_count, cfg)
-        out = rs.encode(ctx.adj, ctx.x, state.encoder, training=True,
-                        update_running=False, propagated_x=ctx.propagated_x)
+        out = rs.encode(ctx.adj, ctx.propagated_x, state.encoder,
+                        training=True)
         assert (out.data > 0).all()
 
     def test_identical_rows_on_edgeless_graph(self):
@@ -44,8 +44,8 @@ class TestEncoder:
                           reasoning_dim=6)
         adj = graphs.normalize_adjacency(g)
         enc = rs.init_encoder(rng(3), 2, 6, 4, np.float64)
-        x = ad.Tensor(g.features)
-        out = rs.encode(adj, x, enc, training=False, update_running=False)
+        px = ad.spmm(adj, ad.Tensor(g.features))
+        out = rs.encode(adj, px, enc, training=False)
         assert np.abs(out.data - out.data[0]).max() == 0.0
 
     def test_deterministic(self, tiny_graph):
@@ -56,8 +56,8 @@ class TestEncoder:
         outs = []
         for _ in range(2):
             state = init_model(tiny_graph.feature_dim, ctx.class_count, cfg)
-            outs.append(rs.encode(ctx.adj, ctx.x, state.encoder,
-                                  training=False, update_running=False).data)
+            outs.append(rs.encode(ctx.adj, ctx.propagated_x, state.encoder,
+                                  training=False).data)
         assert np.array_equal(outs[0], outs[1])
 
 
@@ -311,19 +311,19 @@ def assert_same_bits(got, want, what):
 
 class TestFusedEncoderLayer:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("update_running", [True, False])
+    @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("floor", [0.0, rs.EMB_EPS])
     @pytest.mark.parametrize("dropout", [0.0, 0.4])
-    def test_bit_equal_to_per_op_composition(self, dtype, update_running,
-                                             floor, dropout):
+    def test_bit_equal_to_per_op_composition(self, dtype, training, floor,
+                                             dropout):
         z, bn, weights = layer_setup(dtype)
         runs = []
         for layer in (rs.encoder_layer, oracles.encoder_layer):
             stats = bn.running_mean.copy(), bn.running_var.copy()
             for t in (z, bn.gamma, bn.beta):
                 t.grad = None
-            out = layer(z, bn, training=True, update_running=update_running,
-                        floor=floor, dropout_rate=dropout, generator=rng(5))
+            out = layer(z, bn, training=training, floor=floor,
+                        dropout_rate=dropout, generator=rng(5))
             ad.tsum(ad.mul(out, weights)).backward()
             runs.append((out.data, z.grad, bn.gamma.grad, bn.beta.grad,
                          bn.running_mean, bn.running_var))
@@ -358,9 +358,9 @@ class TestFusedEncoderLayer:
         for encode in (rs.encode, oracles.encode):
             for t in params.values():
                 t.grad = None
-            out = encode(ctx.adj, ctx.x, state.encoder, training=True,
-                         dropout_rate=dropout, generator=rng(2),
-                         update_running=False, propagated_x=ctx.propagated_x)
+            out = encode(ctx.adj, ctx.propagated_x, state.encoder,
+                         training=True, dropout_rate=dropout,
+                         generator=rng(2))
             ad.tsum(ad.mul(out, out)).backward()
             runs.append([out.data] + [t.grad for t in params.values()])
         for name, got, want in zip(["forward", *params], *runs):
@@ -372,8 +372,7 @@ class TestFusedEncoderLayer:
 
         def loss_fn():
             # a fresh generator per call: the same dropout mask every probe
-            out = rs.encoder_layer(z, bn, training=training,
-                                   update_running=False, floor=rs.EMB_EPS,
+            out = rs.encoder_layer(z, bn, training=training, floor=rs.EMB_EPS,
                                    dropout_rate=0.3 if training else 0.0,
                                    generator=rng(4))
             return ad.tsum(ad.mul(out, weights))

@@ -25,19 +25,19 @@ def test_identity_times_anything():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((6, 3))
     eye = identity(6)
-    assert np.array_equal(eye @ x, x)
+    assert np.array_equal(eye.matmul(x), x)
 
 
 def test_one_by_one():
     m = SparseMatrix.from_coo([0], [0], [2.0], (1, 1))
-    assert m @ np.array([[3.0]]) == np.array([[6.0]])
+    assert m.matmul(np.array([[3.0]])) == np.array([[6.0]])
 
 
 def test_random_5x5_vs_dense_oracle():
     rng = np.random.default_rng(3)
     m, dense = random_csr(rng, 5, 5)
     x = rng.standard_normal((5, 4))
-    assert np.abs(m @ x - dense @ x).max() < 1e-12
+    assert np.abs(m.matmul(x) - dense @ x).max() < 1e-12
 
 
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 4),
@@ -47,22 +47,13 @@ def test_spmm_matches_dense_oracle(rows, cols, width, seed):
     rng = np.random.default_rng(seed)
     m, dense = random_csr(rng, rows, cols)
     x = rng.standard_normal((cols, width))
-    assert np.abs(m @ x - dense @ x).max() < 1e-12
+    assert np.abs(m.matmul(x) - dense @ x).max() < 1e-12
 
 
 def test_shape_mismatch():
     m = identity(3)
     with pytest.raises(ValueError):
-        m @ np.zeros((4, 2))
-
-
-def test_transpose_roundtrip():
-    rng = np.random.default_rng(5)
-    m, dense = random_csr(rng, 4, 6)
-    t = m.T
-    assert t.shape == (6, 4)
-    assert np.abs(t.csr.toarray() - dense.T).max() == 0.0
-    assert t.T is m
+        m.matmul(np.zeros((4, 2)))
 
 
 def test_validation_rejects_bad_indptr():
@@ -117,7 +108,7 @@ def test_one_copy_of_the_arrays():
 def test_empty_rows_allowed():
     m = SparseMatrix(np.array([0, 0, 1, 1]), np.array([2]),
                      np.array([4.0]), (3, 3))
-    out = m @ np.eye(3)
+    out = m.matmul(np.eye(3))
     assert out[1, 2] == 4.0
     assert out.sum() == 4.0
 
@@ -125,16 +116,16 @@ def test_empty_rows_allowed():
 def test_dtype_preserved():
     m = identity(3)
     x32 = np.ones((3, 2), dtype=np.float32)
-    assert (m @ x32).dtype == np.float32
+    assert m.matmul(x32).dtype == np.float32
 
 
 def test_deterministic_product():
     rng = np.random.default_rng(9)
     m, _ = random_csr(rng, 50, 50, density=0.2)
     x = rng.standard_normal((50, 8))
-    first = m @ x
+    first = m.matmul(x)
     for _ in range(3):
-        assert np.array_equal(m @ x, first)
+        assert np.array_equal(m.matmul(x), first)
 
 
 def test_row_sums():

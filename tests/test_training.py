@@ -41,9 +41,8 @@ class TestTrainConfig:
         ("dropout_p2", float("nan")), ("reasoning_dim", 1.5),
         ("epochs_p2", 2.0), ("dropout_p1", -0.1),
         ("use_beta_reasoning", "yes"), ("context_propagation", 0),
-        ("ood_val_fraction", 2.0), ("ood_val_fraction", -0.1),
-        ("split_ratios", (0, 0, 0)), ("split_ratios", (1, 1)),
-        ("split_ratios", (1, float("nan"), 8)), ("ood_classes", (1.5,)),
+        ("dtype", "float16"), ("dtype", 32), ("ood_classes", (-1,)),
+        ("lr_p1", "0.01"), ("rounds", 0), ("ood_classes", (1.5,)),
         ("ood_classes", 3), ("learned_prior", 1),
     ])
     def test_rejects_bad_field(self, field, value):
@@ -51,21 +50,18 @@ class TestTrainConfig:
             tr.TrainConfig(**{field: value})
 
     def test_accepts_ints_for_real_fields(self):
-        cfg = tr.TrainConfig(gamma=55, lr_p1=1, split_ratios=[2, 1, 7],
-                             ood_classes=[np.int64(3)], seed=np.int64(4))
+        cfg = tr.TrainConfig(gamma=55, lr_p1=1, ood_classes=[np.int64(3)],
+                             seed=np.int64(4))
         assert cfg.gamma == 55 and cfg.seed == 4
 
     def test_zero_epochs_allowed(self):
         assert tr.TrainConfig(epochs_p1=0, epochs_p2=0).epochs_p1 == 0
 
     def test_split_from_config_fields(self, small_ppm):
-        cfg = tr.TrainConfig(seed=5, ood_classes=(3,), split_ratios=(2, 1, 7),
-                             ood_val_fraction=0.5)
-        want = graphs.make_split(small_ppm, (3,), ratios=(2, 1, 7),
-                                 ood_val_fraction=0.5, seed=5)
+        cfg = tr.TrainConfig(seed=5, ood_classes=(3,))
+        want = graphs.make_split(small_ppm, (3,), seed=5)
         assert cfg.split(small_ppm).to_json() == want.to_json()
-        other = graphs.make_split(small_ppm, (3,), ratios=(2, 1, 7),
-                                  ood_val_fraction=0.5, seed=6)
+        other = graphs.make_split(small_ppm, (3,), seed=6)
         assert cfg.split(small_ppm, seed=6).to_json() == other.to_json()
 
     def test_protocol_splits_leave_out_its_own_classes(self, monkeypatch,
@@ -166,11 +162,11 @@ class TestPhases:
         v = [np.zeros(p.data.shape) for p in params]
         train_labels = ctx.labels[ctx.split.train]
         for epoch in range(3):
-            emb = oracles.encode(ctx.adj, ctx.x, ref.encoder, training=True,
-                                 dropout_rate=cfg.dropout_p1,
-                                 generator=ref.rng_p1,
-                                 propagated_x=ctx.propagated_x)
-            class_embs = rs.build_class_embeddings(emb, ctx.class_train_idx,
+            emb = oracles.encode(ctx.adj, ctx.propagated_x, ref.encoder,
+                                 training=True, dropout_rate=cfg.dropout_p1,
+                                 generator=ref.rng_p1)
+            class_idx = [ctx.split.train[rows] for rows in ctx.class_rows]
+            class_embs = rs.build_class_embeddings(emb, class_idx,
                                                    ref.disjunction)
             loss = rs.beta_loss(ad.take_rows(emb, ctx.split.train),
                                 train_labels, class_embs, cfg.gamma,
@@ -235,7 +231,7 @@ class TestPhases:
 class TestFit:
     def test_one_step_per_epoch_returns_last_loss(self):
         w = oracles.parameter([3.0, -2.0])
-        opt = ad.Adam([w], lr=0.1)
+        opt = ad.Adam({"w": w}, lr=0.1)
         seen = []
 
         def loss():
@@ -260,16 +256,37 @@ class TestFit:
 
         with pytest.raises(tr.TrainingDivergence,
                            match="phase 2, round 1, epoch 2: domain"):
-            tr.fit(ad.Adam([w], lr=0.1), 5, loss, 2, 1)
+            tr.fit(ad.Adam({"w": w}, lr=0.1), 5, loss, 2, 1)
 
     def test_non_finite_loss_stops_before_the_step(self):
         w = oracles.parameter([1.0])
-        opt = ad.Adam([w], lr=0.1)
+        opt = ad.Adam({"w": w}, lr=0.1)
         with pytest.raises(tr.TrainingDivergence,
                            match="non-finite loss in phase 1, round 0, "
                                  "epoch 0"):
             tr.fit(opt, 3, lambda: ad.tsum(ad.mul(w, np.inf)), 1, 0)
         assert opt.t == 0 and w.data[0] == 1.0
+
+    def test_non_finite_parameter_after_step_named(self):
+        """A finite loss whose float32 step overflows a parameter stops the
+        loop at that epoch, naming the parameter by its optimiser name."""
+        w = ad.Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        b = ad.Tensor(np.ones(1, dtype=np.float32), requires_grad=True)
+        opt = ad.Adam({"head0.w1": w, "head0.w2": b}, lr=1e300)
+        losses = []
+
+        def loss():
+            out = ad.add(ad.tsum(ad.mul(w, 0.0)), ad.tsum(b))
+            losses.append(float(out.data))
+            return out
+
+        with np.errstate(over="ignore"):
+            with pytest.raises(tr.TrainingDivergence,
+                               match="non-finite parameter head0.w2 after "
+                                     "the step in phase 2, round 4, epoch 0"):
+                tr.fit(opt, 3, loss, 2, 4)
+        assert losses == [1.0] and opt.t == 1
+        assert np.isfinite(w.data).all() and np.isinf(b.data).all()
 
 
 def count_calls(monkeypatch, owner, name, keep=lambda *a, **k: True):
@@ -298,8 +315,9 @@ class TestSharedWork:
 
     def test_direct_head_propagates_features_once(self, monkeypatch,
                                                   small_ppm, small_split):
-        """One forward product by the adjacency per direct-head epoch: the
-        output propagation; the features come from ctx.propagated_x."""
+        """Two products by the adjacency per direct-head epoch: the output
+        propagation and its VJP (the adjacency is symmetric, so backward
+        multiplies by it too); the features come from ctx.propagated_x."""
         cfg = tr.variant_config(quick_config(), "a")
         ctx = tr.build_context(small_ppm, small_split, cfg)
         state = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
@@ -308,7 +326,7 @@ class TestSharedWork:
         tr.train_phase2(state, ctx, 1)
         one = len(calls)
         tr.train_phase2(state, ctx, 4)
-        assert one == 1 and len(calls) - one == 4
+        assert one == 2 and len(calls) - one == 8
 
 
 class TestAlternating:
@@ -444,6 +462,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("field,value", [
         ("adam_beta2", 0.99), ("adam_eps", 1e-6), ("sel_weight_aurc", 5.0),
         ("normalize_features", 1), ("normalize_features", False),
+        ("split_ratios", [2, 1, 7]), ("ood_val_fraction", 0.5),
     ])
     def test_retired_field_other_value_named(self, saved, field, value):
         path, arrays = saved
