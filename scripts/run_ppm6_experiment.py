@@ -11,12 +11,13 @@ Usage: python scripts/run_ppm6_experiment.py [out_dir] [--quick]
 
 import os
 import sys
+from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from betagraph import graphs  # noqa: E402
 from betagraph.evaluation import baseline_report, run_protocol  # noqa: E402
-from betagraph.training import TrainConfig  # noqa: E402
+from betagraph.training import TrainConfig, build_context  # noqa: E402
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -52,8 +53,9 @@ def main():
     print(f"  OODD aupr         {ms('aupr')}")
 
     print("\npost-hoc baselines (plain classifier, split of seed 0):")
-    split = config.split(graph, seed=SEEDS[0])
-    base = baseline_report(graph, split, seed=SEEDS[0])
+    cfg = replace(config, seed=SEEDS[0])
+    ctx = build_context(graph, cfg.split(graph), cfg)
+    base = baseline_report(ctx, seed=SEEDS[0])
     for name in ("maxlogit", "energy"):
         print(f"  {name:9s} fpr95={base[name + '_fpr95']:.4f} "
               f"auroc={base[name + '_auroc']:.4f} "

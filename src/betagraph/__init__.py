@@ -6,7 +6,8 @@ from .graphs import (Graph, SplitSpec, gen_erdos_renyi,  # noqa: F401
                      gen_planted_partition, gen_ppm6, load_dataset,
                      make_split, normalize_adjacency, save_dataset,
                      zscore_features)
-from .training import (TrainConfig, train_alternating,  # noqa: F401
-                       load_checkpoint, save_checkpoint, variant_config)
+from .training import (TrainConfig, build_context,  # noqa: F401
+                       forward_scores, train_alternating, load_checkpoint,
+                       save_checkpoint, variant_config)
 from .evaluation import (EvalReport, aggregate, evaluate,  # noqa: F401
                          run_protocol)

@@ -199,8 +199,9 @@ def cmd_train(args):
     out = _out_dir(args.out)
     split = config.split(graph)
     atomic_write_text(os.path.join(out, "split.json"), split.to_json() + "\n")
+    ctx = build_context(graph, split, config)
     try:
-        state, history = train_alternating(graph, split, config)
+        state, history = train_alternating(ctx, config)
     except TrainingDivergence as exc:
         _history_csv(os.path.join(out, "history.csv"), exc.history)
         print(f"training diverged: {exc}", file=sys.stderr)
@@ -225,7 +226,6 @@ def cmd_train(args):
 
 # -- eval --------------------------------------------------------------
 
-SPLIT_PARTS = ("train", "val", "test", "ood_val", "ood_test")
 AGGREGATE_COLUMNS = ("runs", "acc_mean", "acc_std", "aurc_x1000_mean",
                      "aurc_x1000_std", "fpr95_mean", "fpr95_std",
                      "auroc_mean", "auroc_std", "aupr_mean", "aupr_std")
@@ -244,7 +244,7 @@ def _check_split(split, graph, config, path):
         raise UsageError(f"split {path}: id_classes {list(split.id_classes)}"
                          f" differ from the checkpoint's {list(known)}")
     owner = np.full(graph.n, -1)
-    for i, part in enumerate(SPLIT_PARTS):
+    for i, part in enumerate(graphs.SPLIT_PARTS):
         ids = getattr(split, part)
         if ids.size and (ids.min() < 0 or ids.max() >= graph.n):
             bad = ids[(ids < 0) | (ids >= graph.n)][0]
@@ -255,7 +255,8 @@ def _check_split(split, graph, config, path):
         taken = owner[ids] >= 0
         if taken.any():
             raise UsageError(
-                f"split {path}: {part} and {SPLIT_PARTS[owner[ids][taken][0]]}"
+                f"split {path}: {part} and "
+                f"{graphs.SPLIT_PARTS[owner[ids][taken][0]]}"
                 f" share node {ids[taken][0]}")
         owner[ids] = i
         classes = ood if part.startswith("ood_") else known
@@ -295,31 +296,22 @@ def cmd_eval(args):
     else:
         split = config.split(graph)
 
-    # the checkpoint's own scores feed its report, the curves and scores.csv
+    # the checkpoint's own scores feed its report, the curves and scores.csv;
+    # any other seed is a fresh protocol run (re-split and retrain)
     t0 = time.perf_counter()
     ctx = build_context(graph, split, config)
     sb = forward_scores(state, ctx)
-    scoring_s = time.perf_counter() - t0
-    seeds = args.seeds if args.seeds else [config.seed]
-    reports = []
     chash = evaluation.config_hash(config)
-    for s in seeds:
-        if s == config.seed:
-            rep = evaluation.evaluate(state, graph, split, ctx=ctx, seed=s,
-                                      config_hash=chash, scores=sb)
-            # wall_clock covers scoring, as for the seeds scored in evaluate
-            rep.wall_clock += scoring_s
-        else:
-            # fresh protocol run: re-split and retrain under this seed
-            sp = config.split(graph, seed=s)
-            st, _ = train_alternating(graph, sp, replace(config, seed=s))
-            rep = evaluation.evaluate(st, graph, sp, seed=s, config_hash=chash)
-        reports.append(rep)
+    own = evaluation.evaluate(sb, ctx, seed=config.seed, config_hash=chash)
+    own.wall_clock = time.perf_counter() - t0
+    seeds = args.seeds if args.seeds else [config.seed]
+    reports = [own if s == config.seed else
+               evaluation.protocol_run(graph, replace(config, seed=s), chash)
+               for s in seeds]
     agg = evaluation.aggregate(reports)
 
     if args.with_baselines:
-        base = evaluation.baseline_report(graph, split, seed=config.seed)
-        agg["baselines"] = base
+        agg["baselines"] = evaluation.baseline_report(ctx, seed=config.seed)
 
     report_path = os.path.join(out, "report.json")
     atomic_write_text(report_path, json.dumps({
@@ -327,16 +319,14 @@ def cmd_eval(args):
         "aggregate": agg,
     }, indent=1) + "\n")
 
-    cv = evaluation.curves(sb, ctx, split)
-    rc_path = os.path.join(out, "curves_risk_coverage.csv")
-    _csv_lines(rc_path, ["coverage", "risk"], evaluation.csv_lines(
-        map(evaluation.repr_column, cv["risk_coverage"])))
-    outputs = [report_path, rc_path]
-    if "roc" in cv:
-        roc_path = os.path.join(out, "curves_roc.csv")
-        _csv_lines(roc_path, ["fpr", "tpr"], evaluation.csv_lines(
-            map(evaluation.repr_column, cv["roc"])))
-        outputs.append(roc_path)
+    outputs = [report_path]
+    curves = evaluation.curves(sb, ctx)
+    for name, header in (("risk_coverage", ["coverage", "risk"]),
+                         ("roc", ["fpr", "tpr"])):
+        if name in curves:
+            outputs.append(os.path.join(out, f"curves_{name}.csv"))
+            _csv_lines(outputs[-1], header, evaluation.csv_lines(
+                map(evaluation.repr_column, curves[name])))
 
     header, lines = evaluation.node_scores_table(sb, split)
     scores_path = os.path.join(out, "scores.csv")
@@ -371,12 +361,13 @@ def cmd_ablate(args):
     graph = _load_graph(args.dataset)
     base = _build_config(args, graph)
     out = _out_dir(args.out)
-    split = base.split(graph)
+    ctx = build_context(graph, base.split(graph), base)
     rows = []
     for v in args.variants:
         cfg = variant_config(base, v)
-        state, _ = train_alternating(graph, split, cfg)
-        rep = evaluation.evaluate(state, graph, split)
+        state, _ = train_alternating(ctx, cfg)
+        rep = evaluation.evaluate(forward_scores(state, ctx), ctx,
+                                  seed=cfg.seed)
         rows.append([v, _fmt(rep.acc), _fmt(rep.aurc_x1000), _fmt(rep.fpr95),
                      _fmt(rep.auroc)])
         print(f"variant {v}: acc={rep.acc:.4f} aurc(x1000)={rep.aurc_x1000:.2f}"
@@ -404,7 +395,7 @@ def cmd_scale(args):
                                        seed=base.seed, class_count=args.classes)
             split = base.split(g)
             t0 = time.perf_counter()
-            train_alternating(g, split, base)
+            train_alternating(build_context(g, split, base), base)
             elapsed = time.perf_counter() - t0
             rows.append([n, density, g.edge_count, repr(elapsed), "ok"])
             print(f"n={n} density={density}: {elapsed:.2f}s "
@@ -430,7 +421,7 @@ def cmd_gridsearch(args):
     graph = _load_graph(args.dataset)
     base = _build_config(args, graph)
     out = _out_dir(args.out)
-    split = base.split(graph)
+    ctx = build_context(graph, base.split(graph), base)
     lr1 = args.lr_p1_grid or GRID_LR
     lr2 = args.lr_p2_grid or GRID_LR
     dr1 = args.dropout_p1_grid or GRID_DROPOUT
@@ -440,7 +431,7 @@ def cmd_gridsearch(args):
     for combo in itertools.product(lr1, dr1, gam, lr2, dr2):
         cfg = replace(base, lr_p1=combo[0], dropout_p1=combo[1],
                       gamma=combo[2], lr_p2=combo[3], dropout_p2=combo[4])
-        _, history = train_alternating(graph, split, cfg)
+        _, history = train_alternating(ctx, cfg)
         best = max(h["selection_score"] for h in history)
         rows.append(list(combo) + [repr(best)])
         print(f"lr_p1={combo[0]} dropout_p1={combo[1]} gamma={combo[2]} "

@@ -9,10 +9,14 @@ Task conventions:
   OODD  FPR95 / AUROC / AUPR with the vacuity score, in-distribution test
         nodes against held-out-class test nodes.
 
-run_protocol repeats split -> train -> evaluate over a seed list and
-aggregates mean and standard deviation per metric, mirroring the usual
-report-five-runs convention.  The direct head's graph network, trained
-with plain cross entropy, provides MaxLogit and Energy comparison scores.
+Everything here reads a training.RunContext built once per split:
+evaluate and curves score forward_scores output on its test partitions,
+and the baseline trains on its features in its dtype.  protocol_run is
+one protocol seed (split -> context -> train -> score -> evaluate);
+run_protocol repeats it over a seed list and aggregates mean and
+standard deviation per metric, the usual report-five-runs convention.
+The direct head's graph network, trained with plain cross entropy,
+provides MaxLogit and Energy comparison scores.
 """
 
 from __future__ import annotations
@@ -28,11 +32,11 @@ from . import autodiff as ad
 from . import evidence as ev
 from . import metrics as mt
 from .autodiff import Adam, no_grad
-from .graphs import Graph, SplitSpec, remap_labels
+from .graphs import Graph, SplitSpec
 from .rng import substream
 from .evidence import ScoreBatch
-from .training import (ModelState, RunContext, TrainConfig, build_context,
-                       fit, forward_scores, train_alternating)
+from .training import (RunContext, TrainConfig, build_context, fit,
+                       forward_scores, train_alternating)
 
 
 @dataclass
@@ -61,27 +65,18 @@ METRIC_FIELDS = ("acc", "aurc", "aurc_x1000", "fpr95", "auroc", "aupr",
                  "md_auroc", "md_aupr")
 
 
-def evaluate(state: ModelState, graph: Graph, split: SplitSpec,
-             ctx: RunContext = None, seed=None, config_hash=None,
-             scores=None) -> EvalReport:
-    """Score a trained model on its split's test partitions.
-
-    scores: forward_scores(state, ctx) when the caller already has them.
-    """
-    t0 = time.perf_counter()
-    ctx = ctx or build_context(graph, split, state.config)
-    sb = forward_scores(state, ctx) if scores is None else scores
+def evaluate(scores: ScoreBatch, ctx: RunContext, *, seed,
+             config_hash=None) -> EvalReport:
+    """Report the three tasks of forward_scores output on the context's
+    test partitions; the caller sets wall_clock."""
+    sb, split, labels = scores, ctx.split, ctx.labels
     test = split.test
-    labels = ctx.labels
     correct = sb.prediction[test] == labels[test]
     acc = mt.accuracy(sb.prediction[test], labels[test])
     rc = mt.aurc(-sb.dissonance[test], correct)
 
-    report = EvalReport(
-        seed=state.config.seed if seed is None else seed,
-        acc=acc, aurc=rc, aurc_x1000=1000.0 * rc,
-        config_hash=config_hash,
-    )
+    report = EvalReport(seed=seed, acc=acc, aurc=rc, aurc_x1000=1000.0 * rc,
+                        config_hash=config_hash)
     if np.any(correct) and np.any(~correct):
         report.md_auroc = mt.auroc(sb.dissonance[test][~correct],
                                    sb.dissonance[test][correct])
@@ -93,7 +88,6 @@ def evaluate(state: ModelState, graph: Graph, split: SplitSpec,
         report.fpr95 = mt.fpr_at_tpr(vac_id, vac_ood)
         report.auroc = mt.auroc(vac_ood, vac_id)
         report.aupr = mt.aupr(vac_ood, vac_id)
-    report.wall_clock = time.perf_counter() - t0
     return report
 
 
@@ -102,34 +96,37 @@ def aggregate(reports) -> dict:
     out = {"seeds": [r.seed for r in reports], "runs": len(reports)}
     for name in METRIC_FIELDS:
         vals = [getattr(r, name) for r in reports if getattr(r, name) is not None]
-        if not vals:
-            out[f"{name}_mean"] = None
-            out[f"{name}_std"] = None
-            continue
         arr = np.asarray(vals, dtype=np.float64)
-        out[f"{name}_mean"] = float(arr.mean())
-        out[f"{name}_std"] = float(arr.std())
+        out[f"{name}_mean"] = float(arr.mean()) if vals else None
+        out[f"{name}_std"] = float(arr.std()) if vals else None
     return out
+
+
+def protocol_run(graph: Graph, config: TrainConfig, chash) -> EvalReport:
+    """One protocol run under config, whose seed draws the split and
+    seeds training.  wall_clock covers context, training and scoring; the
+    best round and its selection score ride along as extras."""
+    split = config.split(graph)
+    t0 = time.perf_counter()
+    ctx = build_context(graph, split, config)
+    state, _ = train_alternating(ctx, config)
+    rep = evaluate(forward_scores(state, ctx), ctx, seed=config.seed,
+                   config_hash=chash)
+    rep.wall_clock = time.perf_counter() - t0
+    rep.extras["best_round"] = state.best_round
+    rep.extras["selection_score"] = state.best_score
+    return rep
 
 
 def run_protocol(graph: Graph, ood_classes, config: TrainConfig, seeds,
                  progress=None):
-    """split -> train -> evaluate per seed; returns (reports, aggregate).
-
-    Each seed drives both the split construction, which leaves out
-    ood_classes, and the training run.
-    """
+    """protocol_run per seed, each leaving out ood_classes; returns
+    (reports, aggregate)."""
     reports = []
     chash = config_hash(config)
     for s in seeds:
         cfg = replace(config, ood_classes=tuple(ood_classes), seed=int(s))
-        split = cfg.split(graph)
-        t0 = time.perf_counter()
-        state, _ = train_alternating(graph, split, cfg)
-        rep = evaluate(state, graph, split, seed=int(s), config_hash=chash)
-        rep.wall_clock = time.perf_counter() - t0
-        rep.extras["best_round"] = state.best_round
-        rep.extras["selection_score"] = state.best_score
+        rep = protocol_run(graph, cfg, chash)
         reports.append(rep)
         if progress is not None:
             progress(rep)
@@ -144,8 +141,10 @@ def config_hash(config: TrainConfig) -> str:
         json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def curves(scores: ScoreBatch, ctx: RunContext, split: SplitSpec):
-    """Plot-ready risk-coverage and ROC curves from forward_scores output."""
+def curves(scores: ScoreBatch, ctx: RunContext):
+    """Plot-ready risk-coverage and ROC curves of forward_scores output on
+    the context's test partitions."""
+    split = ctx.split
     test = split.test
     correct = scores.prediction[test] == ctx.labels[test]
     coverage, risk = mt.risk_coverage_curve(-scores.dissonance[test], correct)
@@ -185,18 +184,16 @@ def node_scores_table(scores: ScoreBatch, split: SplitSpec):
 
 # -- plain cross-entropy classifier for MaxLogit / Energy -------------------
 
-def train_baseline(graph: Graph, split: SplitSpec, *, lr=0.01, epochs=200,
-                   seed=0):
-    """The direct head's graph network (float32, 64 hidden units, dropout
-    0.5) trained with cross entropy on the split's training nodes; returns
-    (its parameters, logits over all nodes)."""
-    ctx = build_context(graph, split, TrainConfig())
+def train_baseline(ctx: RunContext, *, lr=0.01, epochs=200, seed=0):
+    """The direct head's graph network (64 hidden units, dropout 0.5, the
+    context's dtype) trained with cross entropy on the split's training
+    nodes; returns (its parameters, logits over all nodes)."""
     adj, px, k = ctx.adj, ctx.propagated_x, ctx.class_count
     dt = px.data.dtype
-    model = ev.init_direct_head(substream(seed, 10), graph.feature_dim,
-                                64, k, dt)
+    model = ev.init_direct_head(substream(seed, 10), px.data.shape[1], 64, k,
+                                dt)
     drop = substream(seed, 11)
-    train_idx = split.train
+    train_idx = ctx.split.train
     onehot = np.zeros((train_idx.size, k), dtype=dt)
     onehot[np.arange(train_idx.size), ctx.labels[train_idx]] = 1.0
 
@@ -214,13 +211,13 @@ def train_baseline(graph: Graph, split: SplitSpec, *, lr=0.01, epochs=200,
     return model, logits.data
 
 
-def baseline_report(graph: Graph, split: SplitSpec, seed=0, epochs=200) -> dict:
+def baseline_report(ctx: RunContext, seed=0, epochs=200) -> dict:
     """OODD metrics for the MaxLogit and Energy scores of the plain
     classifier (markers for the uncertainty-based pipeline to beat)."""
-    _, logits = train_baseline(graph, split, seed=seed, epochs=epochs)
+    _, logits = train_baseline(ctx, seed=seed, epochs=epochs)
     maxlogit, energy = mt.baseline_scores(logits)
     labels_pred = logits.argmax(axis=1)
-    labels = remap_labels(graph, split)
+    labels, split = ctx.labels, ctx.split
     test = split.test
     correct = labels_pred[test] == labels[test]
     out = {"acc": mt.accuracy(labels_pred[test], labels[test])}

@@ -60,6 +60,10 @@ class Graph:
         return self.adjacency.nnz // 2
 
 
+# node-id partitions of a split, in file order
+SPLIT_PARTS = ("train", "val", "test", "ood_val", "ood_test")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     id_classes: tuple
@@ -76,16 +80,10 @@ class SplitSpec:
         return self.ood_test.size > 0
 
     def to_json(self) -> str:
-        payload = {
-            "id_classes": list(self.id_classes),
-            "ood_classes": list(self.ood_classes),
-            "train": self.train.tolist(),
-            "val": self.val.tolist(),
-            "test": self.test.tolist(),
-            "ood_val": self.ood_val.tolist(),
-            "ood_test": self.ood_test.tolist(),
-            "seed": self.seed,
-        }
+        payload = {"id_classes": list(self.id_classes),
+                   "ood_classes": list(self.ood_classes),
+                   **{p: getattr(self, p).tolist() for p in SPLIT_PARTS},
+                   "seed": self.seed}
         return json.dumps(payload, indent=1)
 
     @classmethod
@@ -102,16 +100,10 @@ class SplitSpec:
                                  "node ids")
             return np.asarray(ids, dtype=np.int64)
 
-        return cls(
-            id_classes=tuple(d["id_classes"]),
-            ood_classes=tuple(d["ood_classes"]),
-            train=node_ids("train"),
-            val=node_ids("val"),
-            test=node_ids("test"),
-            ood_val=node_ids("ood_val"),
-            ood_test=node_ids("ood_test"),
-            seed=int(d["seed"]),
-        )
+        return cls(id_classes=tuple(d["id_classes"]),
+                   ood_classes=tuple(d["ood_classes"]),
+                   **{p: node_ids(p) for p in SPLIT_PARTS},
+                   seed=int(d["seed"]))
 
 
 def _symmetric_adjacency(edges: np.ndarray, n: int) -> SparseMatrix:
@@ -148,16 +140,24 @@ def load_dataset(directory) -> Graph:
     zscore_features)."""
     def path(fname):
         p = os.path.join(directory, fname)
-        if not os.path.exists(p) and fname not in ("features.csv", "features.bin"):
+        if not os.path.exists(p):
             raise DatasetError(f"missing dataset file: {p}")
         return p
 
-    with open(path("meta.json")) as fh:
-        meta = json.load(fh)
+    meta_path = path("meta.json")
+    try:
+        with open(meta_path, "rb") as fh:
+            meta = json.loads(fh.read().decode("utf-8"))
+    except (OSError, ValueError) as exc:
+        raise DatasetError(f"cannot read {meta_path}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise DatasetError(f"{meta_path} must hold a JSON object")
     for key in ("n", "F", "C"):
-        if key not in meta:
-            raise DatasetError(f"meta.json missing field '{key}'")
-    n, f_dim, c = int(meta["n"]), int(meta["F"]), int(meta["C"])
+        value = meta.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise DatasetError(f"{meta_path}: field '{key}' must be an "
+                               f"integer >= 1, got {value!r}")
+    n, f_dim, c = meta["n"], meta["F"], meta["C"]
 
     csv_path = os.path.join(directory, "features.csv")
     bin_path = os.path.join(directory, "features.bin")
@@ -349,9 +349,8 @@ def zscore_features(graph: Graph) -> Graph:
 
 def remap_labels(graph: Graph, split: SplitSpec) -> np.ndarray:
     """Labels remapped so ID classes are 0..K-1; OOD nodes get -1."""
-    mapping = {c: i for i, c in enumerate(split.id_classes)}
     out = np.full(graph.n, -1, dtype=np.int64)
-    for c, i in mapping.items():
+    for i, c in enumerate(split.id_classes):
         out[graph.labels == c] = i
     return out
 
@@ -384,25 +383,13 @@ def gen_erdos_renyi(n, density, feature_dim, seed, class_count=4,
             if not inside.all():
                 break
             pos = int(steps[-1])
-        flat = np.concatenate(edges) if edges else np.zeros(0, dtype=np.int64)
-        # invert t = i*n - i*(i+1)/2 + (j-i-1); row i is the largest i with
-        # start(i) <= t, start(i) = i*n - i*(i+1)/2
-        two_n1 = 2.0 * n - 1.0
-        i = np.floor((two_n1 - np.sqrt(two_n1 * two_n1 - 8.0 * flat)) / 2.0)
-        i = i.astype(np.int64)
-
-        def start(k):
-            return k * n - k * (k + 1) // 2
-
-        over = start(i) > flat          # fix float roundoff
-        while over.any():
-            i[over] -= 1
-            over = start(i) > flat
-        under = flat >= start(i + 1)
-        while under.any():
-            i[under] += 1
-            under = flat >= start(i + 1)
-        j = flat - start(i) + i + 1
+        flat = np.concatenate(edges)
+        # invert t = start(i) + (j-i-1): row i is the largest i with
+        # start(i) = i*n - i*(i+1)/2 <= t, found exactly in integers
+        rows = np.arange(n, dtype=np.int64)
+        start = rows * n - rows * (rows + 1) // 2
+        i = np.searchsorted(start, flat, side="right") - 1
+        j = flat - start[i] + i + 1
         pair_list = np.stack([i, j], axis=1)
     else:
         pair_list = np.zeros((0, 2), dtype=np.int64)
@@ -443,11 +430,7 @@ def gen_planted_partition(blocks, nodes_per_block, p_in, p_out, feature_dim,
             ib = np.arange(b * nodes_per_block, (b + 1) * nodes_per_block)
             p = p_in if a == b else p_out
             u = gen.random((ia.size, ib.size))
-            if a == b:
-                mask = np.triu(u < p, k=1)
-            else:
-                mask = u < p
-            r, c = np.nonzero(mask)
+            r, c = np.nonzero(np.triu(u < p, k=1) if a == b else u < p)
             rows.append(ia[r])
             cols_.append(ib[c])
     edges = np.stack([np.concatenate(rows), np.concatenate(cols_)], axis=1) \

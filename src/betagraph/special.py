@@ -64,15 +64,11 @@ def sigmoid(x):
     return out.item() if scalar else out.astype(_out_dtype(x), copy=False)
 
 
-def _check_positive(x, name):
-    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} requires strictly positive finite input")
-
-
 def _positive_f64(x, name):
     """Float64 copy of x, checked to be positive and finite."""
     xd = x.astype(np.float64)
-    _check_positive(xd, name)
+    if np.any(xd <= 0.0) or not np.all(np.isfinite(xd)):
+        raise ValueError(f"{name} requires strictly positive finite input")
     return xd
 
 

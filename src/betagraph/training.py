@@ -12,14 +12,16 @@ and the best-scoring snapshot is returned.  One loop, fit, runs the
 epochs of both phases and of the evaluation baseline.
 
 Everything is full batch and deterministic: parameter init and the two
-dropout streams are independent substreams of the config seed.
+dropout streams are independent substreams of the config seed.  The
+caller builds one RunContext per split (build_context) and passes it to
+train_alternating, forward_scores and the evaluation functions.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import zipfile
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -116,11 +118,10 @@ class TrainConfig:
     def np_dtype(self):
         return np.dtype(self.dtype)
 
-    def split(self, graph: Graph, seed=None) -> SplitSpec:
+    def split(self, graph: Graph) -> SplitSpec:
         """The leave-out split of graph under this config's OOD classes,
-        drawn with seed (by default the config's)."""
-        return make_split(graph, self.ood_classes,
-                          seed=self.seed if seed is None else seed)
+        drawn with its seed."""
+        return make_split(graph, self.ood_classes, seed=self.seed)
 
 
 # ablation variants: presets over the three switches; "no_at" folds the
@@ -147,10 +148,11 @@ def variant_config(base: TrainConfig, name: str) -> TrainConfig:
 
 @dataclass
 class RunContext:
-    """Everything about a (graph, split) pair the loops reuse.  Features
-    enter the model only as propagated_x; class regions are built from
-    the training rows, gathered in split.train order."""
-    graph: Graph
+    """Everything about a (graph, split) pair that training, scoring,
+    curves and the baseline share; build_context makes it once per split.
+    Features enter the model only as propagated_x, in the config's dtype;
+    class regions are built from the training rows, gathered in
+    split.train order."""
     split: SplitSpec
     adj: object                     # normalized adjacency, symmetric
     propagated_x: Tensor            # adj @ features, constant
@@ -169,7 +171,7 @@ def build_context(graph: Graph, split: SplitSpec, config: TrainConfig) -> RunCon
     for c, rows in enumerate(class_rows):
         if rows.size == 0:
             raise ValueError(f"class {split.id_classes[c]} has no training nodes")
-    return RunContext(graph=graph, split=split, adj=adj, propagated_x=px,
+    return RunContext(split=split, adj=adj, propagated_x=px,
                       labels=labels, class_count=k, class_rows=class_rows)
 
 
@@ -207,12 +209,10 @@ class ModelState:
     def running_stats(self) -> dict:
         if self.encoder is None:
             return {}
-        return {
-            "encoder.bn1.running_mean": self.encoder.bn1.running_mean,
-            "encoder.bn1.running_var": self.encoder.bn1.running_var,
-            "encoder.bn2.running_mean": self.encoder.bn2.running_mean,
-            "encoder.bn2.running_var": self.encoder.bn2.running_var,
-        }
+        enc = self.encoder
+        return {f"encoder.{name}.running_{s}": getattr(bn, f"running_{s}")
+                for name, bn in (("bn1", enc.bn1), ("bn2", enc.bn2))
+                for s in ("mean", "var")}
 
     def snapshot(self) -> dict:
         snap = {name: t.data.copy() for name, t in self.all_tensors().items()}
@@ -247,6 +247,28 @@ def init_model(feature_dim: int, class_count: int, config: TrainConfig) -> Model
     state.rng_p1 = substream(config.seed, 1)
     state.rng_p2 = substream(config.seed, 2)
     return state
+
+
+def parameter_shapes(feature_dim, class_count, config: TrainConfig):
+    """(name, shape) of every array in a snapshot of the model init_model
+    builds, allocating none.  Lazy, so a check that stops at the first
+    name a checkpoint lacks ends however large class_count is."""
+    h, e, r = config.hidden_dim, 2 * config.embed_dim, config.reasoning_dim
+    if not config.use_beta_reasoning:
+        yield from {"direct.w1": (feature_dim, h), "direct.b1": (h,),
+                    "direct.w2": (h, class_count),
+                    "direct.b2": (class_count,)}.items()
+        return
+    yield from {"encoder.w1": (feature_dim, h), "encoder.w2": (h, e),
+                "disjunction.h1_w": (e, r), "disjunction.h1_b": (r,),
+                "disjunction.h2_w": (r, e), "disjunction.h2_b": (e,),
+                "disjunction.w": (r,), "disjunction.bias": (r,)}.items()
+    for bn, width in (("bn1", h), ("bn2", e)):
+        for part in ("gamma", "beta", "running_mean", "running_var"):
+            yield f"encoder.{bn}.{part}", (width,)
+    for k in itertools.chain(["_nov"], range(class_count)):
+        yield from {f"head{k}.w1": (2 * e, h), f"head{k}.b1": (h,),
+                    f"head{k}.w2": (h, 1), f"head{k}.b2": (1,)}.items()
 
 
 def fit(opt: Adam, epochs: int, loss_fn, phase, rnd) -> float:
@@ -320,7 +342,7 @@ def frozen_reasoning(state: ModelState, ctx: RunContext):
     return class_embs, emb
 
 
-def _phase2_forward(state: ModelState, ctx: RunContext):
+def phase2_forward(state: ModelState, ctx: RunContext):
     """training -> NodeOpinionBatch for the model's evidence heads, the
     direct head or the Beta heads over class regions frozen here, once."""
     cfg = state.config
@@ -337,11 +359,9 @@ def _phase2_forward(state: ModelState, ctx: RunContext):
 
 
 def train_phase2(state: ModelState, ctx: RunContext, epochs: int,
-                 forward=None) -> float:
-    """Dirichlet-loss epochs for the evidence heads; reasoning parameters
-    stay frozen.  forward is a _phase2_forward result to reuse; without
-    one the class regions are rebuilt once at entry."""
-    forward = forward or _phase2_forward(state, ctx)
+                 forward) -> float:
+    """Dirichlet-loss epochs for the evidence heads through forward, a
+    phase2_forward result; reasoning parameters stay frozen."""
     return fit(state.opt_p2, epochs,
                lambda: ev.dirichlet_loss(forward(True), ctx.labels,
                                          ctx.split.train),
@@ -351,9 +371,9 @@ def train_phase2(state: ModelState, ctx: RunContext, epochs: int,
 def forward_scores(state: ModelState, ctx: RunContext,
                    forward=None) -> ev.ScoreBatch:
     """Inference-mode scores for every node, from forward (a
-    _phase2_forward result) when given."""
+    phase2_forward result) when given."""
     if forward is None:
-        forward = _phase2_forward(state, ctx)
+        forward = phase2_forward(state, ctx)
     with no_grad():
         batch = forward(False)
     return ev.score(batch)
@@ -368,7 +388,7 @@ def selection_score(acc, roc, rc) -> float:
     return float(score)
 
 
-def validation_metrics(state: ModelState, ctx: RunContext, forward=None):
+def validation_metrics(state: ModelState, ctx: RunContext, forward):
     split = ctx.split
     sb = forward_scores(state, ctx, forward)
     correct = sb.prediction[split.val] == ctx.labels[split.val]
@@ -380,30 +400,29 @@ def validation_metrics(state: ModelState, ctx: RunContext, forward=None):
     return acc, rc, roc
 
 
-def train_alternating(graph: Graph, split: SplitSpec, config: TrainConfig):
-    """Run R alternating rounds, score each on validation, and return the
-    model restored to its best snapshot plus the per-round history."""
-    ctx = build_context(graph, split, config)
-    state = init_model(graph.feature_dim, ctx.class_count, config)
+def train_alternating(ctx: RunContext, config: TrainConfig):
+    """Run R alternating rounds on ctx, score each on validation, and
+    return the model restored to its best snapshot plus the per-round
+    history.  ctx must hold its features in config's dtype."""
+    px = ctx.propagated_x.data
+    if px.dtype != config.np_dtype:
+        raise ValueError(f"context features are {px.dtype}, config dtype "
+                         f"is {config.dtype}")
+    state = init_model(px.shape[1], ctx.class_count, config)
     history = []
     try:
         for r in range(config.rounds):
             state.round = r
             bl = train_phase1(state, ctx, config.epochs_p1)
             # phase 2 and validation share one frozen encoder pass
-            forward = _phase2_forward(state, ctx)
+            forward = phase2_forward(state, ctx)
             dl = train_phase2(state, ctx, config.epochs_p2, forward)
             acc, rc, roc = validation_metrics(state, ctx, forward)
             score = selection_score(acc, roc, rc)
-            history.append({
-                "round": r,
-                "bl_loss": bl,
-                "dl_loss": dl,
-                "val_acc": acc,
-                "val_aurc": rc,
-                "val_auroc": float("nan") if roc is None else roc,
-                "selection_score": score,
-            })
+            history.append({"round": r, "bl_loss": bl, "dl_loss": dl,
+                            "val_acc": acc, "val_aurc": rc,
+                            "val_auroc": float("nan") if roc is None else roc,
+                            "selection_score": score})
             if state.best_score is None or score > state.best_score:
                 state.best_score = score
                 state.best_round = r
@@ -432,14 +451,10 @@ RETIRED_FIELDS = {"normalize_features": True, "adam_beta1": 0.9,
 def save_checkpoint(path, state: ModelState, extra_meta=None):
     """Single .npz holding every tensor by name plus a JSON meta entry."""
     arrays = state.snapshot()
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "config": asdict(state.config),
-        "class_count": state.class_count,
-        "feature_dim": state.feature_dim,
-        "best_round": state.best_round,
-        "best_score": state.best_score,
-    }
+    meta = {"version": CHECKPOINT_VERSION, "config": asdict(state.config),
+            "class_count": state.class_count,
+            "feature_dim": state.feature_dim,
+            "best_round": state.best_round, "best_score": state.best_score}
     if extra_meta:
         meta.update(extra_meta)
     arrays["__meta__"] = np.frombuffer(
@@ -458,10 +473,16 @@ def load_checkpoint(path):
     try:
         with np.load(path) as zf:
             arrays = {name: zf[name] for name in zf.files}
-    except (zipfile.BadZipFile, EOFError, TypeError, ValueError) as exc:
+    except Exception as exc:
+        # zipfile, zlib and numpy's header parser each fail their own way
+        # on damaged bytes
         raise ValueError(f"cannot read checkpoint {path}: {exc}") from None
     try:
         meta = json.loads(bytes(arrays.pop("__meta__")).decode("utf-8"))
+        if not isinstance(meta, dict):
+            raise ValueError("not a JSON object")
+        if not isinstance(meta.get("config"), dict):
+            raise ValueError("config is not a JSON object")
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported version {meta['version']}")
         cfg_dict = dict(meta["config"])
@@ -473,23 +494,30 @@ def load_checkpoint(path):
                 raise ValueError(f"{name} is {value!r}; this version "
                                  f"supports only {only!r}")
         config = TrainConfig(**cfg_dict)
-        state = init_model(meta["feature_dim"], meta["class_count"], config)
+        dims = meta["feature_dim"], meta["class_count"]
+        for name, value in zip(("feature_dim", "class_count"), dims):
+            if _integer(name, value) < 1:
+                raise ValueError(f"{name} must be >= 1")
     except (KeyError, TypeError, ValueError) as exc:
         cause = f"missing {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"checkpoint {path} has bad __meta__: {cause}") \
             from None
-    state.best_round = meta.get("best_round")
-    state.best_score = meta.get("best_score")
-    for name, ref in state.snapshot().items():
-        if name not in arrays:
+    # every tensor is checked before the model is allocated
+    for name, shape in parameter_shapes(*dims, config):
+        arr = arrays.get(name)
+        if arr is None:
             raise ValueError(f"checkpoint {path} is missing tensor '{name}'")
-        if arrays[name].shape != ref.shape:
-            raise ValueError(
-                f"checkpoint tensor '{name}' has shape "
-                f"{arrays[name].shape}, model expects {ref.shape}"
-            )
-        if not np.isfinite(arrays[name]).all():
+        if arr.dtype.kind != "f":
+            raise ValueError(f"checkpoint {path} tensor '{name}' has dtype "
+                             f"{arr.dtype}, not a float type")
+        if arr.shape != shape:
+            raise ValueError(f"checkpoint {path} tensor '{name}' has shape "
+                             f"{arr.shape}, model expects {shape}")
+        if not np.isfinite(arr).all():
             raise ValueError(f"checkpoint {path} tensor '{name}' holds a "
                              "non-finite value")
+    state = init_model(*dims, config)
+    state.best_round = meta.get("best_round")
+    state.best_score = meta.get("best_score")
     state.load_snapshot(arrays)
     return state, meta

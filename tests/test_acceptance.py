@@ -290,7 +290,7 @@ def test_criterion_8_density_scaling():
         g = graphs.gen_erdos_renyi(n, density, 16, seed=1, class_count=4)
         split = graphs.make_split(g, (), seed=0)
         t0 = time.perf_counter()
-        train_alternating(g, split, cfg)
+        train_alternating(build_context(g, split, cfg), cfg)
         return time.perf_counter() - t0
 
     round_time(3000, 0.01)                    # warm caches and allocators

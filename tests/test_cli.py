@@ -333,19 +333,12 @@ class TestEvalInputs:
         assert self.run_eval(tmp_path, dataset, trained_run, split) == 0
         assert len(calls) == 1
 
-    @staticmethod
-    def with_meta_config(trained_run, path, **config):
+    @classmethod
+    def with_meta_config(cls, trained_run, path, **config):
         """A copy of the trained checkpoint whose __meta__ config has the
         given entries added or replaced."""
-        with np.load(os.path.join(trained_run, "checkpoint.npz")) as zf:
-            arrays = {name: zf[name] for name in zf.files}
-        meta = json.loads(bytes(arrays["__meta__"]))
-        meta["config"].update(config)
-        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
-                                           dtype=np.uint8)
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-        return str(path)
+        return cls.edited(trained_run, path,
+                          lambda arrays, meta: meta["config"].update(config))
 
     def test_checkpoint_with_normalize_features_true_loads(
             self, tmp_path, dataset, trained_run):
@@ -427,6 +420,118 @@ class TestEvalInputs:
         err = capsys.readouterr().err
         assert "nan.npz" in err and tensor in err and "Traceback" not in err
         assert not (tmp_path / "e" / "scores.csv").exists()
+
+    @staticmethod
+    def edited(trained_run, path, edit):
+        """A copy of the trained checkpoint after edit(arrays, meta)."""
+        with np.load(os.path.join(trained_run, "checkpoint.npz")) as zf:
+            arrays = {name: zf[name] for name in zf.files}
+        meta = json.loads(bytes(arrays.pop("__meta__")))
+        edit(arrays, meta)
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                           dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        return str(path)
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("feature_dim", 10**12, "encoder.w1"),
+        ("class_count", 10**12, "head3.w1"),
+        ("feature_dim", 2.5, "feature_dim"),
+        ("class_count", "3", "class_count"),
+        ("class_count", 0, "class_count"),
+        ("feature_dim", None, "feature_dim"),
+    ])
+    def test_meta_size_checked_before_allocation(
+            self, tmp_path, dataset, trained_run, capsys, field, value,
+            named):
+        def edit(arrays, meta):
+            meta[field] = value
+
+        ckpt = self.edited(trained_run, tmp_path / "big.npz", edit)
+        assert self.run_eval(tmp_path, dataset, trained_run,
+                             checkpoint=ckpt) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("tensor", ["encoder.w1", "head0.b2",
+                                        "encoder.bn2.running_mean"])
+    def test_string_dtype_tensor_rejected(self, tmp_path, dataset,
+                                          trained_run, capsys, tensor):
+        def edit(arrays, meta):
+            arrays[tensor] = arrays[tensor].astype(str)
+
+        ckpt = self.edited(trained_run, tmp_path / "str.npz", edit)
+        assert self.run_eval(tmp_path, dataset, trained_run,
+                             checkpoint=ckpt) == 1
+        err = capsys.readouterr().err
+        assert tensor in err and "dtype" in err and "Traceback" not in err
+
+
+class TestOneContextPerSplit:
+    """The adjacency is normalized once per (graph, split): every command
+    builds one RunContext per split and passes it down."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = training.normalize_adjacency
+
+        def counted(graph):
+            calls.append(graph.n)
+            return original(graph)
+
+        monkeypatch.setattr(training, "normalize_adjacency", counted)
+        return calls
+
+    FLAGS = ["--epochs-p1", "2", "--epochs-p2", "2", "--rounds", "1",
+             "--gamma", "15", "--hidden-dim", "4", "--embed-dim", "2",
+             "--reasoning-dim", "4", "--seed", "1", "--ood-classes", "3"]
+
+    def test_ablate(self, tmp_path, dataset, builds):
+        assert main(["ablate", dataset, "--variants", "a", "e",
+                     "--out", str(tmp_path)] + self.FLAGS) == 0
+        assert len(builds) == 1
+
+    def test_gridsearch(self, tmp_path, dataset, builds):
+        assert main(["gridsearch", dataset, "--out", str(tmp_path),
+                     "--lr-p1-grid", "0.01", "0.001", "--lr-p2-grid", "0.01",
+                     "--dropout-p1-grid", "0.2", "--dropout-p2-grid", "0.2",
+                     "--gamma-grid", "15"] + self.FLAGS) == 0
+        assert len(builds) == 1
+
+    def test_train(self, tmp_path, dataset, builds):
+        assert main(["train", dataset, "--out", str(tmp_path)]
+                    + self.FLAGS) == 0
+        assert len(builds) == 1
+
+    def test_eval_with_baselines(self, tmp_path, dataset, trained_run,
+                                 builds):
+        assert main(["eval", dataset, "--checkpoint",
+                     os.path.join(trained_run, "checkpoint.npz"),
+                     "--with-baselines", "--out", str(tmp_path)]) == 0
+        assert len(builds) == 1
+
+    def test_eval_retrained_seed(self, tmp_path, dataset, trained_run,
+                                 builds):
+        # the checkpoint's seed is 1: its split and seed 2's
+        assert main(["eval", dataset, "--checkpoint",
+                     os.path.join(trained_run, "checkpoint.npz"),
+                     "--seeds", "1", "2", "--out", str(tmp_path)]) == 0
+        assert len(builds) == 2
+        rows = json.load(open(tmp_path / "report.json"))["per_seed"]
+        assert "best_round" not in rows[0] and "best_round" in rows[1]
+        assert rows[1]["wall_clock"] > 0
+
+    def test_run_protocol(self, builds):
+        from betagraph import evaluation, graphs
+        g = graphs.zscore_features(graphs.gen_planted_partition(
+            4, 40, 0.15, 0.01, 8, 3.0, seed=9))
+        cfg = training.TrainConfig(seed=0, epochs_p1=2, epochs_p2=2,
+                                   rounds=1, hidden_dim=4, embed_dim=2,
+                                   reasoning_dim=4)
+        evaluation.run_protocol(g, (3,), cfg, seeds=[0, 1, 2])
+        assert len(builds) == 3
 
 
 class TestAblate:
@@ -578,6 +683,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 1
         assert fname in err and where in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("write", [
+        lambda p: p.write_text('{"n": 160,'),
+        lambda p: p.write_bytes(b'{"n": 160, "name": "\xff"}'),
+        lambda p: p.mkdir(),
+        lambda p: p.write_text("[160, 8, 4]"),
+        lambda p: p.write_text('{"n": 160.5, "F": 8, "C": 4}'),
+        lambda p: p.write_text('{"n": 160, "F": 8, "C": [4]}'),
+    ], ids=["unparseable", "not_utf8", "directory", "not_object",
+            "float_n", "list_c"])
+    def test_bad_meta_json_exit_code_1(self, tmp_path, dataset, capsys,
+                                       write):
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        for f in ("edges.tsv", "features.bin", "labels.csv"):
+            (ds / f).write_bytes(open(os.path.join(dataset, f), "rb").read())
+        write(ds / "meta.json")
+        rc = main(["train", str(ds), "--out", str(tmp_path / "o"),
+                   "--epochs-p1", "1", "--epochs-p2", "1", "--rounds", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "meta.json" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_usage_error_from_argparse(self):
         rc = main(["synth", "nonsense-kind", "--out", "/tmp/x"])
@@ -744,3 +872,83 @@ def test_config_fuzz_exits_cleanly(dataset, drop, valid, hostile):
     assert "Traceback" not in err
     if rc == 1:
         assert cfg in err or any(k in err for k in FIELD_NAMES), err
+
+
+# -- checkpoint fuzzing -----------------------------------------------------
+
+META_FIELDS = ["version", "config", "class_count", "feature_dim",
+               "best_round", "best_score", "dataset", "dataset_name",
+               "id_classes"]
+_meta_values = st.one_of(
+    st.integers(-10, 10), st.integers(2**31, 2**80), st.floats(),
+    st.text(max_size=6), st.lists(st.integers(-2, 5), max_size=3),
+    st.none())
+
+
+def _checkpoint_arrays(payload):
+    with np.load(io.BytesIO(payload)) as zf:
+        return {name: zf[name] for name in zf.files}
+
+
+def _npz_bytes(arrays):
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+@st.composite
+def mutated_checkpoint(draw, payload):
+    """Checkpoint bytes cut short, with flipped bytes, without one member,
+    or with one __meta__ field replaced."""
+    kind = draw(st.sampled_from(["truncate", "flip", "drop", "meta"]))
+    if kind == "truncate":
+        return payload[:draw(st.integers(0, len(payload) - 1))]
+    if kind == "flip":
+        data = bytearray(payload)
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(data) - 1))
+            data[at] ^= draw(st.integers(1, 255))
+        return bytes(data)
+    arrays = _checkpoint_arrays(payload)
+    if kind == "drop":
+        del arrays[draw(st.sampled_from(sorted(arrays)))]
+        return _npz_bytes(arrays)
+    meta = json.loads(bytes(arrays["__meta__"]))
+    meta[draw(st.sampled_from(META_FIELDS))] = draw(_meta_values)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                       dtype=np.uint8)
+    return _npz_bytes(arrays)
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory, dataset):
+    out = tmp_path_factory.mktemp("fuzz") / "train"
+    assert main(["train", dataset, "--out", str(out)] + FUZZ_FLAGS
+                + ["--seed", "0", "--ood-classes", "3"]) == 0
+    with open(out / "checkpoint.npz", "rb") as fh:
+        return fh.read()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_checkpoint_fuzz_exits_cleanly(dataset, fuzz_checkpoint, data):
+    """eval on a mutated checkpoint exits 0, 1 or 2 without a traceback,
+    and an exit-1 message names the checkpoint."""
+    payload = data.draw(mutated_checkpoint(fuzz_checkpoint))
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = os.path.join(tmp, "fuzz.npz")
+        with open(ckpt, "wb") as fh:
+            fh.write(payload)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                np.errstate(all="ignore"):
+            rc = main(["eval", dataset, "--checkpoint", ckpt,
+                       "--out", os.path.join(tmp, "o")])
+    err = err.getvalue()
+    assert rc in (0, 1, 2), err
+    assert "Traceback" not in err
+    if rc == 1:
+        assert "checkpoint" in err, err

@@ -13,8 +13,14 @@ from conftest import quick_config
 def trained(small_ppm_module):
     g, split = small_ppm_module
     cfg = quick_config(epochs_p1=25, epochs_p2=25, rounds=2)
-    state, _ = tr.train_alternating(g, split, cfg)
-    return g, split, state
+    ctx = tr.build_context(g, split, cfg)
+    state, _ = tr.train_alternating(ctx, cfg)
+    return g, ctx, state
+
+
+def report(state, ctx):
+    return evl.evaluate(tr.forward_scores(state, ctx), ctx,
+                        seed=state.config.seed)
 
 
 @pytest.fixture(scope="module")
@@ -26,28 +32,28 @@ def small_ppm_module():
 
 class TestEvaluate:
     def test_fields_present_and_in_range(self, trained):
-        g, split, state = trained
-        rep = evl.evaluate(state, g, split)
+        g, ctx, state = trained
+        rep = report(state, ctx)
         assert 0 <= rep.acc <= 1
         assert 0 <= rep.aurc <= 1
         assert rep.aurc_x1000 == pytest.approx(1000 * rep.aurc)
         assert 0 <= rep.fpr95 <= 1
         assert 0 <= rep.auroc <= 1
         assert 0 <= rep.aupr <= 1
-        assert rep.wall_clock > 0
 
     def test_no_ood_split_reports_absent(self, small_ppm_module):
         g, _ = small_ppm_module
         split = graphs.make_split(g, (), seed=1)
         cfg = quick_config(ood_classes=(), epochs_p1=5, epochs_p2=5, rounds=1)
-        state, _ = tr.train_alternating(g, split, cfg)
-        rep = evl.evaluate(state, g, split)
+        ctx = tr.build_context(g, split, cfg)
+        state, _ = tr.train_alternating(ctx, cfg)
+        rep = report(state, ctx)
         assert rep.fpr95 is None and rep.auroc is None and rep.aupr is None
         assert rep.acc >= 0
 
     def test_json_serializable(self, trained):
-        g, split, state = trained
-        text = json.dumps(evl.evaluate(state, g, split).to_dict())
+        g, ctx, state = trained
+        text = json.dumps(report(state, ctx).to_dict())
         assert '"acc"' in text
 
 
@@ -88,6 +94,7 @@ class TestRunProtocol:
         assert len(reports) == 2
         assert reports[0].seed == 0 and reports[1].seed == 1
         assert agg["runs"] == 2
+        assert all(r.wall_clock > 0 for r in reports)
         vals = [r.acc for r in reports]
         assert agg["acc_mean"] == pytest.approx(np.mean(vals))
         assert agg["acc_std"] == pytest.approx(np.std(vals))
@@ -95,9 +102,9 @@ class TestRunProtocol:
 
 class TestCurvesAndScores:
     def test_curves_shapes(self, trained):
-        g, split, state = trained
-        ctx = tr.build_context(g, split, state.config)
-        cv = evl.curves(tr.forward_scores(state, ctx), ctx, split)
+        g, ctx, state = trained
+        split = ctx.split
+        cv = evl.curves(tr.forward_scores(state, ctx), ctx)
         coverage, risk = cv["risk_coverage"]
         assert coverage.size == split.test.size
         assert risk.size == coverage.size
@@ -107,10 +114,9 @@ class TestCurvesAndScores:
         assert np.all(np.diff(fpr) >= 0) and np.all(np.diff(tpr) >= 0)
 
     def test_node_scores_table(self, trained):
-        g, split, state = trained
-        ctx = tr.build_context(g, split, state.config)
+        g, ctx, state = trained
         header, lines = evl.node_scores_table(tr.forward_scores(state, ctx),
-                                              split)
+                                              ctx.split)
         rows = [line.split(",") for line in lines]
         assert header[:4] == ["node_id", "prediction", "dissonance", "vacuity"]
         assert header[4:] == ["p_0", "p_1", "p_2"]
@@ -124,11 +130,12 @@ class TestCurvesAndScores:
 
 class TestSharedScores:
     def test_passed_scores_give_the_same_report(self, trained):
-        g, split, state = trained
-        ctx = tr.build_context(g, split, state.config)
+        """Scores on the shared context report as on a rebuilt one."""
+        g, ctx, state = trained
         sb = tr.forward_scores(state, ctx)
-        fresh = evl.evaluate(state, g, split).to_dict()
-        shared = evl.evaluate(state, g, split, ctx=ctx, scores=sb).to_dict()
+        again = tr.build_context(g, ctx.split, state.config)
+        fresh = report(state, again).to_dict()
+        shared = evl.evaluate(sb, ctx, seed=state.config.seed).to_dict()
         fresh.pop("wall_clock")
         shared.pop("wall_clock")
         assert shared == fresh
@@ -137,16 +144,25 @@ class TestSharedScores:
 class TestBaselines:
     def test_baseline_report_fields(self, small_ppm_module):
         g, split = small_ppm_module
-        out = evl.baseline_report(g, split, seed=0, epochs=80)
+        ctx = tr.build_context(g, split, tr.TrainConfig())
+        out = evl.baseline_report(ctx, seed=0, epochs=80)
         for key in ("acc", "maxlogit_auroc", "energy_auroc", "maxlogit_fpr95",
                     "energy_fpr95", "maxlogit_aupr", "energy_aupr"):
             assert key in out
         assert out["acc"] > 0.5
         assert 0 <= out["energy_auroc"] <= 1
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_baseline_trains_in_context_dtype(self, small_ppm_module, dtype):
+        g, split = small_ppm_module
+        ctx = tr.build_context(g, split, tr.TrainConfig(dtype=dtype))
+        model, logits = evl.train_baseline(ctx, epochs=2)
+        assert logits.dtype == dtype and model.w1.data.dtype == dtype
+
     def test_baseline_divergence_named(self, small_ppm_module):
         g, split = small_ppm_module
+        ctx = tr.build_context(g, split, tr.TrainConfig())
         with np.errstate(all="ignore"):
             with pytest.raises(tr.TrainingDivergence,
                                match=r"phase baseline, round 0, epoch \d+"):
-                evl.train_baseline(g, split, lr=1e30, epochs=20)
+                evl.train_baseline(ctx, lr=1e30, epochs=20)

@@ -44,6 +44,37 @@ class TestLoadDataset:
                            match=rf"non-finite.*row 3, column 2.*features\.{fmt}"):
             graphs.load_dataset(tmp_path)
 
+    @staticmethod
+    def with_meta(tmp_path, toy3_dir, write):
+        for f in ("edges.tsv", "features.csv", "labels.csv"):
+            (tmp_path / f).write_text(open(os.path.join(toy3_dir, f)).read())
+        write(tmp_path / "meta.json")
+        return tmp_path
+
+    @pytest.mark.parametrize("write", [
+        lambda p: p.write_text('{"n": 3, "F": 2'),
+        lambda p: p.write_bytes(b'{"n": 3, "F": 2, "C": 2, "name": "\xe9"}'),
+        lambda p: p.mkdir(),
+        lambda p: p.write_text('[3, 2, 2]'),
+        lambda p: p.write_text('"toy3"'),
+    ], ids=["unparseable", "not_utf8", "directory", "list", "string"])
+    def test_unreadable_meta_names_file(self, tmp_path, toy3_dir, write):
+        ds = self.with_meta(tmp_path, toy3_dir, write)
+        with pytest.raises(DatasetError, match="meta.json"):
+            graphs.load_dataset(ds)
+
+    @pytest.mark.parametrize("key,value", [
+        ("n", 3.5), ("n", 3.0), ("F", True), ("C", [2]), ("C", "2"),
+        ("n", None), ("F", 0), ("C", -1), ("n", 0),
+    ])
+    def test_meta_sizes_are_positive_integers(self, tmp_path, toy3_dir, key,
+                                              value):
+        meta = {"n": 3, "F": 2, "C": 2, key: value}
+        ds = self.with_meta(tmp_path, toy3_dir,
+                            lambda p: p.write_text(json.dumps(meta)))
+        with pytest.raises(DatasetError, match=f"meta.json.*'{key}'"):
+            graphs.load_dataset(ds)
+
     def test_duplicate_and_reversed_edges_deduplicated(self, tmp_path):
         (tmp_path / "edges.tsv").write_text("0\t1\n1\t0\n0\t1\n1\t1\n")
         (tmp_path / "features.csv").write_text("0.0\n1.0\n")

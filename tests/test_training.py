@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,18 @@ from betagraph import reasoning as rs
 from betagraph import training as tr
 from betagraph.evaluation import evaluate
 from conftest import quick_config
+
+
+def train(graph, split, config):
+    """train_alternating on a context built for graph and split."""
+    return tr.train_alternating(tr.build_context(graph, split, config),
+                                config)
+
+
+def report(state, ctx):
+    """The evaluation report of the model's scores on ctx."""
+    return evaluate(tr.forward_scores(state, ctx), ctx,
+                    seed=state.config.seed)
 
 
 def buffer_hashes(state):
@@ -62,19 +75,21 @@ class TestTrainConfig:
         want = graphs.make_split(small_ppm, (3,), seed=5)
         assert cfg.split(small_ppm).to_json() == want.to_json()
         other = graphs.make_split(small_ppm, (3,), seed=6)
-        assert cfg.split(small_ppm, seed=6).to_json() == other.to_json()
+        assert replace(cfg, seed=6).split(small_ppm).to_json() == \
+            other.to_json()
 
     def test_protocol_splits_leave_out_its_own_classes(self, monkeypatch,
                                                         small_ppm):
         from betagraph import evaluation
         seen = []
 
-        def fake_train(graph, split, config):
-            seen.append((split.ood_classes, split.seed, config.seed))
+        def fake_train(ctx, config):
+            seen.append((ctx.split.ood_classes, ctx.split.seed, config.seed))
             return tr.ModelState(config=config, class_count=3,
                                  feature_dim=8), []
 
         monkeypatch.setattr(evaluation, "train_alternating", fake_train)
+        monkeypatch.setattr(evaluation, "forward_scores", lambda *a: None)
         monkeypatch.setattr(evaluation, "evaluate",
                             lambda *a, **k: evaluation.EvalReport(0, 1.0, 0.0,
                                                                   0.0))
@@ -105,7 +120,7 @@ class TestPhases:
         state = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
         before = buffer_hashes(state)
         tr.train_phase1(state, ctx, 0)
-        tr.train_phase2(state, ctx, 0)
+        tr.train_phase2(state, ctx, 0, tr.phase2_forward(state, ctx))
         assert buffer_hashes(state) == before
 
     def test_phase1_only_touches_reasoning_params(self, small_ppm, small_split):
@@ -126,7 +141,7 @@ class TestPhases:
         state = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
         tr.train_phase1(state, ctx, 3)
         before = buffer_hashes(state)
-        tr.train_phase2(state, ctx, 3)
+        tr.train_phase2(state, ctx, 3, tr.phase2_forward(state, ctx))
         after = buffer_hashes(state)
         for name in state.phase1_tensors():
             assert after[name] == before[name], name
@@ -140,8 +155,9 @@ class TestPhases:
         first_bl = tr.train_phase1(state, ctx, 1)
         later_bl = tr.train_phase1(state, ctx, 60)
         assert later_bl < first_bl
-        first_dl = tr.train_phase2(state, ctx, 1)
-        later_dl = tr.train_phase2(state, ctx, 60)
+        forward = tr.phase2_forward(state, ctx)
+        first_dl = tr.train_phase2(state, ctx, 1, forward)
+        later_dl = tr.train_phase2(state, ctx, 60, forward)
         assert later_dl < first_dl
 
     @pytest.mark.parametrize("learned_prior", [True, False])
@@ -222,10 +238,11 @@ class TestPhases:
         ctx = tr.build_context(small_ppm, small_split, cfg)
         state = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
         state.round = 3
+        forward = tr.phase2_forward(state, ctx)
         with np.errstate(all="ignore"):
             with pytest.raises(tr.TrainingDivergence,
                                match=r"phase 2, round 3, epoch \d+"):
-                tr.train_phase2(state, ctx, 60)
+                tr.train_phase2(state, ctx, 60, forward)
 
 
 class TestFit:
@@ -309,8 +326,8 @@ class TestSharedWork:
         """Phase 2 and the validation after it score one frozen forward."""
         frozen = count_calls(monkeypatch, tr.rs, "encode",
                              lambda *a, training=False, **k: not training)
-        tr.train_alternating(small_ppm, small_split,
-                             quick_config(rounds=2, epochs_p1=2, epochs_p2=2))
+        train(small_ppm, small_split,
+              quick_config(rounds=2, epochs_p1=2, epochs_p2=2))
         assert len(frozen) == 2
 
     def test_direct_head_propagates_features_once(self, monkeypatch,
@@ -321,30 +338,30 @@ class TestSharedWork:
         cfg = tr.variant_config(quick_config(), "a")
         ctx = tr.build_context(small_ppm, small_split, cfg)
         state = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
+        forward = tr.phase2_forward(state, ctx)
         calls = count_calls(monkeypatch, type(ctx.adj), "matmul",
                             lambda m, x: m is ctx.adj)
-        tr.train_phase2(state, ctx, 1)
+        tr.train_phase2(state, ctx, 1, forward)
         one = len(calls)
-        tr.train_phase2(state, ctx, 4)
+        tr.train_phase2(state, ctx, 4, forward)
         assert one == 2 and len(calls) - one == 8
 
 
 class TestAlternating:
     def test_single_round(self, small_ppm, small_split):
-        state, history = tr.train_alternating(small_ppm, small_split,
-                                              quick_config(rounds=1))
+        state, history = train(small_ppm, small_split, quick_config(rounds=1))
         assert len(history) == 1
         assert state.best_round == 0
 
     def test_deterministic_history(self, small_ppm, small_split):
         cfg = quick_config(epochs_p1=10, epochs_p2=10)
-        _, h1 = tr.train_alternating(small_ppm, small_split, cfg)
-        _, h2 = tr.train_alternating(small_ppm, small_split, cfg)
+        _, h1 = train(small_ppm, small_split, cfg)
+        _, h2 = train(small_ppm, small_split, cfg)
         assert h1 == h2
 
     def test_best_snapshot_attains_max_score(self, small_ppm, small_split):
         cfg = quick_config(epochs_p1=10, epochs_p2=10, rounds=3)
-        state, history = tr.train_alternating(small_ppm, small_split, cfg)
+        state, history = train(small_ppm, small_split, cfg)
         best = max(h["selection_score"] for h in history)
         assert state.best_score == best
         assert history[state.best_round]["selection_score"] == best
@@ -352,16 +369,17 @@ class TestAlternating:
     def test_restored_snapshot_reproduces_validation(self, small_ppm,
                                                      small_split):
         cfg = quick_config(epochs_p1=10, epochs_p2=10, rounds=3)
-        state, history = tr.train_alternating(small_ppm, small_split, cfg)
         ctx = tr.build_context(small_ppm, small_split, cfg)
-        acc, rc, roc = tr.validation_metrics(state, ctx)
+        state, history = tr.train_alternating(ctx, cfg)
+        acc, rc, roc = tr.validation_metrics(state, ctx,
+                                             tr.phase2_forward(state, ctx))
         score = tr.selection_score(acc, roc, rc)
         assert score == pytest.approx(state.best_score, abs=1e-9)
 
     def test_divergence_carries_finished_rounds(self, monkeypatch, small_ppm,
                                                 small_split):
         cfg = quick_config(rounds=3, epochs_p1=2, epochs_p2=2)
-        _, full = tr.train_alternating(small_ppm, small_split, cfg)
+        _, full = train(small_ppm, small_split, cfg)
         original = tr.train_phase1
 
         def phase1(state, ctx, epochs):
@@ -371,15 +389,23 @@ class TestAlternating:
 
         monkeypatch.setattr(tr, "train_phase1", phase1)
         with pytest.raises(tr.TrainingDivergence) as info:
-            tr.train_alternating(small_ppm, small_split, cfg)
+            train(small_ppm, small_split, cfg)
         assert info.value.history == full[:2]
+
+    def test_context_dtype_must_match_config(self, small_ppm, small_split):
+        ctx = tr.build_context(small_ppm, small_split,
+                               quick_config(dtype="float64"))
+        with pytest.raises(ValueError, match="float64, config dtype is "
+                                             "float32"):
+            tr.train_alternating(ctx, quick_config())
 
     def test_direct_variant_trains(self, small_ppm, small_split):
         cfg = tr.variant_config(quick_config(epochs_p2=40), "a")
-        state, history = tr.train_alternating(small_ppm, small_split, cfg)
+        ctx = tr.build_context(small_ppm, small_split, cfg)
+        state, history = tr.train_alternating(ctx, cfg)
         assert state.direct is not None
         assert np.isnan(history[0]["bl_loss"])
-        rep = evaluate(state, small_ppm, small_split)
+        rep = report(state, ctx)
         assert rep.acc > 0.5
 
 
@@ -403,12 +429,13 @@ class TestSelectionScore:
 class TestCheckpoint:
     def test_roundtrip_preserves_scores(self, tmp_path, small_ppm, small_split):
         cfg = quick_config(epochs_p1=10, epochs_p2=10)
-        state, _ = tr.train_alternating(small_ppm, small_split, cfg)
-        rep = evaluate(state, small_ppm, small_split)
+        ctx = tr.build_context(small_ppm, small_split, cfg)
+        state, _ = tr.train_alternating(ctx, cfg)
+        rep = report(state, ctx)
         path = tmp_path / "ckpt.npz"
         tr.save_checkpoint(path, state)
         loaded, meta = tr.load_checkpoint(path)
-        rep2 = evaluate(loaded, small_ppm, small_split)
+        rep2 = report(loaded, ctx)
         assert rep2.acc == rep.acc
         assert rep2.aurc == rep.aurc
         assert rep2.auroc == rep.auroc
@@ -417,7 +444,7 @@ class TestCheckpoint:
     @pytest.fixture
     def saved(self, tmp_path, small_ppm, small_split):
         cfg = quick_config(epochs_p1=2, epochs_p2=2, rounds=1)
-        state, _ = tr.train_alternating(small_ppm, small_split, cfg)
+        state, _ = train(small_ppm, small_split, cfg)
         path = tmp_path / "ckpt.npz"
         tr.save_checkpoint(path, state)
         with np.load(path) as zf:
@@ -472,6 +499,42 @@ class TestCheckpoint:
                                            dtype=np.uint8)
         self.rewrite(path, arrays)
         with pytest.raises(ValueError, match=f"bad __meta__: {field}"):
+            tr.load_checkpoint(path)
+
+    @pytest.mark.parametrize("variant", ["a", "b", "e"])
+    @pytest.mark.parametrize("class_count", [1, 4])
+    def test_parameter_shapes_match_the_model(self, variant, class_count):
+        cfg = tr.variant_config(quick_config(embed_dim=3), variant)
+        state = tr.init_model(5, class_count, cfg)
+        want = {name: a.shape for name, a in state.snapshot().items()}
+        assert dict(tr.parameter_shapes(5, class_count, cfg)) == want
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("feature_dim", 10**12, "'encoder.w1' has shape"),
+        ("class_count", 10**15, "missing tensor 'head3.w1'"),
+        ("feature_dim", 8.0, "bad __meta__: feature_dim must be an integer"),
+        ("class_count", True, "bad __meta__: class_count must be an integer"),
+        ("class_count", [3], "bad __meta__: class_count must be an integer"),
+        ("feature_dim", 0, "bad __meta__: feature_dim must be >= 1"),
+    ])
+    def test_meta_sizes_checked_before_allocation(self, monkeypatch, saved,
+                                                  field, value, match):
+        path, arrays = saved
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        meta[field] = value
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                           dtype=np.uint8)
+        self.rewrite(path, arrays)
+        monkeypatch.setattr(tr, "init_model", None)     # must not be reached
+        with pytest.raises(ValueError, match=match):
+            tr.load_checkpoint(path)
+
+    def test_string_dtype_tensor_named(self, saved):
+        path, arrays = saved
+        arrays["disjunction.h1_b"] = arrays["disjunction.h1_b"].astype(str)
+        self.rewrite(path, arrays)
+        with pytest.raises(ValueError,
+                           match="'disjunction.h1_b' has dtype <U"):
             tr.load_checkpoint(path)
 
     def test_shape_mismatch_rejected(self, saved):
