@@ -6,8 +6,11 @@ seeds, and output files.  Exit codes: 0 success, 1 usage or config
 error, 2 runtime or numerical failure.
 
 Config files are TOML (JSON accepted as a fallback) whose keys mirror
-the TrainConfig fields; the per-phase names lr_p1, dropout_p1, gamma,
-lr_p2, dropout_p2 plus seed are required in explicit config files.  The
+the TrainConfig fields; the tuned fields of GRIDS plus seed are required
+in explicit config files.  Every TrainConfig field that is not a switch
+is also a --kebab-case flag, typed by its default, that overrides the
+file; TrainConfig itself checks the values.  A config or split file that
+cannot be read, decoded or parsed exits 1 naming the file.  The
 BETAGRAPH_OUT_ROOT environment variable, when set, anchors relative
 output directories.
 
@@ -28,14 +31,22 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 
+try:
+    import tomllib
+except ImportError:     # Python 3.10
+    import tomli as tomllib
+
 from . import __version__, evaluation, graphs
 from .ioutil import atomic_write_text, sha256_dir, sha256_file
-from .training import (TrainConfig, TrainingDivergence, build_context,
-                       forward_scores, train_alternating, load_checkpoint,
-                       save_checkpoint, variant_config)
+from .training import (VARIANTS, TrainConfig, TrainingDivergence,
+                       build_context, forward_scores, train_alternating,
+                       load_checkpoint, save_checkpoint, variant_config)
 
-REQUIRED_CONFIG_KEYS = ("lr_p1", "dropout_p1", "gamma", "lr_p2",
-                        "dropout_p2", "seed")
+# the tuned fields and their default grids, in gridsearch.csv column order
+GRIDS = {"lr_p1": (0.01, 0.001, 0.0005), "dropout_p1": (0.2, 0.4, 0.6),
+         "gamma": (15.0, 55.0, 95.0, 135.0), "lr_p2": (0.01, 0.001, 0.0005),
+         "dropout_p2": (0.2, 0.4, 0.6)}
+REQUIRED_CONFIG_KEYS = (*GRIDS, "seed")
 
 
 class UsageError(Exception):
@@ -56,23 +67,32 @@ def _out_dir(path):
     return path
 
 
-def _load_config_file(path) -> dict:
-    with open(path, "rb") as fh:
-        payload = fh.read()
+def _read_input(path, what, parse):
+    """parse(text) of the UTF-8 file at path; a file that cannot be read,
+    decoded or parsed raises a UsageError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            return parse(fh.read().decode("utf-8"))
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise UsageError(f"{what} {path} is unreadable or malformed: "
+                         f"{exc!r}") from None
+
+
+def _parse_config(text, path):
+    """JSON for a .json path; otherwise TOML, or JSON where TOML fails."""
     if path.endswith(".json"):
-        raw = json.loads(payload.decode("utf-8"))
-    else:
+        return json.loads(text)
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
         try:
-            try:
-                import tomllib as toml
-            except ImportError:
-                import tomli as toml
-            raw = toml.loads(payload.decode("utf-8"))
-        except Exception as exc:
-            try:
-                raw = json.loads(payload.decode("utf-8"))
-            except json.JSONDecodeError:
-                raise UsageError(f"cannot parse config {path}: {exc}") from None
+            return json.loads(text)
+        except json.JSONDecodeError:
+            raise exc from None
+
+
+def _load_config_file(path) -> dict:
+    raw = _read_input(path, "config", lambda text: _parse_config(text, path))
     if not isinstance(raw, dict):
         raise UsageError(f"config {path} must be a table of fields")
     known = {f.name for f in fields(TrainConfig)}
@@ -113,7 +133,7 @@ def _write_manifest(out_dir, command, outputs, *, config_path=None,
         "out_dir": os.path.abspath(out_dir),
         "seeds": list(seeds),
         "started": started,
-        "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "finished": _now(),
         "outputs": sorted(os.path.basename(p) for p in outputs),
     }
     if config_path:
@@ -142,20 +162,18 @@ def _now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _csv(path, header, rows):
-    _csv_lines(path, header, [",".join(map(str, row)) for row in rows])
-
-
-def _csv_lines(path, header, lines):
-    atomic_write_text(path, "\n".join([",".join(header), *lines]) + "\n")
+def _write_csv(path, header, columns):
+    """Write a table given as columns: a float array's cells in repr (the
+    round-trip form), any other array's in str, any other cell via _fmt."""
+    cells = [map(repr if col.dtype.kind == "f" else str, col.tolist())
+             if isinstance(col, np.ndarray) else map(_fmt, col)
+             for col in columns]
+    atomic_write_text(path, "\n".join(
+        [",".join(header), *map(",".join, zip(*cells))]) + "\n")
 
 
 def _fmt(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return "" if v is None else repr(v) if isinstance(v, float) else str(v)
 
 
 # -- synth -------------------------------------------------------------
@@ -164,20 +182,15 @@ def cmd_synth(args):
     started = _now()
     out = _out_dir(args.out)
     if args.kind == "er":
-        if not 0.0 <= args.density < 1.0:
-            raise UsageError("density must lie in [0, 1)")
         g = graphs.gen_erdos_renyi(args.nodes, args.density, args.feature_dim,
                                    seed=args.seed, class_count=args.classes)
     else:
-        if not args.p_in > args.p_out:
-            raise UsageError("p-in must exceed p-out")
         g = graphs.gen_planted_partition(
             args.blocks, args.nodes_per_block, args.p_in, args.p_out,
             args.feature_dim, args.separation, seed=args.seed)
-    graphs.save_dataset(g, out, feature_format=args.feature_format)
+    graphs.save_dataset(g, out)
     outputs = [os.path.join(out, f) for f in
-               ("edges.tsv", "labels.csv", "meta.json",
-                "features.bin" if args.feature_format == "bin" else "features.csv")]
+               ("edges.tsv", "labels.csv", "meta.json", "features.bin")]
     _write_manifest(out, "synth", outputs, seeds=[args.seed], started=started)
     print(f"wrote {g.name}: n={g.n} edges={g.edge_count} -> {out}")
     return 0
@@ -185,11 +198,13 @@ def cmd_synth(args):
 
 # -- train -------------------------------------------------------------
 
+HISTORY_COLUMNS = ("round", "bl_loss", "dl_loss", "val_acc", "val_aurc",
+                   "val_auroc", "selection_score")
+
+
 def _history_csv(path, history):
-    header = ["round", "bl_loss", "dl_loss", "val_acc", "val_aurc",
-              "val_auroc", "selection_score"]
-    rows = [[_fmt(h[k]) for k in header] for h in history]
-    _csv(path, header, rows)
+    _write_csv(path, HISTORY_COLUMNS,
+               [[h[k] for h in history] for k in HISTORY_COLUMNS])
 
 
 def cmd_train(args):
@@ -198,12 +213,14 @@ def cmd_train(args):
     config = _build_config(args, graph)
     out = _out_dir(args.out)
     split = config.split(graph)
-    atomic_write_text(os.path.join(out, "split.json"), split.to_json() + "\n")
+    split_path = os.path.join(out, "split.json")
+    hist = os.path.join(out, "history.csv")
+    atomic_write_text(split_path, split.to_json() + "\n")
     ctx = build_context(graph, split, config)
     try:
         state, history = train_alternating(ctx, config)
     except TrainingDivergence as exc:
-        _history_csv(os.path.join(out, "history.csv"), exc.history)
+        _history_csv(hist, exc.history)
         print(f"training diverged: {exc}", file=sys.stderr)
         return 2
     ckpt = os.path.join(out, "checkpoint.npz")
@@ -212,12 +229,10 @@ def cmd_train(args):
         "dataset_name": graph.name,
         "id_classes": list(split.id_classes),
     })
-    _history_csv(os.path.join(out, "history.csv"), history)
-    _write_manifest(
-        out, "train",
-        [ckpt, os.path.join(out, "history.csv"), os.path.join(out, "split.json")],
-        config_path=args.config, config=config, dataset=args.dataset,
-        seeds=[config.seed], started=started)
+    _history_csv(hist, history)
+    _write_manifest(out, "train", [ckpt, hist, split_path],
+                    config_path=args.config, config=config,
+                    dataset=args.dataset, seeds=[config.seed], started=started)
     best = max(h["selection_score"] for h in history)
     print(f"trained {config.rounds} round(s); best selection score {best:.4f}"
           f" -> {ckpt}")
@@ -285,13 +300,7 @@ def cmd_eval(args):
             f"dataset provides {graph.class_count - len(config.ood_classes)}")
 
     if args.split:
-        with open(args.split) as fh:
-            text = fh.read()
-        try:
-            split = graphs.SplitSpec.from_json(text)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"split {args.split} is malformed: {exc!r}") \
-                from None
+        split = _read_input(args.split, "split", graphs.SplitSpec.from_json)
         _check_split(split, graph, config, args.split)
     else:
         split = config.split(graph)
@@ -319,24 +328,18 @@ def cmd_eval(args):
         "aggregate": agg,
     }, indent=1) + "\n")
 
-    outputs = [report_path]
+    tables = {"scores.csv": evaluation.node_scores_table(sb, split),
+              "aggregate.csv": (AGGREGATE_COLUMNS,
+                                [[agg.get(k)] for k in AGGREGATE_COLUMNS])}
     curves = evaluation.curves(sb, ctx)
     for name, header in (("risk_coverage", ["coverage", "risk"]),
                          ("roc", ["fpr", "tpr"])):
         if name in curves:
-            outputs.append(os.path.join(out, f"curves_{name}.csv"))
-            _csv_lines(outputs[-1], header, evaluation.csv_lines(
-                map(evaluation.repr_column, curves[name])))
-
-    header, lines = evaluation.node_scores_table(sb, split)
-    scores_path = os.path.join(out, "scores.csv")
-    _csv_lines(scores_path, header, lines)
-    outputs.append(scores_path)
-
-    table_path = os.path.join(out, "aggregate.csv")
-    _csv(table_path, AGGREGATE_COLUMNS,
-         [[_fmt(agg.get(k)) for k in AGGREGATE_COLUMNS]])
-    outputs.append(table_path)
+            tables[f"curves_{name}.csv"] = header, curves[name]
+    outputs = [report_path]
+    for fname, (header, columns) in tables.items():
+        outputs.append(os.path.join(out, fname))
+        _write_csv(outputs[-1], header, columns)
 
     _write_manifest(out, "eval", outputs, dataset=args.dataset,
                     checkpoint=args.checkpoint, seeds=seeds, config=config,
@@ -349,15 +352,11 @@ def cmd_eval(args):
 
 # -- ablate ------------------------------------------------------------
 
-ABLATION_VARIANTS = ("a", "b", "c", "d", "e", "no_at")
+ABLATION_VARIANTS = (*VARIANTS, "no_at")
 
 
 def cmd_ablate(args):
     started = _now()
-    for v in args.variants:
-        if v not in ABLATION_VARIANTS:
-            raise UsageError(f"unknown variant '{v}'"
-                             f" (choose from {', '.join(ABLATION_VARIANTS)})")
     graph = _load_graph(args.dataset)
     base = _build_config(args, graph)
     out = _out_dir(args.out)
@@ -368,13 +367,13 @@ def cmd_ablate(args):
         state, _ = train_alternating(ctx, cfg)
         rep = evaluation.evaluate(forward_scores(state, ctx), ctx,
                                   seed=cfg.seed)
-        rows.append([v, _fmt(rep.acc), _fmt(rep.aurc_x1000), _fmt(rep.fpr95),
-                     _fmt(rep.auroc)])
+        rows.append([v, rep.acc, rep.aurc_x1000, rep.fpr95, rep.auroc])
         print(f"variant {v}: acc={rep.acc:.4f} aurc(x1000)={rep.aurc_x1000:.2f}"
               + (f" fpr95={rep.fpr95:.4f} auroc={rep.auroc:.4f}"
                  if rep.auroc is not None else ""))
     table = os.path.join(out, "ablation.csv")
-    _csv(table, ["variant", "acc", "aurc_x1000", "fpr95", "auroc"], rows)
+    _write_csv(table, ["variant", "acc", "aurc_x1000", "fpr95", "auroc"],
+               zip(*rows))
     _write_manifest(out, "ablate", [table], config_path=args.config,
                     config=base, dataset=args.dataset, seeds=[base.seed],
                     started=started)
@@ -397,24 +396,20 @@ def cmd_scale(args):
             t0 = time.perf_counter()
             train_alternating(build_context(g, split, base), base)
             elapsed = time.perf_counter() - t0
-            rows.append([n, density, g.edge_count, repr(elapsed), "ok"])
+            rows.append([n, density, g.edge_count, elapsed, "ok"])
             print(f"n={n} density={density}: {elapsed:.2f}s "
                   f"({g.edge_count} edges)")
         except MemoryError:
             rows.append([n, density, "", "", "oom"])
             print(f"n={n} density={density}: out of memory", file=sys.stderr)
     table = os.path.join(out, "timings.csv")
-    _csv(table, ["nodes", "density", "edges", "seconds", "status"], rows)
+    _write_csv(table, ["nodes", "density", "edges", "seconds", "status"],
+               zip(*rows))
     _write_manifest(out, "scale", [table], seeds=[base.seed], started=started)
     return 0
 
 
 # -- gridsearch ----------------------------------------------------------
-
-GRID_LR = (0.01, 0.001, 0.0005)
-GRID_DROPOUT = (0.2, 0.4, 0.6)
-GRID_GAMMA = (15.0, 55.0, 95.0, 135.0)
-
 
 def cmd_gridsearch(args):
     started = _now()
@@ -422,24 +417,19 @@ def cmd_gridsearch(args):
     base = _build_config(args, graph)
     out = _out_dir(args.out)
     ctx = build_context(graph, base.split(graph), base)
-    lr1 = args.lr_p1_grid or GRID_LR
-    lr2 = args.lr_p2_grid or GRID_LR
-    dr1 = args.dropout_p1_grid or GRID_DROPOUT
-    dr2 = args.dropout_p2_grid or GRID_DROPOUT
-    gam = args.gamma_grid or GRID_GAMMA
+    axes = [getattr(args, f"{name}_grid") or grid
+            for name, grid in GRIDS.items()]
     rows = []
-    for combo in itertools.product(lr1, dr1, gam, lr2, dr2):
-        cfg = replace(base, lr_p1=combo[0], dropout_p1=combo[1],
-                      gamma=combo[2], lr_p2=combo[3], dropout_p2=combo[4])
+    for combo in itertools.product(*axes):
+        cfg = replace(base, **dict(zip(GRIDS, combo)))
         _, history = train_alternating(ctx, cfg)
         best = max(h["selection_score"] for h in history)
-        rows.append(list(combo) + [repr(best)])
-        print(f"lr_p1={combo[0]} dropout_p1={combo[1]} gamma={combo[2]} "
-              f"lr_p2={combo[3]} dropout_p2={combo[4]}: score {best:.4f}")
-    rows.sort(key=lambda r: -float(r[-1]))
+        rows.append([*combo, best])
+        print(" ".join(f"{k}={v}" for k, v in zip(GRIDS, combo))
+              + f": score {best:.4f}")
+    rows.sort(key=lambda r: -r[-1])
     table = os.path.join(out, "gridsearch.csv")
-    _csv(table, ["lr_p1", "dropout_p1", "gamma", "lr_p2", "dropout_p2",
-                 "selection_score"], rows)
+    _write_csv(table, [*GRIDS, "selection_score"], zip(*rows))
     _write_manifest(out, "gridsearch", [table], config_path=args.config,
                     dataset=args.dataset, seeds=[base.seed], started=started)
     return 0
@@ -448,21 +438,15 @@ def cmd_gridsearch(args):
 # -- parser ---------------------------------------------------------------
 
 def _add_config_flags(p):
+    """--config, and one --kebab-case flag per TrainConfig field that is
+    not a switch, typed by the field's default (ood_classes takes ints)."""
     p.add_argument("--config", help="TOML or JSON training config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--epochs-p1", dest="epochs_p1", type=int)
-    p.add_argument("--epochs-p2", dest="epochs_p2", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--lr-p1", dest="lr_p1", type=float)
-    p.add_argument("--lr-p2", dest="lr_p2", type=float)
-    p.add_argument("--dropout-p1", dest="dropout_p1", type=float)
-    p.add_argument("--dropout-p2", dest="dropout_p2", type=float)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    p.add_argument("--embed-dim", dest="embed_dim", type=int)
-    p.add_argument("--reasoning-dim", dest="reasoning_dim", type=int)
-    p.add_argument("--dtype", choices=("float32", "float64"))
-    p.add_argument("--ood-classes", dest="ood_classes", type=int, nargs="*")
+    for f in fields(TrainConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if isinstance(f.default, tuple):
+            p.add_argument(flag, type=int, nargs="*")
+        elif not isinstance(f.default, bool):
+            p.add_argument(flag, type=type(f.default))
 
 
 def build_parser() -> _Parser:
@@ -477,7 +461,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--feature-dim", type=int, default=16)
-    p.add_argument("--feature-format", choices=("bin", "csv"), default="bin")
     p.add_argument("--nodes", type=int, default=5000, help="er: node count")
     p.add_argument("--density", type=float, default=0.005)
     p.add_argument("--classes", type=int, default=4, help="er: label count")
@@ -508,7 +491,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ablate", help="train and compare ablation variants")
     p.add_argument("dataset")
-    p.add_argument("--variants", nargs="+", default=list(ABLATION_VARIANTS))
+    p.add_argument("--variants", nargs="+", choices=ABLATION_VARIANTS,
+                   default=list(ABLATION_VARIANTS))
     p.add_argument("--out", required=True)
     _add_config_flags(p)
     p.set_defaults(func=cmd_ablate)
@@ -525,11 +509,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gridsearch", help="enumerate the hyperparameter grids")
     p.add_argument("dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--lr-p1-grid", type=float, nargs="*")
-    p.add_argument("--lr-p2-grid", type=float, nargs="*")
-    p.add_argument("--dropout-p1-grid", type=float, nargs="*")
-    p.add_argument("--dropout-p2-grid", type=float, nargs="*")
-    p.add_argument("--gamma-grid", type=float, nargs="*")
+    for name in GRIDS:
+        p.add_argument(f"--{name.replace('_', '-')}-grid", type=float,
+                       nargs="*")
     _add_config_flags(p)
     p.set_defaults(func=cmd_gridsearch)
 
@@ -541,10 +523,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (graphs.DatasetError, FileNotFoundError, ValueError) as exc:
+    except (UsageError, graphs.DatasetError, FileNotFoundError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (TrainingDivergence, FloatingPointError, RuntimeError) as exc:

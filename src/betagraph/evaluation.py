@@ -155,31 +155,18 @@ def curves(scores: ScoreBatch, ctx: RunContext):
     return out
 
 
-def repr_column(values):
-    """CSV cells of a float array: repr of each value, the round-trip form."""
-    return map(repr, values.tolist())
-
-
-def csv_lines(columns):
-    """CSV lines of a table given as columns of string cells."""
-    return list(map(",".join, zip(*columns)))
-
-
 def node_scores_table(scores: ScoreBatch, split: SplitSpec):
-    """Header and CSV lines of the per-node rows: node_id, prediction,
+    """Header and columns of the per-node rows: node_id, prediction,
     dissonance, vacuity, p_0..p_{K-1}.
 
     Predictions are reported as original dataset class ids.
     """
-    id_classes = np.asarray(split.id_classes, dtype=np.int64)
-    preds = id_classes[scores.prediction]
+    preds = np.asarray(split.id_classes, dtype=np.int64)[scores.prediction]
     k = scores.probability.shape[1]
     header = ["node_id", "prediction", "dissonance", "vacuity"] + \
         [f"p_{i}" for i in range(k)]
-    columns = [map(str, range(preds.size)), map(str, preds.tolist()),
-               repr_column(scores.dissonance), repr_column(scores.vacuity)]
-    columns += [repr_column(col) for col in scores.probability.T]
-    return header, csv_lines(columns)
+    return header, [np.arange(preds.size), preds, scores.dissonance,
+                    scores.vacuity, *scores.probability.T]
 
 
 # -- plain cross-entropy classifier for MaxLogit / Energy -------------------

@@ -88,22 +88,27 @@ class SplitSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SplitSpec":
-        """Parse to_json output; a partition that is not a flat list of
-        integer node ids raises ValueError naming it."""
+        """Parse to_json output; a class list or partition that is not a
+        flat list of 64-bit integers raises ValueError naming it."""
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError("a split must be a JSON object")
 
-        def node_ids(part):
-            ids = d[part]
-            if not (isinstance(ids, list) and all(
-                    type(i) is int for i in ids)):
-                raise ValueError(f"{part} must be a flat list of integer "
-                                 "node ids")
-            return np.asarray(ids, dtype=np.int64)
+        def ints(key):
+            v = d[key]
+            if not (isinstance(v, list) and all(
+                    type(i) is int and -2**63 <= i < 2**63 for i in v)):
+                raise ValueError(f"{key} must be a flat list of 64-bit "
+                                 "integers")
+            return v
 
-        return cls(id_classes=tuple(d["id_classes"]),
-                   ood_classes=tuple(d["ood_classes"]),
-                   **{p: node_ids(p) for p in SPLIT_PARTS},
-                   seed=int(d["seed"]))
+        if type(d["seed"]) is not int:
+            raise ValueError("seed must be an integer")
+        return cls(id_classes=tuple(ints("id_classes")),
+                   ood_classes=tuple(ints("ood_classes")),
+                   **{p: np.asarray(ints(p), dtype=np.int64)
+                      for p in SPLIT_PARTS},
+                   seed=d["seed"])
 
 
 def _symmetric_adjacency(edges: np.ndarray, n: int) -> SparseMatrix:
@@ -220,8 +225,9 @@ def _load_ints(path, ndmin):
         raise DatasetError(f"{path}: {exc}") from None
 
 
-def save_dataset(graph: Graph, directory, feature_format="bin"):
-    """Write a Graph as a dataset directory (atomic per file)."""
+def save_dataset(graph: Graph, directory):
+    """Write a Graph as a dataset directory (atomic per file), its
+    features as features.bin."""
     os.makedirs(directory, exist_ok=True)
     # each undirected edge once, as (i, j) with i < j in CSR order
     a = graph.adjacency
@@ -232,18 +238,12 @@ def save_dataset(graph: Graph, directory, feature_format="bin"):
                        ("%d\t%d\n" * len(pairs)
                         % tuple(pairs.ravel().tolist())).encode())
 
-    if feature_format == "bin":
-        payload = graph.features.astype("<f4").tobytes()
-        atomic_write_bytes(os.path.join(directory, "features.bin"), payload)
-        csv_p = os.path.join(directory, "features.csv")
-        if os.path.exists(csv_p):
-            os.remove(csv_p)
-    elif feature_format == "csv":
-        rows = "\n".join(",".join(repr(float(v)) for v in row)
-                         for row in graph.features)
-        atomic_write_bytes(os.path.join(directory, "features.csv"), (rows + "\n").encode())
-    else:
-        raise ValueError(f"unknown feature format: {feature_format}")
+    atomic_write_bytes(os.path.join(directory, "features.bin"),
+                       graph.features.astype("<f4").tobytes())
+    # a features.csv would take precedence on load
+    csv_p = os.path.join(directory, "features.csv")
+    if os.path.exists(csv_p):
+        os.remove(csv_p)
 
     atomic_write_bytes(os.path.join(directory, "labels.csv"),
                   ("\n".join(str(int(v)) for v in graph.labels) + "\n").encode())

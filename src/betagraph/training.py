@@ -467,8 +467,9 @@ def save_checkpoint(path, state: ModelState, extra_meta=None):
 def load_checkpoint(path):
     """Returns (ModelState with loaded parameters, meta dict).
 
-    A file that is not a complete checkpoint, or holds a non-finite
-    value, raises ValueError naming the path and the cause.
+    A file that is not a complete checkpoint, holds a tensor its meta
+    does not declare, or holds a non-finite value, raises ValueError
+    naming the path and the cause.
     """
     try:
         with np.load(path) as zf:
@@ -503,7 +504,9 @@ def load_checkpoint(path):
         raise ValueError(f"checkpoint {path} has bad __meta__: {cause}") \
             from None
     # every tensor is checked before the model is allocated
+    expected = set()
     for name, shape in parameter_shapes(*dims, config):
+        expected.add(name)
         arr = arrays.get(name)
         if arr is None:
             raise ValueError(f"checkpoint {path} is missing tensor '{name}'")
@@ -516,6 +519,10 @@ def load_checkpoint(path):
         if not np.isfinite(arr).all():
             raise ValueError(f"checkpoint {path} tensor '{name}' holds a "
                              "non-finite value")
+    extra = sorted(arrays.keys() - expected)
+    if extra:
+        raise ValueError(f"checkpoint {path} holds tensor '{extra[0]}', which "
+                         "its __meta__ does not declare")
     state = init_model(*dims, config)
     state.best_round = meta.get("best_round")
     state.best_score = meta.get("best_score")

@@ -26,6 +26,17 @@ def small_split(small_ppm):
     return graphs.make_split(small_ppm, ood_classes=(3,), seed=2)
 
 
+def save_dataset_as(graph, directory, fmt):
+    """save_dataset, with the features written as features.csv (one repr
+    per value) in place of features.bin when fmt is "csv"."""
+    graphs.save_dataset(graph, directory)
+    if fmt == "csv":
+        os.remove(os.path.join(directory, "features.bin"))
+        with open(os.path.join(directory, "features.csv"), "w") as fh:
+            fh.writelines(",".join(map(repr, row)) + "\n"
+                          for row in graph.features.tolist())
+
+
 def quick_config(**overrides):
     base = dict(seed=0, ood_classes=(3,), epochs_p1=25, epochs_p2=25,
                 rounds=2, gamma=15.0, hidden_dim=16, embed_dim=8,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from betagraph import training
+from betagraph import graphs, training
 from betagraph.cli import _add_config_flags, _Parser, build_parser, main
 
 PPM_ARGS = ["synth", "ppm", "--blocks", "4", "--nodes-per-block", "40",
@@ -61,10 +61,17 @@ class TestSynth:
         g = graphs.load_dataset(out)
         assert g.n == 500
 
-    def test_invalid_density_usage_error(self, tmp_path):
+    def test_invalid_density_usage_error(self, tmp_path, capsys):
         rc = main(["synth", "er", "--nodes", "10", "--density", "1.5",
                    "--out", str(tmp_path / "x")])
         assert rc == 1
+        assert "density must lie in [0, 1)" in capsys.readouterr().err
+
+    def test_p_in_not_above_p_out_usage_error(self, tmp_path, capsys):
+        rc = main(["synth", "ppm", "--p-in", "0.01", "--p-out", "0.01",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "p_in must exceed p_out" in capsys.readouterr().err
 
     def test_manifest_written(self, dataset):
         manifest = json.load(open(os.path.join(dataset, "manifest.json")))
@@ -296,7 +303,11 @@ class TestEvalInputs:
         ("train", lambda ids: [ids], "train must be a flat list"),
         ("val", lambda ids: ids + [0.7], "val must be a flat list"),
         ("test", lambda ids: ids[0], "test must be a flat list"),
-    ], ids=["missing", "nested", "float-id", "scalar"])
+        ("ood_classes", lambda ids: ["a", 3], "ood_classes must be a flat"),
+        ("id_classes", lambda ids: [[0], 1], "id_classes must be a flat"),
+        ("train", lambda ids: ids + [2**70], "train must be a flat list"),
+    ], ids=["missing", "nested", "float-id", "scalar", "mixed-classes",
+            "nested-classes", "huge-id"])
     def test_malformed_split_json(self, tmp_path, dataset, trained_run,
                                   capsys, part, edit, message):
         split = self.split_of(trained_run)
@@ -315,6 +326,24 @@ class TestEvalInputs:
         assert self.run_eval(tmp_path, dataset, trained_run,
                              checkpoint=str(bad)) == 1
         assert "cannot read checkpoint" in capsys.readouterr().err
+
+    def test_undeclared_tensor_rejected(self, tmp_path, dataset,
+                                        trained_run, capsys):
+        """A 3-class checkpoint whose meta says 2 classes still holds the
+        head2.* tensors, which a 2-class model does not have."""
+        with open(os.path.join(trained_run, "checkpoint.npz"), "rb") as fh:
+            arrays = _checkpoint_arrays(fh.read())
+        meta = json.loads(bytes(arrays["__meta__"]))
+        assert meta["class_count"] == 3
+        meta["class_count"] = 2
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                           dtype=np.uint8)
+        ckpt = tmp_path / "two.npz"
+        ckpt.write_bytes(_npz_bytes(arrays))
+        assert self.run_eval(tmp_path, dataset, trained_run,
+                             checkpoint=str(ckpt)) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "tensor 'head2." in err
 
     def test_graph_scored_once(self, tmp_path, dataset, trained_run,
                                monkeypatch):
@@ -608,6 +637,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag,value", [
         ("--epochs-p1", "-1"), ("--hidden-dim", "0"), ("--embed-dim", "-2"),
+        ("--dtype", "float16"),
     ])
     def test_bad_size_exit_code_1(self, tmp_path, dataset, capsys, flag,
                                   value):
@@ -652,10 +682,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("fmt", ["csv", "bin"])
     def test_non_finite_feature_exit_code_1(self, tmp_path, capsys, fmt):
         from betagraph import graphs
+        from conftest import save_dataset_as
         g = graphs.gen_planted_partition(4, 10, 0.3, 0.05, 3, 2.0, seed=5)
         g.features[7, 1] = np.nan
         ds = tmp_path / "ds"
-        graphs.save_dataset(g, ds, feature_format=fmt)
+        save_dataset_as(g, ds, fmt)
         rc = main(["train", str(ds), "--out", str(tmp_path / "o"),
                    "--epochs-p1", "1", "--epochs-p2", "1", "--rounds", "1"])
         err = capsys.readouterr().err
@@ -706,6 +737,37 @@ class TestExitCodes:
         assert rc == 1
         assert "meta.json" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name,write", [
+        ("cfg.toml", lambda p: p.mkdir()),
+        ("cfg.toml", lambda p: p.write_bytes(b"lr_p1 = 0.01\nseed = \xff\n")),
+        ("cfg.json", lambda p: p.write_text('{"lr_p1": 0.01,\n}')),
+    ], ids=["directory", "not_utf8", "unparseable_json"])
+    def test_unreadable_config_named(self, tmp_path, dataset, capsys, name,
+                                     write):
+        cfg = tmp_path / name
+        write(cfg)
+        rc = main(["train", dataset, "--config", str(cfg),
+                   "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert str(cfg) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("write", [
+        lambda p: p.mkdir(),
+        lambda p: p.write_bytes(b'{"seed": "\xff"}'),
+        lambda p: p.write_text("[" * 100000 + "]" * 100000),
+    ], ids=["directory", "not_utf8", "deeply_nested"])
+    def test_unreadable_split_named(self, tmp_path, dataset, trained_run,
+                                    capsys, write):
+        split = tmp_path / "split.json"
+        write(split)
+        rc = main(["eval", dataset, "--checkpoint",
+                   os.path.join(trained_run, "checkpoint.npz"),
+                   "--split", str(split), "--out", str(tmp_path / "e")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert str(split) in err and "Traceback" not in err
 
     def test_usage_error_from_argparse(self):
         rc = main(["synth", "nonsense-kind", "--out", "/tmp/x"])
@@ -775,6 +837,20 @@ def test_only_config_flags_name_config_fields():
             checked += 1
             assert dests & names <= flag_dests
     assert checked == 4
+
+
+def test_config_flags_follow_train_config_fields():
+    """One --kebab-case flag per TrainConfig field that is not a switch,
+    typed by the field's default."""
+    flags = _Parser()
+    _add_config_flags(flags)
+    dests = {a.dest for a in flags._actions} - {"help", "config"}
+    assert dests == {f.name for f in fields(training.TrainConfig)
+                     if not isinstance(f.default, bool)}
+    args = flags.parse_args(["--lr-p1", "0.5", "--rounds", "3", "--dtype",
+                             "float64", "--ood-classes", "4", "5"])
+    assert (args.lr_p1, args.rounds, args.dtype, args.ood_classes) == \
+        (0.5, 3, "float64", [4, 5])
 
 
 def test_python_dash_m_runs_the_cli():
@@ -952,3 +1028,67 @@ def test_checkpoint_fuzz_exits_cleanly(dataset, fuzz_checkpoint, data):
     assert "Traceback" not in err
     if rc == 1:
         assert "checkpoint" in err, err
+
+
+# -- split fuzzing ----------------------------------------------------------
+
+SPLIT_KEYS = ["id_classes", "ood_classes", *graphs.SPLIT_PARTS, "seed"]
+_ids = st.one_of(st.integers(-3, 170), st.integers(2**62, 2**80),
+                 st.integers(-2**80, -2**62))
+_split_scalars = st.one_of(_ids, st.floats(), st.booleans(), st.none(),
+                           st.text(max_size=3))
+_split_values = st.one_of(_split_scalars, st.lists(_split_scalars, max_size=4),
+                          st.dictionaries(st.text(max_size=2), _ids,
+                                          max_size=2))
+
+
+@st.composite
+def mutated_split(draw, split):
+    """A split JSON value: one key of a valid split with a value of any
+    type, one key removed, one id appended (huge, negative or repeated),
+    mixed-type class lists, or a top level that is not an object."""
+    kind = draw(st.sampled_from(["type", "drop", "id", "classes", "top"]))
+    if kind == "top":
+        return draw(_split_values)
+    split = json.loads(json.dumps(split))
+    if kind == "type":
+        split[draw(st.sampled_from(SPLIT_KEYS))] = draw(_split_values)
+    elif kind == "drop":
+        del split[draw(st.sampled_from(SPLIT_KEYS))]
+    elif kind == "id":
+        part = draw(st.sampled_from(graphs.SPLIT_PARTS))
+        taken = [i for p in graphs.SPLIT_PARTS for i in split[p]]
+        split[part].append(draw(st.one_of(_ids, st.sampled_from(taken))))
+    else:
+        key = draw(st.sampled_from(["id_classes", "ood_classes"]))
+        split[key] = draw(st.lists(st.one_of(
+            st.integers(-2, 5), st.floats(), st.booleans(),
+            st.text(max_size=2)), max_size=4))
+    return split
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_split_fuzz_exits_cleanly(dataset, trained_run, data):
+    """eval on a mutated split file exits 0, 1 or 2 without a traceback,
+    and an exit-1 message names the split file."""
+    with open(os.path.join(trained_run, "split.json")) as fh:
+        split = data.draw(mutated_split(json.load(fh)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.json")
+        with open(path, "w") as fh:
+            json.dump(split, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                np.errstate(all="ignore"):
+            rc = main(["eval", dataset, "--checkpoint",
+                       os.path.join(trained_run, "checkpoint.npz"),
+                       "--split", path, "--out", os.path.join(tmp, "o")])
+    err = err.getvalue()
+    assert rc in (0, 1, 2), err
+    assert "Traceback" not in err
+    if rc == 1:
+        assert path in err, err

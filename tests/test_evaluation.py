@@ -6,6 +6,7 @@ import pytest
 from betagraph import evaluation as evl
 from betagraph import graphs
 from betagraph import training as tr
+from betagraph.cli import _write_csv
 from conftest import quick_config
 
 
@@ -113,10 +114,13 @@ class TestCurvesAndScores:
         assert fpr[-1] == 1.0 and tpr[-1] == 1.0
         assert np.all(np.diff(fpr) >= 0) and np.all(np.diff(tpr) >= 0)
 
-    def test_node_scores_table(self, trained):
+    def test_node_scores_table(self, trained, tmp_path):
         g, ctx, state = trained
-        header, lines = evl.node_scores_table(tr.forward_scores(state, ctx),
-                                              ctx.split)
+        path = tmp_path / "scores.csv"
+        _write_csv(path, *evl.node_scores_table(tr.forward_scores(state, ctx),
+                                                ctx.split))
+        header, *lines = path.read_text().splitlines()
+        header = header.split(",")
         rows = [line.split(",") for line in lines]
         assert header[:4] == ["node_id", "prediction", "dissonance", "vacuity"]
         assert header[4:] == ["p_0", "p_1", "p_2"]

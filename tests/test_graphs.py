@@ -6,6 +6,7 @@ import pytest
 
 from betagraph import graphs
 from betagraph.graphs import DatasetError
+from conftest import save_dataset_as
 
 
 class TestLoadDataset:
@@ -39,7 +40,7 @@ class TestLoadDataset:
     def test_non_finite_feature_names_file(self, tmp_path, fmt, bad):
         g = graphs.gen_planted_partition(2, 5, 0.4, 0.1, 3, 2.0, seed=4)
         g.features[3, 2] = bad
-        graphs.save_dataset(g, tmp_path, feature_format=fmt)
+        save_dataset_as(g, tmp_path, fmt)
         with pytest.raises(DatasetError,
                            match=rf"non-finite.*row 3, column 2.*features\.{fmt}"):
             graphs.load_dataset(tmp_path)
@@ -88,7 +89,7 @@ class TestLoadDataset:
 
     def test_roundtrip_csv_exact(self, tmp_path):
         g = graphs.gen_planted_partition(3, 8, 0.4, 0.05, 4, 2.0, seed=1)
-        graphs.save_dataset(g, tmp_path / "ds", feature_format="csv")
+        save_dataset_as(g, tmp_path / "ds", "csv")
         back = graphs.load_dataset(tmp_path / "ds")
         assert back.n == g.n
         assert np.array_equal(back.labels, g.labels)
@@ -101,7 +102,7 @@ class TestLoadDataset:
         g = graphs.Graph(n=g.n, adjacency=g.adjacency,
                          features=g.features.astype(np.float32).astype(np.float64),
                          labels=g.labels, class_count=g.class_count)
-        graphs.save_dataset(g, tmp_path / "ds", feature_format="bin")
+        graphs.save_dataset(g, tmp_path / "ds")
         back = graphs.load_dataset(tmp_path / "ds")
         assert np.array_equal(back.features, g.features)
         assert np.array_equal(back.adjacency.csr.toarray(),
@@ -123,7 +124,7 @@ class TestLoadDataset:
 
     def test_zscore_on_load(self, tmp_path):
         g = graphs.gen_planted_partition(2, 10, 0.4, 0.1, 3, 4.0, seed=3)
-        graphs.save_dataset(g, tmp_path / "ds", feature_format="csv")
+        save_dataset_as(g, tmp_path / "ds", "csv")
         norm = graphs.zscore_features(graphs.load_dataset(tmp_path / "ds"))
         assert np.abs(norm.features.mean(axis=0)).max() < 1e-9
         assert np.abs(norm.features.std(axis=0) - 1.0).max() < 1e-9
