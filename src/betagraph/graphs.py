@@ -7,7 +7,7 @@ Dataset directory layout::
                    cleaned up on load
     features.csv   n rows of F comma-separated reals, or
     features.bin   little-endian float32, row-major (shape from meta.json)
-    labels.csv     n integers in 0..C-1
+    labels.csv     n integers in 0..C-1, each of the C classes used
     meta.json      {"n": ..., "F": ..., "C": ..., "name": ...}
 
 Split files are JSON objects holding arrays of node ids per mask.
@@ -153,7 +153,7 @@ def load_dataset(directory) -> Graph:
     try:
         with open(meta_path, "rb") as fh:
             meta = json.loads(fh.read().decode("utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise DatasetError(f"cannot read {meta_path}: {exc}") from None
     if not isinstance(meta, dict):
         raise DatasetError(f"{meta_path} must hold a JSON object")
@@ -177,16 +177,14 @@ def load_dataset(directory) -> Graph:
     elif os.path.exists(bin_path):
         raw = np.fromfile(bin_path, dtype="<f4")
         if raw.size != n * f_dim:
-            raise DatasetError(
-                f"features.bin holds {raw.size} values, expected {n * f_dim}"
-            )
+            raise DatasetError(f"{bin_path} holds {raw.size} values, "
+                               f"{meta_path} gives n * F = {n * f_dim}")
         features = raw.reshape(n, f_dim).astype(np.float64)
     else:
         raise DatasetError(f"missing dataset file: {csv_path} (or features.bin)")
     if features.shape != (n, f_dim):
-        raise DatasetError(
-            f"feature shape {features.shape} != meta ({n}, {f_dim})"
-        )
+        raise DatasetError(f"{csv_path} has shape {features.shape}, "
+                           f"{meta_path} gives ({n}, {f_dim})")
     if not np.isfinite(features).all():
         row, col = np.argwhere(~np.isfinite(features))[0]
         raise DatasetError(
@@ -194,9 +192,19 @@ def load_dataset(directory) -> Graph:
             f"column {col} of {feature_path}"
         )
 
-    labels = _load_ints(path("labels.csv"), ndmin=1)
+    label_path = path("labels.csv")
+    labels = _load_ints(label_path, ndmin=1)
     if labels.shape != (n,):
-        raise DatasetError("labels.csv row count != n")
+        raise DatasetError(f"{label_path} has shape {labels.shape}, "
+                           f"{meta_path} gives n = {n}")
+    bad = labels[(labels < 0) | (labels >= c)]
+    if bad.size:
+        raise DatasetError(f"{label_path}: label {bad[0]} is outside "
+                           f"0..{c - 1}, {meta_path} gives C = {c}")
+    empty = np.flatnonzero(np.bincount(labels, minlength=c) == 0)
+    if empty.size:
+        raise DatasetError(f"{label_path}: no node has label {empty[0]}, "
+                           f"{meta_path} gives C = {c}")
 
     edge_path = path("edges.tsv")
     if os.path.getsize(edge_path) == 0:
@@ -204,10 +212,14 @@ def load_dataset(directory) -> Graph:
     else:
         edges = _load_ints(edge_path, ndmin=2)
     if edges.size and edges.shape[1] != 2:
-        raise DatasetError("edges.tsv must have two columns")
+        raise DatasetError(f"{edge_path} must have two columns")
 
-    return build_graph(edges, features, labels, c,
-                       name=str(meta.get("name", os.path.basename(directory))))
+    try:
+        return build_graph(edges, features, labels, c, name=str(
+            meta.get("name", os.path.basename(directory))))
+    except DatasetError as exc:     # features and labels passed above
+        raise DatasetError(f"{edge_path}: {exc} (n from {meta_path})") \
+            from None
 
 
 def _load_ints(path, ndmin):
@@ -216,7 +228,7 @@ def _load_ints(path, ndmin):
     try:
         return np.loadtxt(path, dtype=np.int64, ndmin=ndmin)
     except ValueError as exc:
-        with open(path) as fh:
+        with open(path, errors="replace") as fh:
             for lineno, line in enumerate(fh, 1):
                 for cell in line.split("#", 1)[0].split():
                     if not cell.lstrip("+-").isdigit():

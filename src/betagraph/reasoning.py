@@ -20,11 +20,12 @@ The distance between two embeddings is the summed per-dimension
 KL(Beta_node || Beta_class); node-first ordering makes the trained class
 embeddings cover the node modes rather than the reverse.
 
-Each encoder layer (batch norm, softplus, dropout) and the Beta-KL are
-one tape node each, with a hand-written VJP that replays the per-op
-composition's operations and gradient accumulations in the tape's
-order, so values and gradients equal that composition bit for bit
-(tests/oracles.py keeps it).  Backward through an encoder layer holds
+Each encoder layer (batch norm, softplus, dropout), the second layer's
+propagation adj @ (h1 @ w2) and the Beta-KL are one tape node each,
+with a hand-written VJP that replays the per-op composition's
+operations and gradient accumulations in the tape's order, so values
+and gradients equal that composition bit for bit (tests/oracles.py
+keeps it).  Backward through an encoder layer holds
 the softplus derivative and the dropout mask, not every intermediate.
 """
 
@@ -153,8 +154,23 @@ def encode(adj: SparseMatrix, px: Tensor, params: EncoderParams, *,
                        training=training,
                        dropout_rate=dropout_rate if training else 0.0,
                        generator=generator)
-    z2 = ad.spmm(adj, ad.matmul(h1, params.w2))
+    z2 = propagate(adj, h1, params.w2)
     return encoder_layer(z2, params.bn2, training=training, floor=EMB_EPS)
+
+
+def propagate(adj: SparseMatrix, h: Tensor, w: Tensor) -> Tensor:
+    """adj @ (h @ w) as one tape node, which does not keep the (n, H)
+    product h @ w.  The VJP computes adj @ g once, then the gradients of
+    h and w from it, in the order of ad.spmm's and ad.matmul's VJPs, so
+    values and gradients equal that composition bit for bit (adj is
+    symmetric, see ad.spmm)."""
+    out = adj.matmul(h.data @ w.data)
+
+    def grads(g):
+        ga = adj.matmul(g)
+        return ga @ w.data.T, h.data.T @ ga
+
+    return ad.fused_node(out, (h, w), grads)
 
 
 def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,

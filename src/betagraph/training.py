@@ -499,7 +499,7 @@ def load_checkpoint(path):
         for name, value in zip(("feature_dim", "class_count"), dims):
             if _integer(name, value) < 1:
                 raise ValueError(f"{name} must be >= 1")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         cause = f"missing {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"checkpoint {path} has bad __meta__: {cause}") \
             from None

@@ -2,11 +2,16 @@ import os
 
 import pytest
 
-from betagraph import graphs
+from betagraph import cli, graphs
 from betagraph.training import TrainConfig
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOY3_DIR = os.path.join(REPO_ROOT, "data", "toy3")
+
+
+def pytest_configure(config):
+    # the tests train in this process, as the betagraph command does
+    cli.tune_allocator()
 
 
 @pytest.fixture(scope="session")

@@ -483,6 +483,20 @@ class TestEvalInputs:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
 
+    def test_deeply_nested_meta_named(self, tmp_path, dataset, trained_run,
+                                      capsys):
+        with open(os.path.join(trained_run, "checkpoint.npz"), "rb") as fh:
+            arrays = _checkpoint_arrays(fh.read())
+        arrays["__meta__"] = np.frombuffer(b"[" * 100000 + b"]" * 100000,
+                                           dtype=np.uint8)
+        ckpt = tmp_path / "nested.npz"
+        ckpt.write_bytes(_npz_bytes(arrays))
+        assert self.run_eval(tmp_path, dataset, trained_run,
+                             checkpoint=str(ckpt)) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "__meta__" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("tensor", ["encoder.w1", "head0.b2",
                                         "encoder.bn2.running_mean"])
     def test_string_dtype_tensor_rejected(self, tmp_path, dataset,
@@ -715,6 +729,31 @@ class TestExitCodes:
         assert rc == 1
         assert fname in err and where in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("fname,text,cause,files", [
+        ("meta.json", '{"n": 160, "F": 8, "C": 3}', "label 3 is outside",
+         ("labels.csv", "meta.json")),
+        ("meta.json", '{"n": 160, "F": 8, "C": 5}', "no node has label 4",
+         ("labels.csv", "meta.json")),
+        ("meta.json", '{"n": 100, "F": 8, "C": 4}', "n * F = 800",
+         ("features.bin", "meta.json")),
+        ("edges.tsv", "0\t1\n1\t160\n", "out of range",
+         ("edges.tsv", "meta.json")),
+        ("edges.tsv", "0\t1\t2\n", "two columns", ("edges.tsv",)),
+    ])
+    def test_inconsistent_files_exit_code_1(self, tmp_path, dataset, capsys,
+                                            fname, text, cause, files):
+        """A dataset whose files disagree exits 1 naming them."""
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        for f in ("edges.tsv", "features.bin", "labels.csv", "meta.json"):
+            (ds / f).write_bytes(open(os.path.join(dataset, f), "rb").read())
+        (ds / fname).write_text(text)
+        rc = main(["train", str(ds), "--out", str(tmp_path / "o"),
+                   "--epochs-p1", "1", "--epochs-p2", "1", "--rounds", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1 and cause in err and "Traceback" not in err
+        assert all(str(ds / f) in err for f in files), err
+
     @pytest.mark.parametrize("write", [
         lambda p: p.write_text('{"n": 160,'),
         lambda p: p.write_bytes(b'{"n": 160, "name": "\xff"}'),
@@ -722,8 +761,9 @@ class TestExitCodes:
         lambda p: p.write_text("[160, 8, 4]"),
         lambda p: p.write_text('{"n": 160.5, "F": 8, "C": 4}'),
         lambda p: p.write_text('{"n": 160, "F": 8, "C": [4]}'),
+        lambda p: p.write_text("[" * 100000 + "]" * 100000),
     ], ids=["unparseable", "not_utf8", "directory", "not_object",
-            "float_n", "list_c"])
+            "float_n", "list_c", "deeply_nested"])
     def test_bad_meta_json_exit_code_1(self, tmp_path, dataset, capsys,
                                        write):
         ds = tmp_path / "ds"
@@ -1092,3 +1132,66 @@ def test_split_fuzz_exits_cleanly(dataset, trained_run, data):
     assert "Traceback" not in err
     if rc == 1:
         assert path in err, err
+
+
+# -- dataset fuzzing --------------------------------------------------------
+
+DATASET_FILES = ("edges.tsv", "labels.csv", "features.bin", "meta.json")
+
+
+@st.composite
+def mutated_dataset_file(draw, files):
+    """(name, bytes): one dataset file cut short, with flipped bytes or
+    with bytes spliced in, or meta.json nested deeply (bare or as a
+    field's value)."""
+    kind = draw(st.sampled_from(["truncate", "flip", "splice", "nest"]))
+    if kind == "nest":
+        depth = draw(st.integers(10**4, 10**5))
+        nested = b"[" * depth + b"]" * depth
+        if draw(st.booleans()):
+            nested = b'{"n": ' + nested + b', "F": 8, "C": 4}'
+        return "meta.json", nested
+    name = draw(st.sampled_from(DATASET_FILES))
+    data = bytearray(files[name])
+    if kind == "truncate":
+        return name, bytes(data[:draw(st.integers(0, len(data) - 1))])
+    if kind == "flip":
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(data) - 1))
+            data[at] ^= draw(st.integers(1, 255))
+        return name, bytes(data)
+    at = draw(st.integers(0, len(data)))
+    data[at:at] = draw(st.binary(min_size=1, max_size=8))
+    return name, bytes(data)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_dataset_fuzz_exits_cleanly(dataset, data):
+    """train on a dataset directory with one mutated file exits 0, 1 or 2
+    without a traceback, and a failure names that file."""
+    files = {}
+    for name in DATASET_FILES:
+        with open(os.path.join(dataset, name), "rb") as fh:
+            files[name] = fh.read()
+    name, payload = data.draw(mutated_dataset_file(files))
+    files[name] = payload
+    with tempfile.TemporaryDirectory() as tmp:
+        ds = os.path.join(tmp, "ds")
+        os.mkdir(ds)
+        for fname, content in files.items():
+            with open(os.path.join(ds, fname), "wb") as fh:
+                fh.write(content)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                np.errstate(all="ignore"):
+            rc = main(["train", ds, "--out", os.path.join(tmp, "o")]
+                      + FUZZ_FLAGS + ["--seed", "0", "--ood-classes", "3"])
+    err = err.getvalue()
+    assert rc in (0, 1, 2), err
+    assert "Traceback" not in err
+    if rc:
+        assert os.path.join(ds, name) in err, err

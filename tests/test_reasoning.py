@@ -388,6 +388,17 @@ class TestFusedEncoderLayer:
         assert [id(p) for p, _ in out._vjps] == \
             [id(z), id(bn.gamma), id(bn.beta)]
 
+    def test_propagation_keeps_no_product(self, tiny_graph):
+        """Layer 2's adj @ (h1 @ w2) is one node over h1 and w2: the
+        (n, H) product h1 @ w2 is not a tape parent."""
+        adj = graphs.normalize_adjacency(tiny_graph)
+        gen = rng(3)
+        h = ad.Tensor(gen.standard_normal((tiny_graph.n, 5)),
+                      requires_grad=True)
+        w = ad.Tensor(gen.standard_normal((5, 4)), requires_grad=True)
+        out = rs.propagate(adj, h, w)
+        assert [id(p) for p, _ in out._vjps] == [id(h), id(w)]
+
 
 class TestFusedBetaKL:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
