@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,7 +143,17 @@ def build_graph(edges, features, labels, class_count, name="graph") -> Graph:
 
 def load_dataset(directory) -> Graph:
     """Load and validate a dataset directory (raw features; see
-    zscore_features)."""
+    zscore_features); any failure is a DatasetError naming the file."""
+    try:
+        with warnings.catch_warnings():     # an empty file fails by shape
+            warnings.filterwarnings("ignore", "loadtxt: input contained no")
+            return _read_dataset(directory)
+    except OSError as exc:                  # a directory, or unreadable
+        raise DatasetError(f"cannot read {exc.filename}: {exc.strerror}") \
+            from None
+
+
+def _read_dataset(directory):
     def path(fname):
         p = os.path.join(directory, fname)
         if not os.path.exists(p):
@@ -153,7 +164,7 @@ def load_dataset(directory) -> Graph:
     try:
         with open(meta_path, "rb") as fh:
             meta = json.loads(fh.read().decode("utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise DatasetError(f"cannot read {meta_path}: {exc}") from None
     if not isinstance(meta, dict):
         raise DatasetError(f"{meta_path} must hold a JSON object")
@@ -207,10 +218,7 @@ def load_dataset(directory) -> Graph:
                            f"{meta_path} gives C = {c}")
 
     edge_path = path("edges.tsv")
-    if os.path.getsize(edge_path) == 0:
-        edges = np.zeros((0, 2), dtype=np.int64)
-    else:
-        edges = _load_ints(edge_path, ndmin=2)
+    edges = _load_ints(edge_path, ndmin=2)
     if edges.size and edges.shape[1] != 2:
         raise DatasetError(f"{edge_path} must have two columns")
 

@@ -1,7 +1,7 @@
 """Special functions used by the Beta-embedding losses.
 
 All kernels accept scalars or numpy arrays, compute in float64, and
-return the input's floating dtype (a Python float for scalar input).
+return an array of the input's floating dtype (0-d for a scalar).
 The gamma-family kernels raise ValueError on non-positive or non-finite
 input.
 
@@ -29,14 +29,10 @@ import scipy.special as sc
 _BERN = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0)
 
 
-def _out_dtype(x):
-    dt = np.asarray(x).dtype
-    return dt if dt.kind == "f" else np.dtype(np.float64)
-
-
-def _ret(value, like, scalar):
-    value = value.astype(_out_dtype(like), copy=False)
-    return value.item() if scalar else value
+def _ret(value, like):
+    """value in like's floating dtype, or float64 for integer input."""
+    dt = like.dtype if like.dtype.kind == "f" else np.float64
+    return value.astype(dt, copy=False)
 
 
 def softplus(x):
@@ -47,21 +43,17 @@ def softplus(x):
     Stable in either float width, so the input dtype is kept.
     """
     x = np.asarray(x)
-    scalar = x.ndim == 0
-    out = np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
-    return out.item() if scalar else out.astype(_out_dtype(x), copy=False)
+    return _ret(np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x))), x)
 
 
 def sigmoid(x):
     """Logistic function, evaluated through exp(-|x|) to avoid overflow."""
     x = np.asarray(x)
-    scalar = x.ndim == 0
     e = np.exp(-np.abs(x))
     # 1/(1+e) for x >= 0, e/(1+e) otherwise: the numerator max(e, x >= 0)
     # is 1 or e (e <= 1 when x >= 0), bit for bit the np.where of the two
     # quotients, without computing both or branching per element.
-    out = np.maximum(e, x >= 0) / (1 + e)
-    return out.item() if scalar else out.astype(_out_dtype(x), copy=False)
+    return _ret(np.maximum(e, x >= 0) / (1 + e), x)
 
 
 def _positive_f64(x, name):
@@ -75,13 +67,13 @@ def _positive_f64(x, name):
 def lgamma(x):
     """ln Gamma(x) for x > 0."""
     x = np.asarray(x)
-    return _ret(sc.gammaln(_positive_f64(x, "lgamma")), x, x.ndim == 0)
+    return _ret(sc.gammaln(_positive_f64(x, "lgamma")), x)
 
 
 def digamma(x):
     """psi(x) = d/dx ln Gamma(x) for x > 0."""
     x = np.asarray(x)
-    return _ret(sc.psi(_positive_f64(x, "digamma")), x, x.ndim == 0)
+    return _ret(sc.psi(_positive_f64(x, "digamma")), x)
 
 
 def trigamma(x):
@@ -103,4 +95,4 @@ def trigamma(x):
         + r2 * (_BERN[3]
         + r2 * _BERN[4])))))
     )
-    return _ret(series + shift, x, x.ndim == 0)
+    return _ret(series + shift, x)

@@ -4,10 +4,14 @@ ln B(a, b).
 
 The library fuses some layers into single tape nodes with hand-written
 VJPs, and steps Adam over flat vectors.  The per-op compositions and the
-per-parameter Adam step here are what those replaced; the library must
-equal them bit for bit, in values and in gradients.  grad_check is the
-independent oracle for every gradient used in training, and the
-one-opinion forms are the reference for subjective's batch forms.
+per-parameter Adam step here are what those replaced.  The fused nodes'
+values must equal the compositions' bit for bit; the encoder layer's and
+the Beta-KL's gradients are closed forms, which must agree with the
+compositions' to 1e-12 of the largest entry in float64 (1e-5 in
+float32).  The Adam step must equal its reference bit for bit.
+grad_check is the independent oracle for every gradient used in
+training, and the one-opinion forms are the reference for subjective's
+batch forms.
 """
 
 from __future__ import annotations

@@ -754,6 +754,22 @@ class TestExitCodes:
         assert rc == 1 and cause in err and "Traceback" not in err
         assert all(str(ds / f) in err for f in files), err
 
+    @pytest.mark.parametrize("fname", ["edges.tsv", "features.bin",
+                                       "labels.csv"])
+    def test_dataset_file_is_directory_exit_code_1(self, tmp_path, dataset,
+                                                   capsys, fname):
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        for f in ("edges.tsv", "features.bin", "labels.csv", "meta.json"):
+            (ds / f).write_bytes(open(os.path.join(dataset, f), "rb").read())
+        (ds / fname).unlink()
+        (ds / fname).mkdir()
+        rc = main(["train", str(ds), "--out", str(tmp_path / "o"),
+                   "--epochs-p1", "1", "--epochs-p2", "1", "--rounds", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert str(ds / fname) in err and "Traceback" not in err
+
     @pytest.mark.parametrize("write", [
         lambda p: p.write_text('{"n": 160,'),
         lambda p: p.write_bytes(b'{"n": 160, "name": "\xff"}'),

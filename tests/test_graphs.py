@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,50 @@ class TestLoadDataset:
                             lambda p: p.write_text(json.dumps(meta)))
         with pytest.raises(DatasetError, match=f"meta.json.*'{key}'"):
             graphs.load_dataset(ds)
+
+    @staticmethod
+    def toy3_copy(tmp_path, toy3_dir):
+        for f in os.listdir(toy3_dir):
+            (tmp_path / f).write_bytes(open(os.path.join(toy3_dir, f),
+                                            "rb").read())
+        return tmp_path
+
+    @pytest.mark.parametrize("fname", ["edges.tsv", "features.csv",
+                                       "labels.csv"])
+    def test_directory_in_place_of_file_named(self, tmp_path, toy3_dir,
+                                              fname):
+        ds = self.toy3_copy(tmp_path, toy3_dir)
+        (ds / fname).unlink()
+        (ds / fname).mkdir()
+        with pytest.raises(DatasetError, match=f"cannot read .*{fname}"):
+            graphs.load_dataset(ds)
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                        reason="root reads files without read permission")
+    @pytest.mark.parametrize("fname", ["edges.tsv", "features.csv",
+                                       "labels.csv", "meta.json"])
+    def test_unreadable_file_named(self, tmp_path, toy3_dir, fname):
+        ds = self.toy3_copy(tmp_path, toy3_dir)
+        (ds / fname).chmod(0)
+        with pytest.raises(DatasetError, match=f"cannot read .*{fname}"):
+            graphs.load_dataset(ds)
+
+    @pytest.mark.parametrize("text", ["", " \n\n\t\n"], ids=["empty", "blank"])
+    def test_blank_edges_load_without_warning(self, tmp_path, toy3_dir, text):
+        ds = self.toy3_copy(tmp_path, toy3_dir)
+        (ds / "edges.tsv").write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = graphs.load_dataset(ds)
+        assert g.edge_count == 0
+
+    def test_blank_labels_named_without_warning(self, tmp_path, toy3_dir):
+        ds = self.toy3_copy(tmp_path, toy3_dir)
+        (ds / "labels.csv").write_text(" \n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetError, match="labels.csv has shape"):
+                graphs.load_dataset(ds)
 
     def test_duplicate_and_reversed_edges_deduplicated(self, tmp_path):
         (tmp_path / "edges.tsv").write_text("0\t1\n1\t0\n0\t1\n1\t1\n")

@@ -190,6 +190,9 @@ class TestDist:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             rs.beta_kl(self.mk([1.0], [1.0]), self.mk([1.0, 2.0], [1.0, 2.0]))
+        odd = ad.Tensor(np.ones((1, 3)))
+        with pytest.raises(ValueError, match="alpha .. beta"):
+            rs.beta_kl(odd, odd)
 
     @pytest.mark.parametrize("alpha", [1e2, 1e4, 1e6, 1e8, 1e10])
     def test_float32_against_concentrated_region(self, alpha):
@@ -309,6 +312,15 @@ def assert_same_bits(got, want, what):
     assert got.tobytes() == want.tobytes(), what
 
 
+def assert_grads_agree(got, want, what):
+    """Closed-form gradients against the per-op composition's: within
+    1e-12 (float64) or 1e-5 (float32) of the largest reference entry."""
+    assert got.dtype == want.dtype, what
+    tol = 1e-12 if want.dtype == np.float64 else 1e-5
+    err = np.abs(got - want).max()
+    assert err <= tol * np.abs(want).max(), (what, err)
+
+
 class TestFusedEncoderLayer:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("training", [True, False])
@@ -316,6 +328,8 @@ class TestFusedEncoderLayer:
     @pytest.mark.parametrize("dropout", [0.0, 0.4])
     def test_bit_equal_to_per_op_composition(self, dtype, training, floor,
                                              dropout):
+        """Values and running statistics equal the per-op composition bit
+        for bit; the closed-form gradients agree with its gradients."""
         z, bn, weights = layer_setup(dtype)
         runs = []
         for layer in (rs.encoder_layer, oracles.encoder_layer):
@@ -331,7 +345,8 @@ class TestFusedEncoderLayer:
         names = ("forward", "z grad", "gamma grad", "beta grad",
                  "running mean", "running var")
         for name, got, want in zip(names, *runs):
-            assert_same_bits(got, want, name)
+            check = assert_grads_agree if "grad" in name else assert_same_bits
+            check(got, want, name)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_inference_mode_bit_equal(self, dtype):
@@ -343,8 +358,10 @@ class TestFusedEncoderLayer:
             out = layer(z, bn, training=False, floor=rs.EMB_EPS)
             ad.tsum(ad.mul(out, weights)).backward()
             runs.append((out.data, z.grad, bn.gamma.grad, bn.beta.grad))
-        for got, want in zip(*runs):
-            assert_same_bits(got, want, "inference layer")
+        (out, *grads), (want_out, *want_grads) = runs
+        assert_same_bits(out, want_out, "inference layer")
+        for got, want in zip(grads, want_grads):
+            assert_grads_agree(got, want, "inference layer")
 
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     def test_encode_bit_equal_to_per_op(self, tiny_graph, dropout):
@@ -363,8 +380,10 @@ class TestFusedEncoderLayer:
                          generator=rng(2))
             ad.tsum(ad.mul(out, out)).backward()
             runs.append([out.data] + [t.grad for t in params.values()])
-        for name, got, want in zip(["forward", *params], *runs):
-            assert_same_bits(got, want, name)
+        (out, *grads), (want_out, *want_grads) = runs
+        assert_same_bits(out, want_out, "forward")
+        for name, got, want in zip(params, grads, want_grads):
+            assert_grads_agree(got, want, name)
 
     @pytest.mark.parametrize("training", [True, False])
     def test_grad_check(self, training):
@@ -420,9 +439,10 @@ class TestFusedBetaKL:
                           ad.tsum(ad.softplus(ad.sub(3.0, out))))
             loss.backward()
             runs.append((out.data, nodes.grad, classes.grad))
-        for name, got, want in zip(("forward", "nodes grad", "classes grad"),
-                                   *runs):
-            assert_same_bits(got, want, name)
+        (out, *grads), (want_out, *want_grads) = runs
+        assert_same_bits(out, want_out, "forward")
+        for name, got, want in zip(("nodes", "classes"), grads, want_grads):
+            assert_grads_agree(got, want, name)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_elementwise_beta_kl_bit_equal(self, dtype):
@@ -437,8 +457,44 @@ class TestFusedBetaKL:
             out = kl(a, b)
             ad.tsum(ad.mul(out, out)).backward()
             runs.append((out.data, a.grad, b.grad))
-        for got, want in zip(*runs):
-            assert_same_bits(got, want, "beta_kl")
+        (out, *grads), (want_out, *want_grads) = runs
+        assert_same_bits(out, want_out, "beta_kl")
+        for got, want in zip(grads, want_grads):
+            assert_grads_agree(got, want, "beta_kl")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_at_the_float32_edges(self, dtype):
+        """Node rows at the EMB_EPS floor against the novel region's
+        1/alpha = 1/EMB_EPS: float64 agrees with the per-op composition,
+        float32 stays finite, and the count of its subnormal gradient
+        entries is reported."""
+        eps = rs.EMB_EPS
+        nodes = ad.Tensor(np.array([[eps, eps, eps, eps],
+                                    [eps, 1.0, eps, 2.0],
+                                    [1e-6, 30.0, 0.5, eps]], dtype=dtype),
+                          requires_grad=True)
+        classes = ad.Tensor(np.array([[1 / eps] * 4, [1.0, 1.0, 1.0, 1.0],
+                                      [eps, 1 / eps, 3.0, eps]], dtype=dtype),
+                            requires_grad=True)
+        weights = rng(24).standard_normal((3, 3)).astype(dtype)
+        runs = []
+        for dist in (rs.dist_matrix, oracles.dist_matrix):
+            nodes.grad = classes.grad = None
+            ad.tsum(ad.mul(dist(nodes, classes), weights)).backward()
+            runs.append((nodes.grad, classes.grad))
+        grads = runs[0]
+        if dtype == np.float64:
+            for got, want in zip(*runs):
+                assert_grads_agree(got, want, "edge gradients")
+            return
+        tiny = np.finfo(dtype).tiny
+        subnormal = sum(int(((g != 0) & (np.abs(g) < tiny)).sum())
+                        for g in grads)
+        detail = (f"float32 edge gradients: {subnormal} subnormal of "
+                  f"{sum(g.size for g in grads)}, max |grad| "
+                  f"{max(np.abs(g).max() for g in grads):.3g}")
+        print(detail)
+        assert all(np.isfinite(g).all() for g in grads), detail
 
     def test_grad_check(self):
         gen = rng(22)

@@ -151,7 +151,6 @@ class TestGammaKernels:
         x32 = np.array([[0.5, 3.0], [1e-3, 40.0]], dtype=np.float32)
         out = fn(x32)
         assert out.dtype == np.float32 and out.shape == x32.shape
-        assert type(fn(2.5)) is float
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_lgamma_domain_error(self, bad):

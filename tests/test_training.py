@@ -161,26 +161,25 @@ class TestPhases:
         assert later_dl < first_dl
 
     @pytest.mark.parametrize("learned_prior", [True, False])
-    def test_phase1_bit_equal_to_per_op_reference(self, monkeypatch, small_ppm,
-                                                  small_split, learned_prior):
-        """Fused encoder layers, the fused Beta-KL node, class regions from
-        the gathered training rows and the flat Adam step reproduce the
-        per-op phase 1 with per-class gathers and per-parameter Adam."""
+    def test_phase1_bit_equal_to_per_op_reference(self, small_ppm, small_split,
+                                                  learned_prior):
+        """Class regions from the gathered training rows and the flat Adam
+        step reproduce phase 1 with per-class gathers and per-parameter
+        Adam, over the same encode and dist_matrix."""
         cfg = quick_config(learned_prior=learned_prior, dropout_p1=0.3)
         ctx = tr.build_context(small_ppm, small_split, cfg)
         state = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
         ref = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
         tr.train_phase1(state, ctx, 3)
 
-        monkeypatch.setattr(rs, "dist_matrix", oracles.dist_matrix)
         params = list(ref.phase1_tensors().values())
         m = [np.zeros(p.data.shape) for p in params]
         v = [np.zeros(p.data.shape) for p in params]
         train_labels = ctx.labels[ctx.split.train]
         for epoch in range(3):
-            emb = oracles.encode(ctx.adj, ctx.propagated_x, ref.encoder,
-                                 training=True, dropout_rate=cfg.dropout_p1,
-                                 generator=ref.rng_p1)
+            emb = rs.encode(ctx.adj, ctx.propagated_x, ref.encoder,
+                            training=True, dropout_rate=cfg.dropout_p1,
+                            generator=ref.rng_p1)
             class_idx = [ctx.split.train[rows] for rows in ctx.class_rows]
             class_embs = rs.build_class_embeddings(emb, class_idx,
                                                    ref.disjunction)
