@@ -12,10 +12,11 @@ differentiates exactly (d digamma = trigamma).
 
 backward() frees the tape as it goes: each interior node drops its VJP
 closures (and with them every intermediate array they hold) once its
-gradient has reached its parents.  A finished backward therefore holds
-nothing of the graph, and a graph can be back-propagated only once.
+gradient has reached its parents, and the walk lets go of the node.  A
+finished backward holds nothing of the graph, which it walks only once.
 Layers with a hand-written VJP use fused_node, one tape node whose
-gradients for all parents come from a single call.
+gradients for all parents come from a single call; for dropout they keep
+dropout_keep's bool array (PCG64 generators only), or nothing.
 
 The finite-difference oracle for these gradients, and the lgamma and
 sqrt nodes only the per-op references use, live with the tests
@@ -65,7 +66,8 @@ class Tensor:
             raise ValueError("backward() requires a scalar tensor")
         order = _topo_order(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:                # popped: a walked node can be freed
+            node = order.pop()
             vjps, node._vjps = node._vjps, ()
             if node.grad is None or not vjps:
                 continue
@@ -373,18 +375,37 @@ def dropout(x, rate, generator):
     if rate <= 0.0:
         return as_tensor(x)
     x = as_tensor(x)
-    return mul(x, dropout_mask(x.data.shape, x.data.dtype, rate, generator))
+    keep = dropout_keep(x.data.shape, x.data.dtype, rate, generator)
+    return mul(x, keep * dropout_scale(rate, x.data.dtype))
 
 
-def dropout_mask(shape, dtype, rate, generator):
-    """Inverted-dropout mask (0 or 1/(1-rate) per entry) of the given
-    shape and dtype, drawn from generator; float32 masks draw float32."""
-    dtype = np.dtype(dtype)
-    draw_dtype = dtype if dtype == np.float32 else np.float64
-    u = generator.random(shape, dtype=draw_dtype)
-    mask = (u >= rate).astype(dtype)
-    mask /= np.asarray(1.0 - rate, dtype=dtype)
-    return mask
+def dropout_scale(rate, dtype):
+    """1/(1-rate) in dtype: a kept unit's inverted-dropout factor."""
+    return np.dtype(dtype).type(1) / np.dtype(dtype).type(1.0 - rate)
+
+
+def dropout_keep(shape, dtype, rate, generator):
+    """Bool keep array equal bit for bit to generator.random(shape, draw)
+    >= rate (draw: float32 for float32, else float64), with the same
+    generator state after; PCG64 only.  The draw is an integer times a
+    power of two, so keep iff the raw 64-bit r >= ceil(rate * 2**53) << 11,
+    or in float32 iff each 32-bit half u of r (low first) is >= ceil(rate
+    * 2**24) << 8, rate rounded as numpy compares (float32 for a Python float).
+    """
+    bitgen = generator.bit_generator
+    if np.dtype(dtype) != np.float32:
+        return bitgen.random_raw(shape) >= math.ceil(rate * 2.0 ** 53) << 11
+    # numpy's own draws take, and leave, the half PCG64 keeps buffered
+    keep = np.empty(math.prod(shape), dtype=bool)
+    start = min(bitgen.state["has_uint32"], keep.size)
+    end = keep.size - (keep.size - start) % 2
+    keep[:start] = generator.random(start, dtype=np.float32) >= rate
+    halves = bitgen.random_raw((end - start) // 2).astype("<u8", copy=False)
+    bound = math.ceil(float(np.result_type(np.float32, rate).type(rate))
+                      * 2.0 ** 24) << 8
+    np.greater_equal(halves.view("<u4"), bound, out=keep[start:end])
+    keep[end:] = generator.random(keep.size - end, dtype=np.float32) >= rate
+    return keep.reshape(shape)
 
 
 # -- optimization -------------------------------------------------------

@@ -15,11 +15,11 @@ while remaining the same function:
 
 Each head up to its scalar output is one tape node with a hand-written
 VJP (_head), in place of about ten per-op nodes on (n, H) arrays, so
-backward holds three (n, H) arrays per head instead of every
-intermediate.  The heads stay a Python loop over K+1 two-dimensional
-products: stacking them into one (K+1, n, H) batch gives the same bits
-but was slower on an ER graph of n=5e4 (heads forward 258 -> 384 ms on
-one vCPU, BLAS single-threaded) and held about 110 MB more.
+backward holds one (n, H) array per head, the hidden activation (dropout
+draws need a PCG64 generator).  The heads stay a Python loop over K+1
+two-dimensional products: stacking them into one (K+1, n, H) batch gives
+the same bits but was slower on an ER graph of n=5e4 (heads forward 258
+-> 384 ms on one vCPU, BLAS single-threaded) and held about 110 MB more.
 
 An ablation flag swaps propagation for identity (plain MLP heads), and
 the prior weight can be pinned to the classic constant K instead of the
@@ -153,26 +153,25 @@ def _head(prop: Tensor, cls_row: Tensor, row_scale, head: HeadParams,
         h = dropout(relu(z)),  out = h @ w2
 
     in that op order, so it equals the per-op composition bit for bit.
-    Backward keeps only h, the dropout mask and the relu mask, and makes
-    dL/dz once for every parent.
+    Backward keeps only h and makes dL/dz = (g @ w2.T) * (h > 0) / (1-rate)
+    once for every parent: h > 0 iff z > 0 and the unit was kept.
     """
     w = prop.data.shape[1]
     w1, w2 = head.w1.data, head.w2.data
     z = prop.data @ w1[:w]
     z += row_scale * (cls_row.data @ w1[w:])
     z += head.b1.data
-    active = z > 0
     h = ad.relu_data(z)
-    mask = None
+    del z
+    scale = ad.dropout_scale(dropout_rate, h.dtype)     # 1 without dropout
     if dropout_rate > 0.0:
-        mask = ad.dropout_mask(h.shape, h.dtype, dropout_rate, generator)
-        h *= mask
+        h *= ad.dropout_keep(h.shape, h.dtype, dropout_rate, generator)
+        h *= scale
 
     def grads(g):
         gz = g @ w2.T                                   # dL/dz
-        if mask is not None:
-            gz *= mask
-        gz *= active
+        gz *= h > 0
+        gz *= scale
         gshift = (gz * row_scale).sum(axis=0, keepdims=True)
         return (np.concatenate([prop.data.T @ gz, cls_row.data.T @ gshift]),
                 gz.sum(axis=0),

@@ -140,9 +140,11 @@ def init_disjunction(generator, embed_dim, reasoning_dim, dtype):
 
 
 def encode(adj: SparseMatrix, px: Tensor, params: EncoderParams, *,
-           training=False, dropout_rate=0.0, generator=None) -> Tensor:
+           training=False, dropout_rate=0.0, generator=None,
+           rows=None) -> Tensor:
     """Two propagation layers, each batch-normed then softplused; the
-    (n, 2d) output is the [alpha || beta] node embedding matrix.
+    (n, 2d) output is the [alpha || beta] node embedding matrix, or only
+    its given rows, so that the tape does not hold all n.
 
     px is the propagated feature matrix adj @ x: the features are
     constant, so the first propagation is computed once per graph
@@ -154,7 +156,8 @@ def encode(adj: SparseMatrix, px: Tensor, params: EncoderParams, *,
                        dropout_rate=dropout_rate if training else 0.0,
                        generator=generator)
     z2 = propagate(adj, h1, params.w2)
-    return encoder_layer(z2, params.bn2, training=training, floor=EMB_EPS)
+    return encoder_layer(z2, params.bn2, training=training, floor=EMB_EPS,
+                         rows=rows)
 
 
 def propagate(adj: SparseMatrix, h: Tensor, w: Tensor) -> Tensor:
@@ -173,9 +176,9 @@ def propagate(adj: SparseMatrix, h: Tensor, w: Tensor) -> Tensor:
 
 
 def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
-                  dropout_rate=0.0, generator=None) -> Tensor:
-    """softplus(batch_norm(z)) + floor, then inverted dropout, as one tape
-    node.
+                  dropout_rate=0.0, generator=None, rows=None) -> Tensor:
+    """softplus(batch_norm(z)) + floor, then inverted dropout, then the
+    given rows (all by default), as one tape node.
 
     Batch norm uses the column statistics of z in training (and updates
     the running ones) and the running ones otherwise.  The forward runs
@@ -186,8 +189,8 @@ def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
     (dbeta + xhat dgamma) gamma / (n std) in training.  The dbeta term
     goes last, as a column mean, so that dz's columns sum to zero to
     rounding like the composition's (float32 sums downstream cancel).
-    Backward keeps the softplus derivative, the dropout mask and two
-    (1, H) statistics.
+    Backward keeps the softplus derivative, the bool dropout keep array
+    (float32 softplus can underflow to 0) and two (1, H) statistics.
     """
     x = z.data
     if training:
@@ -220,17 +223,22 @@ def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
     del e
     if floor:
         y += floor
-    mask = None
+    keep = None
     if dropout_rate > 0.0:
-        mask = ad.dropout_mask(y.shape, y.dtype, dropout_rate, generator)
-        y *= mask
+        keep = ad.dropout_keep(y.shape, y.dtype, dropout_rate, generator)
+        y *= keep
+        y *= ad.dropout_scale(dropout_rate, y.dtype)
 
     def grads(g):
+        if rows is not None:                # ad.take_rows's VJP
+            g, gathered = np.zeros_like(x), g
+            np.add.at(g, rows, gathered)
         # through dropout and softplus: dL/dy
-        if mask is None:
+        if keep is None:
             gy = g * sig
         else:
-            gy = g * mask
+            gy = g * keep
+            gy *= ad.dropout_scale(dropout_rate, gy.dtype)
             gy *= sig
         g_beta = gy.sum(axis=0)
         xhat = z.data - mean
@@ -245,7 +253,8 @@ def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
             gy -= gy.mean(axis=0)
         return gy, g_gamma, g_beta
 
-    return ad.fused_node(y, (z, bn.gamma, bn.beta), grads)
+    return ad.fused_node(y if rows is None else y[rows],
+                         (z, bn.gamma, bn.beta), grads)
 
 
 def disjunction(x2d: Tensor, params: DisjunctionParams) -> Tensor:

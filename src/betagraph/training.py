@@ -312,13 +312,9 @@ def train_phase1(state: ModelState, ctx: RunContext, epochs: int) -> float:
     train_labels = ctx.labels[ctx.split.train]
 
     def loss():
-        emb = rs.encode(ctx.adj, ctx.propagated_x, state.encoder,
-                        training=True, dropout_rate=cfg.dropout_p1,
-                        generator=state.rng_p1)
-        # one (m, 2d) gather of the training rows feeds the loss and
-        # every class region
-        train_emb = ad.take_rows(emb, ctx.split.train)
-        del emb         # the tape holds it until backward, no longer
+        train_emb = rs.encode(ctx.adj, ctx.propagated_x, state.encoder,
+                              training=True, dropout_rate=cfg.dropout_p1,
+                              generator=state.rng_p1, rows=ctx.split.train)
         class_embs = rs.build_class_embeddings(train_emb, ctx.class_rows,
                                                state.disjunction)
         return rs.beta_loss(train_emb, train_labels, class_embs, cfg.gamma,

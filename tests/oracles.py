@@ -1,6 +1,6 @@
 """Test-only oracles: per-op reference compositions, the
-finite-difference gradient check, the scalar subjective-logic forms and
-ln B(a, b).
+finite-difference gradient check, the scalar subjective-logic forms,
+ln B(a, b) and the float-draw dropout mask.
 
 The library fuses some layers into single tape nodes with hand-written
 VJPs, and steps Adam over flat vectors.  The per-op compositions and the
@@ -52,6 +52,27 @@ def log_beta(a, b):
     return special.lgamma(a) + special.lgamma(b) - special.lgamma(a + b)
 
 
+# -- float-draw dropout -----------------------------------------------------
+
+def dropout_mask(shape, dtype, rate, generator):
+    """Inverted-dropout mask (0 or 1/(1-rate) per entry) from numpy's float
+    draws, float32 for float32 masks: the reference for ad.dropout_keep's
+    integer thresholds on the raw stream."""
+    dtype = np.dtype(dtype)
+    draw_dtype = dtype if dtype == np.float32 else np.float64
+    u = generator.random(shape, dtype=draw_dtype)
+    mask = (u >= rate).astype(dtype)
+    mask /= np.asarray(1.0 - rate, dtype=dtype)
+    return mask
+
+
+def dropout(x, rate, generator):
+    """Inverted dropout as one mul node over a dropout_mask draw."""
+    x = ad.as_tensor(x)
+    return ad.mul(x, dropout_mask(x.data.shape, x.data.dtype, rate,
+                                  generator))
+
+
 # -- per-op encoder layer -------------------------------------------------
 
 def batch_norm(x, bn: rs.BatchNormParams, training):
@@ -79,7 +100,7 @@ def encoder_layer(z, bn, *, training, floor=0.0, dropout_rate=0.0,
     if floor:
         out = ad.add(out, floor)
     if dropout_rate > 0.0:
-        out = ad.dropout(out, dropout_rate, generator)
+        out = dropout(out, dropout_rate, generator)
     return out
 
 

@@ -222,6 +222,41 @@ class TestEngineMechanics:
         assert np.array_equal(ad.dropout(x, 0.0, rng(3)).data, x.data)
 
 
+_DRAW = st.tuples(
+    st.sampled_from([np.float32, np.float64]),
+    st.one_of(st.sampled_from([0.2, 1 / 3, 0.9]),
+              st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+              .filter(lambda r: np.float32(r) < 1)     # in float32 too
+              .flatmap(lambda r: st.sampled_from([r, np.float64(r),
+                                                  np.float32(r)]))),
+    st.lists(st.integers(0, 7), max_size=3).map(tuple))
+
+
+class TestDropoutKeep:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.lists(_DRAW, min_size=1,
+                                                 max_size=8))
+    def test_equals_float_draw(self, seed, draws):
+        """Interleaved draws on one stream equal numpy's float draws
+        compared with the rate, and leave the stream where those leave
+        it."""
+        got, want = rng(seed), rng(seed)
+        for dtype, rate, shape in draws:
+            keep = ad.dropout_keep(shape, dtype, rate, got)
+            ref = oracles.dropout_mask(shape, dtype, rate, want) > 0
+            assert keep.dtype == bool and keep.shape == ref.shape
+            assert np.array_equal(keep, ref), (dtype, rate, shape)
+        assert got.random(dtype=np.float32) == want.random(dtype=np.float32)
+        assert got.random() == want.random()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dropout_equals_float_draw_mask(self, dtype):
+        x = ad.Tensor(rng(0).standard_normal((7, 5)).astype(dtype))
+        got = ad.dropout(x, 0.3, rng(1)).data
+        want = oracles.dropout(x, 0.3, rng(1)).data
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 class TestAdam:
     def test_converges_on_quadratic(self):
         x = parameter(np.array([5.0, -3.0]))

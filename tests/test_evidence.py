@@ -7,6 +7,7 @@ from betagraph import graphs
 from betagraph import reasoning as rs
 from betagraph.rng import rng
 from betagraph.special import digamma, softplus
+import oracles
 from oracles import grad_check
 
 
@@ -65,7 +66,7 @@ def per_op_forward(adj, node_embs_2d, class_embs, params, *, training=False,
         z = ad.add(ad.matmul(prop, w_node), ad.mul(ad.Tensor(row_scale), shift))
         h = ad.relu(ad.add(z, head.b1))
         if training and dropout_rate > 0.0:
-            h = ad.dropout(h, dropout_rate, generator)
+            h = oracles.dropout(h, dropout_rate, generator)
         return ad.matmul(h, head.w2)
 
     heads = list(params.per_class)

@@ -385,6 +385,30 @@ class TestFusedEncoderLayer:
         for name, got, want in zip(params, grads, want_grads):
             assert_grads_agree(got, want, name)
 
+    def test_encode_rows_equal_gather(self, tiny_graph):
+        """encode(rows=idx) equals take_rows(encode(), idx) bit for bit,
+        values and gradients, repeated rows included."""
+        cfg = TrainConfig(seed=1, dtype="float32", hidden_dim=6, embed_dim=4,
+                          reasoning_dim=6, ood_classes=(2,))
+        split = graphs.make_split(tiny_graph, (2,), seed=0)
+        ctx = build_context(tiny_graph, split, cfg)
+        state = init_model(tiny_graph.feature_dim, ctx.class_count, cfg)
+        params = state.encoder.tensors()
+        idx = np.array([3, 0, 3, 7])
+        runs = []
+        for gather in (True, False):
+            for t in params.values():
+                t.grad = None
+            out = rs.encode(ctx.adj, ctx.propagated_x, state.encoder,
+                            training=True, dropout_rate=0.5,
+                            generator=rng(2), rows=None if gather else idx)
+            if gather:
+                out = ad.take_rows(out, idx)
+            ad.tsum(ad.mul(out, out)).backward()
+            runs.append([out.data] + [t.grad for t in params.values()])
+        for name, got, want in zip(["forward", *params], *runs):
+            assert_same_bits(got, want, name)
+
     @pytest.mark.parametrize("training", [True, False])
     def test_grad_check(self, training):
         z, bn, weights = layer_setup(np.float64, n=12, width=3)
