@@ -42,7 +42,7 @@ except ImportError:     # Python 3.10
     import tomli as tomllib
 
 from . import __version__, evaluation, graphs
-from .ioutil import atomic_write_text, sha256_dir, sha256_file
+from .ioutil import atomic_write_text, sha256_dir, sha256_file, write_csv
 from .training import (VARIANTS, TrainConfig, TrainingDivergence,
                        build_context, forward_scores, train_alternating,
                        load_checkpoint, save_checkpoint, variant_config)
@@ -172,20 +172,6 @@ def _now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _write_csv(path, header, columns):
-    """Write a table given as columns: a float array's cells in repr (the
-    round-trip form), any other array's in str, any other cell via _fmt."""
-    cells = [map(repr if col.dtype.kind == "f" else str, col.tolist())
-             if isinstance(col, np.ndarray) else map(_fmt, col)
-             for col in columns]
-    atomic_write_text(path, "\n".join(
-        [",".join(header), *map(",".join, zip(*cells))]) + "\n")
-
-
-def _fmt(v):
-    return "" if v is None else repr(v) if isinstance(v, float) else str(v)
-
-
 # -- synth -------------------------------------------------------------
 
 def cmd_synth(args):
@@ -213,8 +199,8 @@ HISTORY_COLUMNS = ("round", "bl_loss", "dl_loss", "val_acc", "val_aurc",
 
 
 def _history_csv(path, history):
-    _write_csv(path, HISTORY_COLUMNS,
-               [[h[k] for h in history] for k in HISTORY_COLUMNS])
+    write_csv(path, HISTORY_COLUMNS,
+              [[h[k] for h in history] for k in HISTORY_COLUMNS])
 
 
 def cmd_train(args):
@@ -349,7 +335,7 @@ def cmd_eval(args):
     outputs = [report_path]
     for fname, (header, columns) in tables.items():
         outputs.append(os.path.join(out, fname))
-        _write_csv(outputs[-1], header, columns)
+        write_csv(outputs[-1], header, columns)
 
     _write_manifest(out, "eval", outputs, dataset=args.dataset,
                     checkpoint=args.checkpoint, seeds=seeds, config=config,
@@ -382,8 +368,8 @@ def cmd_ablate(args):
               + (f" fpr95={rep.fpr95:.4f} auroc={rep.auroc:.4f}"
                  if rep.auroc is not None else ""))
     table = os.path.join(out, "ablation.csv")
-    _write_csv(table, ["variant", "acc", "aurc_x1000", "fpr95", "auroc"],
-               zip(*rows))
+    write_csv(table, ["variant", "acc", "aurc_x1000", "fpr95", "auroc"],
+              zip(*rows))
     _write_manifest(out, "ablate", [table], config_path=args.config,
                     config=base, dataset=args.dataset, seeds=[base.seed],
                     started=started)
@@ -413,8 +399,8 @@ def cmd_scale(args):
             rows.append([n, density, "", "", "oom"])
             print(f"n={n} density={density}: out of memory", file=sys.stderr)
     table = os.path.join(out, "timings.csv")
-    _write_csv(table, ["nodes", "density", "edges", "seconds", "status"],
-               zip(*rows))
+    write_csv(table, ["nodes", "density", "edges", "seconds", "status"],
+              zip(*rows))
     _write_manifest(out, "scale", [table], seeds=[base.seed], started=started)
     return 0
 
@@ -439,7 +425,7 @@ def cmd_gridsearch(args):
               + f": score {best:.4f}")
     rows.sort(key=lambda r: -r[-1])
     table = os.path.join(out, "gridsearch.csv")
-    _write_csv(table, [*GRIDS, "selection_score"], zip(*rows))
+    write_csv(table, [*GRIDS, "selection_score"], zip(*rows))
     _write_manifest(out, "gridsearch", [table], config_path=args.config,
                     dataset=args.dataset, seeds=[base.seed], started=started)
     return 0

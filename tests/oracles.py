@@ -1,6 +1,6 @@
 """Test-only oracles: per-op reference compositions, the
 finite-difference gradient check, the scalar subjective-logic forms,
-ln B(a, b) and the float-draw dropout mask.
+ln B(a, b), the float-draw dropout mask and the per-cell CSV writer.
 
 The library fuses some layers into single tape nodes with hand-written
 VJPs, and steps Adam over flat vectors.  The per-op compositions and the
@@ -23,6 +23,7 @@ import numpy as np
 from betagraph import autodiff as ad
 from betagraph import reasoning as rs
 from betagraph import special
+from betagraph.ioutil import atomic_write_text
 
 
 # -- tape helpers only the tests use ----------------------------------------
@@ -71,6 +72,23 @@ def dropout(x, rate, generator):
     x = ad.as_tensor(x)
     return ad.mul(x, dropout_mask(x.data.shape, x.data.dtype, rate,
                                   generator))
+
+
+# -- per-cell CSV writer ----------------------------------------------------
+
+def write_csv(path, header, columns):
+    """Write a table given as columns: a float array's cells in repr (the
+    round-trip form), any other array's in str, any other cell via _fmt.
+    One Python string per cell: the reference for ioutil.write_csv."""
+    cells = [map(repr if col.dtype.kind == "f" else str, col.tolist())
+             if isinstance(col, np.ndarray) else map(_fmt, col)
+             for col in columns]
+    atomic_write_text(path, "\n".join(
+        [",".join(header), *map(",".join, zip(*cells))]) + "\n")
+
+
+def _fmt(v):
+    return "" if v is None else repr(v) if isinstance(v, float) else str(v)
 
 
 # -- per-op encoder layer -------------------------------------------------

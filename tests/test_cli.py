@@ -155,6 +155,22 @@ class TestTrain:
         assert main(["train", dataset, "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 0
 
+    def test_dataset_hash_names_the_data_not_the_run(self, tmp_path):
+        """Two synth runs of one seed write the same data files with their
+        own timestamps; the train manifests record one dataset_hash."""
+        hashes = []
+        for run in ("a", "b"):
+            data, out = tmp_path / run / "er", tmp_path / run / "train"
+            assert main(["synth", "er", "--nodes", "120", "--density", "0.05",
+                         "--seed", "0", "--out", str(data)]) == 0
+            assert main(["train", str(data), "--out", str(out),
+                         "--epochs-p1", "1", "--epochs-p2", "1",
+                         "--rounds", "1", "--hidden-dim", "8",
+                         "--embed-dim", "4", "--reasoning-dim", "8"]) == 0
+            hashes.append(json.load(open(out / "manifest.json"))
+                          ["dataset_hash"])
+        assert hashes[0] == hashes[1]
+
     def test_history_columns(self, trained_run):
         header = open(os.path.join(trained_run, "history.csv")).readline()
         assert header.strip() == ("round,bl_loss,dl_loss,val_acc,val_aurc,"

@@ -6,7 +6,7 @@ import pytest
 from betagraph import evaluation as evl
 from betagraph import graphs
 from betagraph import training as tr
-from betagraph.cli import _write_csv
+from betagraph.ioutil import write_csv
 from conftest import quick_config
 
 
@@ -117,8 +117,8 @@ class TestCurvesAndScores:
     def test_node_scores_table(self, trained, tmp_path):
         g, ctx, state = trained
         path = tmp_path / "scores.csv"
-        _write_csv(path, *evl.node_scores_table(tr.forward_scores(state, ctx),
-                                                ctx.split))
+        write_csv(path, *evl.node_scores_table(tr.forward_scores(state, ctx),
+                                               ctx.split))
         header, *lines = path.read_text().splitlines()
         header = header.split(",")
         rows = [line.split(",") for line in lines]
