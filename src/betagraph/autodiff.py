@@ -215,12 +215,14 @@ def matmul(a, b):
     ))
 
 
-def spmm(adj: SparseMatrix, x):
-    """adj @ x with the adjacency held constant.  adj must be symmetric,
-    as graphs.normalize_adjacency's output is bit for bit: the gradient
-    adj^T @ g is then adj @ g."""
+def spmm(adj: SparseMatrix, x, adj_t: SparseMatrix = None):
+    """adj @ x with the adjacency held constant; the gradient is
+    adj_t @ g, with adj_t = adj^T.  It defaults to adj itself, which
+    needs adj symmetric, as graphs.normalize_adjacency's output is bit
+    for bit."""
     x = as_tensor(x)
-    return _node(adj.matmul(x.data), ((x, adj.matmul),))
+    grad_matrix = adj if adj_t is None else adj_t
+    return _node(adj.matmul(x.data), ((x, grad_matrix.matmul),))
 
 
 # -- reductions and shaping --------------------------------------------

@@ -245,7 +245,9 @@ AGGREGATE_COLUMNS = ("runs", "acc_mean", "acc_std", "aurc_x1000_mean",
 def _check_split(split, graph, config, path):
     """A split file must fit the dataset and the checkpoint it is scored
     with: node ids in [0, n), partitions disjoint, the checkpoint's class
-    partition, and ID nodes in the ID parts, OOD nodes in the OOD parts."""
+    partition, ID nodes in the ID parts, OOD nodes in the OOD parts, a
+    training node of every ID class (the class regions are built from
+    them) and a non-empty test partition."""
     ood = tuple(sorted(set(config.ood_classes)))
     known = tuple(c for c in range(graph.class_count) if c not in ood)
     if tuple(sorted(split.ood_classes)) != ood:
@@ -276,6 +278,12 @@ def _check_split(split, graph, config, path):
             raise UsageError(
                 f"split {path}: {part} node {ids[stray][0]} has class "
                 f"{graph.labels[ids[stray][0]]}, not one of {list(classes)}")
+    absent = np.setdiff1d(known, graph.labels[split.train])
+    if absent.size:
+        raise UsageError(f"split {path}: train has no node of class "
+                         f"{absent[0]}")
+    if not split.test.size:
+        raise UsageError(f"split {path}: test is empty")
 
 
 def cmd_eval(args):

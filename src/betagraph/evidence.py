@@ -21,6 +21,10 @@ two-dimensional products: stacking them into one (K+1, n, H) batch gives
 the same bits but was slower on an ER graph of n=5e4 (heads forward 258
 -> 384 ms on one vCPU, BLAS single-threaded) and held about 110 MB more.
 
+Scoring runs the heads on every node.  Training runs them on the rows R
+its loss reads, the training nodes and their neighbours, and propagates
+by the block adj[train][:, R] (training.phase2_forward).
+
 An ablation flag swaps propagation for identity (plain MLP heads), and
 the prior weight can be pinned to the classic constant K instead of the
 learned head.
@@ -105,21 +109,24 @@ def init_evidence_heads(generator, embed_dim, hidden_dim, class_count,
 
 def evidence_forward(adj: SparseMatrix, prop: Tensor,
                      class_embs: ClassEmbeddings, params: EvidenceHeadParams,
-                     *, training=False, dropout_rate=0.0, generator=None,
-                     propagate=True, learned_prior=True) -> NodeOpinionBatch:
-    """Run every head and assemble the per-node opinions.
+                     *, row_scale=None, adj_t=None, training=False,
+                     dropout_rate=0.0, generator=None, propagate=True,
+                     learned_prior=True) -> NodeOpinionBatch:
+    """Run every head on the rows of prop and assemble the opinions of the
+    rows of adj @ heads (of prop's rows when propagate is off).
 
     e_ik = softplus(head_k over [N || C_k]), W_i = softplus(head_nov over
     [N || C_Nov]) + eps (or the constant K when learned_prior is off).
     prop is the node embedding matrix N propagated once, adj @ N, or N
-    itself when propagate is off.
+    itself when propagate is off.  row_scale is the full adjacency's row
+    sums on prop's rows (adj's by default); adj_t is adj^T (adj's own).
     """
-    n = prop.data.shape[0]
     k = class_embs.class_count
     dtype = prop.data.dtype
-
-    row_scale = adj.row_sums().astype(dtype).reshape(n, 1) if propagate \
-        else np.ones((n, 1), dtype=dtype)
+    if not propagate:
+        row_scale = np.ones((prop.data.shape[0], 1), dtype=dtype)
+    elif row_scale is None:
+        row_scale = adj.row_sums().astype(dtype).reshape(-1, 1)
 
     drop = dropout_rate if training else 0.0
     heads = list(params.per_class)
@@ -130,16 +137,17 @@ def evidence_forward(adj: SparseMatrix, prop: Tensor,
 
     stacked = ad.concat([_head(prop, region, row_scale, head, drop, generator)
                          for head, region in zip(heads, regions)],
-                        axis=1)                          # (n, K or K+1)
+                        axis=1)                          # (rows, K or K+1)
     if propagate:
-        stacked = ad.spmm(adj, stacked)                  # heads batched
+        stacked = ad.spmm(adj, stacked, adj_t)           # heads batched
     stacked = ad.add(stacked, ad.concat([head.b2 for head in heads], axis=0))
 
     evidence = ad.softplus(ad.cols(stacked, 0, k))
     if learned_prior:
         prior = ad.add(ad.softplus(ad.cols(stacked, k, k + 1)), PRIOR_EPS)
     else:
-        prior = Tensor(np.full((n, 1), float(k), dtype=dtype))
+        prior = Tensor(np.full((stacked.data.shape[0], 1), float(k),
+                               dtype=dtype))
     return NodeOpinionBatch(evidence=evidence, prior_weight=prior,
                             base_rates=np.full(k, 1.0 / k))
 
@@ -199,24 +207,26 @@ def score(batch: NodeOpinionBatch) -> ScoreBatch:
     )
 
 
-def dirichlet_loss(batch: NodeOpinionBatch, labels, mask) -> Tensor:
-    """Mean over masked nodes of psi(S_i) - psi(xi_{i, y_i}).
+def dirichlet_loss(batch: NodeOpinionBatch, labels, mask=None) -> Tensor:
+    """Mean over masked nodes (every row, labelled in order, without a
+    mask) of psi(S_i) - psi(xi_{i, y_i}).
 
     xi_ik = e_ik + a_k W_i is the Dirichlet concentration implied by the
     opinion; the loss is the expected cross entropy under it and is
     nonnegative because xi_{i,y} <= S_i.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    mask = np.asarray(mask, dtype=np.int64)
     k = batch.base_rates.size
-    e = ad.take_rows(batch.evidence, mask)
-    w = ad.take_rows(batch.prior_weight, mask)
+    e, w = batch.evidence, batch.prior_weight
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.int64)
+        e, w = ad.take_rows(e, mask), ad.take_rows(w, mask)
+        labels = labels[mask]
     s = ad.add(ad.tsum(e, axis=1, keepdims=True), w)     # (m, 1)
-    onehot = np.zeros((mask.size, k), dtype=batch.evidence.data.dtype)
-    onehot[np.arange(mask.size), labels[mask]] = 1.0
+    onehot = np.zeros((labels.size, k), dtype=e.data.dtype)
+    onehot[np.arange(labels.size), labels] = 1.0
     e_y = ad.tsum(ad.mul(e, onehot), axis=1, keepdims=True)
-    a_y = batch.base_rates[labels[mask]].reshape(-1, 1)
-    a_y = a_y.astype(batch.evidence.data.dtype)
+    a_y = batch.base_rates[labels].reshape(-1, 1).astype(e.data.dtype)
     xi_y = ad.add(e_y, ad.mul(w, a_y))
     per_node = ad.sub(ad.digamma(s), ad.digamma(xi_y))
     return ad.tmean(per_node)
@@ -259,12 +269,15 @@ def direct_logits(adj: SparseMatrix, px, params: DirectHeadParams, *,
 
 def direct_evidence_forward(adj: SparseMatrix, px, params: DirectHeadParams,
                             class_count, *, training=False, dropout_rate=0.0,
-                            generator=None) -> NodeOpinionBatch:
+                            generator=None, rows=None) -> NodeOpinionBatch:
     """Evidence for every class at once from direct_logits on px = adj @ x,
-    with the classic fixed prior W = K."""
-    evidence = ad.softplus(direct_logits(
-        adj, px, params, training=training,
-        dropout_rate=dropout_rate, generator=generator))
+    with the classic fixed prior W = K; for the given rows only, in their
+    order, when rows is set."""
+    logits = direct_logits(adj, px, params, training=training,
+                           dropout_rate=dropout_rate, generator=generator)
+    if rows is not None:
+        logits = ad.take_rows(logits, rows)
+    evidence = ad.softplus(logits)
     n = evidence.data.shape[0]
     prior = Tensor(np.full((n, 1), float(class_count),
                            dtype=evidence.data.dtype))

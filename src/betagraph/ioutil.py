@@ -80,7 +80,8 @@ def _cells(col):
         return _text("" if v is None else repr(v) if isinstance(v, float)
                      else str(v) for v in col)
     if col.ndim == 1 and col.dtype.kind == "f" and col.itemsize <= 8:
-        return _float_cells(col.astype(np.float64))
+        with np.errstate(invalid="ignore"):     # a signalling NaN stays nan
+            return _float_cells(col.astype(np.float64))
     if col.ndim == 1 and col.dtype.kind in "iu" and (
             (col > -10**16) & (col < 10**16)).all():
         mag = abs(col.astype(np.int64))         # float(v) is exact: v + ".0"

@@ -4,8 +4,9 @@ A SparseMatrix is a checked, immutable shell over one scipy CSR matrix
 (row offsets, sorted column indices, float64 values); the multiply is
 scipy's sequential CSR kernel, which accumulates each output row in
 index order, so results are deterministic for a fixed build.  There is
-no transpose: the only matrix multiplied in training is the symmetric
-normalized adjacency, whose gradient product is the matrix itself.
+no transpose routine: the normalized adjacency is symmetric, so its
+gradient product is the matrix itself, and phase 2's training block
+(training.RunContext.receptive_field) carries its transpose, built once.
 """
 
 from __future__ import annotations

@@ -10,6 +10,9 @@ model is scored on validation as
 
 and the best-scoring snapshot is returned.  One loop, fit, runs the
 epochs of both phases and of the evaluation baseline.
+Phase 2's epochs run the evidence heads only on the rows R that the
+loss's rows of adj @ heads read, the training nodes and their
+neighbours: the same loss.  Validation and scoring run the full graph.
 
 Everything is full batch and deterministic: parameter init and the two
 dropout streams are independent substreams of the config seed.  The
@@ -19,10 +22,11 @@ train_alternating, forward_scores and the evaluation functions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -34,6 +38,7 @@ from .graphs import (Graph, SplitSpec, make_split, normalize_adjacency,
                      remap_labels)
 from .metrics import accuracy, aurc, auroc
 from .rng import substream
+from .sparse import SparseMatrix
 
 
 class TrainingDivergence(RuntimeError):
@@ -159,6 +164,22 @@ class RunContext:
     labels: np.ndarray              # remapped: ID classes 0..K-1, OOD -1
     class_count: int
     class_rows: list                # positions in split.train per class
+    _receptive: tuple = field(default=None, repr=False, compare=False)
+
+    def receptive_field(self):
+        """(R, block, block_t): the sorted columns R that adj's training
+        rows touch (the training nodes, by their self-loops, and their
+        neighbours), adj[train][:, R] and its transpose.  Built on first
+        use and kept; scoring never uses them."""
+        if self._receptive is None:
+            a = self.adj.csr[self.split.train]
+            rows = np.unique(a.indices)
+            block = SparseMatrix(a.indptr, np.searchsorted(rows, a.indices),
+                                 a.data, (a.shape[0], rows.size))
+            t = block.csr.T.tocsr()
+            self._receptive = rows, block, SparseMatrix(t.indptr, t.indices,
+                                                        t.data, t.shape)
+        return self._receptive
 
 
 def build_context(graph: Graph, split: SplitSpec, config: TrainConfig) -> RunContext:
@@ -340,27 +361,42 @@ def frozen_reasoning(state: ModelState, ctx: RunContext):
 
 def phase2_forward(state: ModelState, ctx: RunContext):
     """training -> NodeOpinionBatch for the model's evidence heads, the
-    direct head or the Beta heads over class regions frozen here, once."""
-    cfg = state.config
+    direct head or the Beta heads over class regions frozen here, once:
+    every node's opinions, or in training the training nodes', in
+    split.train order, with the Beta heads run on the rows R those read
+    (RunContext.receptive_field)."""
+    cfg, train = state.config, ctx.split.train
     if state.direct is not None:
         return lambda training: ev.direct_evidence_forward(
             ctx.adj, ctx.propagated_x, state.direct, ctx.class_count,
             training=training, dropout_rate=cfg.dropout_p2,
-            generator=state.rng_p2)
+            generator=state.rng_p2, rows=train if training else None)
     class_embs, prop = frozen_reasoning(state, ctx)
-    return lambda training: ev.evidence_forward(
-        ctx.adj, prop, class_embs, state.heads, training=training,
+    heads = functools.partial(
+        ev.evidence_forward, class_embs=class_embs, params=state.heads,
         dropout_rate=cfg.dropout_p2, generator=state.rng_p2,
         propagate=cfg.context_propagation, learned_prior=cfg.learned_prior)
+    scale = ctx.adj.row_sums().astype(prop.data.dtype).reshape(-1, 1)
+
+    @functools.cache
+    def receptive():                    # on the round's first training epoch
+        if not cfg.context_propagation:
+            return dict(adj=None, prop=Tensor(prop.data[train]))
+        rows, block, block_t = ctx.receptive_field()
+        return dict(adj=block, prop=Tensor(prop.data[rows]),
+                    row_scale=scale[rows], adj_t=block_t)
+
+    return lambda training: heads(**receptive(), training=True) if training \
+        else heads(ctx.adj, prop, row_scale=scale)
 
 
 def train_phase2(state: ModelState, ctx: RunContext, epochs: int,
                  forward) -> float:
     """Dirichlet-loss epochs for the evidence heads through forward, a
     phase2_forward result; reasoning parameters stay frozen."""
+    train_labels = ctx.labels[ctx.split.train]
     return fit(state.opt_p2, epochs,
-               lambda: ev.dirichlet_loss(forward(True), ctx.labels,
-                                         ctx.split.train),
+               lambda: ev.dirichlet_loss(forward(True), train_labels),
                2, state.round)
 
 

@@ -322,8 +322,13 @@ class TestEvalInputs:
         ("ood_classes", lambda ids: ["a", 3], "ood_classes must be a flat"),
         ("id_classes", lambda ids: [[0], 1], "id_classes must be a flat"),
         ("train", lambda ids: ids + [2**70], "train must be a flat list"),
+        ("train", lambda ids: [], "split.json: train has no node of class 0"),
+        ("train", lambda ids: [i for i in ids if not 80 <= i < 120],
+         "split.json: train has no node of class 2"),
+        ("test", lambda ids: [], "split.json: test is empty"),
     ], ids=["missing", "nested", "float-id", "scalar", "mixed-classes",
-            "nested-classes", "huge-id"])
+            "nested-classes", "huge-id", "empty-train", "train-lacks-class",
+            "empty-test"])
     def test_malformed_split_json(self, tmp_path, dataset, trained_run,
                                   capsys, part, edit, message):
         split = self.split_of(trained_run)

@@ -50,6 +50,17 @@ class TestFloatKernel:
     def test_float32_arrays(self, values):
         assert_repr(np.array(values, dtype=np.float32))
 
+    @pytest.mark.filterwarnings("error")
+    def test_float32_signalling_nan_widens_silently(self, tmp_path):
+        # quiet bit clear, payload set; the widening cast raises the invalid
+        # flag on these, and a warning here would be an error
+        bits = np.array([0x7f800001, 0xffa00000, 0x7fbfffff, 0x7fc00000],
+                        np.uint32)
+        x = bits.view(np.float32)
+        assert_repr(x)
+        ioutil.write_csv(tmp_path / "nan.csv", ["v"], [x])
+        assert (tmp_path / "nan.csv").read_text() == "v\n" + "nan\n" * 4
+
     @given(st.lists(st.tuples(st.integers(-10**9, 10**9),
                               st.integers(1, 10**9)), min_size=1, max_size=60))
     def test_rationals(self, pairs):

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from betagraph import autodiff as ad
+from betagraph import evidence as ev
 from betagraph import graphs
 from betagraph import reasoning as rs
 from betagraph import training as tr
@@ -370,6 +371,85 @@ class TestSharedWork:
         one = len(calls)
         tr.train_phase2(state, ctx, 4, forward)
         assert one == 2 and len(calls) - one == 8
+
+
+def receptive_setup(graph, context_propagation, learned_prior):
+    """A float64, dropout-free model on graph with random head parameters
+    (init zeroes the output layers), and the context of its split."""
+    cfg = tr.TrainConfig(dtype="float64", dropout_p2=0.0, ood_classes=(),
+                         hidden_dim=8, embed_dim=4, reasoning_dim=8,
+                         context_propagation=context_propagation,
+                         learned_prior=learned_prior)
+    ctx = tr.build_context(graph, cfg.split(graph), cfg)
+    state = tr.init_model(graph.feature_dim, ctx.class_count, cfg)
+    gen = np.random.default_rng(5)
+    for t in state.heads.tensors().values():
+        t.data = gen.standard_normal(t.data.shape)
+    return state, ctx
+
+
+@pytest.fixture(scope="module", params=["ppm6", "er_isolated"])
+def receptive_graph(request):
+    if request.param == "ppm6":
+        return graphs.zscore_features(graphs.gen_ppm6())
+    g = graphs.gen_erdos_renyi(200, 0.006, 6, seed=3, class_count=3)
+    assert (np.diff(g.adjacency.indptr) == 0).sum() > 20   # isolated nodes
+    return g
+
+
+class TestReceptiveField:
+    """Phase 2 trains the heads on the rows its loss reads; the loss and
+    its gradients are those of the full-graph forward."""
+
+    @pytest.mark.parametrize("context_propagation", [True, False])
+    @pytest.mark.parametrize("learned_prior", [True, False])
+    def test_restricted_loss_equals_full_graph_loss(
+            self, receptive_graph, context_propagation, learned_prior):
+        state, ctx = receptive_setup(receptive_graph, context_propagation,
+                                     learned_prior)
+        forward = tr.phase2_forward(state, ctx)
+        ce, prop = tr.frozen_reasoning(state, ctx)
+        params = state.heads.tensors()
+        runs = []
+        for loss_fn in (
+                lambda: ev.dirichlet_loss(ev.evidence_forward(
+                    ctx.adj, prop, ce, state.heads, training=True,
+                    propagate=context_propagation,
+                    learned_prior=learned_prior), ctx.labels, ctx.split.train),
+                lambda: ev.dirichlet_loss(forward(True),
+                                          ctx.labels[ctx.split.train])):
+            for t in params.values():
+                t.grad = None
+            loss = loss_fn()
+            loss.backward()
+            runs.append((float(loss.data),
+                         {name: t.grad for name, t in params.items()}))
+        (full, full_grads), (restricted, grads) = runs
+        assert abs(restricted - full) <= 1e-12 * abs(full)
+        for name, ref in full_grads.items():
+            if not learned_prior and name.startswith("head_nov"):
+                assert ref is None and grads[name] is None, name
+                continue
+            assert np.abs(grads[name] - ref).max() <= \
+                1e-12 * np.abs(ref).max(), name
+
+    def test_block_reads_the_training_rows(self, receptive_graph):
+        state, ctx = receptive_setup(receptive_graph, True, True)
+        rows, block, block_t = ctx.receptive_field()
+        train = ctx.split.train
+        assert np.isin(train, rows).all()
+        assert np.array_equal(rows, np.unique(rows))
+        assert np.array_equal(rows, np.flatnonzero(
+            np.asarray(abs(ctx.adj.csr[train]).sum(axis=0)).ravel()))
+        assert (block.csr != ctx.adj.csr[train][:, rows]).nnz == 0
+        assert block_t.shape == block.shape[::-1]
+        assert (block_t.csr != block.csr.T).nnz == 0
+        assert ctx.receptive_field() is ctx.receptive_field()
+
+    def test_scoring_does_not_build_the_block(self, receptive_graph):
+        state, ctx = receptive_setup(receptive_graph, True, True)
+        tr.forward_scores(state, ctx)
+        assert ctx._receptive is None
 
 
 class TestAlternating:
