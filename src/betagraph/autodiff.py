@@ -5,10 +5,8 @@ its parents.  Calling backward() on a scalar walks the tape in reverse
 topological order and accumulates gradients into every reachable leaf
 with requires_grad=True.  Only the operations the models need are
 implemented; all of them broadcast like numpy and un-broadcast their
-gradients.
-
-The digamma node delegates to betagraph.special, so the Dirichlet loss
-differentiates exactly (d digamma = trigamma).
+gradients.  colmean_exact and the dropout keep arrays are array kernels
+for the fused layers.
 
 backward() frees the tape as it goes: each interior node drops its VJP
 closures (and with them every intermediate array they hold) once its
@@ -16,10 +14,14 @@ gradient has reached its parents, and the walk lets go of the node.  A
 finished backward holds nothing of the graph, which it walks only once.
 Layers with a hand-written VJP use fused_node, one tape node whose
 gradients for all parents come from a single call; for dropout they keep
-dropout_keep's bool array (PCG64 generators only), or nothing.
+dropout_keep's bool array (PCG64 generators only), or nothing.  Every
+model layer is one (reasoning, evidence); but for the encoder layer's
+and the Beta-KL's closed forms, their VJPs replay the per-op
+composition's expressions in the tape's order of accumulation.
 
-The finite-difference oracle for these gradients, and the lgamma and
-sqrt nodes only the per-op references use, live with the tests
+The finite-difference oracle for these gradients, the per-op
+compositions, and the nodes only they use (concat, cols, div, digamma,
+lgamma, softplus, sqrt, a taped colmean_exact) live with the tests
 (tests/oracles.py).
 """
 
@@ -194,17 +196,6 @@ def mul(a, b):
     return _node(data, vjps)
 
 
-def div(a, b):
-    ad, bd = _raw(a), _raw(b)
-    out = ad / bd
-    vjps = []
-    if isinstance(a, Tensor):
-        vjps.append((a, lambda g: _unbroadcast(g / bd, a.data.shape)))
-    if isinstance(b, Tensor):
-        vjps.append((b, lambda g: _unbroadcast(-g * out / bd, b.data.shape)))
-    return _node(out, vjps)
-
-
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -231,9 +222,7 @@ def tsum(x, axis=None, keepdims=False):
     x = as_tensor(x)
 
     def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, x.data.shape).astype(x.data.dtype, copy=False)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
         return np.broadcast_to(gg, x.data.shape).astype(x.data.dtype, copy=False)
 
     return _node(x.data.sum(axis=axis, keepdims=keepdims), ((x, vjp),))
@@ -256,24 +245,42 @@ def tmean(x, axis=None, keepdims=False):
 
 
 def colmean_exact(x):
-    """Column means of a 2-D tensor via math.fsum.
+    """Column means of a 2-D array: each column's correctly rounded sum
+    (_fsum_columns), divided by the row count, in x's dtype.
 
-    fsum returns the correctly rounded sum, so the result is exactly
-    invariant under row permutation and exactly halves under row
-    duplication; used by the set aggregation in the disjunction operator.
+    Correct rounding makes the means exactly invariant under row
+    permutation and duplication; the disjunction operator's set
+    aggregation relies on both.
     """
-    x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ValueError("colmean_exact expects a 2-D tensor")
-    m = x.data.shape[0]
-    cols = x.data.astype(np.float64, copy=False)
-    out = np.array([math.fsum(cols[:, j]) / m for j in range(cols.shape[1])])
-    out = out.astype(x.data.dtype, copy=False)
+    x = np.asarray(x)
+    if x.ndim != 2:
+        raise ValueError("colmean_exact expects a 2-D array")
+    return (_fsum_columns(x) / x.shape[0]).astype(x.dtype, copy=False)
 
-    def vjp(g):
-        return np.broadcast_to(g / m, x.data.shape).astype(x.data.dtype, copy=False)
 
-    return _node(out, ((x, vjp),))
+def _fsum_columns(x):
+    """math.fsum of every column of the 2-D array x, as float64.
+
+    A finite float32 column of m values whose nonzero magnitudes span at
+    most 29 - m.bit_length() binades (np.frexp exponents of its largest
+    and smallest) holds multiples of its smallest value's ulp whose every
+    partial sum fits float64's 53 bits, so np.sum gives fsum's value, in
+    one vectorised pass.  Other columns, non-finite ones and float64
+    input take fsum.
+    """
+    m = x.shape[0]
+    exact = np.zeros(x.shape[1], dtype=bool)
+    if x.dtype == np.float32 and m:
+        a = np.abs(x)
+        top = a.max(axis=0)
+        low = np.where(a > 0, a, np.inf).min(axis=0)   # inf: all zero
+        span = np.frexp(top)[1] - np.frexp(low)[1]
+        exact = np.isfinite(top) & (span <= 29 - m.bit_length())
+    cols = x.astype(np.float64, copy=False)
+    sums = cols.sum(axis=0, where=exact)
+    for j in np.flatnonzero(~exact):
+        sums[j] = math.fsum(cols[:, j])
+    return sums
 
 
 def reshape(x, shape):
@@ -281,21 +288,6 @@ def reshape(x, shape):
     return _node(x.data.reshape(shape), (
         (x, lambda g: g.reshape(x.data.shape)),
     ))
-
-
-def concat(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    bounds = np.cumsum([0] + sizes)
-
-    def make_vjp(i):
-        sl = [slice(None)] * tensors[i].data.ndim
-        sl[axis] = slice(bounds[i], bounds[i + 1])
-        sl = tuple(sl)
-        return lambda g: g[sl]
-
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    return _node(data, tuple((t, make_vjp(i)) for i, t in enumerate(tensors)))
 
 
 def take_rows(x, idx):
@@ -308,17 +300,6 @@ def take_rows(x, idx):
         return out
 
     return _node(x.data[idx], ((x, vjp),))
-
-
-def cols(x, start, stop):
-    x = as_tensor(x)
-
-    def vjp(g):
-        out = np.zeros_like(x.data)
-        out[..., start:stop] = g
-        return out
-
-    return _node(x.data[..., start:stop], ((x, vjp),))
 
 
 # -- elementwise nonlinearities ----------------------------------------
@@ -340,12 +321,6 @@ def relu_data(x):
     return out
 
 
-def softplus(x):
-    x = as_tensor(x)
-    out = special.softplus(x.data)
-    return _node(out, ((x, lambda g: g * special.sigmoid(x.data)),))
-
-
 def exp(x):
     x = as_tensor(x)
     out = np.exp(x.data)
@@ -355,12 +330,6 @@ def exp(x):
 def log(x):
     x = as_tensor(x)
     return _node(np.log(x.data), ((x, lambda g: g / x.data),))
-
-
-def digamma(x):
-    x = as_tensor(x)
-    return _node(special.digamma(x.data),
-                 ((x, lambda g: g * special.trigamma(x.data)),))
 
 
 def logsumexp(x, axis=1):

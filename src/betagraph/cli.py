@@ -30,11 +30,13 @@ import datetime
 import itertools
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import asdict, fields, replace
 
 import numpy as np
+import scipy
 
 try:
     import tomllib
@@ -134,6 +136,17 @@ def _build_config(args, graph=None) -> TrainConfig:
         raise UsageError(f"invalid config: {exc}") from None
 
 
+def _environment():
+    """The interpreter, numpy and scipy versions, the BLAS numpy reports,
+    the BLAS thread variables (null when unset) and the CPU count."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+            "blas": {key: blas.get(key) for key in ("name", "version")},
+            "blas_threads": {name: os.environ.get(name) for name in threads}}
+
+
 def _write_manifest(out_dir, command, outputs, *, config_path=None,
                     config=None, dataset=None, checkpoint=None, seeds=(),
                     started=None):
@@ -145,6 +158,7 @@ def _write_manifest(out_dir, command, outputs, *, config_path=None,
         "started": started,
         "finished": _now(),
         "outputs": sorted(os.path.basename(p) for p in outputs),
+        "environment": _environment(),
     }
     if config_path:
         manifest["config_path"] = os.path.abspath(config_path)

@@ -16,7 +16,11 @@ while remaining the same function:
 Each head up to its scalar output is one tape node with a hand-written
 VJP (_head), in place of about ten per-op nodes on (n, H) arrays, so
 backward holds one (n, H) array per head, the hidden activation (dropout
-draws need a PCG64 generator).  The heads stay a Python loop over K+1
+draws need a PCG64 generator).  The assembly of their outputs into
+opinions, and the Dirichlet loss, are one node each.  All these VJPs
+replay the per-op composition's (tests/oracles.py) expressions in the
+tape's order, so values and gradients are the composition's bit for
+bit.  The heads stay a Python loop over K+1
 two-dimensional products: stacking them into one (K+1, n, H) batch gives
 the same bits but was slower on an ER graph of n=5e4 (heads forward 258
 -> 384 ms on one vCPU, BLAS single-threaded) and held about 110 MB more.
@@ -37,9 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import subjective
+from . import special, subjective
 from .autodiff import Tensor
-from .reasoning import ClassEmbeddings, glorot
+from .reasoning import glorot
 from .sparse import SparseMatrix
 
 PRIOR_EPS = 1e-6
@@ -73,9 +77,18 @@ class EvidenceHeadParams:
 
 @dataclass
 class NodeOpinionBatch:
-    evidence: Tensor           # (n, K) nonnegative
-    prior_weight: Tensor       # (n, 1) strictly positive
+    """Per-node opinions, the columns of one tensor: K evidence values,
+    nonnegative, then the prior weight, strictly positive."""
+    opinions: Tensor           # (n, K+1)
     base_rates: np.ndarray     # (K,), uniform 1/K
+
+    @property
+    def evidence(self):
+        return self.opinions.data[:, :-1]
+
+    @property
+    def prior_weight(self):
+        return self.opinions.data[:, -1:]
 
 
 @dataclass
@@ -107,73 +120,91 @@ def init_evidence_heads(generator, embed_dim, hidden_dim, class_count,
     )
 
 
-def evidence_forward(adj: SparseMatrix, prop: Tensor,
-                     class_embs: ClassEmbeddings, params: EvidenceHeadParams,
-                     *, row_scale=None, adj_t=None, training=False,
-                     dropout_rate=0.0, generator=None, propagate=True,
+def evidence_forward(adj: SparseMatrix, prop: Tensor, regions: Tensor,
+                     params: EvidenceHeadParams, *, row_scale=None,
+                     adj_t=None, training=False, dropout_rate=0.0,
+                     generator=None, propagate=True,
                      learned_prior=True) -> NodeOpinionBatch:
     """Run every head on the rows of prop and assemble the opinions of the
     rows of adj @ heads (of prop's rows when propagate is off).
 
     e_ik = softplus(head_k over [N || C_k]), W_i = softplus(head_nov over
-    [N || C_Nov]) + eps (or the constant K when learned_prior is off).
+    [N || C_Nov]) + eps (or the constant K when learned_prior is off),
+    with C_k and C_Nov the rows of the class regions.
     prop is the node embedding matrix N propagated once, adj @ N, or N
     itself when propagate is off.  row_scale is the full adjacency's row
     sums on prop's rows (adj's by default); adj_t is adj^T (adj's own).
+
+    One dropout draw covers every head, the K+1 draws the heads took one
+    by one.  The assembly (the heads' outputs side by side, adj @ them,
+    the output biases, the softplus and the prior) is one tape node,
+    whose VJP replays the per-op composition's (tests/oracles.py).
     """
-    k = class_embs.class_count
+    k = regions.data.shape[0] - 1
     dtype = prop.data.dtype
     if not propagate:
         row_scale = np.ones((prop.data.shape[0], 1), dtype=dtype)
     elif row_scale is None:
         row_scale = adj.row_sums().astype(dtype).reshape(-1, 1)
 
+    heads = list(params.per_class) + ([params.novel] if learned_prior else [])
     drop = dropout_rate if training else 0.0
-    heads = list(params.per_class)
-    regions = [ad.take_rows(class_embs.per_class, [i]) for i in range(k)]
-    if learned_prior:
-        heads.append(params.novel)
-        regions.append(class_embs.novel)
-
-    stacked = ad.concat([_head(prop, region, row_scale, head, drop, generator)
-                         for head, region in zip(heads, regions)],
-                        axis=1)                          # (rows, K or K+1)
+    keep = [None] * len(heads)
+    if drop > 0.0:
+        keep = ad.dropout_keep((len(heads), prop.data.shape[0],
+                                heads[0].b1.data.size), dtype, drop,
+                               generator)
+    outs = [_head(prop, regions, i, row_scale, head, keep[i],
+                  ad.dropout_scale(drop, dtype))
+            for i, head in enumerate(heads)]            # head i reads row i
+    biases = [head.b2 for head in heads]
+    stacked = np.concatenate([o.data for o in outs], axis=1)
     if propagate:
-        stacked = ad.spmm(adj, stacked, adj_t)           # heads batched
-    stacked = ad.add(stacked, ad.concat([head.b2 for head in heads], axis=0))
-
-    evidence = ad.softplus(ad.cols(stacked, 0, k))
+        stacked = adj.matmul(stacked)                   # heads batched
+    stacked += np.concatenate([b.data for b in biases])
+    out = special.softplus(stacked)
     if learned_prior:
-        prior = ad.add(ad.softplus(ad.cols(stacked, k, k + 1)), PRIOR_EPS)
+        out[:, k:] += PRIOR_EPS
     else:
-        prior = Tensor(np.full((stacked.data.shape[0], 1), float(k),
-                               dtype=dtype))
-    return NodeOpinionBatch(evidence=evidence, prior_weight=prior,
+        out = np.concatenate([out, np.full((out.shape[0], 1), float(k),
+                                           dtype=dtype)], axis=1)
+
+    def grads(g):
+        g = g[:, :len(heads)] * special.sigmoid(stacked)
+        g_bias = ad._unbroadcast(g, (len(heads),))
+        if propagate:
+            g = (adj if adj_t is None else adj_t).matmul(g)
+        return ([g[:, i:i + 1] for i in range(len(heads))]
+                + [g_bias[i:i + 1] for i in range(len(heads))])
+
+    return NodeOpinionBatch(ad.fused_node(out, (*outs, *biases), grads),
                             base_rates=np.full(k, 1.0 / k))
 
 
-def _head(prop: Tensor, cls_row: Tensor, row_scale, head: HeadParams,
-          dropout_rate, generator) -> Tensor:
-    """One head's (n, 1) output before the shared propagation, as a single
-    tape node:
+def _head(prop: Tensor, regions: Tensor, i, row_scale, head: HeadParams,
+          keep, scale) -> Tensor:
+    """One head's (n, 1) output before the shared propagation, over row i
+    of the class regions, as a single tape node:
 
-        z = prop @ w1[:w] + row_scale * (cls_row @ w1[w:]) + b1
-        h = dropout(relu(z)),  out = h @ w2
+        z = prop @ w1[:w] + row_scale * (regions[i] @ w1[w:]) + b1
+        h = relu(z) * keep * scale,  out = h @ w2
 
-    in that op order, so it equals the per-op composition bit for bit.
-    Backward keeps only h and makes dL/dz = (g @ w2.T) * (h > 0) / (1-rate)
-    once for every parent: h > 0 iff z > 0 and the unit was kept.
+    in that op order, so it equals the per-op composition bit for bit;
+    keep is the dropout keep array, None without dropout, and scale
+    1/(1-rate).  Backward keeps only h and makes dL/dz = (g @ w2.T) *
+    (h > 0) * scale once for every parent: h > 0 iff z > 0 and the unit
+    was kept.
     """
     w = prop.data.shape[1]
     w1, w2 = head.w1.data, head.w2.data
+    cls_row = regions.data[[i]]
     z = prop.data @ w1[:w]
-    z += row_scale * (cls_row.data @ w1[w:])
+    z += row_scale * (cls_row @ w1[w:])
     z += head.b1.data
     h = ad.relu_data(z)
     del z
-    scale = ad.dropout_scale(dropout_rate, h.dtype)     # 1 without dropout
-    if dropout_rate > 0.0:
-        h *= ad.dropout_keep(h.shape, h.dtype, dropout_rate, generator)
+    if keep is not None:
+        h *= keep
         h *= scale
 
     def grads(g):
@@ -181,21 +212,24 @@ def _head(prop: Tensor, cls_row: Tensor, row_scale, head: HeadParams,
         gz *= h > 0
         gz *= scale
         gshift = (gz * row_scale).sum(axis=0, keepdims=True)
-        return (np.concatenate([prop.data.T @ gz, cls_row.data.T @ gshift]),
+        g_regions = None
+        if regions.requires_grad:
+            g_regions = np.zeros_like(regions.data)
+            g_regions[i:i + 1] = gshift @ w1[w:].T
+        return (np.concatenate([prop.data.T @ gz, cls_row.T @ gshift]),
                 gz.sum(axis=0),
                 gz @ w1[:w].T if prop.requires_grad else None,
-                gshift @ w1[w:].T if cls_row.requires_grad else None,
+                g_regions,
                 h.T @ g)
 
-    return ad.fused_node(h @ w2, (head.w1, head.b1, prop, cls_row, head.w2),
+    return ad.fused_node(h @ w2, (head.w1, head.b1, prop, regions, head.w2),
                          grads)
 
 
 def score(batch: NodeOpinionBatch) -> ScoreBatch:
     """Predictions plus uncertainty scores, delegating the subjective-logic
     arithmetic to the vectorized opinion functions."""
-    e = batch.evidence.data
-    w = batch.prior_weight.data
+    e, w = batch.evidence, batch.prior_weight
     belief, vac = subjective.belief_batch(e, w)
     prob = subjective.projected_batch(e, w, batch.base_rates)
     diss = subjective.dissonance_batch(belief)
@@ -213,23 +247,37 @@ def dirichlet_loss(batch: NodeOpinionBatch, labels, mask=None) -> Tensor:
 
     xi_ik = e_ik + a_k W_i is the Dirichlet concentration implied by the
     opinion; the loss is the expected cross entropy under it and is
-    nonnegative because xi_{i,y} <= S_i.
+    nonnegative because xi_{i,y} <= S_i.  One tape node, whose VJP
+    replays the per-op composition's (tests/oracles.py).
     """
     labels = np.asarray(labels, dtype=np.int64)
     k = batch.base_rates.size
-    e, w = batch.evidence, batch.prior_weight
+    op = batch.opinions.data
     if mask is not None:
         mask = np.asarray(mask, dtype=np.int64)
-        e, w = ad.take_rows(e, mask), ad.take_rows(w, mask)
-        labels = labels[mask]
-    s = ad.add(ad.tsum(e, axis=1, keepdims=True), w)     # (m, 1)
-    onehot = np.zeros((labels.size, k), dtype=e.data.dtype)
-    onehot[np.arange(labels.size), labels] = 1.0
-    e_y = ad.tsum(ad.mul(e, onehot), axis=1, keepdims=True)
-    a_y = batch.base_rates[labels].reshape(-1, 1).astype(e.data.dtype)
-    xi_y = ad.add(e_y, ad.mul(w, a_y))
-    per_node = ad.sub(ad.digamma(s), ad.digamma(xi_y))
-    return ad.tmean(per_node)
+        op, labels = op[mask], labels[mask]
+    e, w = op[:, :k], op[:, k:]
+    m = labels.size
+    onehot = np.zeros((m, k), dtype=op.dtype)
+    onehot[np.arange(m), labels] = 1.0
+    a_y = batch.base_rates[labels].reshape(-1, 1).astype(op.dtype)
+    s = e.sum(axis=1, keepdims=True) + w                 # (m, 1)
+    xi_y = (e * onehot).sum(axis=1, keepdims=True) + w * a_y
+    per_node = special.digamma(s) - special.digamma(xi_y)
+
+    def grads(g):                          # broadcasting spreads the sums
+        g = g / m
+        g_s = g * special.trigamma(s)
+        g_xi = -g * special.trigamma(xi_y)
+        g_op = np.concatenate([g_s + g_xi * onehot, g_s + g_xi * a_y],
+                              axis=1)
+        if mask is None:
+            return (g_op,)
+        full = np.zeros_like(batch.opinions.data)        # ad.take_rows's VJP
+        np.add.at(full, mask, g_op)
+        return (full,)
+
+    return ad.fused_node(per_node.mean(), (batch.opinions,), grads)
 
 
 # -- direct evidence (no Beta reasoning) ---------------------------------
@@ -272,14 +320,15 @@ def direct_evidence_forward(adj: SparseMatrix, px, params: DirectHeadParams,
                             generator=None, rows=None) -> NodeOpinionBatch:
     """Evidence for every class at once from direct_logits on px = adj @ x,
     with the classic fixed prior W = K; for the given rows only, in their
-    order, when rows is set."""
+    order, when rows is set.  The opinions are one tape node, whose VJP is
+    the per-op softplus's."""
     logits = direct_logits(adj, px, params, training=training,
                            dropout_rate=dropout_rate, generator=generator)
     if rows is not None:
         logits = ad.take_rows(logits, rows)
-    evidence = ad.softplus(logits)
-    n = evidence.data.shape[0]
-    prior = Tensor(np.full((n, 1), float(class_count),
-                           dtype=evidence.data.dtype))
-    return NodeOpinionBatch(evidence=evidence, prior_weight=prior,
-                            base_rates=np.full(class_count, 1.0 / class_count))
+    x = logits.data
+    out = np.concatenate([special.softplus(x), np.full(
+        (x.shape[0], 1), float(class_count), dtype=x.dtype)], axis=1)
+    return NodeOpinionBatch(ad.fused_node(
+        out, (logits,), lambda g: (g[:, :-1] * special.sigmoid(x),)),
+        base_rates=np.full(class_count, 1.0 / class_count))

@@ -1,9 +1,10 @@
 """Beta embeddings: graph encoder, neural disjunction, negation, KL distance.
 
 A Beta embedding is d independent Beta distributions.  Every embedding
-(nodes, class regions, the known union and the novel region) is one
-(rows, 2d) tensor laid out [alpha || beta]; beta_kl is the only code
-that reads the two halves apart.  Every producer ends in a softplus (or
+is one (rows, 2d) tensor laid out [alpha || beta]: the nodes, and the
+class regions, whose K+1 rows are one support region per known class,
+then the novel region, the negation of their union.  beta_kl is the only
+code that reads the two halves apart.  Every producer ends in a softplus (or
 a reciprocal), so all parameters stay strictly positive.
 
 The set-to-one disjunction operator is
@@ -21,11 +22,16 @@ KL(Beta_node || Beta_class); node-first ordering makes the trained class
 embeddings cover the node modes rather than the reverse.
 
 Each encoder layer (batch norm, softplus, dropout), the second layer's
-propagation adj @ (h1 @ w2) and the Beta-KL are one tape node each,
-whose values equal the per-op composition (tests/oracles.py) bit for
-bit.  The encoder layer's and the Beta-KL's gradients are closed forms,
-which agree with the composition's to 1e-12 of the largest in float64;
-propagate's VJP replays the composition exactly.
+propagation adj @ (h1 @ w2), the Beta-KL, all class regions (K
+disjunctions, their union and its negation) and the margin loss are one
+tape node each, whose values equal the per-op composition
+(tests/oracles.py) bit for bit.  The encoder layer's and the Beta-KL's
+gradients are closed forms, which agree with the composition's to 1e-12
+of the largest in float64.  The other VJPs replay the composition's:
+its expressions, with Python-float constants as its own, summed in the
+order the tape accumulates them, so their gradients are its gradients.
+Batching the classes' products into one GEMM would round differently,
+so the class regions keep a loop over the classes inside their node.
 """
 
 from __future__ import annotations
@@ -83,18 +89,6 @@ class DisjunctionParams:
         return {"disjunction.h1_w": self.h1_w, "disjunction.h1_b": self.h1_b,
                 "disjunction.h2_w": self.h2_w, "disjunction.h2_b": self.h2_b,
                 "disjunction.w": self.w, "disjunction.bias": self.bias}
-
-
-@dataclass
-class ClassEmbeddings:
-    """Support regions: one per known class, their union, its complement."""
-    per_class: Tensor          # (K, 2d)
-    known: Tensor              # (1, 2d)
-    novel: Tensor              # (1, 2d)
-
-    @property
-    def class_count(self):
-        return self.per_class.data.shape[0]
 
 
 def glorot(generator, rows, cols, dtype):
@@ -257,40 +251,63 @@ def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
                          (z, bn.gamma, bn.beta), grads)
 
 
-def disjunction(x2d: Tensor, params: DisjunctionParams) -> Tensor:
-    """Aggregate the (m, 2d) rows of x2d into one (1, 2d) region.
+def _disjoin(x, p: DisjunctionParams):
+    """The disjunction of the rows of the array x, which their order and
+    multiplicity do not change: its (1, 2d) value, from the per-op
+    composition's ops in its order (tests/oracles.py), and its VJP g ->
+    (dx, then one gradient per p.tensors() entry), each the expression of
+    that composition's VJP."""
+    m = x.shape[0]
+    b = x @ p.h1_w.data + p.h1_b.data
+    pooled = ad.colmean_exact(ad.relu_data(b))
+    z = (pooled * p.w.data + p.bias.data).reshape(1, -1)
+    e = z @ p.h2_w.data + p.h2_b.data
 
-    Order and multiplicity of the rows do not affect the result.
-    """
-    if x2d.data.shape[0] == 0:
-        raise ValueError("disjunction over an empty set")
-    u = ad.relu(ad.add(ad.matmul(x2d, params.h1_w), params.h1_b))
-    pooled = ad.colmean_exact(u)
-    z = ad.add(ad.mul(pooled, params.w), params.bias)
-    z = ad.reshape(z, (1, z.data.shape[0]))
-    return ad.add(ad.softplus(ad.add(ad.matmul(z, params.h2_w), params.h2_b)),
-                  EMB_EPS)
+    def vjp(g):
+        ge = g * special.sigmoid(e)
+        gz = (ge @ p.h2_w.data.T).reshape(pooled.shape)
+        gb = gz * p.w.data / m * (b > 0)
+        return (gb @ p.h1_w.data.T, x.T @ gb,
+                ad._unbroadcast(gb, p.h1_b.data.shape), z.T @ ge,
+                ad._unbroadcast(ge, p.h2_b.data.shape), gz * pooled, gz)
 
-
-def negation(x: Tensor) -> Tensor:
-    """(alpha, beta) -> (1/alpha, 1/beta); an exact involution."""
-    return ad.div(1.0, x)
+    return special.softplus(e) + EMB_EPS, vjp
 
 
 def build_class_embeddings(node_embs_2d: Tensor, class_train_indices,
-                           params: DisjunctionParams) -> ClassEmbeddings:
-    """Per-class disjunction over training rows, then the union region and
-    its negation for the novel side."""
-    per = []
+                           params: DisjunctionParams) -> Tensor:
+    """The (K+1, 2d) class regions: the disjunction of each class's rows,
+    then the negation of the union of those regions, as one tape node.
+
+    The novel region is the negation (alpha, beta) -> (1/alpha, 1/beta)
+    of the union.  The VJP walks them as the per-op tape does: the novel
+    region, the union, then the classes in order, so each parameter's
+    gradient is ((union + class 0) + class 1) + ...  The classes' rows are
+    disjoint, as RunContext.class_rows are, so theirs need no order.
+    """
+    x = node_embs_2d.data
+    parts = []
     for idx in class_train_indices:
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size == 0:
             raise ValueError("a known class has no training nodes")
-        per.append(disjunction(ad.take_rows(node_embs_2d, idx), params))
-    per_class = ad.concat(per, axis=0)
-    known = disjunction(per_class, params)
-    return ClassEmbeddings(per_class=per_class, known=known,
-                           novel=negation(known))
+        parts.append((idx, *_disjoin(x[idx], params)))
+    per_class = np.concatenate([out for _, out, _ in parts])
+    known, union_vjp = _disjoin(per_class, params)
+    novel = 1.0 / known
+
+    def grads(g):
+        g_per, *total = union_vjp(-g[-1:] * novel / known)
+        g_per = g[:-1] + g_per
+        dx = np.zeros_like(x)
+        for c, (idx, _, vjp) in enumerate(parts):
+            gx, *pg = vjp(g_per[c:c + 1])
+            np.add.at(dx, idx, gx)
+            total = [a + b for a, b in zip(total, pg)]
+        return dx, *total
+
+    return ad.fused_node(np.concatenate([per_class, novel]),
+                         (node_embs_2d, *params.tensors().values()), grads)
 
 
 def beta_kl(node: Tensor, cls: Tensor) -> Tensor:
@@ -356,26 +373,34 @@ def dist_matrix(nodes: Tensor, classes: Tensor) -> Tensor:
                    ad.reshape(classes, (1, c, d2)))
 
 
-def beta_loss(node_embs_2d: Tensor, labels, class_embs: ClassEmbeddings,
-              gamma, *, include_novel=True) -> Tensor:
+def beta_loss(node_embs_2d: Tensor, labels, regions: Tensor, gamma, *,
+              include_novel=True) -> Tensor:
     """Margin loss pulling nodes toward their class region and pushing all
     other regions (optionally including the novel region) past the margin.
 
       -log sigmoid(gamma - Dist(N, C_y))
       - sum_negatives (1/K) log sigmoid(Dist(N, C_k) - gamma)
+
+    One tape node over dist_matrix's output, whose VJP replays the per-op
+    composition's (tests/oracles.py).
     """
     labels = np.asarray(labels, dtype=np.int64)
-    k = class_embs.class_count
-    stack = class_embs.per_class
-    if include_novel:
-        stack = ad.concat([stack, class_embs.novel], axis=0)
-    dists = dist_matrix(node_embs_2d, stack)              # (m, K or K+1)
-    m, c = dists.data.shape
-    onehot = np.zeros((m, c), dtype=dists.data.dtype)
+    k = regions.data.shape[0] - 1
+    if not include_novel:
+        regions = ad.take_rows(regions, np.arange(k))
+    dists = dist_matrix(node_embs_2d, regions)           # (m, K or K+1)
+    d = dists.data
+    m = d.shape[0]
+    onehot = np.zeros(d.shape, dtype=d.dtype)
     onehot[np.arange(m), labels] = 1.0
-    pos = ad.tsum(ad.mul(dists, onehot), axis=1)
-    pos_term = ad.softplus(ad.sub(pos, gamma))
-    neg_terms = ad.softplus(ad.sub(gamma, dists))
-    neg_sum = ad.tsum(ad.mul(neg_terms, 1.0 - onehot), axis=1)
-    per_node = ad.add(pos_term, ad.mul(neg_sum, 1.0 / k))
-    return ad.tmean(per_node)
+    pos = (d * onehot).sum(axis=1) - gamma
+    neg = gamma - d
+    per_node = special.softplus(pos) + \
+        (special.softplus(neg) * (1.0 - onehot)).sum(axis=1) * (1.0 / k)
+
+    def grads(g):                          # broadcasting spreads the means
+        g = g / m
+        return ((g * special.sigmoid(pos))[:, None] * onehot
+                - g * (1.0 / k) * (1.0 - onehot) * special.sigmoid(neg),)
+
+    return ad.fused_node(per_node.mean(), (dists,), grads)

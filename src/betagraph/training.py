@@ -336,9 +336,9 @@ def train_phase1(state: ModelState, ctx: RunContext, epochs: int) -> float:
         train_emb = rs.encode(ctx.adj, ctx.propagated_x, state.encoder,
                               training=True, dropout_rate=cfg.dropout_p1,
                               generator=state.rng_p1, rows=ctx.split.train)
-        class_embs = rs.build_class_embeddings(train_emb, ctx.class_rows,
-                                               state.disjunction)
-        return rs.beta_loss(train_emb, train_labels, class_embs, cfg.gamma,
+        regions = rs.build_class_embeddings(train_emb, ctx.class_rows,
+                                            state.disjunction)
+        return rs.beta_loss(train_emb, train_labels, regions, cfg.gamma,
                             include_novel=cfg.learned_prior)
 
     return fit(state.opt_p1, epochs, loss, 1, state.round)
@@ -351,12 +351,12 @@ def frozen_reasoning(state: ModelState, ctx: RunContext):
     with no_grad():
         emb = rs.encode(ctx.adj, ctx.propagated_x, state.encoder,
                         training=False)
-        class_embs = rs.build_class_embeddings(
+        regions = rs.build_class_embeddings(
             ad.take_rows(emb, ctx.split.train), ctx.class_rows,
             state.disjunction)
         if state.config.context_propagation:
             emb = ad.spmm(ctx.adj, emb)
-    return class_embs, emb
+    return regions, emb
 
 
 def phase2_forward(state: ModelState, ctx: RunContext):
@@ -371,9 +371,9 @@ def phase2_forward(state: ModelState, ctx: RunContext):
             ctx.adj, ctx.propagated_x, state.direct, ctx.class_count,
             training=training, dropout_rate=cfg.dropout_p2,
             generator=state.rng_p2, rows=train if training else None)
-    class_embs, prop = frozen_reasoning(state, ctx)
+    regions, prop = frozen_reasoning(state, ctx)
     heads = functools.partial(
-        ev.evidence_forward, class_embs=class_embs, params=state.heads,
+        ev.evidence_forward, regions=regions, params=state.heads,
         dropout_rate=cfg.dropout_p2, generator=state.rng_p2,
         propagate=cfg.context_propagation, learned_prior=cfg.learned_prior)
     scale = ctx.adj.row_sums().astype(prop.data.dtype).reshape(-1, 1)

@@ -5,10 +5,13 @@ ln B(a, b), the float-draw dropout mask and the per-cell CSV writer.
 The library fuses some layers into single tape nodes with hand-written
 VJPs, and steps Adam over flat vectors.  The per-op compositions and the
 per-parameter Adam step here are what those replaced.  The fused nodes'
-values must equal the compositions' bit for bit; the encoder layer's and
-the Beta-KL's gradients are closed forms, which must agree with the
-compositions' to 1e-12 of the largest entry in float64 (1e-5 in
-float32).  The Adam step must equal its reference bit for bit.
+values must equal the compositions' bit for bit.  So must the gradients
+of the nodes whose VJPs replay the composition's (the class regions, the
+margin loss, the evidence heads and their assembly, the Dirichlet loss,
+propagate); the encoder layer's and the Beta-KL's gradients are closed
+forms, which must agree with the compositions' to 1e-12 of the largest
+entry in float64 (1e-5 in float32).  The Adam step must equal its
+reference bit for bit.
 grad_check is the independent oracle for every gradient used in
 training, and the one-opinion forms are the reference for subjective's
 batch forms.
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from betagraph import autodiff as ad
+from betagraph import evidence as ev
 from betagraph import reasoning as rs
 from betagraph import special
 from betagraph.ioutil import atomic_write_text
@@ -37,6 +41,69 @@ def sqrt(x):
     x = ad.as_tensor(x)
     out = np.sqrt(x.data)
     return ad._node(out, ((x, lambda g: g * 0.5 / out),))
+
+
+def div(a, b):
+    ad_, bd = ad._raw(a), ad._raw(b)
+    out = ad_ / bd
+    vjps = []
+    if isinstance(a, ad.Tensor):
+        vjps.append((a, lambda g: ad._unbroadcast(g / bd, a.data.shape)))
+    if isinstance(b, ad.Tensor):
+        vjps.append((b, lambda g: ad._unbroadcast(-g * out / bd,
+                                                  b.data.shape)))
+    return ad._node(out, vjps)
+
+
+def concat(tensors, axis=0):
+    tensors = [ad.as_tensor(t) for t in tensors]
+    sizes = [t.data.shape[axis] for t in tensors]
+    bounds = np.cumsum([0] + sizes)
+
+    def make_vjp(i):
+        sl = [slice(None)] * tensors[i].data.ndim
+        sl[axis] = slice(bounds[i], bounds[i + 1])
+        sl = tuple(sl)
+        return lambda g: g[sl]
+
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    return ad._node(data, tuple((t, make_vjp(i))
+                                for i, t in enumerate(tensors)))
+
+
+def softplus(x):
+    x = ad.as_tensor(x)
+    out = special.softplus(x.data)
+    return ad._node(out, ((x, lambda g: g * special.sigmoid(x.data)),))
+
+
+def cols(x, start, stop):
+    x = ad.as_tensor(x)
+
+    def vjp(g):
+        out = np.zeros_like(x.data)
+        out[..., start:stop] = g
+        return out
+
+    return ad._node(x.data[..., start:stop], ((x, vjp),))
+
+
+def digamma(x):
+    x = ad.as_tensor(x)
+    return ad._node(special.digamma(x.data),
+                    ((x, lambda g: g * special.trigamma(x.data)),))
+
+
+def colmean_exact(x):
+    """ad.colmean_exact's column means of a 2-D tensor, taped."""
+    x = ad.as_tensor(x)
+    m = x.data.shape[0]
+
+    def vjp(g):
+        return np.broadcast_to(g / m, x.data.shape).astype(x.data.dtype,
+                                                           copy=False)
+
+    return ad._node(ad.colmean_exact(x.data), ((x, vjp),))
 
 
 def lgamma(x):
@@ -102,11 +169,11 @@ def batch_norm(x, bn: rs.BatchNormParams, training):
         m = rs.BN_MOMENTUM
         bn.running_mean = (1 - m) * bn.running_mean + m * mu.data.ravel()
         bn.running_var = (1 - m) * bn.running_var + m * var.data.ravel()
-        xhat = ad.div(centered, sqrt(ad.add(var, rs.BN_EPS)))
+        xhat = div(centered, sqrt(ad.add(var, rs.BN_EPS)))
     else:
         mean = bn.running_mean.astype(x.data.dtype)
         std = np.sqrt(bn.running_var + rs.BN_EPS).astype(x.data.dtype)
-        xhat = ad.div(ad.sub(x, mean), std)
+        xhat = div(ad.sub(x, mean), std)
     return ad.add(ad.mul(xhat, bn.gamma), bn.beta)
 
 
@@ -114,7 +181,7 @@ def encoder_layer(z, bn, *, training, floor=0.0, dropout_rate=0.0,
                   generator=None):
     """softplus(batch_norm(z)) (+ floor), then dropout, op by op: the
     reference for reasoning.encoder_layer."""
-    out = ad.softplus(batch_norm(z, bn, training))
+    out = softplus(batch_norm(z, bn, training))
     if floor:
         out = ad.add(out, floor)
     if dropout_rate > 0.0:
@@ -139,17 +206,17 @@ def beta_kl(node, cls):
     """Summed per-dimension KL(Beta_node || Beta_class) from tape ops
     (about 25 nodes); operands are [alpha || beta] and broadcast."""
     d = node.data.shape[-1] // 2
-    a_n, b_n = ad.cols(node, 0, d), ad.cols(node, d, 2 * d)
-    a_c, b_c = ad.cols(cls, 0, d), ad.cols(cls, d, 2 * d)
+    a_n, b_n = cols(node, 0, d), cols(node, d, 2 * d)
+    a_c, b_c = cols(cls, 0, d), cols(cls, d, 2 * d)
     ln_b_c = ad.add(lgamma(a_c), lgamma(b_c))
     ln_b_c = ad.sub(ln_b_c, lgamma(ad.add(a_c, b_c)))
     ln_b_n = ad.add(lgamma(a_n), lgamma(b_n))
     ln_b_n = ad.sub(ln_b_n, lgamma(ad.add(a_n, b_n)))
     s_n = ad.add(a_n, b_n)
     term = ad.sub(ln_b_c, ln_b_n)
-    term = ad.add(term, ad.mul(ad.sub(a_n, a_c), ad.digamma(a_n)))
-    term = ad.add(term, ad.mul(ad.sub(b_n, b_c), ad.digamma(b_n)))
-    term = ad.add(term, ad.mul(ad.sub(ad.add(a_c, b_c), s_n), ad.digamma(s_n)))
+    term = ad.add(term, ad.mul(ad.sub(a_n, a_c), digamma(a_n)))
+    term = ad.add(term, ad.mul(ad.sub(b_n, b_c), digamma(b_n)))
+    term = ad.add(term, ad.mul(ad.sub(ad.add(a_c, b_c), s_n), digamma(s_n)))
     return ad.tsum(term, axis=-1)
 
 
@@ -160,6 +227,151 @@ def dist_matrix(nodes, classes):
     c = classes.data.shape[0]
     return beta_kl(ad.reshape(nodes, (m, 1, d2)),
                    ad.reshape(classes, (1, c, d2)))
+
+
+# -- per-op class regions and margin loss ------------------------------------
+
+@dataclass
+class Regions:
+    """The class regions as the per-op composition builds them."""
+    per_class: ad.Tensor       # (K, 2d)
+    known: ad.Tensor           # (1, 2d)
+    novel: ad.Tensor           # (1, 2d)
+
+    def fused(self):
+        """The (K+1, 2d) rows of reasoning.build_class_embeddings:
+        per_class, then novel."""
+        return np.concatenate([self.per_class.data, self.novel.data])
+
+
+def disjunction(x2d, params):
+    """The set-to-one disjunction from tape ops (eleven nodes): the
+    reference for reasoning.disjunction and build_class_embeddings."""
+    if x2d.data.shape[0] == 0:
+        raise ValueError("disjunction over an empty set")
+    u = ad.relu(ad.add(ad.matmul(x2d, params.h1_w), params.h1_b))
+    pooled = colmean_exact(u)
+    z = ad.add(ad.mul(pooled, params.w), params.bias)
+    z = ad.reshape(z, (1, z.data.shape[0]))
+    return ad.add(softplus(ad.add(ad.matmul(z, params.h2_w), params.h2_b)),
+                  rs.EMB_EPS)
+
+
+def negation(x):
+    return div(1.0, x)
+
+
+def build_class_embeddings(node_embs_2d, class_train_indices, params):
+    """Per-class disjunction over gathered rows, then the union region and
+    its negation, op by op."""
+    per = []
+    for idx in class_train_indices:
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.size == 0:
+            raise ValueError("a known class has no training nodes")
+        per.append(disjunction(ad.take_rows(node_embs_2d, idx), params))
+    per_class = concat(per, axis=0)
+    known = disjunction(per_class, params)
+    return Regions(per_class=per_class, known=known, novel=negation(known))
+
+
+def beta_loss(node_embs_2d, labels, regions, gamma, *, include_novel=True):
+    """reasoning.beta_loss from tape ops over the Regions of
+    build_class_embeddings."""
+    labels = np.asarray(labels, dtype=np.int64)
+    k = regions.per_class.data.shape[0]
+    stack = regions.per_class
+    if include_novel:
+        stack = concat([stack, regions.novel], axis=0)
+    dists = rs.dist_matrix(node_embs_2d, stack)           # (m, K or K+1)
+    m, c = dists.data.shape
+    onehot = np.zeros((m, c), dtype=dists.data.dtype)
+    onehot[np.arange(m), labels] = 1.0
+    pos = ad.tsum(ad.mul(dists, onehot), axis=1)
+    pos_term = softplus(ad.sub(pos, gamma))
+    neg_terms = softplus(ad.sub(gamma, dists))
+    neg_sum = ad.tsum(ad.mul(neg_terms, 1.0 - onehot), axis=1)
+    per_node = ad.add(pos_term, ad.mul(neg_sum, 1.0 / k))
+    return ad.tmean(per_node)
+
+
+# -- per-op evidence heads, assembly and Dirichlet loss -----------------------
+
+@dataclass
+class Opinions:
+    """Evidence and prior weight as the per-op composition builds them."""
+    evidence: ad.Tensor        # (n, K)
+    prior_weight: ad.Tensor    # (n, 1)
+    base_rates: np.ndarray
+
+    def fused(self):
+        """The (n, K+1) opinions of evidence.NodeOpinionBatch."""
+        return np.concatenate([self.evidence.data, self.prior_weight.data],
+                              axis=1)
+
+
+def evidence_forward(adj, prop, regions, params, *, row_scale=None,
+                     adj_t=None, training=False, dropout_rate=0.0,
+                     generator=None, propagate=True, learned_prior=True):
+    """evidence.evidence_forward with every head composed op by op (about
+    ten nodes each, one dropout draw per head in order) and the assembly
+    op by op, over the Regions of build_class_embeddings."""
+    n = prop.data.shape[0]
+    k = regions.per_class.data.shape[0]
+    dtype = prop.data.dtype
+    if not propagate:
+        row_scale = np.ones((n, 1), dtype=dtype)
+    elif row_scale is None:
+        row_scale = adj.row_sums().astype(dtype).reshape(-1, 1)
+    d2 = prop.data.shape[1]
+
+    def head_out(head, cls_row):
+        w_node = ad.take_rows(head.w1, np.arange(0, d2))
+        w_cls = ad.take_rows(head.w1, np.arange(d2, 2 * d2))
+        shift = ad.matmul(cls_row, w_cls)
+        z = ad.add(ad.matmul(prop, w_node),
+                   ad.mul(ad.Tensor(row_scale), shift))
+        h = ad.relu(ad.add(z, head.b1))
+        if training and dropout_rate > 0.0:
+            h = dropout(h, dropout_rate, generator)
+        return ad.matmul(h, head.w2)
+
+    heads = list(params.per_class)
+    rows = [ad.take_rows(regions.per_class, [i]) for i in range(k)]
+    if learned_prior:
+        heads.append(params.novel)
+        rows.append(regions.novel)
+    stacked = concat([head_out(h, r) for h, r in zip(heads, rows)], axis=1)
+    if propagate:
+        stacked = ad.spmm(adj, stacked, adj_t)
+    stacked = ad.add(stacked, concat([head.b2 for head in heads], axis=0))
+    evidence = softplus(cols(stacked, 0, k))
+    if learned_prior:
+        prior = ad.add(softplus(cols(stacked, k, k + 1)), ev.PRIOR_EPS)
+    else:
+        prior = ad.Tensor(np.full((stacked.data.shape[0], 1), float(k),
+                                  dtype=dtype))
+    return Opinions(evidence=evidence, prior_weight=prior,
+                    base_rates=np.full(k, 1.0 / k))
+
+
+def dirichlet_loss(batch, labels, mask=None):
+    """evidence.dirichlet_loss from tape ops over Opinions."""
+    labels = np.asarray(labels, dtype=np.int64)
+    k = batch.base_rates.size
+    e, w = batch.evidence, batch.prior_weight
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.int64)
+        e, w = ad.take_rows(e, mask), ad.take_rows(w, mask)
+        labels = labels[mask]
+    s = ad.add(ad.tsum(e, axis=1, keepdims=True), w)     # (m, 1)
+    onehot = np.zeros((labels.size, k), dtype=e.data.dtype)
+    onehot[np.arange(labels.size), labels] = 1.0
+    e_y = ad.tsum(ad.mul(e, onehot), axis=1, keepdims=True)
+    a_y = batch.base_rates[labels].reshape(-1, 1).astype(e.data.dtype)
+    xi_y = ad.add(e_y, ad.mul(w, a_y))
+    per_node = ad.sub(digamma(s), digamma(xi_y))
+    return ad.tmean(per_node)
 
 
 # -- per-parameter Adam -----------------------------------------------------

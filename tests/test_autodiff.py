@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from betagraph import autodiff as ad
 from betagraph import special
@@ -70,14 +73,15 @@ class TestBasicOps:
 
     def test_softplus_grad_is_sigmoid(self):
         x = parameter(0.0)
-        reports = grad_check(lambda: ad.softplus(x), {"x": x})
+        reports = grad_check(lambda: oracles.softplus(x), {"x": x})
         assert reports[0].analytic == pytest.approx(0.5, abs=1e-12)
 
     def test_add_mul_broadcast(self):
         check_op(lambda a, b: ad.tsum(ad.mul(ad.add(a, b), a)), (3, 4), (4,))
 
     def test_sub_div(self):
-        check_op(lambda a, b: ad.tsum(ad.div(ad.sub(a, b), b)), (2, 3), (2, 3))
+        check_op(lambda a, b: ad.tsum(oracles.div(ad.sub(a, b), b)), (2, 3),
+                 (2, 3))
 
     def test_matmul(self):
         check_op(lambda a, b: ad.tsum(ad.matmul(a, b)), (3, 4), (4, 2))
@@ -88,13 +92,14 @@ class TestBasicOps:
     def test_take_rows_and_cols(self):
         idx = np.array([2, 0, 2])
         check_op(lambda a: ad.tsum(ad.take_rows(a, idx)), (4, 3))
-        check_op(lambda a: ad.tsum(ad.cols(a, 1, 3)), (4, 5))
+        check_op(lambda a: ad.tsum(oracles.cols(a, 1, 3)), (4, 5))
 
     def test_concat_axes(self):
-        check_op(lambda a, b: ad.tsum(ad.mul(ad.concat([a, b], axis=1),
-                                             ad.concat([a, b], axis=1))),
-                 (3, 2), (3, 4))
-        check_op(lambda a, b: ad.tsum(ad.concat([a, b], axis=0)), (2, 3), (4, 3))
+        check_op(lambda a, b: ad.tsum(ad.mul(
+            oracles.concat([a, b], axis=1), oracles.concat([a, b], axis=1))),
+            (3, 2), (3, 4))
+        check_op(lambda a, b: ad.tsum(oracles.concat([a, b], axis=0)),
+                 (2, 3), (4, 3))
 
     def test_reshape_broadcast_rows(self):
         check_op(lambda a: ad.tsum(ad.reshape(a, (2, 6))), (3, 4))
@@ -103,14 +108,14 @@ class TestBasicOps:
 
     def test_nonlinearities(self):
         check_op(lambda a: ad.tsum(ad.relu(ad.sub(a, 1.0))), (4, 4))
-        check_op(lambda a: ad.tsum(ad.softplus(a)), (3, 3))
+        check_op(lambda a: ad.tsum(oracles.softplus(a)), (3, 3))
         check_op(lambda a: ad.tsum(ad.exp(a)), (2, 2))
         check_op(lambda a: ad.tsum(ad.log(a)), (2, 2))
         check_op(lambda a: ad.tsum(oracles.sqrt(a)), (2, 2))
 
     def test_gamma_family(self):
         check_op(lambda a: ad.tsum(oracles.lgamma(a)), (3, 3), tol=1e-5)
-        check_op(lambda a: ad.tsum(ad.digamma(a)), (3, 3), tol=1e-5)
+        check_op(lambda a: ad.tsum(oracles.digamma(a)), (3, 3), tol=1e-5)
 
     def test_logsumexp(self):
         check_op(lambda a: ad.tsum(ad.logsumexp(a, axis=1)), (4, 5))
@@ -126,22 +131,102 @@ class TestColmeanExact:
     def test_permutation_invariance_exact(self):
         gen = rng(1)
         x = gen.standard_normal((40, 8))
-        base = ad.colmean_exact(ad.Tensor(x)).data
+        base = ad.colmean_exact(x)
         for seed in range(5):
             perm = rng(seed).permutation(40)
-            out = ad.colmean_exact(ad.Tensor(x[perm])).data
+            out = ad.colmean_exact(x[perm])
             assert np.array_equal(out, base)
 
     def test_duplication_invariance_exact(self):
         gen = rng(2)
         x = gen.standard_normal((13, 4))
         doubled = np.repeat(x, 2, axis=0)
-        a = ad.colmean_exact(ad.Tensor(x)).data
-        b = ad.colmean_exact(ad.Tensor(doubled)).data
+        a = ad.colmean_exact(x)
+        b = ad.colmean_exact(doubled)
         assert np.array_equal(a, b)
 
     def test_gradient(self):
-        check_op(lambda a: ad.tsum(ad.colmean_exact(a)), (6, 3))
+        check_op(lambda a: ad.tsum(oracles.colmean_exact(a)), (6, 3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.sampled_from([1, 2, 3, 7, 15, 20, 63, 64, 200, 1023, 4096,
+                              4097]),
+           offset=st.sampled_from([-1, 0, 1]), position=st.floats(0, 1),
+           heavy=st.booleans(), zeros=st.sampled_from([0.0, 0.3]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(m=7, offset=1, position=0.5, heavy=True, zeros=0.0, seed=0)
+    @example(m=15, offset=1, position=0.5, heavy=True, zeros=0.0, seed=0)
+    @example(m=63, offset=1, position=0.5, heavy=True, zeros=0.0, seed=0)
+    def test_float32_columns_equal_fsum(self, m, offset, position, heavy,
+                                        zeros, seed):
+        """Float32 columns whose nonzero magnitudes span one binade below
+        the fast path's bound 29 - m.bit_length(), exactly it, or one
+        above, with subnormals, +-0 and all-zero columns: every mean has
+        fsum's bits, and so does every column sum.  Heavy columns (values
+        at the top of the span, then a quarter of odd-mantissa values at
+        its bottom) round in float64 past the bound when m is just below
+        a power of two, so a looser bound fails here."""
+        span = max(0, 29 - m.bit_length() + offset)
+        lo = -125 if heavy else -148                 # -148: subnormals
+        emin = lo + round(position * (127 - span - lo))
+        gen = rng(seed)
+        cols = [spanned_column(gen, m, span, emin, heavy, zeros)
+                for _ in range(3)]
+        cols.append(np.where(gen.random(m) < 0.5, 0.0, -0.0))
+        x = np.stack(cols, axis=1).astype(np.float32)
+        assert ad.colmean_exact(x).tobytes() == fsum_means(x).tobytes()
+        assert ad._fsum_columns(x).tobytes() == fsum_sums(x).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 30),
+                                            st.integers(1, 4)),
+                      elements=st.floats(-1e300, 1e300,
+                                         allow_subnormal=True)))
+    def test_float64_columns_equal_fsum(self, x):
+        assert ad.colmean_exact(x).tobytes() == fsum_means(x).tobytes()
+        assert ad._fsum_columns(x).tobytes() == fsum_sums(x).tobytes()
+
+    @pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
+    def test_non_finite_columns_equal_fsum(self, special):
+        x = rng(3).standard_normal((9, 3)).astype(np.float32)
+        x[4, 1] = special
+        got = ad.colmean_exact(x)
+        assert got[[0, 2]].tobytes() == fsum_means(x)[[0, 2]].tobytes()
+        assert np.array_equal(got[1], fsum_means(x)[1], equal_nan=True)
+
+    def test_opposite_infinities_fail_as_fsum_does(self):
+        x = np.array([[np.inf], [-np.inf]], dtype=np.float32)
+        with pytest.raises(ValueError):
+            ad.colmean_exact(x)
+
+
+def spanned_column(gen, m, span, emin, heavy, zeros):
+    """m float32 values whose nonzero magnitudes have np.frexp exponents
+    emin to emin + span, both ends present (rounded to float32's grid
+    below the normal range)."""
+    if heavy:
+        col = np.full(m, (2 ** 24 - 1) / 2 ** 24 * 2.0 ** (emin + span))
+        small = min(m, max(2, m // 4))
+        odd = 2 ** 23 + 1 + 2 * gen.integers(0, 2 ** 22, small)
+        col[-small:] = np.ldexp(odd, emin - 24)
+        return col * gen.choice([-1.0, 1.0])
+    e = gen.integers(emin, emin + span + 1, m)
+    e[0], e[-1] = emin + span, emin
+    col = np.ldexp(gen.integers(2 ** 23, 2 ** 24, m) / 2 ** 24, e)
+    col *= gen.choice([-1.0, 1.0], m)
+    col[gen.random(m) < zeros] = 0.0
+    return col
+
+
+def fsum_sums(x):
+    """Column sums by math.fsum, as float64."""
+    return np.array([math.fsum(x[:, j].astype(np.float64))
+                     for j in range(x.shape[1])])
+
+
+def fsum_means(x):
+    """Column means by math.fsum, in x's dtype: colmean_exact's reference."""
+    return (fsum_sums(x) / x.shape[0]).astype(x.dtype)
 
 
 class TestEngineMechanics:
@@ -169,7 +254,7 @@ class TestEngineMechanics:
 
     def test_float32_graph_stays_float32(self):
         x = ad.Tensor(np.ones((3, 3), dtype=np.float32), requires_grad=True)
-        y = ad.softplus(ad.mul(ad.add(x, 1.0), -2.0))
+        y = oracles.softplus(ad.mul(ad.add(x, 1.0), -2.0))
         assert y.data.dtype == np.float32
         ad.tsum(y).backward()
         assert x.grad.dtype == np.float32
@@ -177,7 +262,7 @@ class TestEngineMechanics:
     def test_backward_releases_the_tape(self):
         x = parameter(np.array([2.0, -1.0]))
         w = parameter(np.array([[1.0, 3.0], [0.5, -2.0]]))
-        h = ad.softplus(ad.matmul(ad.reshape(x, (1, 2)), w))
+        h = oracles.softplus(ad.matmul(ad.reshape(x, (1, 2)), w))
         loss = ad.tsum(ad.add(ad.mul(h, h), ad.mul(x, 3.0)))
         interior = [t for t in ad._topo_order(loss) if t._vjps]
         assert len(interior) == 7

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -9,6 +10,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -196,6 +198,31 @@ class TestEval:
         assert (out / "scores.csv").exists()
         header = open(out / "scores.csv").readline().strip().split(",")
         assert header[:4] == ["node_id", "prediction", "dissonance", "vacuity"]
+
+    def test_manifests_record_the_environment(self, tmp_path, dataset,
+                                              trained_run, monkeypatch):
+        """train and eval manifests name the Python, numpy and scipy
+        versions, numpy's BLAS, the BLAS thread variables and the CPU
+        count."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "eval"
+        assert main(["eval", dataset, "--checkpoint",
+                     os.path.join(trained_run, "checkpoint.npz"),
+                     "--out", str(out)]) == 0
+        for run in (trained_run, out):
+            env = json.load(open(os.path.join(run, "manifest.json")))[
+                "environment"]
+            assert env["python"] == platform.python_version()
+            assert env["numpy"] == np.__version__
+            assert env["scipy"] == scipy.__version__
+            assert set(env["blas"]) == {"name", "version"}
+            assert env["blas"]["name"]
+            assert set(env["blas_threads"]) == {
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+            assert env["cpu_count"] == os.cpu_count()
+        assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["blas_threads"]["MKL_NUM_THREADS"] is None
 
     def test_dimension_mismatch_rejected(self, tmp_path, trained_run):
         other = tmp_path / "ds6"

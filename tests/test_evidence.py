@@ -27,11 +27,11 @@ def small_setup(seed=0, n=12, d=3, k=3, hidden=5):
     return g, adj, emb, ce, heads
 
 
-def evidence_forward(adj, emb, class_embs, heads, *, propagate=True, **kw):
+def evidence_forward(adj, emb, regions, heads, *, propagate=True, **kw):
     """ev.evidence_forward over the node embeddings emb, propagated first
     (a taped adj @ emb) when propagate is on."""
     prop = ad.spmm(adj, emb) if propagate else emb
-    return ev.evidence_forward(adj, prop, class_embs, heads,
+    return ev.evidence_forward(adj, prop, regions, heads,
                                propagate=propagate, **kw)
 
 
@@ -40,52 +40,12 @@ def context_features(node_embs_2d, class_emb):
     one head, the class part repeated on every node row."""
     n = node_embs_2d.data.shape[0]
     cls_row = ad.matmul(np.ones((n, 1)), class_emb)
-    return ad.concat([node_embs_2d, cls_row], axis=1)
+    return oracles.concat([node_embs_2d, cls_row], axis=1)
 
 
-def per_op_forward(adj, node_embs_2d, class_embs, params, *, training=False,
-                   dropout_rate=0.0, generator=None, propagate=True,
-                   learned_prior=True):
-    """The evidence heads composed op by op (about ten tape nodes per head):
-    the reference the fused head node must reproduce bit for bit."""
-    n = node_embs_2d.data.shape[0]
-    k = class_embs.class_count
-    dtype = node_embs_2d.data.dtype
-    if propagate:
-        prop = ad.spmm(adj, node_embs_2d)
-        row_scale = adj.row_sums().astype(dtype).reshape(n, 1)
-    else:
-        prop = node_embs_2d
-        row_scale = np.ones((n, 1), dtype=dtype)
-    d2 = node_embs_2d.data.shape[1]
-
-    def head_out(head, cls_row):
-        w_node = ad.take_rows(head.w1, np.arange(0, d2))
-        w_cls = ad.take_rows(head.w1, np.arange(d2, 2 * d2))
-        shift = ad.matmul(cls_row, w_cls)
-        z = ad.add(ad.matmul(prop, w_node), ad.mul(ad.Tensor(row_scale), shift))
-        h = ad.relu(ad.add(z, head.b1))
-        if training and dropout_rate > 0.0:
-            h = oracles.dropout(h, dropout_rate, generator)
-        return ad.matmul(h, head.w2)
-
-    heads = list(params.per_class)
-    regions = [ad.take_rows(class_embs.per_class, [i]) for i in range(k)]
-    if learned_prior:
-        heads.append(params.novel)
-        regions.append(class_embs.novel)
-    stacked = ad.concat([head_out(h, r) for h, r in zip(heads, regions)],
-                        axis=1)
-    if propagate:
-        stacked = ad.spmm(adj, stacked)
-    stacked = ad.add(stacked, ad.concat([head.b2 for head in heads], axis=0))
-    evidence = ad.softplus(ad.cols(stacked, 0, k))
-    if learned_prior:
-        prior = ad.add(ad.softplus(ad.cols(stacked, k, k + 1)), ev.PRIOR_EPS)
-    else:
-        prior = ad.Tensor(np.full((n, 1), float(k), dtype=dtype))
-    return ev.NodeOpinionBatch(evidence=evidence, prior_weight=prior,
-                               base_rates=np.full(k, 1.0 / k))
+def opinions(e, w, base_rates):
+    """A NodeOpinionBatch over evidence e and prior weights w."""
+    return ev.NodeOpinionBatch(ad.Tensor(np.hstack([e, w])), base_rates)
 
 
 def grad_setup(dtype, seed=0, n=40, d=3, k=3, hidden=6):
@@ -113,31 +73,46 @@ class TestFusedHeads:
     @pytest.mark.parametrize("learned_prior", [True, False])
     def test_bit_equal_to_per_op_composition(self, dtype, dropout, propagate,
                                              learned_prior):
+        """Heads (one dropout draw for all of them), assembly and Dirichlet
+        loss, with and without its mask, against the per-op composition
+        with a draw per head from the same seed: equal opinions and loss
+        bit for bit, equal gradients."""
         adj, emb, disj, idx, heads, labels = grad_setup(dtype)
         tensors = {**heads.tensors(), **disj.tensors(), "emb": emb}
-        runs = []
-        for forward in (evidence_forward, per_op_forward):
-            for t in tensors.values():
-                t.grad = None
-            ce = rs.build_class_embeddings(emb, idx, disj)
-            batch = forward(adj, emb, ce, heads, training=True,
-                            dropout_rate=dropout, generator=rng(7),
-                            propagate=propagate, learned_prior=learned_prior)
-            loss = ev.dirichlet_loss(batch, labels, np.arange(labels.size))
-            loss.backward()
-            runs.append((batch, {name: t.grad for name, t in tensors.items()}))
-        (fused, fused_grads), (ref, ref_grads) = runs
-        assert fused.evidence.data.dtype == dtype
-        assert fused.evidence.data.tobytes() == ref.evidence.data.tobytes()
-        assert fused.prior_weight.data.tobytes() == \
-            ref.prior_weight.data.tobytes()
-        for name, ref_grad in ref_grads.items():
-            got = fused_grads[name]
-            if ref_grad is None:
-                assert got is None, name
-                continue
-            assert got.dtype == ref_grad.dtype, name
-            assert np.array_equal(got, ref_grad), name
+        for mask in (np.arange(labels.size), None):
+            runs = []
+            for fused in (True, False):
+                for t in tensors.values():
+                    t.grad = None
+                kw = dict(training=True, dropout_rate=dropout,
+                          generator=rng(7), propagate=propagate,
+                          learned_prior=learned_prior)
+                if fused:
+                    ce = rs.build_class_embeddings(emb, idx, disj)
+                    batch = evidence_forward(adj, emb, ce, heads, **kw)
+                    loss = ev.dirichlet_loss(batch, labels, mask)
+                    values = batch.opinions.data
+                else:
+                    ce = oracles.build_class_embeddings(emb, idx, disj)
+                    prop = ad.spmm(adj, emb) if propagate else emb
+                    batch = oracles.evidence_forward(adj, prop, ce, heads,
+                                                     **kw)
+                    loss = oracles.dirichlet_loss(batch, labels, mask)
+                    values = batch.fused()
+                loss.backward()
+                runs.append((values, loss.data,
+                             {name: t.grad for name, t in tensors.items()}))
+            (fused, fused_loss, fused_grads), (ref, ref_loss, ref_grads) = runs
+            assert fused.dtype == dtype
+            assert fused.tobytes() == ref.tobytes()
+            assert fused_loss.tobytes() == ref_loss.tobytes()
+            for name, ref_grad in ref_grads.items():
+                got = fused_grads[name]
+                if ref_grad is None:
+                    assert got is None, name
+                    continue
+                assert got.dtype == ref_grad.dtype, name
+                assert np.array_equal(got, ref_grad), name
 
     def test_grad_check_with_dropout(self):
         adj, emb, disj, idx, heads, labels = grad_setup(np.float64, n=15,
@@ -156,16 +131,22 @@ class TestFusedHeads:
         assert worst < 1e-6
 
     def test_one_tape_node_per_head(self):
+        """The opinions are one node over the K+1 heads and their output
+        biases; each head is one node over its parameters, the propagated
+        embeddings and the class regions."""
         adj, emb, disj, idx, heads, labels = grad_setup(np.float64)
         ce = rs.build_class_embeddings(emb, idx, disj)
         batch = evidence_forward(adj, emb, ce, heads)
-        stacked = batch.evidence._vjps[0][0]._vjps[0][0]     # cols <- add
-        concat = stacked._vjps[0][0]._vjps[0][0]             # add <- spmm
-        parents = [p for p, _ in concat._vjps]
-        assert len(parents) == 4                               # K + 1 heads
-        for p, head in zip(parents, heads.per_class + [heads.novel]):
-            assert {id(q) for q, _ in p._vjps} >= {id(head.w1), id(head.b1),
-                                                    id(head.w2)}
+        loss = ev.dirichlet_loss(batch, labels)
+        assert [p for p, _ in loss._vjps] == [batch.opinions]
+        parents = [p for p, _ in batch.opinions._vjps]
+        all_heads = heads.per_class + [heads.novel]
+        assert len(parents) == 8                               # K + 1, twice
+        assert parents[4:] == [h.b2 for h in all_heads]
+        for p, head in zip(parents[:4], all_heads):
+            assert [id(q) for q, _ in p._vjps] == [
+                id(head.w1), id(head.b1), id(p._vjps[2][0]), id(ce),
+                id(head.w2)]
 
 
 class TestContextFeatures:
@@ -196,8 +177,8 @@ class TestEvidenceForward:
     def test_shapes(self):
         g, adj, emb, ce, heads = small_setup()
         batch = evidence_forward(adj, emb, ce, heads)
-        assert batch.evidence.data.shape == (g.n, 3)
-        assert batch.prior_weight.data.shape == (g.n, 1)
+        assert batch.evidence.shape == (g.n, 3)
+        assert batch.prior_weight.shape == (g.n, 1)
         assert batch.base_rates == pytest.approx(np.full(3, 1 / 3))
 
     def test_nonnegative_over_random_params(self):
@@ -208,8 +189,8 @@ class TestEvidenceForward:
                 for t in (h.w1, h.b1, h.w2, h.b2):
                     t.data = gen.standard_normal(t.data.shape) * 3.0
             batch = evidence_forward(adj, emb, ce, heads)
-            assert (batch.evidence.data >= 0).all()
-            assert (batch.prior_weight.data > 0).all()
+            assert (batch.evidence >= 0).all()
+            assert (batch.prior_weight > 0).all()
 
     def test_zero_weights_give_bias_evidence(self):
         g, adj, emb, ce, heads = small_setup(seed=2)
@@ -222,9 +203,9 @@ class TestEvidenceForward:
         heads.novel.b2.data[:] = 2.5
         batch = evidence_forward(adj, emb, ce, heads)
         for i in range(3):
-            assert batch.evidence.data[:, i] == pytest.approx(
+            assert batch.evidence[:, i] == pytest.approx(
                 softplus(float(i)), abs=1e-12)
-        assert batch.prior_weight.data == pytest.approx(
+        assert batch.prior_weight == pytest.approx(
             softplus(2.5) + ev.PRIOR_EPS, abs=1e-12)
 
     def test_factored_path_matches_explicit_concat(self):
@@ -233,8 +214,7 @@ class TestEvidenceForward:
         g, adj, emb, ce, heads = small_setup(seed=3)
         batch = evidence_forward(adj, emb, ce, heads, propagate=True,
                                     learned_prior=True)
-        regions = [ad.take_rows(ce.per_class, [i])
-                   for i in range(3)] + [ce.novel]
+        regions = [ad.take_rows(ce, [i]) for i in range(4)]
         outs = []
         for head, region in zip(heads.per_class + [heads.novel], regions):
             xk = context_features(emb, region)
@@ -245,8 +225,8 @@ class TestEvidenceForward:
         explicit = np.concatenate(outs, axis=1)
         e_expl = softplus(explicit[:, :3])
         w_expl = softplus(explicit[:, 3:]) + ev.PRIOR_EPS
-        assert np.abs(batch.evidence.data - e_expl).max() < 1e-9
-        assert np.abs(batch.prior_weight.data - w_expl).max() < 1e-9
+        assert np.abs(batch.evidence - e_expl).max() < 1e-9
+        assert np.abs(batch.prior_weight - w_expl).max() < 1e-9
 
     def test_mlp_mode_ignores_graph(self):
         g, adj, emb, ce, heads = small_setup(seed=4)
@@ -255,21 +235,19 @@ class TestEvidenceForward:
             graphs.build_graph(np.zeros((0, 2)), np.zeros((g.n, 1)),
                                np.zeros(g.n), 1))
         b = evidence_forward(eye, emb, ce, heads, propagate=False)
-        assert np.array_equal(a.evidence.data, b.evidence.data)
+        assert np.array_equal(a.evidence, b.evidence)
 
     def test_fixed_prior_mode(self):
         g, adj, emb, ce, heads = small_setup(seed=5)
         batch = evidence_forward(adj, emb, ce, heads, learned_prior=False)
-        assert np.all(batch.prior_weight.data == 3.0)
+        assert np.all(batch.prior_weight == 3.0)
 
 
 class TestScore:
     def mk_batch(self, e, w, k=2):
         e = np.atleast_2d(np.asarray(e, dtype=float))
         w = np.full((e.shape[0], 1), float(w))
-        return ev.NodeOpinionBatch(evidence=ad.Tensor(e),
-                                   prior_weight=ad.Tensor(w),
-                                   base_rates=np.full(k, 1.0 / k))
+        return opinions(e, w, np.full(k, 1.0 / k))
 
     def test_zero_evidence(self):
         sb = ev.score(self.mk_batch([0.0, 0.0], 2.0))
@@ -292,9 +270,7 @@ class TestScore:
         gen = rng(6)
         e = gen.uniform(0, 8, (200, 4))
         w = gen.uniform(0.2, 5, (200, 1))
-        batch = ev.NodeOpinionBatch(evidence=ad.Tensor(e),
-                                    prior_weight=ad.Tensor(w),
-                                    base_rates=np.full(4, 0.25))
+        batch = opinions(e, w, np.full(4, 0.25))
         sb = ev.score(batch)
         s = e.sum(axis=1) + w.ravel()
         total = (e / s[:, None]).sum(axis=1) + sb.vacuity
@@ -304,31 +280,24 @@ class TestScore:
         gen = rng(7)
         e = gen.uniform(0, 5, (50, 3))
         w = gen.uniform(0.5, 2, (50, 1))
-        base = ev.score(ev.NodeOpinionBatch(ad.Tensor(e), ad.Tensor(w),
-                                            np.full(3, 1 / 3)))
-        scaled = ev.score(ev.NodeOpinionBatch(ad.Tensor(7.3 * e),
-                                              ad.Tensor(7.3 * w),
-                                              np.full(3, 1 / 3)))
+        base = ev.score(opinions(e, w, np.full(3, 1 / 3)))
+        scaled = ev.score(opinions(7.3 * e, 7.3 * w, np.full(3, 1 / 3)))
         assert np.array_equal(base.prediction, scaled.prediction)
 
 
 class TestDirichletLoss:
     def test_closed_form_example(self):
         # e=(1,1), W=2, uniform rates, true class 0: psi(4) - psi(2) = 5/6
-        batch = ev.NodeOpinionBatch(
-            evidence=ad.Tensor(np.array([[1.0, 1.0]])),
-            prior_weight=ad.Tensor(np.array([[2.0]])),
-            base_rates=np.array([0.5, 0.5]))
+        batch = opinions(np.array([[1.0, 1.0]]), np.array([[2.0]]),
+                         np.array([0.5, 0.5]))
         loss = ev.dirichlet_loss(batch, np.array([0]), np.array([0]))
         assert float(loss.data) == pytest.approx(5 / 6, abs=1e-10)
         assert float(loss.data) == pytest.approx(
             digamma(4.0) - digamma(2.0), abs=1e-12)
 
     def test_vanishes_when_all_mass_on_true_class(self):
-        batch = ev.NodeOpinionBatch(
-            evidence=ad.Tensor(np.array([[500.0, 0.0]])),
-            prior_weight=ad.Tensor(np.array([[1e-6]])),
-            base_rates=np.array([0.5, 0.5]))
+        batch = opinions(np.array([[500.0, 0.0]]), np.array([[1e-6]]),
+                         np.array([0.5, 0.5]))
         loss = ev.dirichlet_loss(batch, np.array([0]), np.array([0]))
         assert 0 < float(loss.data) < 1e-2
 
@@ -336,8 +305,7 @@ class TestDirichletLoss:
         gen = rng(8)
         e = gen.uniform(0, 10, (100, 3))
         w = gen.uniform(0.1, 4, (100, 1))
-        batch = ev.NodeOpinionBatch(ad.Tensor(e), ad.Tensor(w),
-                                    np.full(3, 1 / 3))
+        batch = opinions(e, w, np.full(3, 1 / 3))
         labels = gen.integers(0, 3, 100)
         loss = ev.dirichlet_loss(batch, labels, np.arange(100))
         assert float(loss.data) >= 0
@@ -348,22 +316,18 @@ class TestDirichletLoss:
         w = gen.uniform(0.5, 2, (20, 1))
         labels = gen.integers(0, 3, 20)
         mask = np.arange(10)
-        base = ev.dirichlet_loss(
-            ev.NodeOpinionBatch(ad.Tensor(e), ad.Tensor(w), np.full(3, 1 / 3)),
-            labels, mask)
+        base = ev.dirichlet_loss(opinions(e, w, np.full(3, 1 / 3)), labels,
+                                 mask)
         e2 = e.copy()
         e2[15:] *= 100.0                        # outside the mask
-        pert = ev.dirichlet_loss(
-            ev.NodeOpinionBatch(ad.Tensor(e2), ad.Tensor(w), np.full(3, 1 / 3)),
-            labels, mask)
+        pert = ev.dirichlet_loss(opinions(e2, w, np.full(3, 1 / 3)), labels,
+                                 mask)
         assert float(base.data) == float(pert.data)
 
     def test_monotone_in_true_class_evidence(self):
         def loss_at(ey):
-            batch = ev.NodeOpinionBatch(
-                evidence=ad.Tensor(np.array([[ey, 1.0]])),
-                prior_weight=ad.Tensor(np.array([[2.0]])),
-                base_rates=np.array([0.5, 0.5]))
+            batch = opinions(np.array([[ey, 1.0]]), np.array([[2.0]]),
+                             np.array([0.5, 0.5]))
             return float(ev.dirichlet_loss(batch, np.array([0]),
                                            np.array([0])).data)
         values = [loss_at(e) for e in (0.5, 1.0, 2.0, 4.0, 8.0)]
@@ -377,6 +341,6 @@ class TestDirectEvidence:
         params = ev.init_direct_head(rng(0), 4, 6, 3, np.float64)
         px = ad.spmm(adj, ad.Tensor(g.features))
         batch = ev.direct_evidence_forward(adj, px, params, 3)
-        assert batch.evidence.data.shape == (15, 3)
-        assert np.all(batch.prior_weight.data == 3.0)
-        assert (batch.evidence.data >= 0).all()
+        assert batch.evidence.shape == (15, 3)
+        assert np.all(batch.prior_weight == 3.0)
+        assert (batch.evidence >= 0).all()

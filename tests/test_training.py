@@ -164,8 +164,9 @@ class TestPhases:
     @pytest.mark.parametrize("learned_prior", [True, False])
     def test_phase1_bit_equal_to_per_op_reference(self, small_ppm, small_split,
                                                   learned_prior):
-        """Class regions from the gathered training rows and the flat Adam
-        step reproduce phase 1 with per-class gathers and per-parameter
+        """The fused class regions and margin loss over the gathered
+        training rows, and the flat Adam step, reproduce phase 1 with the
+        per-op regions and loss over per-class gathers and per-parameter
         Adam, over the same encode and dist_matrix."""
         cfg = quick_config(learned_prior=learned_prior, dropout_p1=0.3)
         ctx = tr.build_context(small_ppm, small_split, cfg)
@@ -182,11 +183,11 @@ class TestPhases:
                             training=True, dropout_rate=cfg.dropout_p1,
                             generator=ref.rng_p1)
             class_idx = [ctx.split.train[rows] for rows in ctx.class_rows]
-            class_embs = rs.build_class_embeddings(emb, class_idx,
-                                                   ref.disjunction)
-            loss = rs.beta_loss(ad.take_rows(emb, ctx.split.train),
-                                train_labels, class_embs, cfg.gamma,
-                                include_novel=learned_prior)
+            regions = oracles.build_class_embeddings(emb, class_idx,
+                                                     ref.disjunction)
+            loss = oracles.beta_loss(ad.take_rows(emb, ctx.split.train),
+                                     train_labels, regions, cfg.gamma,
+                                     include_novel=learned_prior)
             for p in params:
                 p.grad = None
             loss.backward()
@@ -200,6 +201,70 @@ class TestPhases:
         for name, want in arrays(ref).items():
             assert got[name].dtype == want.dtype, name
             assert got[name].tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("context_propagation", [True, False])
+    @pytest.mark.parametrize("learned_prior", [True, False])
+    def test_phase2_bit_equal_to_per_op_reference(
+            self, small_ppm, small_split, context_propagation, learned_prior):
+        """Phase 2 on the receptive rows, with one dropout draw for all
+        heads per epoch, reproduces the per-op heads, assembly and loss
+        with a draw per head from the same stream, and per-parameter
+        Adam."""
+        cfg = quick_config(learned_prior=learned_prior, dropout_p2=0.2,
+                           context_propagation=context_propagation)
+        ctx = tr.build_context(small_ppm, small_split, cfg)
+        state = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
+        ref = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
+        train = ctx.split.train
+        last = tr.train_phase2(state, ctx, 3, tr.phase2_forward(state, ctx))
+
+        with ad.no_grad():
+            emb = rs.encode(ctx.adj, ctx.propagated_x, ref.encoder)
+            regions = oracles.build_class_embeddings(
+                ad.take_rows(emb, train), ctx.class_rows, ref.disjunction)
+        scale = ctx.adj.row_sums().astype(np.float32).reshape(-1, 1)
+        if context_propagation:
+            rows, block, block_t = ctx.receptive_field()
+            prop = ad.Tensor(ctx.adj.matmul(emb.data)[rows])
+            kw = dict(row_scale=scale[rows], adj_t=block_t)
+        else:
+            block, prop, kw = None, ad.Tensor(emb.data[train]), {}
+        params = list(ref.heads.tensors().values())
+        m = [np.zeros(p.data.shape) for p in params]
+        v = [np.zeros(p.data.shape) for p in params]
+        for epoch in range(3):
+            batch = oracles.evidence_forward(
+                block, prop, regions, ref.heads, training=True,
+                dropout_rate=cfg.dropout_p2, generator=ref.rng_p2,
+                propagate=context_propagation, learned_prior=learned_prior,
+                **kw)
+            loss = oracles.dirichlet_loss(batch, ctx.labels[train])
+            for p in params:
+                p.grad = None
+            loss.backward()
+            oracles.adam_step(params, cfg.lr_p2, epoch + 1, m, v)
+
+        assert last == float(loss.data)
+        got = state.heads.tensors()
+        for name, want in ref.heads.tensors().items():
+            assert got[name].data.tobytes() == want.data.tobytes(), name
+
+    def test_tape_size_per_epoch(self, monkeypatch):
+        """Tensors built per epoch on ppm6 with the reference model: the
+        fused class regions, margin loss, evidence assembly and Dirichlet
+        loss leave 9 per phase-1 epoch and 7 per phase-2 epoch (80 and 28
+        with those steps op by op)."""
+        graph = graphs.zscore_features(graphs.gen_ppm6())
+        cfg = tr.TrainConfig(seed=0, ood_classes=graphs.PPM6_OOD_CLASSES)
+        ctx = tr.build_context(graph, cfg.split(graph), cfg)
+        state = tr.init_model(graph.feature_dim, ctx.class_count, cfg)
+        forward = tr.phase2_forward(state, ctx)
+        built = count_calls(monkeypatch, ad.Tensor, "__init__")
+        tr.train_phase1(state, ctx, 3)
+        phase1 = len(built) / 3
+        tr.train_phase2(state, ctx, 3, forward)
+        phase2 = (len(built) - 3 * phase1) / 3
+        assert phase1 <= 20 and phase2 <= 12, (phase1, phase2)
 
     def test_phase1_peak_heap_bounded(self):
         """Three phase-1 epochs on n=2e4 nodes at H=2d=64 keep the traced
