@@ -18,7 +18,7 @@ def main():
     out = sys.argv[1] if len(sys.argv) > 1 else os.path.join(
         os.path.dirname(__file__), "..", "data", "ppm6")
     g = graphs.gen_ppm6()
-    graphs.save_dataset(g, out, feature_format="bin")
+    graphs.save_dataset(g, out)
     print(f"ppm6: n={g.n} edges={g.edge_count} classes={g.class_count}")
     print(f"OOD classes for the reference protocol: {graphs.PPM6_OOD_CLASSES}")
     print(f"wrote {os.path.abspath(out)}")

@@ -206,14 +206,13 @@ def matmul(a, b):
     ))
 
 
-def spmm(adj: SparseMatrix, x, adj_t: SparseMatrix = None):
-    """adj @ x with the adjacency held constant; the gradient is
-    adj_t @ g, with adj_t = adj^T.  It defaults to adj itself, which
-    needs adj symmetric, as graphs.normalize_adjacency's output is bit
-    for bit."""
+def spmm(adj: SparseMatrix, x):
+    """adj @ x with the adjacency held constant.  The gradient adj^T @ g
+    is taken as adj @ g, which needs adj symmetric bit for bit, as
+    graphs.normalize_adjacency's output is: adj.T would build and keep a
+    second n x n matrix for the same product."""
     x = as_tensor(x)
-    grad_matrix = adj if adj_t is None else adj_t
-    return _node(adj.matmul(x.data), ((x, grad_matrix.matmul),))
+    return _node(adj.matmul(x.data), ((x, adj.matmul),))
 
 
 # -- reductions and shaping --------------------------------------------

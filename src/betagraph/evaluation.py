@@ -186,13 +186,12 @@ def train_baseline(ctx: RunContext, *, lr=0.01, epochs=200, seed=0):
 
     def loss():
         logits = ad.take_rows(ev.direct_logits(
-            adj, px, model, training=True, dropout_rate=0.5,
-            generator=drop), train_idx)
+            adj, px, model, dropout_rate=0.5, generator=drop), train_idx)
         lse = ad.logsumexp(logits, axis=1)
         picked = ad.tsum(ad.mul(logits, onehot), axis=1)
         return ad.tmean(ad.sub(lse, picked))
 
-    fit(Adam(model.tensors(), lr=lr), epochs, loss, "baseline", 0)
+    fit(Adam(model.tensors("direct"), lr=lr), epochs, loss, "baseline", 0)
     with no_grad():
         logits = ev.direct_logits(adj, px, model)
     return model, logits.data

@@ -13,24 +13,24 @@ while remaining the same function:
     same row everywhere, so its propagation is rowsums ⊗ (c W);
   * the heads' scalar outputs are stacked and propagated together.
 
-Each head up to its scalar output is one tape node with a hand-written
-VJP (_head), in place of about ten per-op nodes on (n, H) arrays, so
-backward holds one (n, H) array per head, the hidden activation (dropout
-draws need a PCG64 generator).  The assembly of their outputs into
-opinions, and the Dirichlet loss, are one node each.  All these VJPs
-replay the per-op composition's (tests/oracles.py) expressions in the
-tape's order, so values and gradients are the composition's bit for
-bit.  The heads stay a Python loop over K+1
-two-dimensional products: stacking them into one (K+1, n, H) batch gives
-the same bits but was slower on an ER graph of n=5e4 (heads forward 258
--> 384 ms on one vCPU, BLAS single-threaded) and held about 110 MB more.
+The heads and the assembly of their outputs into opinions are one tape
+node over the heads' parameters; the node embeddings and class regions
+it reads are frozen arrays.  Each head's VJP (_head) keeps one (n, H)
+array, the hidden activation (dropout draws need a PCG64 generator).
+The Dirichlet loss is one more node.  Both VJPs replay the per-op
+composition's (tests/oracles.py) expressions in the tape's order, so
+values and gradients are the composition's bit for bit.  The heads stay
+a Python loop over K+1 two-dimensional products: stacking them into one
+(K+1, n, H) batch gives the same bits but was slower on an ER graph of
+n=5e4 (heads forward 258 -> 384 ms on one vCPU, BLAS single-threaded)
+and held about 110 MB more.
 
 Scoring runs the heads on every node.  Training runs them on the rows R
 its loss reads, the training nodes and their neighbours, and propagates
 by the block adj[train][:, R] (training.phase2_forward).
 
-An ablation flag swaps propagation for identity (plain MLP heads), and
-the prior weight can be pinned to the classic constant K instead of the
+An ablation flag swaps propagation for identity (plain MLP heads, adj
+None), and the prior weight can be pinned to the classic constant K instead of the
 learned head.
 """
 
@@ -51,7 +51,7 @@ PRIOR_EPS = 1e-6
 
 @dataclass
 class HeadParams:
-    """One two-layer head: input -> hidden -> scalar per node."""
+    """One two-layer head: input -> hidden -> outputs per node."""
     w1: Tensor
     b1: Tensor
     w2: Tensor
@@ -80,7 +80,11 @@ class NodeOpinionBatch:
     """Per-node opinions, the columns of one tensor: K evidence values,
     nonnegative, then the prior weight, strictly positive."""
     opinions: Tensor           # (n, K+1)
-    base_rates: np.ndarray     # (K,), uniform 1/K
+
+    @property
+    def base_rates(self):                # (K,), uniform 1/K
+        k = self.opinions.data.shape[1] - 1
+        return np.full(k, 1.0 / k)
 
     @property
     def evidence(self):
@@ -120,85 +124,83 @@ def init_evidence_heads(generator, embed_dim, hidden_dim, class_count,
     )
 
 
-def evidence_forward(adj: SparseMatrix, prop: Tensor, regions: Tensor,
-                     params: EvidenceHeadParams, *, row_scale=None,
-                     adj_t=None, training=False, dropout_rate=0.0,
-                     generator=None, propagate=True,
-                     learned_prior=True) -> NodeOpinionBatch:
+def evidence_forward(adj: SparseMatrix, prop, row_scale, regions,
+                     params: EvidenceHeadParams, *, dropout_rate, generator,
+                     learned_prior) -> NodeOpinionBatch:
     """Run every head on the rows of prop and assemble the opinions of the
-    rows of adj @ heads (of prop's rows when propagate is off).
+    rows of adj @ heads, or of prop's rows when adj is None (no
+    propagation).
 
     e_ik = softplus(head_k over [N || C_k]), W_i = softplus(head_nov over
     [N || C_Nov]) + eps (or the constant K when learned_prior is off),
     with C_k and C_Nov the rows of the class regions.
     prop is the node embedding matrix N propagated once, adj @ N, or N
-    itself when propagate is off.  row_scale is the full adjacency's row
-    sums on prop's rows (adj's by default); adj_t is adj^T (adj's own).
+    itself without propagation, and row_scale the full adjacency's (rows,
+    1) row sums on prop's rows, or ones.  All three and the regions are
+    arrays: nothing differentiates them.
 
     One dropout draw covers every head, the K+1 draws the heads took one
-    by one.  The assembly (the heads' outputs side by side, adj @ them,
-    the output biases, the softplus and the prior) is one tape node,
-    whose VJP replays the per-op composition's (tests/oracles.py).
+    by one.  The heads and the assembly (their outputs side by side, adj
+    @ them, the output biases, the softplus and the prior) are one tape
+    node over every head's w1, b1, w2 and b2, whose VJP replays the
+    per-op composition's (tests/oracles.py).
     """
-    k = regions.data.shape[0] - 1
-    dtype = prop.data.dtype
-    if not propagate:
-        row_scale = np.ones((prop.data.shape[0], 1), dtype=dtype)
-    elif row_scale is None:
-        row_scale = adj.row_sums().astype(dtype).reshape(-1, 1)
-
+    k = regions.shape[0] - 1
     heads = list(params.per_class) + ([params.novel] if learned_prior else [])
-    drop = dropout_rate if training else 0.0
+    parents = [t for head in heads
+               for t in (head.w1, head.b1, head.w2, head.b2)]
     keep = [None] * len(heads)
-    if drop > 0.0:
-        keep = ad.dropout_keep((len(heads), prop.data.shape[0],
-                                heads[0].b1.data.size), dtype, drop,
-                               generator)
-    outs = [_head(prop, regions, i, row_scale, head, keep[i],
-                  ad.dropout_scale(drop, dtype))
-            for i, head in enumerate(heads)]            # head i reads row i
-    biases = [head.b2 for head in heads]
-    stacked = np.concatenate([o.data for o in outs], axis=1)
-    if propagate:
+    if dropout_rate > 0.0:
+        keep = ad.dropout_keep((len(heads), prop.shape[0],
+                                heads[0].b1.data.size), prop.dtype,
+                               dropout_rate, generator)
+    scale = ad.dropout_scale(dropout_rate, prop.dtype)
+    taped = ad.grad_needed(*parents)
+    outs, vjps = [], []
+    for i, head in enumerate(heads):                    # head i reads row i
+        out, vjp = _head(prop, regions[[i]], row_scale, head, keep[i], scale)
+        outs.append(out)
+        if taped:                   # scoring keeps no hidden activation
+            vjps.append(vjp)
+        del vjp
+    stacked = np.concatenate(outs, axis=1)
+    if adj is not None:
         stacked = adj.matmul(stacked)                   # heads batched
-    stacked += np.concatenate([b.data for b in biases])
+    stacked += np.concatenate([head.b2.data for head in heads])
     out = special.softplus(stacked)
     if learned_prior:
         out[:, k:] += PRIOR_EPS
     else:
         out = np.concatenate([out, np.full((out.shape[0], 1), float(k),
-                                           dtype=dtype)], axis=1)
+                                           dtype=out.dtype)], axis=1)
 
     def grads(g):
         g = g[:, :len(heads)] * special.sigmoid(stacked)
         g_bias = ad._unbroadcast(g, (len(heads),))
-        if propagate:
-            g = (adj if adj_t is None else adj_t).matmul(g)
-        return ([g[:, i:i + 1] for i in range(len(heads))]
-                + [g_bias[i:i + 1] for i in range(len(heads))])
+        if adj is not None:
+            g = adj.T.matmul(g)
+        return [pg for i, vjp in enumerate(vjps)
+                for pg in (*vjp(g[:, i:i + 1]), g_bias[i:i + 1])]
 
-    return NodeOpinionBatch(ad.fused_node(out, (*outs, *biases), grads),
-                            base_rates=np.full(k, 1.0 / k))
+    return NodeOpinionBatch(ad.fused_node(out, parents, grads))
 
 
-def _head(prop: Tensor, regions: Tensor, i, row_scale, head: HeadParams,
-          keep, scale) -> Tensor:
-    """One head's (n, 1) output before the shared propagation, over row i
-    of the class regions, as a single tape node:
+def _head(prop, cls_row, row_scale, head: HeadParams, keep, scale):
+    """One head's (rows, 1) output before the shared propagation, over the
+    class region cls_row, and its VJP g -> (dw1, db1, dw2):
 
-        z = prop @ w1[:w] + row_scale * (regions[i] @ w1[w:]) + b1
+        z = prop @ w1[:w] + row_scale * (cls_row @ w1[w:]) + b1
         h = relu(z) * keep * scale,  out = h @ w2
 
     in that op order, so it equals the per-op composition bit for bit;
     keep is the dropout keep array, None without dropout, and scale
-    1/(1-rate).  Backward keeps only h and makes dL/dz = (g @ w2.T) *
-    (h > 0) * scale once for every parent: h > 0 iff z > 0 and the unit
-    was kept.
+    1/(1-rate).  The VJP keeps only h and makes dL/dz = (g @ w2.T) *
+    (h > 0) * scale once for every parameter: h > 0 iff z > 0 and the
+    unit was kept.
     """
-    w = prop.data.shape[1]
+    w = prop.shape[1]
     w1, w2 = head.w1.data, head.w2.data
-    cls_row = regions.data[[i]]
-    z = prop.data @ w1[:w]
+    z = prop @ w1[:w]
     z += row_scale * (cls_row @ w1[w:])
     z += head.b1.data
     h = ad.relu_data(z)
@@ -207,23 +209,15 @@ def _head(prop: Tensor, regions: Tensor, i, row_scale, head: HeadParams,
         h *= keep
         h *= scale
 
-    def grads(g):
+    def vjp(g):
         gz = g @ w2.T                                   # dL/dz
         gz *= h > 0
         gz *= scale
         gshift = (gz * row_scale).sum(axis=0, keepdims=True)
-        g_regions = None
-        if regions.requires_grad:
-            g_regions = np.zeros_like(regions.data)
-            g_regions[i:i + 1] = gshift @ w1[w:].T
-        return (np.concatenate([prop.data.T @ gz, cls_row.T @ gshift]),
-                gz.sum(axis=0),
-                gz @ w1[:w].T if prop.requires_grad else None,
-                g_regions,
-                h.T @ g)
+        return (np.concatenate([prop.T @ gz, cls_row.T @ gshift]),
+                gz.sum(axis=0), h.T @ g)
 
-    return ad.fused_node(h @ w2, (head.w1, head.b1, prop, regions, head.w2),
-                         grads)
+    return h @ w2, vjp
 
 
 def score(batch: NodeOpinionBatch) -> ScoreBatch:
@@ -241,9 +235,9 @@ def score(batch: NodeOpinionBatch) -> ScoreBatch:
     )
 
 
-def dirichlet_loss(batch: NodeOpinionBatch, labels, mask=None) -> Tensor:
-    """Mean over masked nodes (every row, labelled in order, without a
-    mask) of psi(S_i) - psi(xi_{i, y_i}).
+def dirichlet_loss(batch: NodeOpinionBatch, labels) -> Tensor:
+    """Mean over the rows of batch, labelled in order by labels, of
+    psi(S_i) - psi(xi_{i, y_i}).
 
     xi_ik = e_ik + a_k W_i is the Dirichlet concentration implied by the
     opinion; the loss is the expected cross entropy under it and is
@@ -253,9 +247,6 @@ def dirichlet_loss(batch: NodeOpinionBatch, labels, mask=None) -> Tensor:
     labels = np.asarray(labels, dtype=np.int64)
     k = batch.base_rates.size
     op = batch.opinions.data
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.int64)
-        op, labels = op[mask], labels[mask]
     e, w = op[:, :k], op[:, k:]
     m = labels.size
     onehot = np.zeros((m, k), dtype=op.dtype)
@@ -269,35 +260,18 @@ def dirichlet_loss(batch: NodeOpinionBatch, labels, mask=None) -> Tensor:
         g = g / m
         g_s = g * special.trigamma(s)
         g_xi = -g * special.trigamma(xi_y)
-        g_op = np.concatenate([g_s + g_xi * onehot, g_s + g_xi * a_y],
-                              axis=1)
-        if mask is None:
-            return (g_op,)
-        full = np.zeros_like(batch.opinions.data)        # ad.take_rows's VJP
-        np.add.at(full, mask, g_op)
-        return (full,)
+        return (np.concatenate([g_s + g_xi * onehot, g_s + g_xi * a_y],
+                               axis=1),)
 
     return ad.fused_node(per_node.mean(), (batch.opinions,), grads)
 
 
 # -- direct evidence (no Beta reasoning) ---------------------------------
 
-@dataclass
-class DirectHeadParams:
-    """Single graph head mapping raw features to K evidence values."""
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-    def tensors(self):
-        return {"direct.w1": self.w1, "direct.b1": self.b1,
-                "direct.w2": self.w2, "direct.b2": self.b2}
-
-
 def init_direct_head(generator, feature_dim, hidden_dim, class_count,
-                     dtype) -> DirectHeadParams:
-    return DirectHeadParams(
+                     dtype) -> HeadParams:
+    """Single graph head mapping raw features to K evidence values."""
+    return HeadParams(
         w1=glorot(generator, feature_dim, hidden_dim, dtype),
         b1=ad.Tensor(np.zeros(hidden_dim, dtype=dtype), requires_grad=True),
         w2=glorot(generator, hidden_dim, class_count, dtype),
@@ -305,30 +279,28 @@ def init_direct_head(generator, feature_dim, hidden_dim, class_count,
     )
 
 
-def direct_logits(adj: SparseMatrix, px, params: DirectHeadParams, *,
-                  training=False, dropout_rate=0.0, generator=None) -> Tensor:
+def direct_logits(adj: SparseMatrix, px, params: HeadParams, *,
+                  dropout_rate=0.0, generator=None) -> Tensor:
     """(n, K) outputs of the plain two-layer graph network on px = adj @ x;
     also the logits of the MaxLogit/Energy baseline."""
     h = ad.relu(ad.add(ad.matmul(px, params.w1), params.b1))
-    if training and dropout_rate > 0.0:
-        h = ad.dropout(h, dropout_rate, generator)
+    h = ad.dropout(h, dropout_rate, generator)
     return ad.add(ad.spmm(adj, ad.matmul(h, params.w2)), params.b2)
 
 
-def direct_evidence_forward(adj: SparseMatrix, px, params: DirectHeadParams,
-                            class_count, *, training=False, dropout_rate=0.0,
-                            generator=None, rows=None) -> NodeOpinionBatch:
+def direct_evidence_forward(adj: SparseMatrix, px, params: HeadParams, *,
+                            dropout_rate=0.0, generator=None,
+                            rows=None) -> NodeOpinionBatch:
     """Evidence for every class at once from direct_logits on px = adj @ x,
     with the classic fixed prior W = K; for the given rows only, in their
     order, when rows is set.  The opinions are one tape node, whose VJP is
     the per-op softplus's."""
-    logits = direct_logits(adj, px, params, training=training,
-                           dropout_rate=dropout_rate, generator=generator)
+    logits = direct_logits(adj, px, params, dropout_rate=dropout_rate,
+                           generator=generator)
     if rows is not None:
         logits = ad.take_rows(logits, rows)
     x = logits.data
     out = np.concatenate([special.softplus(x), np.full(
-        (x.shape[0], 1), float(class_count), dtype=x.dtype)], axis=1)
+        (x.shape[0], 1), float(x.shape[1]), dtype=x.dtype)], axis=1)
     return NodeOpinionBatch(ad.fused_node(
-        out, (logits,), lambda g: (g[:, :-1] * special.sigmoid(x),)),
-        base_rates=np.full(class_count, 1.0 / class_count))
+        out, (logits,), lambda g: (g[:, :-1] * special.sigmoid(x),)))

@@ -278,7 +278,8 @@ def save_dataset(graph: Graph, directory):
 def normalize_adjacency(graph: Graph) -> SparseMatrix:
     """D^{-1/2} (A + I) D^{-1/2} with degrees taken after self-loop insertion;
     entry (i, j) is scale[i] * scale[j], so the result equals its transpose
-    bit for bit, as autodiff.spmm's gradient requires."""
+    bit for bit: autodiff.spmm's and reasoning.propagate's VJPs multiply
+    by it in its place, sparing an n x n transpose as large as itself."""
     a = graph.adjacency
     n = graph.n
     deg = np.diff(a.indptr) + 1.0

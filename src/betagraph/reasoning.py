@@ -282,8 +282,10 @@ def build_class_embeddings(node_embs_2d: Tensor, class_train_indices,
     The novel region is the negation (alpha, beta) -> (1/alpha, 1/beta)
     of the union.  The VJP walks them as the per-op tape does: the novel
     region, the union, then the classes in order, so each parameter's
-    gradient is ((union + class 0) + class 1) + ...  The classes' rows are
-    disjoint, as RunContext.class_rows are, so theirs need no order.
+    gradient is ((union + class 0) + class 1) + ..., or (class 0 + class
+    1) + ... where the novel row's gradient is all zero: the tape never
+    reaches an unread union.  The classes' rows are disjoint, as
+    RunContext.class_rows are, so theirs need no order.
     """
     x = node_embs_2d.data
     parts = []
@@ -297,13 +299,15 @@ def build_class_embeddings(node_embs_2d: Tensor, class_train_indices,
     novel = 1.0 / known
 
     def grads(g):
-        g_per, *total = union_vjp(-g[-1:] * novel / known)
-        g_per = g[:-1] + g_per
+        g_per, total = g[:-1], None
+        if g[-1:].any():
+            g_union, *total = union_vjp(-g[-1:] * novel / known)
+            g_per = g_per + g_union
         dx = np.zeros_like(x)
         for c, (idx, _, vjp) in enumerate(parts):
             gx, *pg = vjp(g_per[c:c + 1])
             np.add.at(dx, idx, gx)
-            total = [a + b for a, b in zip(total, pg)]
+            total = pg if total is None else [a + b for a, b in zip(total, pg)]
         return dx, *total
 
     return ad.fused_node(np.concatenate([per_class, novel]),

@@ -3,13 +3,15 @@
 A SparseMatrix is a checked, immutable shell over one scipy CSR matrix
 (row offsets, sorted column indices, float64 values); the multiply is
 scipy's sequential CSR kernel, which accumulates each output row in
-index order, so results are deterministic for a fixed build.  There is
-no transpose routine: the normalized adjacency is symmetric, so its
-gradient product is the matrix itself, and phase 2's training block
-(training.RunContext.receptive_field) carries its transpose, built once.
+index order, so results are deterministic for a fixed build.  T, the
+transpose, is built on first use and kept: phase 2's training block
+(training.RunContext.receptive_field) needs it, while the normalized
+adjacency is its own transpose (graphs.normalize_adjacency).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.sparse as _sp
@@ -55,6 +57,12 @@ class SparseMatrix:
     @property
     def nnz(self):
         return int(self.indices.size)
+
+    @functools.cached_property
+    def T(self):
+        """The transpose, built on first use and kept."""
+        t = self.csr.T.tocsr()
+        return SparseMatrix(t.indptr, t.indices, t.data, t.shape)
 
     def matmul(self, x):
         """Sparse @ dense with shape checking; preserves the dense dtype."""

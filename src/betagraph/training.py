@@ -30,7 +30,6 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from . import evidence as ev
 from . import reasoning as rs
 from .autodiff import Adam, Tensor, no_grad
@@ -167,18 +166,16 @@ class RunContext:
     _receptive: tuple = field(default=None, repr=False, compare=False)
 
     def receptive_field(self):
-        """(R, block, block_t): the sorted columns R that adj's training
-        rows touch (the training nodes, by their self-loops, and their
-        neighbours), adj[train][:, R] and its transpose.  Built on first
-        use and kept; scoring never uses them."""
+        """(R, block): the sorted columns R that adj's training rows touch
+        (the training nodes, by their self-loops, and their neighbours),
+        and adj[train][:, R].  Built on first use and kept; scoring never
+        uses them."""
         if self._receptive is None:
             a = self.adj.csr[self.split.train]
             rows = np.unique(a.indices)
-            block = SparseMatrix(a.indptr, np.searchsorted(rows, a.indices),
-                                 a.data, (a.shape[0], rows.size))
-            t = block.csr.T.tocsr()
-            self._receptive = rows, block, SparseMatrix(t.indptr, t.indices,
-                                                        t.data, t.shape)
+            self._receptive = rows, SparseMatrix(
+                a.indptr, np.searchsorted(rows, a.indices), a.data,
+                (a.shape[0], rows.size))
         return self._receptive
 
 
@@ -204,7 +201,7 @@ class ModelState:
     encoder: rs.EncoderParams = None
     disjunction: rs.DisjunctionParams = None
     heads: ev.EvidenceHeadParams = None
-    direct: ev.DirectHeadParams = None
+    direct: ev.HeadParams = None
     opt_p1: Adam = None
     opt_p2: Adam = None
     rng_p1: object = None
@@ -221,7 +218,7 @@ class ModelState:
 
     def phase2_tensors(self) -> dict:
         if self.direct is not None:
-            return self.direct.tensors()
+            return self.direct.tensors("direct")
         return self.heads.tensors()
 
     def all_tensors(self) -> dict:
@@ -346,17 +343,16 @@ def train_phase1(state: ModelState, ctx: RunContext, epochs: int) -> float:
 
 def frozen_reasoning(state: ModelState, ctx: RunContext):
     """Inference-mode class regions and the node embeddings the heads
-    read (propagated once when context propagation is on), detached for
-    phase 2 / evaluation."""
+    read (propagated once when context propagation is on), as arrays
+    for phase 2 / evaluation."""
     with no_grad():
         emb = rs.encode(ctx.adj, ctx.propagated_x, state.encoder,
-                        training=False)
+                        training=False).data
         regions = rs.build_class_embeddings(
-            ad.take_rows(emb, ctx.split.train), ctx.class_rows,
-            state.disjunction)
-        if state.config.context_propagation:
-            emb = ad.spmm(ctx.adj, emb)
-    return regions, emb
+            Tensor(emb[ctx.split.train]), ctx.class_rows, state.disjunction)
+    if state.config.context_propagation:
+        emb = ctx.adj.matmul(emb)
+    return regions.data, emb
 
 
 def phase2_forward(state: ModelState, ctx: RunContext):
@@ -368,26 +364,24 @@ def phase2_forward(state: ModelState, ctx: RunContext):
     cfg, train = state.config, ctx.split.train
     if state.direct is not None:
         return lambda training: ev.direct_evidence_forward(
-            ctx.adj, ctx.propagated_x, state.direct, ctx.class_count,
-            training=training, dropout_rate=cfg.dropout_p2,
+            ctx.adj, ctx.propagated_x, state.direct,
+            dropout_rate=cfg.dropout_p2 if training else 0.0,
             generator=state.rng_p2, rows=train if training else None)
     regions, prop = frozen_reasoning(state, ctx)
     heads = functools.partial(
         ev.evidence_forward, regions=regions, params=state.heads,
-        dropout_rate=cfg.dropout_p2, generator=state.rng_p2,
-        propagate=cfg.context_propagation, learned_prior=cfg.learned_prior)
-    scale = ctx.adj.row_sums().astype(prop.data.dtype).reshape(-1, 1)
+        generator=state.rng_p2, learned_prior=cfg.learned_prior)
+    adj = ctx.adj if cfg.context_propagation else None
+    scale = np.ones((prop.shape[0], 1), dtype=prop.dtype) if adj is None \
+        else ctx.adj.row_sums().astype(prop.dtype).reshape(-1, 1)
 
     @functools.cache
     def receptive():                    # on the round's first training epoch
-        if not cfg.context_propagation:
-            return dict(adj=None, prop=Tensor(prop.data[train]))
-        rows, block, block_t = ctx.receptive_field()
-        return dict(adj=block, prop=Tensor(prop.data[rows]),
-                    row_scale=scale[rows], adj_t=block_t)
+        rows, block = (train, None) if adj is None else ctx.receptive_field()
+        return block, prop[rows], scale[rows]
 
-    return lambda training: heads(**receptive(), training=True) if training \
-        else heads(ctx.adj, prop, row_scale=scale)
+    return lambda training: heads(*receptive(), dropout_rate=cfg.dropout_p2) \
+        if training else heads(adj, prop, scale, dropout_rate=0.0)
 
 
 def train_phase2(state: ModelState, ctx: RunContext, epochs: int,

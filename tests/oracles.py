@@ -310,60 +310,54 @@ class Opinions:
                               axis=1)
 
 
-def evidence_forward(adj, prop, regions, params, *, row_scale=None,
-                     adj_t=None, training=False, dropout_rate=0.0,
-                     generator=None, propagate=True, learned_prior=True):
+def sparse_matmul(adj, x):
+    """adj @ x for any sparse adj, held constant, as one tape node whose
+    gradient is adj.T @ g: the propagation by the training block, which
+    is not symmetric."""
+    x = ad.as_tensor(x)
+    return ad._node(adj.matmul(x.data), ((x, adj.T.matmul),))
+
+
+def evidence_forward(adj, prop, row_scale, regions, params, *, dropout_rate,
+                     generator, learned_prior):
     """evidence.evidence_forward with every head composed op by op (about
     ten nodes each, one dropout draw per head in order) and the assembly
-    op by op, over the Regions of build_class_embeddings."""
-    n = prop.data.shape[0]
-    k = regions.per_class.data.shape[0]
-    dtype = prop.data.dtype
-    if not propagate:
-        row_scale = np.ones((n, 1), dtype=dtype)
-    elif row_scale is None:
-        row_scale = adj.row_sums().astype(dtype).reshape(-1, 1)
-    d2 = prop.data.shape[1]
+    op by op, over the same frozen arrays."""
+    k = regions.shape[0] - 1
+    d2 = prop.shape[1]
+    prop, row_scale = ad.Tensor(prop), ad.Tensor(row_scale)
 
     def head_out(head, cls_row):
         w_node = ad.take_rows(head.w1, np.arange(0, d2))
         w_cls = ad.take_rows(head.w1, np.arange(d2, 2 * d2))
         shift = ad.matmul(cls_row, w_cls)
-        z = ad.add(ad.matmul(prop, w_node),
-                   ad.mul(ad.Tensor(row_scale), shift))
+        z = ad.add(ad.matmul(prop, w_node), ad.mul(row_scale, shift))
         h = ad.relu(ad.add(z, head.b1))
-        if training and dropout_rate > 0.0:
+        if dropout_rate > 0.0:
             h = dropout(h, dropout_rate, generator)
         return ad.matmul(h, head.w2)
 
-    heads = list(params.per_class)
-    rows = [ad.take_rows(regions.per_class, [i]) for i in range(k)]
-    if learned_prior:
-        heads.append(params.novel)
-        rows.append(regions.novel)
-    stacked = concat([head_out(h, r) for h, r in zip(heads, rows)], axis=1)
-    if propagate:
-        stacked = ad.spmm(adj, stacked, adj_t)
+    heads = list(params.per_class) + ([params.novel] if learned_prior else [])
+    stacked = concat([head_out(h, regions[[i]]) for i, h in enumerate(heads)],
+                     axis=1)
+    if adj is not None:
+        stacked = sparse_matmul(adj, stacked)
     stacked = ad.add(stacked, concat([head.b2 for head in heads], axis=0))
     evidence = softplus(cols(stacked, 0, k))
     if learned_prior:
         prior = ad.add(softplus(cols(stacked, k, k + 1)), ev.PRIOR_EPS)
     else:
         prior = ad.Tensor(np.full((stacked.data.shape[0], 1), float(k),
-                                  dtype=dtype))
+                                  dtype=prop.data.dtype))
     return Opinions(evidence=evidence, prior_weight=prior,
                     base_rates=np.full(k, 1.0 / k))
 
 
-def dirichlet_loss(batch, labels, mask=None):
+def dirichlet_loss(batch, labels):
     """evidence.dirichlet_loss from tape ops over Opinions."""
     labels = np.asarray(labels, dtype=np.int64)
     k = batch.base_rates.size
     e, w = batch.evidence, batch.prior_weight
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.int64)
-        e, w = ad.take_rows(e, mask), ad.take_rows(w, mask)
-        labels = labels[mask]
     s = ad.add(ad.tsum(e, axis=1, keepdims=True), w)     # (m, 1)
     onehot = np.zeros((labels.size, k), dtype=e.data.dtype)
     onehot[np.arange(labels.size), labels] = 1.0

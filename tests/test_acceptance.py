@@ -176,9 +176,11 @@ def test_criterion_3_gradient_suite():
 
         def dl():
             batch = ev.evidence_forward(
-                ctx.adj, prop, ce, state.heads, training=True,
-                dropout_rate=0.0, propagate=True, learned_prior=True)
-            return ev.dirichlet_loss(batch, ctx.labels, ctx.split.train)
+                ctx.adj, prop, ctx.adj.row_sums().reshape(-1, 1), ce,
+                state.heads, dropout_rate=0.0, generator=None,
+                learned_prior=True)
+            return ev.dirichlet_loss(ev.NodeOpinionBatch(ad.take_rows(
+                batch.opinions, ctx.split.train)), ctx.labels[ctx.split.train])
 
         for r in grad_check(dl, state.phase2_tensors(), epsilon=1e-6):
             worst = max(worst, r.max_rel_err)

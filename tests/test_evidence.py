@@ -15,10 +15,10 @@ def small_setup(seed=0, n=12, d=3, k=3, hidden=5):
     gen = rng(seed)
     g = graphs.gen_erdos_renyi(n, 0.3, 4, seed=seed, class_count=k)
     adj = graphs.normalize_adjacency(g)
-    emb = ad.Tensor(gen.uniform(0.3, 4.0, size=(n, 2 * d)))
+    emb = gen.uniform(0.3, 4.0, size=(n, 2 * d))
     params = rs.init_disjunction(gen, d, 6, np.float64)
     idx = np.array_split(np.arange(n), k)
-    ce = rs.build_class_embeddings(emb, idx, params)
+    ce = rs.build_class_embeddings(ad.Tensor(emb), idx, params).data
     heads = ev.init_evidence_heads(gen, d, hidden, k, np.float64)
     # randomize output layers (init_head zeroes them for training stability)
     for h in heads.per_class + [heads.novel]:
@@ -27,12 +27,19 @@ def small_setup(seed=0, n=12, d=3, k=3, hidden=5):
     return g, adj, emb, ce, heads
 
 
-def evidence_forward(adj, emb, regions, heads, *, propagate=True, **kw):
-    """ev.evidence_forward over the node embeddings emb, propagated first
-    (a taped adj @ emb) when propagate is on."""
-    prop = ad.spmm(adj, emb) if propagate else emb
-    return ev.evidence_forward(adj, prop, regions, heads,
-                               propagate=propagate, **kw)
+def evidence_forward(adj, emb, regions, heads, *, propagate=True,
+                     dropout_rate=0.0, generator=None, learned_prior=True):
+    """ev.evidence_forward over every row of the node embeddings emb,
+    propagated first when propagate is on, as scoring calls it."""
+    kw = dict(dropout_rate=dropout_rate, generator=generator,
+              learned_prior=learned_prior)
+    if not propagate:
+        return ev.evidence_forward(None, emb, np.ones((emb.shape[0], 1),
+                                                      dtype=emb.dtype),
+                                   regions, heads, **kw)
+    scale = adj.row_sums().astype(emb.dtype).reshape(-1, 1)
+    return ev.evidence_forward(adj, adj.matmul(emb), scale, regions, heads,
+                               **kw)
 
 
 def context_features(node_embs_2d, class_emb):
@@ -43,19 +50,24 @@ def context_features(node_embs_2d, class_emb):
     return oracles.concat([node_embs_2d, cls_row], axis=1)
 
 
-def opinions(e, w, base_rates):
+def opinions(e, w):
     """A NodeOpinionBatch over evidence e and prior weights w."""
-    return ev.NodeOpinionBatch(ad.Tensor(np.hstack([e, w])), base_rates)
+    return ev.NodeOpinionBatch(ad.Tensor(np.hstack([e, w])))
+
+
+def taken(batch, rows):
+    """batch's opinions of the given rows, in their order."""
+    return ev.NodeOpinionBatch(ad.take_rows(batch.opinions, rows))
 
 
 def grad_setup(dtype, seed=0, n=40, d=3, k=3, hidden=6):
-    """small_setup with grad-requiring node embeddings and disjunction
-    parameters (so the class regions require grad too) in the given dtype."""
+    """small_setup in the given dtype, with random head biases and output
+    weights: the frozen node embeddings and class regions (arrays), the
+    heads and the nodes' labels."""
     gen = rng(seed)
     g = graphs.gen_erdos_renyi(n, 0.2, 4, seed=seed, class_count=k)
     adj = graphs.normalize_adjacency(g)
-    emb = ad.Tensor(gen.uniform(0.3, 4.0, size=(n, 2 * d)).astype(dtype),
-                    requires_grad=True)
+    emb = gen.uniform(0.3, 4.0, size=(n, 2 * d)).astype(dtype)
     disj = rs.init_disjunction(gen, d, 6, dtype)
     heads = ev.init_evidence_heads(gen, d, hidden, k, dtype)
     for h in heads.per_class + [heads.novel]:
@@ -63,7 +75,8 @@ def grad_setup(dtype, seed=0, n=40, d=3, k=3, hidden=6):
             t.data = gen.standard_normal(t.data.shape).astype(dtype)
     idx = np.array_split(np.arange(n), k)
     labels = np.repeat(np.arange(k), [len(i) for i in idx])
-    return adj, emb, disj, idx, heads, labels
+    regions = rs.build_class_embeddings(ad.Tensor(emb), idx, disj).data
+    return adj, emb, regions, heads, labels
 
 
 class TestFusedHeads:
@@ -74,30 +87,40 @@ class TestFusedHeads:
     def test_bit_equal_to_per_op_composition(self, dtype, dropout, propagate,
                                              learned_prior):
         """Heads (one dropout draw for all of them), assembly and Dirichlet
-        loss, with and without its mask, against the per-op composition
-        with a draw per head from the same seed: equal opinions and loss
-        bit for bit, equal gradients."""
-        adj, emb, disj, idx, heads, labels = grad_setup(dtype)
-        tensors = {**heads.tensors(), **disj.tensors(), "emb": emb}
-        for mask in (np.arange(labels.size), None):
+        loss, on every row and on rows taken with ad.take_rows, against
+        the per-op composition with a draw per head from the same seed:
+        equal opinions and loss bit for bit, equal gradients."""
+        adj, emb, regions, heads, labels = grad_setup(dtype)
+        tensors = heads.tensors()
+        for rows in (np.arange(labels.size), None):
             runs = []
             for fused in (True, False):
                 for t in tensors.values():
                     t.grad = None
-                kw = dict(training=True, dropout_rate=dropout,
-                          generator=rng(7), propagate=propagate,
+                kw = dict(dropout_rate=dropout, generator=rng(7),
                           learned_prior=learned_prior)
+                want = labels if rows is None else labels[rows]
                 if fused:
-                    ce = rs.build_class_embeddings(emb, idx, disj)
-                    batch = evidence_forward(adj, emb, ce, heads, **kw)
-                    loss = ev.dirichlet_loss(batch, labels, mask)
+                    batch = evidence_forward(adj, emb, regions, heads,
+                                             propagate=propagate, **kw)
+                    if rows is not None:
+                        batch = taken(batch, rows)
+                    loss = ev.dirichlet_loss(batch, want)
                     values = batch.opinions.data
                 else:
-                    ce = oracles.build_class_embeddings(emb, idx, disj)
-                    prop = ad.spmm(adj, emb) if propagate else emb
-                    batch = oracles.evidence_forward(adj, prop, ce, heads,
-                                                     **kw)
-                    loss = oracles.dirichlet_loss(batch, labels, mask)
+                    n = emb.shape[0]
+                    scale = adj.row_sums().astype(dtype).reshape(-1, 1) \
+                        if propagate else np.ones((n, 1), dtype=dtype)
+                    batch = oracles.evidence_forward(
+                        adj if propagate else None,
+                        adj.matmul(emb) if propagate else emb, scale,
+                        regions, heads, **kw)
+                    if rows is not None:
+                        batch = oracles.Opinions(
+                            ad.take_rows(batch.evidence, rows),
+                            ad.take_rows(batch.prior_weight, rows),
+                            batch.base_rates)
+                    loss = oracles.dirichlet_loss(batch, want)
                     values = batch.fused()
                 loss.backward()
                 runs.append((values, loss.data,
@@ -115,38 +138,29 @@ class TestFusedHeads:
                 assert np.array_equal(got, ref_grad), name
 
     def test_grad_check_with_dropout(self):
-        adj, emb, disj, idx, heads, labels = grad_setup(np.float64, n=15,
-                                                        hidden=4)
+        adj, emb, regions, heads, labels = grad_setup(np.float64, n=15,
+                                                      hidden=4)
 
         def loss_fn():
             # a fresh generator per call: the same dropout mask every probe
-            ce = rs.build_class_embeddings(emb, idx, disj)
-            batch = evidence_forward(adj, emb, ce, heads, training=True,
-                                        dropout_rate=0.5, generator=rng(3))
-            return ev.dirichlet_loss(batch, labels, np.arange(labels.size))
+            batch = evidence_forward(adj, emb, regions, heads,
+                                     dropout_rate=0.5, generator=rng(3))
+            return ev.dirichlet_loss(batch, labels)
 
-        params = {**heads.tensors(), "emb": emb,
-                  "disjunction.h2_w": disj.h2_w}
-        worst = max(r.max_rel_err for r in grad_check(loss_fn, params))
+        worst = max(r.max_rel_err
+                    for r in grad_check(loss_fn, heads.tensors()))
         assert worst < 1e-6
 
-    def test_one_tape_node_per_head(self):
-        """The opinions are one node over the K+1 heads and their output
-        biases; each head is one node over its parameters, the propagated
-        embeddings and the class regions."""
-        adj, emb, disj, idx, heads, labels = grad_setup(np.float64)
-        ce = rs.build_class_embeddings(emb, idx, disj)
-        batch = evidence_forward(adj, emb, ce, heads)
+    def test_one_tape_node_over_the_heads(self):
+        """The opinions are one node over every head's w1, b1, w2 and b2,
+        the frozen embeddings and regions being arrays, and the loss one
+        node over the opinions."""
+        adj, emb, regions, heads, labels = grad_setup(np.float64)
+        batch = evidence_forward(adj, emb, regions, heads)
         loss = ev.dirichlet_loss(batch, labels)
         assert [p for p, _ in loss._vjps] == [batch.opinions]
-        parents = [p for p, _ in batch.opinions._vjps]
-        all_heads = heads.per_class + [heads.novel]
-        assert len(parents) == 8                               # K + 1, twice
-        assert parents[4:] == [h.b2 for h in all_heads]
-        for p, head in zip(parents[:4], all_heads):
-            assert [id(q) for q, _ in p._vjps] == [
-                id(head.w1), id(head.b1), id(p._vjps[2][0]), id(ce),
-                id(head.w2)]
+        assert [id(p) for p, _ in batch.opinions._vjps] == \
+            [id(t) for t in heads.tensors().values()]
 
 
 class TestContextFeatures:
@@ -214,10 +228,9 @@ class TestEvidenceForward:
         g, adj, emb, ce, heads = small_setup(seed=3)
         batch = evidence_forward(adj, emb, ce, heads, propagate=True,
                                     learned_prior=True)
-        regions = [ad.take_rows(ce, [i]) for i in range(4)]
         outs = []
-        for head, region in zip(heads.per_class + [heads.novel], regions):
-            xk = context_features(emb, region)
+        for i, head in enumerate(heads.per_class + [heads.novel]):
+            xk = context_features(ad.Tensor(emb), ce[[i]])
             z1 = ad.add(ad.matmul(ad.spmm(adj, xk), head.w1), head.b1)
             h = ad.relu(z1)
             z2 = ad.add(ad.spmm(adj, ad.matmul(h, head.w2)), head.b2)
@@ -244,10 +257,10 @@ class TestEvidenceForward:
 
 
 class TestScore:
-    def mk_batch(self, e, w, k=2):
+    def mk_batch(self, e, w):
         e = np.atleast_2d(np.asarray(e, dtype=float))
         w = np.full((e.shape[0], 1), float(w))
-        return opinions(e, w, np.full(k, 1.0 / k))
+        return opinions(e, w)
 
     def test_zero_evidence(self):
         sb = ev.score(self.mk_batch([0.0, 0.0], 2.0))
@@ -270,7 +283,7 @@ class TestScore:
         gen = rng(6)
         e = gen.uniform(0, 8, (200, 4))
         w = gen.uniform(0.2, 5, (200, 1))
-        batch = opinions(e, w, np.full(4, 0.25))
+        batch = opinions(e, w)
         sb = ev.score(batch)
         s = e.sum(axis=1) + w.ravel()
         total = (e / s[:, None]).sum(axis=1) + sb.vacuity
@@ -280,34 +293,32 @@ class TestScore:
         gen = rng(7)
         e = gen.uniform(0, 5, (50, 3))
         w = gen.uniform(0.5, 2, (50, 1))
-        base = ev.score(opinions(e, w, np.full(3, 1 / 3)))
-        scaled = ev.score(opinions(7.3 * e, 7.3 * w, np.full(3, 1 / 3)))
+        base = ev.score(opinions(e, w))
+        scaled = ev.score(opinions(7.3 * e, 7.3 * w))
         assert np.array_equal(base.prediction, scaled.prediction)
 
 
 class TestDirichletLoss:
     def test_closed_form_example(self):
         # e=(1,1), W=2, uniform rates, true class 0: psi(4) - psi(2) = 5/6
-        batch = opinions(np.array([[1.0, 1.0]]), np.array([[2.0]]),
-                         np.array([0.5, 0.5]))
-        loss = ev.dirichlet_loss(batch, np.array([0]), np.array([0]))
+        batch = opinions(np.array([[1.0, 1.0]]), np.array([[2.0]]))
+        loss = ev.dirichlet_loss(batch, np.array([0]))
         assert float(loss.data) == pytest.approx(5 / 6, abs=1e-10)
         assert float(loss.data) == pytest.approx(
             digamma(4.0) - digamma(2.0), abs=1e-12)
 
     def test_vanishes_when_all_mass_on_true_class(self):
-        batch = opinions(np.array([[500.0, 0.0]]), np.array([[1e-6]]),
-                         np.array([0.5, 0.5]))
-        loss = ev.dirichlet_loss(batch, np.array([0]), np.array([0]))
+        batch = opinions(np.array([[500.0, 0.0]]), np.array([[1e-6]]))
+        loss = ev.dirichlet_loss(batch, np.array([0]))
         assert 0 < float(loss.data) < 1e-2
 
     def test_nonnegative(self):
         gen = rng(8)
         e = gen.uniform(0, 10, (100, 3))
         w = gen.uniform(0.1, 4, (100, 1))
-        batch = opinions(e, w, np.full(3, 1 / 3))
+        batch = opinions(e, w)
         labels = gen.integers(0, 3, 100)
-        loss = ev.dirichlet_loss(batch, labels, np.arange(100))
+        loss = ev.dirichlet_loss(batch, labels)
         assert float(loss.data) >= 0
 
     def test_mask_isolation(self):
@@ -316,20 +327,16 @@ class TestDirichletLoss:
         w = gen.uniform(0.5, 2, (20, 1))
         labels = gen.integers(0, 3, 20)
         mask = np.arange(10)
-        base = ev.dirichlet_loss(opinions(e, w, np.full(3, 1 / 3)), labels,
-                                 mask)
+        base = ev.dirichlet_loss(taken(opinions(e, w), mask), labels[mask])
         e2 = e.copy()
         e2[15:] *= 100.0                        # outside the mask
-        pert = ev.dirichlet_loss(opinions(e2, w, np.full(3, 1 / 3)), labels,
-                                 mask)
+        pert = ev.dirichlet_loss(taken(opinions(e2, w), mask), labels[mask])
         assert float(base.data) == float(pert.data)
 
     def test_monotone_in_true_class_evidence(self):
         def loss_at(ey):
-            batch = opinions(np.array([[ey, 1.0]]), np.array([[2.0]]),
-                             np.array([0.5, 0.5]))
-            return float(ev.dirichlet_loss(batch, np.array([0]),
-                                           np.array([0])).data)
+            batch = opinions(np.array([[ey, 1.0]]), np.array([[2.0]]))
+            return float(ev.dirichlet_loss(batch, np.array([0])).data)
         values = [loss_at(e) for e in (0.5, 1.0, 2.0, 4.0, 8.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -340,7 +347,7 @@ class TestDirectEvidence:
         adj = graphs.normalize_adjacency(g)
         params = ev.init_direct_head(rng(0), 4, 6, 3, np.float64)
         px = ad.spmm(adj, ad.Tensor(g.features))
-        batch = ev.direct_evidence_forward(adj, px, params, 3)
+        batch = ev.direct_evidence_forward(adj, px, params)
         assert batch.evidence.shape == (15, 3)
         assert np.all(batch.prior_weight == 3.0)
         assert (batch.evidence >= 0).all()

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from betagraph import graphs
 from betagraph.graphs import DatasetError
-from conftest import save_dataset_as
+from conftest import REPO_ROOT, save_dataset_as
 
 
 class TestLoadDataset:
@@ -371,6 +373,20 @@ class TestPlantedPartition:
         assert a.n == 1200 and a.class_count == 6
         assert np.array_equal(a.adjacency.indices, b.adjacency.indices)
         assert np.array_equal(a.features, b.features)
+
+    def test_make_ppm6_script_writes_the_reference(self, tmp_path):
+        """scripts/make_ppm6.py writes a dataset that loads back as ppm6:
+        its nodes, edges and labels, and its features rounded to float32."""
+        script = os.path.join(REPO_ROOT, "scripts", "make_ppm6.py")
+        subprocess.run([sys.executable, script, str(tmp_path / "ppm6")],
+                       check=True, capture_output=True)
+        want = graphs.gen_ppm6()
+        got = graphs.load_dataset(str(tmp_path / "ppm6"))
+        assert got.n == want.n and got.edge_count == want.edge_count
+        assert np.array_equal(got.adjacency.indptr, want.adjacency.indptr)
+        assert np.array_equal(got.adjacency.indices, want.adjacency.indices)
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.features, want.features.astype(np.float32))
 
 
 def test_zscore_features_helper():

@@ -328,9 +328,11 @@ class TestFusedRegionsAndMargin:
             loss.backward()
             runs.append([loss.data, regions,
                          *(t.grad for t in tensors.values())])
+        # without the novel row the VJP skips the union, as the tape does,
+        # so the gradients keep the tape's zero signs too
         for name, got, want in zip(["loss", "regions", *tensors], *runs):
-            check = assert_same_bits if name in ("loss", "regions") \
-                else assert_equal_values
+            check = assert_same_bits if name in ("loss", "regions") or \
+                not include_novel else assert_equal_values
             check(got, want, name)
 
     def test_grad_check(self):

@@ -131,3 +131,41 @@ def test_deterministic_product():
 def test_row_sums():
     m = dense_to_csr(np.array([[1.0, 2.0], [0.0, 0.0]]))
     assert np.array_equal(m.row_sums(), np.array([3.0, 0.0]))
+
+
+def rectangular_with_empty_lines():
+    """A random 7 x 5 matrix with rows 1 and 4 and column 2 empty."""
+    rng = np.random.default_rng(11)
+    dense = rng.standard_normal((7, 5))
+    dense[rng.random((7, 5)) > 0.6] = 0.0
+    dense[[1, 4]] = 0.0
+    dense[:, 2] = 0.0
+    return dense_to_csr(dense), rng
+
+
+def test_transpose_is_built_once():
+    m, _ = rectangular_with_empty_lines()
+    assert m.T is m.T
+
+
+def test_transpose_entries():
+    m, _ = rectangular_with_empty_lines()
+    assert m.T.shape == (5, 7)
+    assert (m.T.csr != m.csr.T).nnz == 0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_transpose_product_bit_equal_to_scipy(dtype):
+    m, rng = rectangular_with_empty_lines()
+    x = rng.standard_normal((7, 3)).astype(dtype)
+    got = m.T.matmul(x)
+    want = m.csr.T.tocsr().astype(dtype) @ x
+    assert got.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+    assert not got[2].any()                     # the empty column
+
+
+def test_transpose_product_checks_the_shape():
+    m, _ = rectangular_with_empty_lines()
+    with pytest.raises(ValueError, match="shape mismatch"):
+        m.T.matmul(np.zeros((5, 2)))
