@@ -18,8 +18,8 @@ train, eval, ablate and gridsearch z-score the dataset's features per
 column on load; scale trains on its generated features as drawn.
 
 main first calls tune_allocator, which fixes glibc's mmap and trim
-thresholds for the betagraph process (see there); importing the library
-leaves the allocator of the host process alone.
+thresholds and its arena count for the betagraph process (see there);
+importing the library leaves the allocator of the host process alone.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ try:
 except ImportError:     # Python 3.10
     import tomli as tomllib
 
-from . import __version__, evaluation, graphs
+from . import __version__, evaluation, graphs, sparse
 from .ioutil import atomic_write_text, sha256_dir, sha256_file, write_csv
 from .training import (VARIANTS, TrainConfig, TrainingDivergence,
                        build_context, forward_scores, train_alternating,
@@ -58,6 +58,7 @@ REQUIRED_CONFIG_KEYS = (*GRIDS, "seed")
 # glibc's mallopt parameters (malloc.h) and the value tune_allocator sets
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
+M_ARENA_MAX = -8
 ALLOCATOR_THRESHOLD = 32 * 2**20
 
 
@@ -138,11 +139,12 @@ def _build_config(args, graph=None) -> TrainConfig:
 
 def _environment():
     """The interpreter, numpy and scipy versions, the BLAS numpy reports,
-    the BLAS thread variables (null when unset) and the CPU count."""
+    the BLAS thread variables (null when unset), CPUs and sparse.workers."""
     blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
     threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+            "workers": sparse.workers(),
             "blas": {key: blas.get(key) for key in ("name", "version")},
             "blas_threads": {name: os.environ.get(name) for name in threads}}
 
@@ -537,9 +539,9 @@ def build_parser() -> _Parser:
 
 
 def tune_allocator() -> bool:
-    """Fix glibc's mmap and trim thresholds at ALLOCATOR_THRESHOLD (32 MiB);
-    True when both were set, False (and nothing done) without glibc's
-    mallopt.
+    """Fix glibc's mmap and trim thresholds at ALLOCATOR_THRESHOLD (32 MiB)
+    and its arena count at 1; True when all three were set, False (and
+    nothing done) without glibc's mallopt.
 
     Training runs hundreds of alike epochs, and each backward frees its
     whole tape.  With glibc's dynamic thresholds the freed top of the
@@ -549,8 +551,9 @@ def tune_allocator() -> bool:
     parse frees about 43 MB).  A 32 MiB mmap threshold keeps arrays of a
     few MB on the heap, where their pages are reused.  Both are set
     because setting either one switches off glibc's adjustment of the
-    other.  main calls this; the library never does, since a host
-    process that imports it owns its allocator.
+    other.  One arena keeps sparse.parallel's threads on the main heap,
+    not in arenas that keep what they free.  main calls this; the library
+    never does, since a host process that imports it owns its allocator.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
@@ -561,7 +564,8 @@ def tune_allocator() -> bool:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     return all([mallopt(M_MMAP_THRESHOLD, ALLOCATOR_THRESHOLD) == 1,
-                mallopt(M_TRIM_THRESHOLD, ALLOCATOR_THRESHOLD) == 1])
+                mallopt(M_TRIM_THRESHOLD, ALLOCATOR_THRESHOLD) == 1,
+                mallopt(M_ARENA_MAX, 1) == 1])
 
 
 def main(argv=None) -> int:

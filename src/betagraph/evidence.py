@@ -20,10 +20,12 @@ array, the hidden activation (dropout draws need a PCG64 generator).
 The Dirichlet loss is one more node.  Both VJPs replay the per-op
 composition's (tests/oracles.py) expressions in the tape's order, so
 values and gradients are the composition's bit for bit.  The heads stay
-a Python loop over K+1 two-dimensional products: stacking them into one
-(K+1, n, H) batch gives the same bits but was slower on an ER graph of
-n=5e4 (heads forward 258 -> 384 ms on one vCPU, BLAS single-threaded)
-and held about 110 MB more.
+K+1 two-dimensional products: stacking them into one (K+1, n, H) batch
+gives the same bits but was slower on an ER graph of n=5e4 (heads
+forward 258 -> 384 ms on one vCPU, BLAS single-threaded) and held about
+110 MB more.  Training runs the heads, and their VJPs, concurrently
+(sparse.parallel); scoring runs them one by one, freeing each (n, H)
+activation before the next head.
 
 Scoring runs the heads on every node.  Training runs them on the rows R
 its loss reads, the training nodes and their neighbours, and propagates
@@ -36,6 +38,7 @@ learned head.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +47,7 @@ from . import autodiff as ad
 from . import special, subjective
 from .autodiff import Tensor
 from .reasoning import glorot
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, parallel
 
 PRIOR_EPS = 1e-6
 
@@ -155,14 +158,14 @@ def evidence_forward(adj: SparseMatrix, prop, row_scale, regions,
                                 heads[0].b1.data.size), prop.dtype,
                                dropout_rate, generator)
     scale = ad.dropout_scale(dropout_rate, prop.dtype)
-    taped = ad.grad_needed(*parents)
-    outs, vjps = [], []
-    for i, head in enumerate(heads):                    # head i reads row i
-        out, vjp = _head(prop, regions[[i]], row_scale, head, keep[i], scale)
-        outs.append(out)
-        if taped:                   # scoring keeps no hidden activation
-            vjps.append(vjp)
-        del vjp
+    calls = [functools.partial(_head, prop, regions[[i]], row_scale, head,
+                               keep[i], scale)     # head i reads row i
+             for i, head in enumerate(heads)]
+    work = prop.size * heads[0].b1.data.size * len(heads)
+    if ad.grad_needed(*parents):
+        outs, vjps = zip(*parallel(calls, work))
+    else:       # scoring frees each hidden activation before the next head
+        outs = [call()[0] for call in calls]
     stacked = np.concatenate(outs, axis=1)
     if adj is not None:
         stacked = adj.matmul(stacked)                   # heads batched
@@ -179,8 +182,10 @@ def evidence_forward(adj: SparseMatrix, prop, row_scale, regions,
         g_bias = ad._unbroadcast(g, (len(heads),))
         if adj is not None:
             g = adj.T.matmul(g)
-        return [pg for i, vjp in enumerate(vjps)
-                for pg in (*vjp(g[:, i:i + 1]), g_bias[i:i + 1])]
+        parts = parallel([functools.partial(vjp, g[:, i:i + 1])
+                          for i, vjp in enumerate(vjps)], work)
+        return [pg for i, part in enumerate(parts)
+                for pg in (*part, g_bias[i:i + 1])]
 
     return NodeOpinionBatch(ad.fused_node(out, parents, grads))
 

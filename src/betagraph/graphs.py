@@ -81,11 +81,14 @@ class SplitSpec:
         return self.ood_test.size > 0
 
     def to_json(self) -> str:
-        payload = {"id_classes": list(self.id_classes),
-                   "ood_classes": list(self.ood_classes),
-                   **{p: getattr(self, p).tolist() for p in SPLIT_PARTS},
-                   "seed": self.seed}
-        return json.dumps(payload, indent=1)
+        """json.dumps(fields, indent=1), from the ints' text: indent selects
+        json's pure-Python encoder, 4x slower."""
+        lists = {"id_classes": self.id_classes,
+                 "ood_classes": self.ood_classes,
+                 **{p: getattr(self, p).tolist() for p in SPLIT_PARTS}}
+        lines = [f' "{k}": [\n  ' + ",\n  ".join(map(str, v)) + "\n ]"
+                 if v else f' "{k}": []' for k, v in lists.items()]
+        return "{\n" + ",\n".join([*lines, f' "seed": {self.seed}']) + "\n}"
 
     @classmethod
     def from_json(cls, text: str) -> "SplitSpec":

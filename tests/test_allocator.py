@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from betagraph import cli
+from betagraph import cli, sparse
 
 # minor-fault bytes allowed over 10 ppm6 epochs; with glibc's dynamic
 # thresholds the freed tape is trimmed and faulted back in, about 3.6 MB
@@ -59,6 +59,46 @@ def test_epochs_reuse_freed_heap():
     faults, faulted = map(int, probe.stdout.split())
     assert faulted < FAULT_BUDGET, \
         f"{faults} minor faults ({faulted / 2**20:.1f} MiB) over 10 epochs"
+
+
+# Peak RSS, in KiB, of three phase-2 epochs on an ER graph of n=2e4 whose
+# heads run in the worker threads, pinned to one CPU when PIN is set.
+# Measured on 2 vCPUs: 134.3 MB pinned, 138.7 MB on two workers, and
+# 186 MB on two workers without the one-arena cap, as each worker thread
+# otherwise keeps freed memory in an arena of its own.
+ARENA_PROBE = """
+import os, resource
+from betagraph import cli, graphs, sparse
+from betagraph import training as tr
+if not cli.tune_allocator():
+    raise SystemExit(3)
+if PIN:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+g = graphs.zscore_features(graphs.gen_erdos_renyi(20000, 1.5e-3, 16, 0,
+                                                  class_count=6))
+cfg = tr.TrainConfig(seed=0, ood_classes=(4, 5), dtype="float32",
+                     hidden_dim=64, embed_dim=32, reasoning_dim=64)
+ctx = tr.build_context(g, cfg.split(g), cfg)
+state = tr.init_model(g.feature_dim, ctx.class_count, cfg)
+tr.train_phase2(state, ctx, 3, tr.phase2_forward(state, ctx))
+print(sparse.workers(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+ARENA_BUDGET_KIB = 8 * 1024
+
+
+@pytest.mark.skipif(sparse.workers() < 2, reason="needs two CPUs")
+def test_worker_threads_reuse_the_main_heap():
+    peaks = {}
+    for pin in (True, False):
+        probe = run_probe(f"PIN = {pin}" + ARENA_PROBE)
+        if probe.returncode == 3:
+            pytest.skip("glibc mallopt is not available")
+        assert probe.returncode == 0, probe.stderr
+        workers, peaks[pin] = map(int, probe.stdout.split())
+        assert workers == 1 if pin else workers >= 2
+    assert peaks[False] - peaks[True] < ARENA_BUDGET_KIB, \
+        f"peak RSS {peaks[True] / 1024:.1f} MB on one CPU, " \
+        f"{peaks[False] / 1024:.1f} MB on {workers}"
 
 
 IMPORT_PROBE = """

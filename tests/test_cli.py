@@ -14,7 +14,7 @@ import scipy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from betagraph import graphs, training
+from betagraph import graphs, sparse, training
 from betagraph.cli import _add_config_flags, _Parser, build_parser, main
 
 PPM_ARGS = ["synth", "ppm", "--blocks", "4", "--nodes-per-block", "40",
@@ -202,8 +202,8 @@ class TestEval:
     def test_manifests_record_the_environment(self, tmp_path, dataset,
                                               trained_run, monkeypatch):
         """train and eval manifests name the Python, numpy and scipy
-        versions, numpy's BLAS, the BLAS thread variables and the CPU
-        count."""
+        versions, numpy's BLAS, the BLAS thread variables, the CPU count
+        and the worker count."""
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         out = tmp_path / "eval"
@@ -221,6 +221,7 @@ class TestEval:
             assert set(env["blas_threads"]) == {
                 "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
             assert env["cpu_count"] == os.cpu_count()
+            assert env["workers"] == sparse.workers()
         assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
         assert env["blas_threads"]["MKL_NUM_THREADS"] is None
 
@@ -967,6 +968,71 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0
     assert "eval" in done.stdout
+
+
+# train then eval in a child process, pinned to one CPU when PIN is set;
+# the ER graph's 64-column products and phase 2's heads are above
+# sparse.PARALLEL_FLOOR, so the unpinned child runs them in its workers
+PINNED_RUN = """
+import os, sys
+from betagraph import cli
+if PIN:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+model = ["--dtype", "float32", "--hidden-dim", "64", "--embed-dim", "32",
+         "--reasoning-dim", "64"]
+sys.exit(cli.main(["train", DATA, "--out", "train", "--seed", "0",
+                   "--ood-classes", "4", "5", "--rounds", "1",
+                   "--epochs-p1", "2", "--epochs-p2", "2", *model])
+         or cli.main(["eval", DATA, "--checkpoint", "train/checkpoint.npz",
+                      "--split", "train/split.json", "--out", "eval"]))
+"""
+
+
+def _without_wall_clock(value):
+    if isinstance(value, dict):
+        return {k: _without_wall_clock(v) for k, v in value.items()
+                if k != "wall_clock"}
+    if isinstance(value, list):
+        return [_without_wall_clock(v) for v in value]
+    return value
+
+
+@pytest.mark.skipif(sparse.workers() < 2, reason="needs two CPUs")
+def test_outputs_do_not_depend_on_the_worker_count(tmp_path):
+    data = str(tmp_path / "er")
+    assert main(["synth", "er", "--nodes", "20000", "--density", "1.5e-3",
+                 "--classes", "6", "--feature-dim", "16", "--seed", "0",
+                 "--out", data]) == 0
+    adj = graphs.normalize_adjacency(graphs.load_dataset(data))
+    assert adj.nnz * 64 >= sparse.PARALLEL_FLOOR
+    src = os.path.dirname(os.path.dirname(sparse.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    runs = {}
+    for pin in (True, False):
+        run = tmp_path / ("one" if pin else "all")
+        run.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", f"PIN = {pin}\nDATA = {data!r}" +
+             PINNED_RUN], cwd=run, env=env, capture_output=True, text=True,
+            timeout=600)
+        assert done.returncode == 0, done.stderr
+        runs[pin] = run
+    for command, workers in (("train", 1), ("eval", 1)):
+        manifest = json.loads((runs[True] / command / "manifest.json")
+                              .read_text())
+        assert manifest["environment"]["workers"] == workers
+        manifest = json.loads((runs[False] / command / "manifest.json")
+                              .read_text())
+        assert manifest["environment"]["workers"] >= 2
+    names = ["train/history.csv", "train/split.json", "train/checkpoint.npz",
+             "eval/scores.csv", "eval/aggregate.csv",
+             "eval/curves_risk_coverage.csv", "eval/curves_roc.csv"]
+    for name in names:
+        assert (runs[True] / name).read_bytes() == \
+            (runs[False] / name).read_bytes(), name
+    one, all_ = (json.loads((runs[pin] / "eval" / "report.json").read_text())
+                 for pin in (True, False))
+    assert _without_wall_clock(one) == _without_wall_clock(all_)
 
 
 def test_output_root_env(tmp_path, monkeypatch, dataset):

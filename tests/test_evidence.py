@@ -1,9 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 
 from betagraph import autodiff as ad
 from betagraph import evidence as ev
-from betagraph import graphs
+from betagraph import graphs, sparse
 from betagraph import reasoning as rs
 from betagraph.rng import rng
 from betagraph.special import digamma, softplus
@@ -136,6 +138,56 @@ class TestFusedHeads:
                     continue
                 assert got.dtype == ref_grad.dtype, name
                 assert np.array_equal(got, ref_grad), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("learned_prior", [True, False])
+    def test_concurrent_heads_equal_sequential(self, dtype, learned_prior,
+                                               monkeypatch):
+        """Above the work floor, training runs the heads and their VJPs in
+        the worker threads: the same opinions, loss and gradients bit for
+        bit as one after another; scoring runs them on the caller."""
+        adj, emb, regions, heads, labels = grad_setup(dtype)
+        tensors = heads.tensors()
+        head = ev._head
+        off_main = []
+
+        def spied(*args):
+            off_main.append(threading.current_thread()
+                            is not threading.main_thread())
+            out, vjp = head(*args)
+
+            def spied_vjp(g):
+                off_main.append(threading.current_thread()
+                                is not threading.main_thread())
+                return vjp(g)
+            return out, spied_vjp
+
+        monkeypatch.setattr(ev, "_head", spied)
+        monkeypatch.setattr(sparse, "workers", lambda: 3)
+        runs = []
+        for floor in (float("inf"), 0):
+            monkeypatch.setattr(sparse, "PARALLEL_FLOOR", floor)
+            off_main.clear()
+            for t in tensors.values():
+                t.grad = None
+            batch = evidence_forward(adj, emb, regions, heads,
+                                     dropout_rate=0.4, generator=rng(7),
+                                     learned_prior=learned_prior)
+            loss = ev.dirichlet_loss(batch, labels)
+            loss.backward()
+            runs.append([batch.opinions.data, loss.data,
+                         *(t.grad for t in tensors.values()
+                           if t.grad is not None)])
+            assert off_main == [floor == 0] * (2 * (3 + learned_prior))
+        for sequential, concurrent in zip(*runs, strict=True):
+            assert sequential.dtype == concurrent.dtype
+            assert sequential.tobytes() == concurrent.tobytes()
+        off_main.clear()
+        with ad.no_grad():
+            scored = evidence_forward(adj, emb, regions, heads,
+                                      learned_prior=learned_prior)
+        assert off_main == [False] * (3 + learned_prior)
+        assert scored.opinions.data.shape == runs[0][0].shape
 
     def test_grad_check_with_dropout(self):
         adj, emb, regions, heads, labels = grad_setup(np.float64, n=15,

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betagraph import graphs
 from betagraph.graphs import DatasetError
@@ -297,6 +299,27 @@ class TestMakeSplit:
         assert back.id_classes == split.id_classes
         assert np.array_equal(back.train, split.train)
         assert np.array_equal(back.ood_test, split.ood_test)
+
+
+int64s = st.integers(-2**63, 2**63 - 1)
+int_lists = st.lists(int64s, max_size=6)
+
+
+@given(id_classes=int_lists, ood_classes=int_lists,
+       parts=st.lists(int_lists, min_size=5, max_size=5),
+       seed=st.one_of(int64s, st.integers(-10**30, 10**30)))
+@settings(max_examples=200)
+def test_split_json_is_json_dumps_indent_1(id_classes, ood_classes, parts,
+                                           seed):
+    """to_json writes json.dumps(payload, indent=1) byte for byte, empty
+    partitions, negative and large seeds included."""
+    split = graphs.SplitSpec(
+        id_classes=tuple(id_classes), ood_classes=tuple(ood_classes),
+        **{p: np.asarray(v, dtype=np.int64)
+           for p, v in zip(graphs.SPLIT_PARTS, parts)}, seed=seed)
+    payload = {"id_classes": id_classes, "ood_classes": ood_classes,
+               **dict(zip(graphs.SPLIT_PARTS, parts)), "seed": seed}
+    assert split.to_json() == json.dumps(payload, indent=1)
 
 
 class TestErdosRenyi:
