@@ -8,7 +8,9 @@ seed, each checkout runs these betagraph commands, every one in a child
 process with PYTHONPATH=<root>/src and BLAS on one thread:
 
   - the frozen ppm6 graph: synth, train (2 rounds of 60+60 epochs,
-    float32, H=64, d=32, D=64, OOD classes 4 5), eval --with-baselines;
+    float32, H=64, d=32, D=64, OOD classes 4 5), eval --with-baselines,
+    and eval --seeds S S+1 (the checkpoint's seed S, then a protocol
+    run that retrains for S+1 on the same graph);
   - the bench's ER graph (n=5e4, p=4e-4, 6 classes, 16 features, the
     seed as graph seed): synth, train (1 round of 2+2 epochs), eval;
   - ablate --variants a b c d e on ppm6 (2 rounds of 20+20 epochs).
@@ -19,7 +21,9 @@ is compared with its twin, except manifest.json (times and hashes of
 its inputs): a checkpoint tensor by tensor by name (dtype, shape and
 bytes) with its __meta__, report.json as JSON less wall_clock, and
 every other file byte for byte.  One line per file; exit 1 on any
-difference.  It takes a few minutes on two cores.
+difference.  Last comes each command's peak resident memory in both
+checkouts, as os.wait4 reports it for the child.  It takes a few
+minutes on two cores.
 """
 
 import argparse
@@ -50,12 +54,14 @@ def commands(seed):
                 "--seed", s, "--rounds", str(rounds), "--epochs-p1",
                 str(epochs), "--epochs-p2", str(epochs), *MODEL]
 
-    def evaluate(graph, *extra):
+    def evaluate(graph, *extra, out="eval"):
         return ["eval", f"{graph}/data", "--checkpoint",
                 f"{graph}/train/checkpoint.npz", "--split",
-                f"{graph}/train/split.json", "--out", f"{graph}/eval", *extra]
+                f"{graph}/train/split.json", "--out", f"{graph}/{out}",
+                *extra]
 
     return [PPM6, train("ppm6", 2, 60), evaluate("ppm6", "--with-baselines"),
+            evaluate("ppm6", "--seeds", s, str(seed + 1), out="eval_seeds"),
             ["synth", "er", "--nodes", "50000", "--density", "0.0004",
              "--classes", "6", "--feature-dim", "16", "--seed", s,
              "--out", "er/data"],
@@ -66,15 +72,24 @@ def commands(seed):
 
 
 def run(root, seeds, run_dir):
+    """Run every command of every seed; returns the peak resident memory
+    of each child in MB, by (seed, command index)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
                **{name: "1" for name in ONE_THREAD})
+    peaks = {}
     for seed in seeds:
         cwd = os.path.join(run_dir, f"seed{seed}")
         os.makedirs(cwd)
-        for argv in commands(seed):
-            subprocess.run([sys.executable, "-m", "betagraph", *argv],
-                           cwd=cwd, env=env, check=True,
-                           stdout=subprocess.DEVNULL)
+        for i, argv in enumerate(commands(seed)):
+            cmd = [sys.executable, "-m", "betagraph", *argv]
+            child = subprocess.Popen(cmd, cwd=cwd, env=env,
+                                     stdout=subprocess.DEVNULL)
+            _, status, usage = os.wait4(child.pid, 0)
+            child.returncode = os.waitstatus_to_exitcode(status)
+            if child.returncode:
+                raise subprocess.CalledProcessError(child.returncode, cmd)
+            peaks[seed, i] = usage.ru_maxrss / 1024     # KiB on Linux
+    return peaks
 
 
 def _without_wall_clock(value):
@@ -143,9 +158,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     work = args.work or tempfile.mkdtemp(prefix="byte_identity_")
     run_dir = os.path.join(work, "run")
+    peaks = {}
     try:
         for label, root in (("base", args.base), ("head", args.head)):
-            run(os.path.abspath(root), args.seeds, run_dir)
+            peaks[label] = run(os.path.abspath(root), args.seeds, run_dir)
             os.rename(run_dir, os.path.join(work, label))
         results = compare(os.path.join(work, "base"),
                           os.path.join(work, "head"))
@@ -155,6 +171,12 @@ def main(argv=None):
     for rel, diff in results:
         print(f"{'equal ' if diff is None else 'DIFFER'}  {rel}"
               + ("" if diff is None else f"  ({diff})"))
+    print("peak RSS MB (base -> head):")
+    for (seed, i), base in peaks["base"].items():
+        argv = commands(seed)[i]
+        where = argv[argv.index("--out") + 1]
+        print(f"  seed {seed} {argv[0]:6s} {where:16s} {base:7.1f} -> "
+              f"{peaks['head'][seed, i]:7.1f}")
     return 1 if any(diff is not None for _, diff in results) else 0
 
 

@@ -9,6 +9,7 @@ splits.  Writes ppm6_results.csv next to the chosen output directory.
 Usage: python scripts/run_ppm6_experiment.py [out_dir] [--quick]
 """
 
+import argparse
 import os
 import sys
 from dataclasses import replace
@@ -17,19 +18,26 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from betagraph import graphs  # noqa: E402
 from betagraph.evaluation import baseline_report, run_protocol  # noqa: E402
-from betagraph.training import TrainConfig, build_context  # noqa: E402
+from betagraph.ioutil import write_csv  # noqa: E402
+from betagraph.training import (TrainConfig, build_context,  # noqa: E402
+                                prepare_graph)
 
 SEEDS = (0, 1, 2, 3, 4)
 
 
-def main():
-    args = [a for a in sys.argv[1:] if not a.startswith("-")]
-    quick = "--quick" in sys.argv
-    out_dir = args[0] if args else "."
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", nargs="?", default=".",
+                        help="directory for ppm6_results.csv (default: .)")
+    parser.add_argument("--quick", action="store_true",
+                        help="2 rounds of 60+60 epochs per seed")
+    args = parser.parse_args(argv)
+    out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
     graph = graphs.zscore_features(graphs.gen_ppm6())
-    overrides = dict(epochs_p1=60, epochs_p2=60, rounds=2) if quick else {}
+    overrides = dict(epochs_p1=60, epochs_p2=60, rounds=2) \
+        if args.quick else {}
     config = TrainConfig(seed=0, ood_classes=graphs.PPM6_OOD_CLASSES,
                          **overrides)
 
@@ -54,7 +62,8 @@ def main():
 
     print("\npost-hoc baselines (plain classifier, split of seed 0):")
     cfg = replace(config, seed=SEEDS[0])
-    ctx = build_context(graph, cfg.split(graph), cfg)
+    ctx = build_context(prepare_graph(graph, cfg.np_dtype), cfg.split(graph),
+                        cfg)
     base = baseline_report(ctx, seed=SEEDS[0])
     for name in ("maxlogit", "energy"):
         print(f"  {name:9s} fpr95={base[name + '_fpr95']:.4f} "
@@ -62,20 +71,15 @@ def main():
               f"aupr={base[name + '_aupr']:.4f}")
 
     out_csv = os.path.join(out_dir, "ppm6_results.csv")
-    with open(out_csv, "w") as fh:
-        cols = ("acc", "aurc_x1000", "fpr95", "auroc", "aupr")
-        fh.write("method," + ",".join(
-            f"{c}_mean,{c}_std" for c in cols) + "\n")
-        row = ["full_model"]
-        for c in cols:
-            row += [repr(agg[f"{c}_mean"]), repr(agg[f"{c}_std"])]
-        fh.write(",".join(row) + "\n")
-        for name in ("maxlogit", "energy"):
-            row = [name, repr(base["acc"]), "", "", "",
-                   repr(base[f"{name}_fpr95"]), "",
-                   repr(base[f"{name}_auroc"]), "",
-                   repr(base[f"{name}_aupr"]), ""]
-            fh.write(",".join(row) + "\n")
+    cols = ("acc", "aurc_x1000", "fpr95", "auroc", "aupr")
+    header = ["method"] + [f"{c}_{s}" for c in cols for s in ("mean", "std")]
+    rows = [["full_model"] + [agg[f"{c}_{s}"] for c in cols
+                              for s in ("mean", "std")]]
+    for name in ("maxlogit", "energy"):
+        rows.append([name, base["acc"], None, None, None,
+                     base[f"{name}_fpr95"], None, base[f"{name}_auroc"],
+                     None, base[f"{name}_aupr"], None])
+    write_csv(out_csv, header, zip(*rows))
     print(f"\nwrote {out_csv}")
 
 

@@ -8,6 +8,6 @@ from .graphs import (Graph, SplitSpec, gen_erdos_renyi,  # noqa: F401
                      zscore_features)
 from .training import (TrainConfig, build_context,  # noqa: F401
                        forward_scores, train_alternating, load_checkpoint,
-                       save_checkpoint, variant_config)
+                       prepare_graph, save_checkpoint, variant_config)
 from .evaluation import (EvalReport, aggregate, evaluate,  # noqa: F401
                          run_protocol)

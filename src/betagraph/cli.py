@@ -15,7 +15,9 @@ BETAGRAPH_OUT_ROOT environment variable, when set, anchors relative
 output directories.
 
 train, eval, ablate and gridsearch z-score the dataset's features per
-column on load; scale trains on its generated features as drawn.
+column on load; scale trains on its generated features as drawn.  They
+keep the dataset as a training.PreparedGraph in the config's dtype,
+made once per command, and let go of the raw adjacency and features.
 
 main first calls tune_allocator, which fixes glibc's mmap and trim
 thresholds and its arena count for the betagraph process (see there);
@@ -46,8 +48,9 @@ except ImportError:     # Python 3.10
 from . import __version__, evaluation, graphs, sparse
 from .ioutil import atomic_write_text, sha256_dir, sha256_file, write_csv
 from .training import (VARIANTS, TrainConfig, TrainingDivergence,
-                       build_context, forward_scores, train_alternating,
-                       load_checkpoint, save_checkpoint, variant_config)
+                       build_context, forward_scores, prepare_graph,
+                       train_alternating, load_checkpoint, save_checkpoint,
+                       variant_config)
 
 # the tuned fields and their default grids, in gridsearch.csv column order
 GRIDS = {"lr_p1": (0.01, 0.001, 0.0005), "dropout_p1": (0.2, 0.4, 0.6),
@@ -184,6 +187,14 @@ def _load_graph(path):
     return graphs.zscore_features(graphs.load_dataset(path))
 
 
+def _load_with_config(args):
+    """The config of args (its default OOD classes read the dataset) and
+    args.dataset prepared in its dtype; the raw graph is not kept."""
+    graph = _load_graph(args.dataset)
+    config = _build_config(args, graph)
+    return config, prepare_graph(graph, config.np_dtype)
+
+
 def _now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
@@ -221,8 +232,7 @@ def _history_csv(path, history):
 
 def cmd_train(args):
     started = _now()
-    graph = _load_graph(args.dataset)
-    config = _build_config(args, graph)
+    config, graph = _load_with_config(args)
     out = _out_dir(args.out)
     split = config.split(graph)
     split_path = os.path.join(out, "split.json")
@@ -307,7 +317,7 @@ def cmd_eval(args):
     out = _out_dir(args.out)
     state, meta = load_checkpoint(args.checkpoint)
     config = state.config
-    graph = _load_graph(args.dataset)
+    graph = prepare_graph(_load_graph(args.dataset), config.np_dtype)
     if graph.feature_dim != state.feature_dim:
         raise UsageError(
             f"checkpoint expects {state.feature_dim} features, dataset has "
@@ -377,8 +387,7 @@ ABLATION_VARIANTS = (*VARIANTS, "no_at")
 
 def cmd_ablate(args):
     started = _now()
-    graph = _load_graph(args.dataset)
-    base = _build_config(args, graph)
+    base, graph = _load_with_config(args)
     out = _out_dir(args.out)
     ctx = build_context(graph, base.split(graph), base)
     rows = []
@@ -414,7 +423,8 @@ def cmd_scale(args):
                                        seed=base.seed, class_count=args.classes)
             split = base.split(g)
             t0 = time.perf_counter()
-            train_alternating(build_context(g, split, base), base)
+            train_alternating(build_context(
+                prepare_graph(g, base.np_dtype), split, base), base)
             elapsed = time.perf_counter() - t0
             rows.append([n, density, g.edge_count, elapsed, "ok"])
             print(f"n={n} density={density}: {elapsed:.2f}s "
@@ -433,8 +443,7 @@ def cmd_scale(args):
 
 def cmd_gridsearch(args):
     started = _now()
-    graph = _load_graph(args.dataset)
-    base = _build_config(args, graph)
+    base, graph = _load_with_config(args)
     out = _out_dir(args.out)
     ctx = build_context(graph, base.split(graph), base)
     axes = [getattr(args, f"{name}_grid") or grid

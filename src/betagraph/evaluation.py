@@ -13,8 +13,9 @@ Everything here reads a training.RunContext built once per split:
 evaluate and curves score forward_scores output on its test partitions,
 and the baseline trains on its features in its dtype.  protocol_run is
 one protocol seed (split -> context -> train -> score -> evaluate);
-run_protocol repeats it over a seed list and aggregates mean and
-standard deviation per metric, the usual report-five-runs convention.
+run_protocol prepares the graph once (training.PreparedGraph) and
+repeats it over a seed list, aggregating mean and standard deviation per
+metric, the usual report-five-runs convention.
 The direct head's graph network, trained with plain cross entropy,
 provides MaxLogit and Energy comparison scores.
 """
@@ -35,8 +36,9 @@ from .autodiff import Adam, no_grad
 from .graphs import Graph, SplitSpec
 from .rng import substream
 from .evidence import ScoreBatch
-from .training import (RunContext, TrainConfig, build_context, fit,
-                       forward_scores, train_alternating)
+from .training import (PreparedGraph, RunContext, TrainConfig,
+                       build_context, fit, forward_scores, prepare_graph,
+                       train_alternating)
 
 
 @dataclass
@@ -102,10 +104,12 @@ def aggregate(reports) -> dict:
     return out
 
 
-def protocol_run(graph: Graph, config: TrainConfig, chash) -> EvalReport:
-    """One protocol run under config, whose seed draws the split and
-    seeds training.  wall_clock covers context, training and scoring; the
-    best round and its selection score ride along as extras."""
+def protocol_run(graph: PreparedGraph, config: TrainConfig,
+                 chash) -> EvalReport:
+    """One protocol run on graph (prepared in config's dtype) under
+    config, whose seed draws the split and seeds training.  wall_clock
+    covers context, training and scoring; the best round and its
+    selection score ride along as extras."""
     split = config.split(graph)
     t0 = time.perf_counter()
     ctx = build_context(graph, split, config)
@@ -120,10 +124,11 @@ def protocol_run(graph: Graph, config: TrainConfig, chash) -> EvalReport:
 
 def run_protocol(graph: Graph, ood_classes, config: TrainConfig, seeds,
                  progress=None):
-    """protocol_run per seed, each leaving out ood_classes; returns
-    (reports, aggregate)."""
+    """protocol_run per seed on graph, prepared once, each leaving out
+    ood_classes; returns (reports, aggregate)."""
     reports = []
     chash = config_hash(config)
+    graph = prepare_graph(graph, config.np_dtype)
     for s in seeds:
         cfg = replace(config, ood_classes=tuple(ood_classes), seed=int(s))
         rep = protocol_run(graph, cfg, chash)

@@ -306,6 +306,8 @@ OOD_VAL_FRACTION = 0.2
 def make_split(graph: Graph, ood_classes, seed=0) -> SplitSpec:
     """Leave-out split: chosen classes become OOD, ID nodes get train/val/test
     by SPLIT_RATIOS and OOD nodes ood_val/ood_test by OOD_VAL_FRACTION.
+    Of graph it reads the labels and class_count only (a
+    training.PreparedGraph has them too).
 
     Deterministic in the seed.  Re-draws the ID permutation (up to 100
     times from the same stream) until every ID class with >= 10 nodes has
@@ -372,7 +374,8 @@ def zscore_features(graph: Graph) -> Graph:
 
 
 def remap_labels(graph: Graph, split: SplitSpec) -> np.ndarray:
-    """Labels remapped so ID classes are 0..K-1; OOD nodes get -1."""
+    """Labels remapped so ID classes are 0..K-1; OOD nodes get -1 (of
+    graph, n and labels are read)."""
     out = np.full(graph.n, -1, dtype=np.int64)
     for i, c in enumerate(split.id_classes):
         out[graph.labels == c] = i

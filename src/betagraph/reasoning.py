@@ -142,14 +142,17 @@ def encode(adj: SparseMatrix, px: Tensor, params: EncoderParams, *,
 
     px is the propagated feature matrix adj @ x: the features are
     constant, so the first propagation is computed once per graph
-    (RunContext.propagated_x).  Training updates the batch-norm running
-    statistics; inference reads them.
+    (training.PreparedGraph).  Training updates the batch-norm running
+    statistics; inference reads them.  Untaped, each layer's softplus
+    runs in place and the first layer's output is let go of once
+    propagated: at most three (n, H) arrays are alive at a time.
     """
     h1 = encoder_layer(ad.matmul(px, params.w1), params.bn1,
                        training=training,
                        dropout_rate=dropout_rate if training else 0.0,
                        generator=generator)
     z2 = propagate(adj, h1, params.w2)
+    del h1
     return encoder_layer(z2, params.bn2, training=training, floor=EMB_EPS,
                          rows=rows)
 
@@ -174,19 +177,29 @@ def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
     """softplus(batch_norm(z)) + floor, then inverted dropout, then the
     given rows (all by default), as one tape node.
 
-    Batch norm uses the column statistics of z in training (and updates
-    the running ones) and the running ones otherwise.  The forward runs
-    the per-op composition's ops in its order, in place where it can.
-    The VJP is the closed form of Ioffe & Szegedy (2015), with gy the
-    gradient of the batch-norm output and xhat = (z - mean) / std:
-    dbeta = sum gy, dgamma = sum gy xhat, and dz = gy gamma / std, less
-    (dbeta + xhat dgamma) gamma / (n std) in training.  The dbeta term
-    goes last, as a column mean, so that dz's columns sum to zero to
-    rounding like the composition's (float32 sums downstream cancel).
-    Backward keeps the softplus derivative, the bool dropout keep array
-    (float32 softplus can underflow to 0) and two (1, H) statistics.
+    Batch norm uses the column statistics of all of z in training (and
+    updates the running ones) and the running ones otherwise.  The
+    forward runs the per-op composition's ops in its order, in place
+    where it can, and once the statistics are taken on the rows that are
+    read only (dropout draws for all n, as the composition does).  The
+    VJP is the closed form of Ioffe & Szegedy (2015), with gy the
+    gradient of the batch-norm output and xhat = (z - mean) / std: dbeta
+    = sum gy, dgamma = sum gy xhat, and dz = gy gamma / std, less (dbeta
+    + xhat dgamma) gamma / (n std) in training.  The dbeta term goes
+    last, as a column mean, so that dz's columns sum to zero to rounding
+    like the composition's (float32 sums downstream cancel).  gy is zero
+    off the read rows, so both sums run over those rows, in row order:
+    numpy's column sums start from +0, and the unread rows' zero terms
+    change no bit.  The upstream gradient is summed per read row (a row
+    can be asked for twice) and gy enters the (n, H) dz by one
+    assignment.  Backward keeps the softplus derivative and the bool
+    dropout keep array of the read rows (float32 softplus can underflow
+    to 0) and two (1, H) statistics.
     """
     x = z.data
+    taped = ad.grad_needed(z, bn.gamma, bn.beta)
+    if rows is not None:                    # the read rows, sorted
+        read, inv = np.unique(rows, return_inverse=True)
     if training:
         mean = x.mean(axis=0, keepdims=True)
         y = x - mean
@@ -199,6 +212,8 @@ def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
         mean = bn.running_mean.astype(x.dtype)
         std = np.sqrt(bn.running_var + BN_EPS).astype(x.dtype)
         y = x - mean
+    if rows is not None:
+        y = y[read]
     gamma, beta = bn.gamma.data, bn.beta.data
     y /= std
     y *= gamma
@@ -206,11 +221,10 @@ def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
     e = np.abs(y)
     np.negative(e, out=e)
     np.exp(e, out=e)                        # exp(-|y|)
-    taped = ad.grad_needed(z, bn.gamma, bn.beta)
     if taped:                               # special.sigmoid, see there
         sig = np.maximum(e, y >= 0)
     np.maximum(y, 0, out=y)
-    y += np.log1p(e)                        # special.softplus
+    y += np.log1p(e, out=None if taped else e)      # special.softplus
     if taped:
         e += 1
         sig /= e
@@ -219,14 +233,16 @@ def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
         y += floor
     keep = None
     if dropout_rate > 0.0:
-        keep = ad.dropout_keep(y.shape, y.dtype, dropout_rate, generator)
+        keep = ad.dropout_keep(x.shape, y.dtype, dropout_rate, generator)
+        if rows is not None:
+            keep = keep[read]
         y *= keep
         y *= ad.dropout_scale(dropout_rate, y.dtype)
 
     def grads(g):
-        if rows is not None:                # ad.take_rows's VJP
-            g, gathered = np.zeros_like(x), g
-            np.add.at(g, rows, gathered)
+        if rows is not None:                # ad.take_rows's VJP, read rows
+            g, gathered = np.zeros((read.size, g.shape[1]), g.dtype), g
+            np.add.at(g, inv, gathered)
         # through dropout and softplus: dL/dy
         if keep is None:
             gy = g * sig
@@ -237,7 +253,10 @@ def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
         g_beta = gy.sum(axis=0)
         xhat = z.data - mean
         xhat /= std
-        g_gamma = (gy * xhat).sum(axis=0)
+        g_gamma = (gy * (xhat if rows is None else xhat[read])).sum(axis=0)
+        if rows is not None:
+            gy, gread = np.zeros_like(xhat), gy
+            gy[read] = gread
         if training:                        # mean and std depend on z
             xhat *= g_gamma
             xhat /= x.shape[0]
@@ -247,7 +266,7 @@ def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
             gy -= gy.mean(axis=0)
         return gy, g_gamma, g_beta
 
-    return ad.fused_node(y if rows is None else y[rows],
+    return ad.fused_node(y if rows is None else y[inv],
                          (z, bn.gamma, bn.beta), grads)
 
 

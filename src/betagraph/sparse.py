@@ -1,13 +1,17 @@
 """CSR sparse matrices, the sparse-dense product, and its worker threads.
 
 A SparseMatrix is a checked, immutable shell over one scipy CSR matrix
-(row offsets, sorted column indices, float64 values); the multiply is
-scipy's CSR kernel, which accumulates each output row in index order;
-from PARALLEL_FLOOR multiply-adds each worker runs it (without the GIL)
-on one row band, so the sums do not depend on the worker count.  T, the
-transpose, is built on first use and kept: phase 2's training block
-(training.RunContext.receptive_field) needs it, while the normalized
-adjacency is its own transpose (graphs.normalize_adjacency).
+(row offsets, sorted column indices, float32 or float64 values); the
+multiply is scipy's CSR kernel, which accumulates each output row in
+index order; from PARALLEL_FLOOR multiply-adds each worker runs it
+(without the GIL) on one row band, so the sums do not depend on the
+worker count.  One copy of the values is held: astype gives them in
+another dtype, sharing the index arrays and keeping the float64 row
+sums, and a product with an operand of another dtype casts them for
+that product only.  T, the transpose, is built on first use and kept:
+phase 2's training block (training.RunContext.receptive_field) needs
+it, while the normalized adjacency is its own transpose
+(graphs.normalize_adjacency).
 """
 
 from __future__ import annotations
@@ -51,11 +55,13 @@ def parallel(calls, work):
 
 class SparseMatrix:
     """Immutable CSR matrix; csr is the scipy matrix it wraps, for reading
-    only."""
+    only.  Values that are not float32 are held as float64."""
 
     def __init__(self, indptr, indices, data, shape):
-        m = _sp.csr_matrix((np.asarray(data, dtype=np.float64), indices,
-                            indptr), shape=shape)
+        data = np.asarray(data)
+        if data.dtype != np.float32:
+            data = data.astype(np.float64, copy=False)
+        m = _sp.csr_matrix((data, indices, indptr), shape=shape)
         # scipy prunes entries past indptr[-1] instead of rejecting them
         if m.indptr[-1] != np.size(indices):
             raise ValueError("indptr must end at nnz")
@@ -66,7 +72,7 @@ class SparseMatrix:
             raise ValueError("values must be finite")
         self.csr = m
         self.shape = m.shape
-        self._by_dtype = {np.dtype(np.float64): m}
+        self._row_sums = None
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape):
@@ -87,8 +93,22 @@ class SparseMatrix:
         return self.csr.data
 
     @property
+    def dtype(self):
+        return self.csr.dtype
+
+    @property
     def nnz(self):
         return int(self.indices.size)
+
+    def astype(self, dtype):
+        """These entries with their values in dtype (self if they are):
+        indptr and indices are shared, and row_sums stays this matrix's."""
+        if np.dtype(dtype) == self.dtype:
+            return self
+        out = SparseMatrix(self.indptr, self.indices,
+                           self.data.astype(dtype), self.shape)
+        out._row_sums = self.row_sums()
+        return out
 
     @functools.cached_property
     def T(self):
@@ -106,11 +126,9 @@ class SparseMatrix:
             raise ValueError(f"dense operand must be floating, not {x.dtype}")
         if self.shape[1] != x.shape[0]:
             raise ValueError(f"shape mismatch: {self.shape} @ {x.shape}")
-        m = self._by_dtype.get(x.dtype)
-        if m is None:
-            m = self._by_dtype[x.dtype] = _sp.csr_matrix(
-                (self.data.astype(x.dtype), self.indices, self.indptr),
-                shape=self.shape)
+        m = self.csr if x.dtype == self.dtype else _sp.csr_matrix(
+            (self.data.astype(x.dtype), self.indices, self.indptr),
+            shape=self.shape)
         work = self.nnz * x.shape[1]
         if work < PARALLEL_FLOOR or workers() < 2:
             return m @ x
@@ -131,4 +149,10 @@ class SparseMatrix:
         return out
 
     def row_sums(self):
-        return np.asarray(self.csr.sum(axis=1)).ravel()
+        """The (rows,) float64 sums of the values, computed once and kept
+        read-only; a matrix from astype has its source's."""
+        if self._row_sums is None:
+            m = self.csr.astype(np.float64, copy=False)
+            self._row_sums = np.asarray(m.sum(axis=1)).ravel()
+            self._row_sums.flags.writeable = False
+        return self._row_sums

@@ -16,8 +16,13 @@ neighbours: the same loss.  Validation and scoring run the full graph.
 
 Everything is full batch and deterministic: parameter init and the two
 dropout streams are independent substreams of the config seed.  The
-caller builds one RunContext per split (build_context) and passes it to
-train_alternating, forward_scores and the evaluation functions.
+caller prepares a graph once (prepare_graph), builds one RunContext per
+split on it (build_context) and passes that to train_alternating,
+forward_scores and the evaluation functions.  The PreparedGraph holds
+the normalized adjacency and adj @ features in the model dtype, which is
+all of the graph's structure and features that the model reads, so a
+caller that keeps it in place of the Graph holds neither the raw
+adjacency nor the raw features.
 """
 
 from __future__ import annotations
@@ -122,9 +127,9 @@ class TrainConfig:
     def np_dtype(self):
         return np.dtype(self.dtype)
 
-    def split(self, graph: Graph) -> SplitSpec:
-        """The leave-out split of graph under this config's OOD classes,
-        drawn with its seed."""
+    def split(self, graph) -> SplitSpec:
+        """The leave-out split of graph (a Graph or a PreparedGraph) under
+        this config's OOD classes, drawn with its seed."""
         return make_split(graph, self.ood_classes, seed=self.seed)
 
 
@@ -150,6 +155,33 @@ def variant_config(base: TrainConfig, name: str) -> TrainConfig:
     return replace(base, **VARIANTS[name])
 
 
+@dataclass(frozen=True)
+class PreparedGraph:
+    """A graph as the model reads it, in one dtype: the normalized
+    adjacency (its float64 row sums kept, see SparseMatrix.astype) and
+    the propagated features adj @ x, plus the labels.  make_split and
+    remap_labels read its labels as they read a Graph's."""
+    n: int
+    labels: np.ndarray              # (n,) ints in 0..C-1
+    class_count: int
+    name: str
+    adj: SparseMatrix               # normalized adjacency, symmetric
+    propagated_x: Tensor            # adj @ features, constant
+
+    @property
+    def feature_dim(self) -> int:
+        return self.propagated_x.data.shape[1]
+
+
+def prepare_graph(graph: Graph, dtype) -> PreparedGraph:
+    """graph's PreparedGraph in dtype."""
+    adj = normalize_adjacency(graph).astype(np.dtype(dtype))
+    return PreparedGraph(
+        n=graph.n, labels=graph.labels, class_count=graph.class_count,
+        name=graph.name, adj=adj,
+        propagated_x=Tensor(adj.matmul(graph.features.astype(dtype))))
+
+
 @dataclass
 class RunContext:
     """Everything about a (graph, split) pair that training, scoring,
@@ -158,7 +190,7 @@ class RunContext:
     class regions are built from the training rows, gathered in
     split.train order."""
     split: SplitSpec
-    adj: object                     # normalized adjacency, symmetric
+    adj: SparseMatrix               # normalized adjacency, symmetric
     propagated_x: Tensor            # adj @ features, constant
     labels: np.ndarray              # remapped: ID classes 0..K-1, OOD -1
     class_count: int
@@ -179,18 +211,23 @@ class RunContext:
         return self._receptive
 
 
-def build_context(graph: Graph, split: SplitSpec, config: TrainConfig) -> RunContext:
-    adj = normalize_adjacency(graph)
+def build_context(graph: PreparedGraph, split: SplitSpec,
+                  config: TrainConfig) -> RunContext:
+    """The context of split on graph, prepared in config's dtype (else
+    ValueError); the contexts of other splits share graph."""
+    if graph.adj.dtype != config.np_dtype:
+        raise ValueError(f"graph prepared in {graph.adj.dtype}, not "
+                         f"{config.np_dtype}")
     labels = remap_labels(graph, split)
     k = len(split.id_classes)
-    px = Tensor(adj.matmul(graph.features.astype(config.np_dtype)))
     train_labels = labels[split.train]
     class_rows = [np.flatnonzero(train_labels == c) for c in range(k)]
     for c, rows in enumerate(class_rows):
         if rows.size == 0:
             raise ValueError(f"class {split.id_classes[c]} has no training nodes")
-    return RunContext(split=split, adj=adj, propagated_x=px,
-                      labels=labels, class_count=k, class_rows=class_rows)
+    return RunContext(split=split, adj=graph.adj,
+                      propagated_x=graph.propagated_x, labels=labels,
+                      class_count=k, class_rows=class_rows)
 
 
 @dataclass

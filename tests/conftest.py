@@ -3,7 +3,7 @@ import os
 import pytest
 
 from betagraph import cli, graphs
-from betagraph.training import TrainConfig
+from betagraph.training import TrainConfig, build_context, prepare_graph
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOY3_DIR = os.path.join(REPO_ROOT, "data", "toy3")
@@ -40,6 +40,12 @@ def save_dataset_as(graph, directory, fmt):
         with open(os.path.join(directory, "features.csv"), "w") as fh:
             fh.writelines(",".join(map(repr, row)) + "\n"
                           for row in graph.features.tolist())
+
+
+def context_of(graph, split, config):
+    """build_context of split on graph, prepared in config's dtype."""
+    return build_context(prepare_graph(graph, config.np_dtype), split,
+                         config)
 
 
 def quick_config(**overrides):

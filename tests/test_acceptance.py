@@ -29,10 +29,11 @@ from betagraph import special
 from betagraph import subjective as sl
 from betagraph.evaluation import run_protocol
 from betagraph.rng import rng
-from betagraph.training import (TrainConfig, build_context, init_model,
+from betagraph.training import (TrainConfig, init_model,
                                 frozen_reasoning, phase2_forward,
                                 train_alternating,
                                 variant_config)
+from conftest import context_of
 from oracles import (MultinomialOpinion, dissonance, grad_check, log_beta,
                      negation, vacuity)
 
@@ -157,7 +158,7 @@ def test_criterion_3_gradient_suite():
         cfg = TrainConfig(seed=seed, dtype="float64", hidden_dim=5,
                           embed_dim=3, reasoning_dim=5, gamma=15.0,
                           ood_classes=(2,))
-        ctx = build_context(g, split, cfg)
+        ctx = context_of(g, split, cfg)
         state = init_model(g.feature_dim, ctx.class_count, cfg)
 
         def bl():
@@ -366,7 +367,7 @@ def test_criterion_8_density_scaling():
         g = graphs.gen_erdos_renyi(n, density, 16, seed=1, class_count=4)
         split = graphs.make_split(g, (), seed=0)
         t0 = time.perf_counter()
-        train_alternating(build_context(g, split, cfg), cfg)
+        train_alternating(context_of(g, split, cfg), cfg)
         return time.perf_counter() - t0
 
     round_time(3000, 0.01)                    # warm caches and allocators

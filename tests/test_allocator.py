@@ -29,7 +29,8 @@ g = graphs.zscore_features(graphs.gen_ppm6())
 cfg = tr.TrainConfig(seed=0, ood_classes=graphs.PPM6_OOD_CLASSES,
                      dtype="float32", hidden_dim=64, embed_dim=32,
                      reasoning_dim=64)
-ctx = tr.build_context(g, cfg.split(g), cfg)
+ctx = tr.build_context(tr.prepare_graph(g, cfg.np_dtype), cfg.split(g),
+                       cfg)
 state = tr.init_model(g.feature_dim, ctx.class_count, cfg)
 
 def epochs(k):
@@ -78,7 +79,8 @@ g = graphs.zscore_features(graphs.gen_erdos_renyi(20000, 1.5e-3, 16, 0,
                                                   class_count=6))
 cfg = tr.TrainConfig(seed=0, ood_classes=(4, 5), dtype="float32",
                      hidden_dim=64, embed_dim=32, reasoning_dim=64)
-ctx = tr.build_context(g, cfg.split(g), cfg)
+ctx = tr.build_context(tr.prepare_graph(g, cfg.np_dtype), cfg.split(g),
+                       cfg)
 state = tr.init_model(g.feature_dim, ctx.class_count, cfg)
 tr.train_phase2(state, ctx, 3, tr.phase2_forward(state, ctx))
 print(sparse.workers(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)

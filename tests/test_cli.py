@@ -561,8 +561,9 @@ class TestEvalInputs:
 
 
 class TestOneContextPerSplit:
-    """The adjacency is normalized once per (graph, split): every command
-    builds one RunContext per split and passes it down."""
+    """The adjacency is normalized once per graph: every command builds
+    one RunContext per split and passes it down, and the contexts of
+    other seeds' splits share the graph's PreparedGraph."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -606,11 +607,11 @@ class TestOneContextPerSplit:
 
     def test_eval_retrained_seed(self, tmp_path, dataset, trained_run,
                                  builds):
-        # the checkpoint's seed is 1: its split and seed 2's
+        # the checkpoint's seed is 1: its split and seed 2's, one graph
         assert main(["eval", dataset, "--checkpoint",
                      os.path.join(trained_run, "checkpoint.npz"),
                      "--seeds", "1", "2", "--out", str(tmp_path)]) == 0
-        assert len(builds) == 2
+        assert len(builds) == 1
         rows = json.load(open(tmp_path / "report.json"))["per_seed"]
         assert "best_round" not in rows[0] and "best_round" in rows[1]
         assert rows[1]["wall_clock"] > 0
@@ -623,7 +624,7 @@ class TestOneContextPerSplit:
                                    rounds=1, hidden_dim=4, embed_dim=2,
                                    reasoning_dim=4)
         evaluation.run_protocol(g, (3,), cfg, seeds=[0, 1, 2])
-        assert len(builds) == 3
+        assert len(builds) == 1
 
 
 class TestAblate:

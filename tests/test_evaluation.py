@@ -7,14 +7,14 @@ from betagraph import evaluation as evl
 from betagraph import graphs
 from betagraph import training as tr
 from betagraph.ioutil import write_csv
-from conftest import quick_config
+from conftest import context_of, quick_config
 
 
 @pytest.fixture(scope="module")
 def trained(small_ppm_module):
     g, split = small_ppm_module
     cfg = quick_config(epochs_p1=25, epochs_p2=25, rounds=2)
-    ctx = tr.build_context(g, split, cfg)
+    ctx = context_of(g, split, cfg)
     state, _ = tr.train_alternating(ctx, cfg)
     return g, ctx, state
 
@@ -46,7 +46,7 @@ class TestEvaluate:
         g, _ = small_ppm_module
         split = graphs.make_split(g, (), seed=1)
         cfg = quick_config(ood_classes=(), epochs_p1=5, epochs_p2=5, rounds=1)
-        ctx = tr.build_context(g, split, cfg)
+        ctx = context_of(g, split, cfg)
         state, _ = tr.train_alternating(ctx, cfg)
         rep = report(state, ctx)
         assert rep.fpr95 is None and rep.auroc is None and rep.aupr is None
@@ -137,7 +137,7 @@ class TestSharedScores:
         """Scores on the shared context report as on a rebuilt one."""
         g, ctx, state = trained
         sb = tr.forward_scores(state, ctx)
-        again = tr.build_context(g, ctx.split, state.config)
+        again = context_of(g, ctx.split, state.config)
         fresh = report(state, again).to_dict()
         shared = evl.evaluate(sb, ctx, seed=state.config.seed).to_dict()
         fresh.pop("wall_clock")
@@ -148,7 +148,7 @@ class TestSharedScores:
 class TestBaselines:
     def test_baseline_report_fields(self, small_ppm_module):
         g, split = small_ppm_module
-        ctx = tr.build_context(g, split, tr.TrainConfig())
+        ctx = context_of(g, split, tr.TrainConfig())
         out = evl.baseline_report(ctx, seed=0, epochs=80)
         for key in ("acc", "maxlogit_auroc", "energy_auroc", "maxlogit_fpr95",
                     "energy_fpr95", "maxlogit_aupr", "energy_aupr"):
@@ -159,13 +159,13 @@ class TestBaselines:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_baseline_trains_in_context_dtype(self, small_ppm_module, dtype):
         g, split = small_ppm_module
-        ctx = tr.build_context(g, split, tr.TrainConfig(dtype=dtype))
+        ctx = context_of(g, split, tr.TrainConfig(dtype=dtype))
         model, logits = evl.train_baseline(ctx, epochs=2)
         assert logits.dtype == dtype and model.w1.data.dtype == dtype
 
     def test_baseline_divergence_named(self, small_ppm_module):
         g, split = small_ppm_module
-        ctx = tr.build_context(g, split, tr.TrainConfig())
+        ctx = context_of(g, split, tr.TrainConfig())
         with np.errstate(all="ignore"):
             with pytest.raises(tr.TrainingDivergence,
                                match=r"phase baseline, round 0, epoch \d+"):

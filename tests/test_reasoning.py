@@ -8,7 +8,8 @@ from betagraph import autodiff as ad
 from betagraph import graphs
 from betagraph import reasoning as rs
 from betagraph.rng import rng
-from betagraph.training import TrainConfig, build_context, init_model
+from betagraph.training import TrainConfig, init_model
+from conftest import context_of
 from oracles import grad_check
 import oracles
 from test_acceptance import beta_kl_quadrature, disjunction
@@ -31,7 +32,7 @@ class TestEncoder:
         cfg = TrainConfig(seed=1, dtype="float64", hidden_dim=6, embed_dim=4,
                           reasoning_dim=6, ood_classes=(2,))
         split = graphs.make_split(tiny_graph, (2,), seed=0)
-        ctx = build_context(tiny_graph, split, cfg)
+        ctx = context_of(tiny_graph, split, cfg)
         state = init_model(tiny_graph.feature_dim, ctx.class_count, cfg)
         out = rs.encode(ctx.adj, ctx.propagated_x, state.encoder,
                         training=True)
@@ -52,7 +53,7 @@ class TestEncoder:
         cfg = TrainConfig(seed=1, dtype="float64", hidden_dim=6, embed_dim=4,
                           reasoning_dim=6, ood_classes=(2,))
         split = graphs.make_split(tiny_graph, (2,), seed=0)
-        ctx = build_context(tiny_graph, split, cfg)
+        ctx = context_of(tiny_graph, split, cfg)
         outs = []
         for _ in range(2):
             state = init_model(tiny_graph.feature_dim, ctx.class_count, cfg)
@@ -447,7 +448,7 @@ class TestFusedEncoderLayer:
         cfg = TrainConfig(seed=1, dtype="float32", hidden_dim=6, embed_dim=4,
                           reasoning_dim=6, ood_classes=(2,))
         split = graphs.make_split(tiny_graph, (2,), seed=0)
-        ctx = build_context(tiny_graph, split, cfg)
+        ctx = context_of(tiny_graph, split, cfg)
         state = init_model(tiny_graph.feature_dim, ctx.class_count, cfg)
         params = state.encoder.tensors()
         runs = []
@@ -470,7 +471,7 @@ class TestFusedEncoderLayer:
         cfg = TrainConfig(seed=1, dtype="float32", hidden_dim=6, embed_dim=4,
                           reasoning_dim=6, ood_classes=(2,))
         split = graphs.make_split(tiny_graph, (2,), seed=0)
-        ctx = build_context(tiny_graph, split, cfg)
+        ctx = context_of(tiny_graph, split, cfg)
         state = init_model(tiny_graph.feature_dim, ctx.class_count, cfg)
         params = state.encoder.tensors()
         idx = np.array([3, 0, 3, 7])

@@ -179,6 +179,34 @@ def test_transpose_product_checks_the_shape():
         m.T.matmul(np.zeros((5, 2)))
 
 
+def test_astype_shares_the_indices_and_keeps_the_row_sums():
+    m, _ = rectangular_with_empty_lines()
+    sums = m.row_sums()
+    m32 = m.astype(np.float32)
+    assert m.astype(np.float64) is m and m32.astype(np.float32) is m32
+    assert np.shares_memory(m32.indptr, m.indptr)
+    assert np.shares_memory(m32.indices, m.indices)
+    assert m32.dtype == np.float32
+    assert m32.data.tobytes() == m.data.astype(np.float32).tobytes()
+    assert m32.row_sums() is sums and sums.dtype == np.float64
+    assert not sums.flags.writeable
+    assert m32.T.dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_products_keep_no_copy_of_the_values(dtype):
+    """An operand in the values' dtype multiplies the wrapped matrix; one
+    in another dtype casts the values for that product only."""
+    m, rng = rectangular_with_empty_lines()
+    m32 = m.astype(np.float32)
+    attributes = dict(vars(m32))
+    x = rng.standard_normal((5, 3)).astype(dtype)
+    got = m32.matmul(x)
+    assert got.dtype == dtype
+    assert got.tobytes() == (m32.csr.astype(dtype) @ x).tobytes()
+    assert vars(m32) == attributes
+
+
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.bool_,
                                    np.complex128])
 def test_non_floating_operand_is_rejected(dtype):

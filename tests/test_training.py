@@ -13,12 +13,12 @@ from betagraph import graphs
 from betagraph import reasoning as rs
 from betagraph import training as tr
 from betagraph.evaluation import evaluate
-from conftest import quick_config
+from conftest import context_of, quick_config
 
 
 def train(graph, split, config):
     """train_alternating on a context built for graph and split."""
-    return tr.train_alternating(tr.build_context(graph, split, config),
+    return tr.train_alternating(context_of(graph, split, config),
                                 config)
 
 
@@ -117,7 +117,7 @@ class TestTrainConfig:
 class TestPhases:
     def test_zero_epochs_identity(self, small_ppm, small_split):
         cfg = quick_config()
-        ctx = tr.build_context(small_ppm, small_split, cfg)
+        ctx = context_of(small_ppm, small_split, cfg)
         state = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
         before = buffer_hashes(state)
         tr.train_phase1(state, ctx, 0)
@@ -126,7 +126,7 @@ class TestPhases:
 
     def test_phase1_only_touches_reasoning_params(self, small_ppm, small_split):
         cfg = quick_config()
-        ctx = tr.build_context(small_ppm, small_split, cfg)
+        ctx = context_of(small_ppm, small_split, cfg)
         state = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
         before = buffer_hashes(state)
         tr.train_phase1(state, ctx, 3)
@@ -138,7 +138,7 @@ class TestPhases:
 
     def test_phase2_only_touches_heads(self, small_ppm, small_split):
         cfg = quick_config()
-        ctx = tr.build_context(small_ppm, small_split, cfg)
+        ctx = context_of(small_ppm, small_split, cfg)
         state = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
         tr.train_phase1(state, ctx, 3)
         before = buffer_hashes(state)
@@ -151,7 +151,7 @@ class TestPhases:
 
     def test_losses_descend(self, small_ppm, small_split):
         cfg = quick_config()
-        ctx = tr.build_context(small_ppm, small_split, cfg)
+        ctx = context_of(small_ppm, small_split, cfg)
         state = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
         first_bl = tr.train_phase1(state, ctx, 1)
         later_bl = tr.train_phase1(state, ctx, 60)
@@ -169,7 +169,7 @@ class TestPhases:
         per-op regions and loss over per-class gathers and per-parameter
         Adam, over the same encode and dist_matrix."""
         cfg = quick_config(learned_prior=learned_prior, dropout_p1=0.3)
-        ctx = tr.build_context(small_ppm, small_split, cfg)
+        ctx = context_of(small_ppm, small_split, cfg)
         state = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
         ref = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
         tr.train_phase1(state, ctx, 3)
@@ -212,7 +212,7 @@ class TestPhases:
         Adam."""
         cfg = quick_config(learned_prior=learned_prior, dropout_p2=0.2,
                            context_propagation=context_propagation)
-        ctx = tr.build_context(small_ppm, small_split, cfg)
+        ctx = context_of(small_ppm, small_split, cfg)
         state = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
         ref = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
         train = ctx.split.train
@@ -257,7 +257,7 @@ class TestPhases:
         op, 7 with a node per head over the frozen inputs)."""
         graph = graphs.zscore_features(graphs.gen_ppm6())
         cfg = tr.TrainConfig(seed=0, ood_classes=graphs.PPM6_OOD_CLASSES)
-        ctx = tr.build_context(graph, cfg.split(graph), cfg)
+        ctx = context_of(graph, cfg.split(graph), cfg)
         state = tr.init_model(graph.feature_dim, ctx.class_count, cfg)
         forward = tr.phase2_forward(state, ctx)
         built = count_calls(monkeypatch, ad.Tensor, "__init__")
@@ -279,7 +279,7 @@ class TestPhases:
         split = graphs.make_split(g, (4, 5), seed=0)
         cfg = tr.TrainConfig(seed=0, ood_classes=(4, 5), hidden_dim=64,
                              embed_dim=32, reasoning_dim=64, dtype="float32")
-        ctx = tr.build_context(g, split, cfg)
+        ctx = context_of(g, split, cfg)
         state = tr.init_model(g.feature_dim, ctx.class_count, cfg)
         tracemalloc.start()
         try:
@@ -302,7 +302,7 @@ class TestPhases:
         split = graphs.make_split(g, (4, 5), seed=0)
         cfg = tr.TrainConfig(seed=0, ood_classes=(4, 5), hidden_dim=64,
                              embed_dim=32, reasoning_dim=64, dtype="float32")
-        ctx = tr.build_context(g, split, cfg)
+        ctx = context_of(g, split, cfg)
         state = tr.init_model(g.feature_dim, ctx.class_count, cfg)
         forward = tr.phase2_forward(state, ctx)
         tracemalloc.start()
@@ -317,7 +317,7 @@ class TestPhases:
 
     def test_divergence_detected(self, small_ppm, small_split):
         cfg = quick_config(lr_p1=1e18, epochs_p1=60)
-        ctx = tr.build_context(small_ppm, small_split, cfg)
+        ctx = context_of(small_ppm, small_split, cfg)
         state = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
         state.round = 3
         with np.errstate(all="ignore"):
@@ -327,7 +327,7 @@ class TestPhases:
 
     def test_phase2_divergence_named(self, small_ppm, small_split):
         cfg = quick_config(lr_p2=1e18)
-        ctx = tr.build_context(small_ppm, small_split, cfg)
+        ctx = context_of(small_ppm, small_split, cfg)
         state = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
         state.round = 3
         forward = tr.phase2_forward(state, ctx)
@@ -428,7 +428,7 @@ class TestSharedWork:
         propagation and its VJP (the adjacency is symmetric, so backward
         multiplies by it too); the features come from ctx.propagated_x."""
         cfg = tr.variant_config(quick_config(), "a")
-        ctx = tr.build_context(small_ppm, small_split, cfg)
+        ctx = context_of(small_ppm, small_split, cfg)
         state = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
         forward = tr.phase2_forward(state, ctx)
         calls = count_calls(monkeypatch, type(ctx.adj), "matmul",
@@ -446,7 +446,7 @@ def receptive_setup(graph, context_propagation, learned_prior):
                          hidden_dim=8, embed_dim=4, reasoning_dim=8,
                          context_propagation=context_propagation,
                          learned_prior=learned_prior)
-    ctx = tr.build_context(graph, cfg.split(graph), cfg)
+    ctx = context_of(graph, cfg.split(graph), cfg)
     state = tr.init_model(graph.feature_dim, ctx.class_count, cfg)
     gen = np.random.default_rng(5)
     for t in state.heads.tensors().values():
@@ -545,7 +545,7 @@ class TestAlternating:
     def test_restored_snapshot_reproduces_validation(self, small_ppm,
                                                      small_split):
         cfg = quick_config(epochs_p1=10, epochs_p2=10, rounds=3)
-        ctx = tr.build_context(small_ppm, small_split, cfg)
+        ctx = context_of(small_ppm, small_split, cfg)
         state, history = tr.train_alternating(ctx, cfg)
         acc, rc, roc = tr.validation_metrics(state, ctx,
                                              tr.phase2_forward(state, ctx))
@@ -569,15 +569,15 @@ class TestAlternating:
         assert info.value.history == full[:2]
 
     def test_context_dtype_must_match_config(self, small_ppm, small_split):
-        ctx = tr.build_context(small_ppm, small_split,
-                               quick_config(dtype="float64"))
+        ctx = context_of(small_ppm, small_split,
+                         quick_config(dtype="float64"))
         with pytest.raises(ValueError, match="float64, config dtype is "
                                              "float32"):
             tr.train_alternating(ctx, quick_config())
 
     def test_direct_variant_trains(self, small_ppm, small_split):
         cfg = tr.variant_config(quick_config(epochs_p2=40), "a")
-        ctx = tr.build_context(small_ppm, small_split, cfg)
+        ctx = context_of(small_ppm, small_split, cfg)
         state, history = tr.train_alternating(ctx, cfg)
         assert state.direct is not None
         assert np.isnan(history[0]["bl_loss"])
@@ -605,7 +605,7 @@ class TestSelectionScore:
 class TestCheckpoint:
     def test_roundtrip_preserves_scores(self, tmp_path, small_ppm, small_split):
         cfg = quick_config(epochs_p1=10, epochs_p2=10)
-        ctx = tr.build_context(small_ppm, small_split, cfg)
+        ctx = context_of(small_ppm, small_split, cfg)
         state, _ = tr.train_alternating(ctx, cfg)
         rep = report(state, ctx)
         path = tmp_path / "ckpt.npz"
@@ -722,3 +722,37 @@ class TestCheckpoint:
         self.rewrite(path, arrays)
         with pytest.raises(ValueError, match="shape"):
             tr.load_checkpoint(path)
+
+
+class TestPreparedGraph:
+    """The contexts of one graph share its PreparedGraph: the normalized
+    adjacency in the model dtype, with float64 row sums, and adj @ x."""
+
+    def test_contexts_share_it(self, small_ppm):
+        cfg = quick_config()
+        prepared = tr.prepare_graph(small_ppm, cfg.np_dtype)
+        contexts = [tr.build_context(prepared, graphs.make_split(
+            prepared, (3,), seed=s), cfg) for s in (0, 1)]
+        for ctx in contexts:
+            assert ctx.adj is prepared.adj
+            assert ctx.propagated_x is prepared.propagated_x
+        assert contexts[0].split.train.tolist() != \
+            contexts[1].split.train.tolist()
+        with pytest.raises(ValueError, match="float32"):
+            tr.build_context(prepared, contexts[0].split,
+                             quick_config(dtype="float64"))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_equals_the_float64_adjacency_cast(self, small_ppm, dtype):
+        cfg = quick_config(dtype=dtype)
+        prepared = tr.prepare_graph(small_ppm, cfg.np_dtype)
+        adj = graphs.normalize_adjacency(small_ppm)
+        assert prepared.adj.dtype == cfg.np_dtype
+        assert prepared.adj.data.tobytes() == \
+            adj.data.astype(dtype).tobytes()
+        assert prepared.adj.row_sums().tobytes() == adj.row_sums().tobytes()
+        want = adj.csr.astype(dtype) @ small_ppm.features.astype(dtype)
+        assert prepared.propagated_x.data.tobytes() == want.tobytes()
+        assert (prepared.n, prepared.class_count, prepared.feature_dim) == \
+            (small_ppm.n, small_ppm.class_count, small_ppm.feature_dim)
+        assert prepared.labels is small_ppm.labels
