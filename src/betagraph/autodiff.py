@@ -309,12 +309,12 @@ def relu(x):
     return _node(relu_data(x.data), ((x, lambda g: g * mask),))
 
 
-def relu_data(x):
-    """max(x, 0) on an array, with NaN -> 0 and -0 -> +0: the same bits as
-    np.where(x > 0, x, 0) without a data-dependent branch per element,
-    about 12x faster at (5e4, 64) float32 with random signs.
-    """
-    out = np.fmax(x, 0)
+def relu_data(x, out=None):
+    """max(x, 0) on an array, into out (which may be x) when given, with
+    NaN -> 0 and -0 -> +0: the same bits as np.where(x > 0, x, 0) without
+    a data-dependent branch per element, about 12x faster at (5e4, 64)
+    float32 with random signs."""
+    out = np.fmax(x, 0, out=out)
     # np.fmax's scalar loop (0-d input, short float64 tails) keeps -0
     out += 0
     return out

@@ -289,7 +289,7 @@ def _check_split(split, graph, config, path):
             bad = ids[(ids < 0) | (ids >= graph.n)][0]
             raise UsageError(f"split {path}: {part} node id {bad} outside"
                              f" [0, {graph.n})")
-        if np.unique(ids).size != ids.size:
+        if graphs.sorted_distinct(np.sort(ids)).size != ids.size:
             raise UsageError(f"split {path}: {part} repeats a node id")
         taken = owner[ids] >= 0
         if taken.any():

@@ -24,8 +24,8 @@ K+1 two-dimensional products: stacking them into one (K+1, n, H) batch
 gives the same bits but was slower on an ER graph of n=5e4 (heads
 forward 258 -> 384 ms on one vCPU, BLAS single-threaded) and held about
 110 MB more.  Training runs the heads, and their VJPs, concurrently
-(sparse.parallel); scoring runs them one by one, freeing each (n, H)
-activation before the next head.
+(sparse.parallel); scoring runs them one by one, each in one (n, H)
+array that its relu overwrites, freed before the next head.
 
 Scoring runs the heads on every node.  Training runs them on the rows R
 its loss reads, the training nodes and their neighbours, and propagates
@@ -47,7 +47,7 @@ from . import autodiff as ad
 from . import special, subjective
 from .autodiff import Tensor
 from .reasoning import glorot
-from .sparse import SparseMatrix, parallel
+from .sparse import SparseMatrix, parallel, row_blocks
 
 PRIOR_EPS = 1e-6
 
@@ -199,28 +199,35 @@ def _head(prop, cls_row, row_scale, head: HeadParams, keep, scale):
 
     in that op order, so it equals the per-op composition bit for bit;
     keep is the dropout keep array, None without dropout, and scale
-    1/(1-rate).  The VJP keeps only h and makes dL/dz = (g @ w2.T) *
-    (h > 0) * scale once for every parameter: h > 0 iff z > 0 and the
-    unit was kept.
+    1/(1-rate).  The shift runs in row blocks and the relu over z, so a
+    head holds one (rows, H) array.  The VJP keeps only h and makes dL/dz
+    = (g @ w2.T) * (h > 0) * scale once for every parameter: h > 0 iff z
+    > 0 and the unit was kept.  Its outer products are broadcast products
+    plus 0, the bits of numpy's matmul loop (which starts from +0) in a
+    third of the time.
     """
     w = prop.shape[1]
     w1, w2 = head.w1.data, head.w2.data
     z = prop @ w1[:w]
-    z += row_scale * (cls_row @ w1[w:])
+    shift = cls_row @ w1[w:]
+    for rows in row_blocks(z.shape[0]):
+        z[rows] += row_scale[rows] * shift
     z += head.b1.data
-    h = ad.relu_data(z)
-    del z
+    h = ad.relu_data(z, out=z)
     if keep is not None:
         h *= keep
         h *= scale
 
     def vjp(g):
-        gz = g @ w2.T                                   # dL/dz
+        gz = g * w2.T                                   # dL/dz = g @ w2.T
+        gz += 0
         gz *= h > 0
         gz *= scale
-        gshift = (gz * row_scale).sum(axis=0, keepdims=True)
-        return (np.concatenate([prop.T @ gz, cls_row.T @ gshift]),
-                gz.sum(axis=0), h.T @ g)
+        g_w1, g_b1 = prop.T @ gz, gz.sum(axis=0)
+        gz *= row_scale                                 # the shift's
+        g_shift = gz.sum(axis=0, keepdims=True)
+        return (np.concatenate([g_w1, cls_row.T * g_shift + 0]), g_b1,
+                h.T @ g)
 
     return h @ w2, vjp
 

@@ -115,19 +115,16 @@ class SplitSpec:
                    seed=d["seed"])
 
 
-def _symmetric_adjacency(edges: np.ndarray, n: int) -> SparseMatrix:
-    """Build a clean symmetric 0/1 adjacency from an edge list."""
-    u, v = edges[:, 0], edges[:, 1]
-    keep = u != v
-    u, v = u[keep], v[keep]
-    rows = np.concatenate([u, v])
-    cols = np.concatenate([v, u])
-    m = SparseMatrix.from_coo(rows, cols, np.ones(rows.size), (n, n))
-    # clamp duplicate-summed values back to 1
-    return SparseMatrix(m.indptr, m.indices, np.ones(m.nnz), (n, n))
+def sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of the sorted array a, by a compare of
+    neighbours: numpy 2's np.unique hashes integers, which is slower."""
+    return a[np.r_[True, a[1:] != a[:-1]]] if a.size else a
 
 
 def build_graph(edges, features, labels, class_count, name="graph") -> Graph:
+    """The Graph of an edge list.  Its symmetric 0/1 adjacency, with no
+    self loops or repeats, comes from one sort of the keys u n + v of
+    both directions: row i holds the distinct keys in [i n, (i + 1) n)."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = features.shape[0]
@@ -137,9 +134,15 @@ def build_graph(edges, features, labels, class_count, name="graph") -> Graph:
         raise DatasetError(
             f"edge endpoint out of range for n={n}: ({bad[0]}, {bad[1]})"
         )
-    return Graph(n=n, adjacency=_symmetric_adjacency(edges, n),
-                 features=features, labels=labels,
-                 class_count=int(class_count), name=name)
+    u, v = edges[:, 0], edges[:, 1]
+    keys = sorted_distinct(np.sort(np.concatenate([u * n + v, v * n + u])))
+    if (u == v).any():                      # drop the self loops, u (n + 1)
+        keys = keys[keys % (n + 1) != 0]
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    np.remainder(keys, n, out=keys)                 # the columns
+    return Graph(n=n, adjacency=SparseMatrix(indptr, keys, np.ones(
+        keys.size, np.float32), (n, n)), features=features, labels=labels,
+        class_count=int(class_count), name=name)
 
 
 # -- dataset directory IO ------------------------------------------------
@@ -282,18 +285,20 @@ def normalize_adjacency(graph: Graph) -> SparseMatrix:
     """D^{-1/2} (A + I) D^{-1/2} with degrees taken after self-loop insertion;
     entry (i, j) is scale[i] * scale[j], so the result equals its transpose
     bit for bit: autodiff.spmm's and reasoning.propagate's VJPs multiply
-    by it in its place, sparing an n x n transpose as large as itself."""
+    by it in its place, sparing an n x n transpose as large as itself.
+    The diagonal goes into A's CSR arrays, after each row's columns below
+    it (A stores no self loops)."""
     a = graph.adjacency
     n = graph.n
-    deg = np.diff(a.indptr) + 1.0
-    scale = 1.0 / np.sqrt(deg)
-    rows = np.repeat(np.arange(n), np.diff(a.indptr))
-    cols = a.indices
-    vals = scale[rows] * scale[cols] * a.data
-    rows = np.concatenate([rows, np.arange(n)])
-    cols = np.concatenate([cols, np.arange(n)])
-    vals = np.concatenate([vals, scale * scale])
-    return SparseMatrix.from_coo(rows, cols, vals, (n, n))
+    counts = np.diff(a.indptr)
+    scale = 1.0 / np.sqrt(counts + 1.0)
+    rows = np.repeat(np.arange(n, dtype=a.indices.dtype), counts)
+    vals = scale[rows] * scale[a.indices] * a.data
+    at = a.indptr[:-1] + np.bincount(rows[a.indices < rows], minlength=n)
+    del rows
+    return SparseMatrix(a.indptr + np.arange(n + 1),
+                        np.insert(a.indices, at, np.arange(n)),
+                        np.insert(vals, at, scale * scale), (n, n))
 
 
 # -- splits ----------------------------------------------------------------

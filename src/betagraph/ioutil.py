@@ -1,10 +1,11 @@
 """Small file helpers: atomic writes, content hashing for manifests, and
-the CSV writer, which formats numeric arrays without a Python object per
-cell.  Float cells are repr(float(v)), the shortest round-trip text, from
-a numpy kernel whose domain is the finite v, 1e-4 <= |v| < 1e16, that are
-not a power of two (0.0 is one): there 10**k scales v exactly into
-[1e16, 1e17) and v's rounding interval is symmetric.  Entries outside it,
-and exact ties of two shortest decimals, go through repr one by one."""
+the CSV writer, which formats numeric arrays a row block at a time
+without a Python object per cell.  Float cells are repr(float(v)), the
+shortest round-trip text, from a numpy kernel whose domain is the finite
+v, 1e-4 <= |v| < 1e16, that are not a power of two (0.0 is one): there
+10**k scales v exactly into [1e16, 1e17) and v's rounding interval is
+symmetric.  Entries outside it, and exact ties of two shortest decimals,
+go through repr one by one."""
 
 from __future__ import annotations
 
@@ -14,12 +15,15 @@ import os
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .sparse import row_blocks
 
-def atomic_write_bytes(path, payload: bytes):
-    """Write via temp file + rename so readers never see partial content."""
+
+def atomic_write_bytes(path, payload):
+    """Write bytes, or an iterable of bytes one at a time, via temp file +
+    rename so readers never see partial content."""
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        fh.write(payload)
+        fh.writelines([payload] if isinstance(payload, bytes) else payload)
     os.replace(tmp, path)
 
 
@@ -56,22 +60,30 @@ _DIGITS4 = np.array([b"%04d" % i for i in range(10**4)]).view(np.uint32)
 
 def write_csv(path, header, columns):
     """Write columns as rows, up to the shortest column: arrays in repr
-    (float dtypes) or str, list cells as "" (None), repr (float) or str."""
+    (float dtypes) or str, list cells as "" (None), repr (float) or str,
+    formatted and written a row block at a time (sparse.row_blocks)."""
     cols = [c if isinstance(c, np.ndarray) else list(c) for c in columns]
     n = min(map(len, cols), default=0)
-    blocks = [_cells(c[:n]) for c in cols]
-    widths = [int(lens.max(initial=0)) for _, lens in blocks]
-    body = np.full((n, sum(widths) + len(widths)), ord(","), np.uint8)
-    keep, at = np.ones(body.shape, bool), 0
-    for (b, lens), w in zip(blocks, widths):
-        small = np.min_scalar_type(w)           # holds every length <= w
-        body[:, at:at + w] = b[:, :w]
-        keep[:, at:at + w] = (np.arange(w, dtype=small)
-                              < lens.astype(small)[:, None])
-        at += w + 1
-    body[:, -1:] = ord("\n")
-    atomic_write_bytes(path, (",".join(header) + "\n").encode()
-                       + body[keep].tobytes())
+
+    def text():
+        yield (",".join(header) + "\n").encode()
+        for rows in row_blocks(n):
+            blocks = [_cells(c[rows]) for c in cols]
+            widths = [int(lens.max(initial=0)) for _, lens in blocks]
+            body = np.full((rows.stop - rows.start,
+                            sum(widths) + len(widths)), ord(","), np.uint8)
+            keep, at = np.ones(body.shape, bool), 0
+            for (b, lens), w in zip(blocks, widths):
+                small = np.min_scalar_type(w)   # holds every length <= w
+                body[:, at:at + w] = b[:, :w]
+                keep[:, at:at + w] = (np.arange(w, dtype=small)
+                                      < lens.astype(small)[:, None])
+                at += w + 1
+            body[:, -1:] = ord("\n")
+            yield body[keep].tobytes()
+            del blocks, body, keep              # before the next block's
+
+    atomic_write_bytes(path, text())
 
 
 def _cells(col):

@@ -43,7 +43,7 @@ import numpy as np
 from . import autodiff as ad
 from . import special
 from .autodiff import Tensor
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, row_blocks
 
 
 # floor added to softplus outputs so Beta parameters stay positive even
@@ -144,15 +144,14 @@ def encode(adj: SparseMatrix, px: Tensor, params: EncoderParams, *,
     constant, so the first propagation is computed once per graph
     (training.PreparedGraph).  Training updates the batch-norm running
     statistics; inference reads them.  Untaped, each layer's softplus
-    runs in place and the first layer's output is let go of once
-    propagated: at most three (n, H) arrays are alive at a time.
+    runs in place, in row blocks, and the first layer's output is let go
+    of once multiplied by w2, before the sparse product: at most two
+    (n, H) arrays and a block are alive at a time.
     """
-    h1 = encoder_layer(ad.matmul(px, params.w1), params.bn1,
-                       training=training,
-                       dropout_rate=dropout_rate if training else 0.0,
-                       generator=generator)
-    z2 = propagate(adj, h1, params.w2)
-    del h1
+    z2 = propagate(adj, encoder_layer(
+        ad.matmul(px, params.w1), params.bn1, training=training,
+        dropout_rate=dropout_rate if training else 0.0,
+        generator=generator), params.w2)
     return encoder_layer(z2, params.bn2, training=training, floor=EMB_EPS,
                          rows=rows)
 
@@ -163,7 +162,11 @@ def propagate(adj: SparseMatrix, h: Tensor, w: Tensor) -> Tensor:
     h and w from it, in the order of ad.spmm's and ad.matmul's VJPs, so
     values and gradients equal that composition bit for bit (adj is
     symmetric, see ad.spmm)."""
-    out = adj.matmul(h.data @ w.data)
+    hw = h.data @ w.data
+    if not ad.grad_needed(h, w):    # untaped, h goes before adj @ hw: one
+        del h                       # passed as a temporary is freed here
+        return Tensor(adj.matmul(hw))
+    out = adj.matmul(hw)
 
     def grads(g):
         ga = adj.matmul(g)
@@ -181,7 +184,8 @@ def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
     updates the running ones) and the running ones otherwise.  The
     forward runs the per-op composition's ops in its order, in place
     where it can, and once the statistics are taken on the rows that are
-    read only (dropout draws for all n, as the composition does).  The
+    read only (dropout draws for all n, as the composition does); the
+    softplus runs a row block at a time (sparse.row_blocks).  The
     VJP is the closed form of Ioffe & Szegedy (2015), with gy the
     gradient of the batch-norm output and xhat = (z - mean) / std: dbeta
     = sum gy, dgamma = sum gy xhat, and dz = gy gamma / std, less (dbeta
@@ -218,17 +222,20 @@ def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
     y /= std
     y *= gamma
     y += beta
-    e = np.abs(y)
-    np.negative(e, out=e)
-    np.exp(e, out=e)                        # exp(-|y|)
-    if taped:                               # special.sigmoid, see there
-        sig = np.maximum(e, y >= 0)
-    np.maximum(y, 0, out=y)
-    y += np.log1p(e, out=None if taped else e)      # special.softplus
-    if taped:
-        e += 1
-        sig /= e
-    del e
+    sig = np.empty_like(y) if taped else None
+    for r in row_blocks(y.shape[0]):        # softplus and sigmoid in place
+        yr = y[r]
+        e = np.abs(yr)
+        np.negative(e, out=e)
+        np.exp(e, out=e)                    # exp(-|y|)
+        if taped:                           # special.sigmoid, see there
+            np.maximum(e, yr >= 0, out=sig[r])
+        np.maximum(yr, 0, out=yr)
+        yr += np.log1p(e, out=None if taped else e)     # special.softplus
+        if taped:
+            e += 1
+            sig[r] /= e
+        del e                               # before the next block's
     if floor:
         y += floor
     keep = None
@@ -286,8 +293,9 @@ def _disjoin(x, p: DisjunctionParams):
         ge = g * special.sigmoid(e)
         gz = (ge @ p.h2_w.data.T).reshape(pooled.shape)
         gb = gz * p.w.data / m * (b > 0)
+        gw = z.T * ge + 0                   # z.T @ ge, as evidence._head has
         return (gb @ p.h1_w.data.T, x.T @ gb,
-                ad._unbroadcast(gb, p.h1_b.data.shape), z.T @ ge,
+                ad._unbroadcast(gb, p.h1_b.data.shape), gw,
                 ad._unbroadcast(ge, p.h2_b.data.shape), gz * pooled, gz)
 
     return special.softplus(e) + EMB_EPS, vjp

@@ -1,4 +1,5 @@
-"""CSR sparse matrices, the sparse-dense product, and its worker threads.
+"""CSR sparse matrices, the sparse-dense product, its worker threads, and
+the row blocks that bound the temporaries of work on n rows.
 
 A SparseMatrix is a checked, immutable shell over one scipy CSR matrix
 (row offsets, sorted column indices, float32 or float64 values); the
@@ -30,12 +31,21 @@ from scipy.sparse import _sparsetools
 PARALLEL_FLOOR = 2**25
 _pools = {}                 # pid -> its worker threads, made on first use
 os.register_at_fork(after_in_child=_pools.clear)    # the child has none
+# rows per block of the work whose temporaries are kept to a row block:
+# ioutil.write_csv, subjective.dissonance_batch, the encoder layer's
+# softplus and the evidence heads' shift (a ppm6 array is one block)
+ROW_BLOCK = 2**13
 
 
 def workers():
     """CPUs in this process's affinity mask (taskset -c 0 gives one)."""
     return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+
+
+def row_blocks(n):
+    """ROW_BLOCK-row slices (the last may be shorter) covering range(n)."""
+    return [slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK)]
 
 
 def parallel(calls, work):
@@ -73,12 +83,6 @@ class SparseMatrix:
         self.csr = m
         self.shape = m.shape
         self._row_sums = None
-
-    @classmethod
-    def from_coo(cls, rows, cols, vals, shape):
-        """Build CSR from coordinate triplets; duplicate entries are summed."""
-        m = _sp.csr_matrix((vals, (rows, cols)), shape=shape)
-        return cls(m.indptr, m.indices, m.data, shape)
 
     @property
     def indptr(self):

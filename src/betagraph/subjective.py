@@ -15,14 +15,17 @@ Dissonance measures conflict among beliefs:
 
 with a term defined as 0 when its denominator vanishes (the limit value,
 and the only choice that keeps the score total).  All functions are pure
-and vectorize over the rows of (n, K) evidence batches; the scalar
-one-opinion forms they are verified against live with the tests
+and vectorize over the rows of (n, K) evidence batches; dissonance runs
+over them in row blocks, which bounds its (rows, K, K) temporaries.  The
+scalar one-opinion forms they are verified against live with the tests
 (tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .sparse import row_blocks
 
 
 def belief_batch(evidence, prior_weight):
@@ -38,17 +41,18 @@ def projected_batch(evidence, prior_weight, base_rates):
 
 
 def dissonance_batch(belief):
-    """Vectorized dissonance from an (n, K) belief matrix."""
+    """Vectorized dissonance from an (n, K) belief matrix, with (rows, K,
+    K) float64 temporaries one row block at a time (sparse.row_blocks)."""
     b = np.asarray(belief, dtype=np.float64)
-    n, k = b.shape
-    bi = b[:, :, None]                       # varies over "own" class i
-    bj = b[:, None, :]                       # varies over the partner j
-    tot = bi + bj
-    with np.errstate(invalid="ignore", divide="ignore"):
-        bal = np.where(tot > 0.0, 1.0 - np.abs(bj - bi) / tot, 0.0)
-    off = ~np.eye(k, dtype=bool)
-    num = np.where(off[None], bj * bal, 0.0).sum(axis=2)   # (n, K)
-    den = b.sum(axis=1, keepdims=True) - b                 # sum_{j != i} b_j
-    with np.errstate(invalid="ignore", divide="ignore"):
-        terms = np.where(den > 0.0, b * num / den, 0.0)
-    return terms.sum(axis=1)
+    off = ~np.eye(b.shape[1], dtype=bool)[None]
+    out = np.empty(b.shape[0])
+    for rows in row_blocks(b.shape[0]):
+        r = b[rows]
+        bi, bj = r[:, :, None], r[:, None, :]   # own class i, partner j
+        tot = bi + bj
+        den = r.sum(axis=1, keepdims=True) - r  # sum_{j != i} b_j
+        with np.errstate(invalid="ignore", divide="ignore"):
+            bal = np.where(tot > 0.0, 1.0 - np.abs(bj - bi) / tot, 0.0)
+            num = np.where(off, bj * bal, 0.0).sum(axis=2)     # (rows, K)
+            out[rows] = np.where(den > 0.0, r * num / den, 0.0).sum(axis=1)
+    return out

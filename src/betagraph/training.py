@@ -39,7 +39,7 @@ from . import evidence as ev
 from . import reasoning as rs
 from .autodiff import Adam, Tensor, no_grad
 from .graphs import (Graph, SplitSpec, make_split, normalize_adjacency,
-                     remap_labels)
+                     remap_labels, sorted_distinct)
 from .metrics import accuracy, aurc, auroc
 from .rng import substream
 from .sparse import SparseMatrix
@@ -204,7 +204,7 @@ class RunContext:
         uses them."""
         if self._receptive is None:
             a = self.adj.csr[self.split.train]
-            rows = np.unique(a.indices)
+            rows = sorted_distinct(np.sort(a.indices))
             self._receptive = rows, SparseMatrix(
                 a.indptr, np.searchsorted(rows, a.indices), a.data,
                 (a.shape[0], rows.size))

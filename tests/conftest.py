@@ -1,12 +1,22 @@
 import os
 
 import pytest
+from hypothesis import settings
 
 from betagraph import cli, graphs
 from betagraph.training import TrainConfig, build_context, prepare_graph
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOY3_DIR = os.path.join(REPO_ROOT, "data", "toy3")
+
+# Hypothesis profiles.  tier1, the default, draws the same examples on
+# every run (derandomize: a seed from each test's own hash), so the
+# suite's verdict depends on the code alone.  explore draws fresh random
+# examples with the same counts and deadlines; run it with
+# `pytest --hypothesis-profile=explore`, which loads it after this file.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("tier1")
 
 
 def pytest_configure(config):

@@ -1,6 +1,7 @@
 """Test-only oracles: per-op reference compositions, the
 finite-difference gradient check, the scalar subjective-logic forms,
-ln B(a, b), the float-draw dropout mask and the per-cell CSV writer.
+ln B(a, b), the float-draw dropout mask, the per-cell CSV writer and a
+sparse matrix built from coordinates.
 
 The library fuses some layers into single tape nodes with hand-written
 VJPs, and steps Adam over flat vectors.  The per-op compositions and the
@@ -22,12 +23,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from betagraph import autodiff as ad
 from betagraph import evidence as ev
 from betagraph import reasoning as rs
 from betagraph import special
 from betagraph.ioutil import atomic_write_text
+from betagraph.sparse import SparseMatrix
+
+
+# -- a sparse matrix from coordinates --------------------------------------
+
+def sparse_from_coo(rows, cols, vals, shape):
+    """SparseMatrix of coordinate triplets; duplicate entries are summed."""
+    m = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=shape)
+    return SparseMatrix(m.indptr, m.indices, m.data, shape)
 
 
 # -- tape helpers only the tests use ----------------------------------------

@@ -64,9 +64,10 @@ def test_epochs_reuse_freed_heap():
 
 # Peak RSS, in KiB, of three phase-2 epochs on an ER graph of n=2e4 whose
 # heads run in the worker threads, pinned to one CPU when PIN is set.
-# Measured on 2 vCPUs: 134.3 MB pinned, 138.7 MB on two workers, and
-# 186 MB on two workers without the one-arena cap, as each worker thread
-# otherwise keeps freed memory in an arena of its own.
+# Measured on 2 vCPUs: 116.9 MB pinned and 121.3-123.3 MB on two workers
+# (two heads' VJPs each hold one (rows, H) array at once), and 186 MB on
+# two workers without the one-arena cap, as each worker thread otherwise
+# keeps freed memory in an arena of its own.
 ARENA_PROBE = """
 import os, resource
 from betagraph import cli, graphs, sparse

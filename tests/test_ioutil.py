@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from betagraph import ioutil
+from betagraph import ioutil, sparse
 
 bit_patterns = st.lists(st.integers(-2**63, 2**63 - 1), max_size=60)
 float32s = st.lists(st.floats(width=32), max_size=60)
@@ -188,6 +188,35 @@ class TestWriteCsv:
                     min_size=rows, max_size=rows)))
         header = [f"c{i}" for i in range(len(columns))]
         assert same_bytes(tmp_path_factory.mktemp("t"), header, columns)
+
+
+B = sparse.ROW_BLOCK
+# cells off the float kernel's domain, and an exact tie of two decimals
+REPR_CELLS = [np.nan, np.inf, 1e-5, 1e16, (2.0**52 + 1) / 4, -np.inf]
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+def test_row_blocks_write_the_bytes_of_one(tmp_path, monkeypatch, n):
+    """write_csv in row blocks writes the bytes of one block: int,
+    float32, float64 and list columns, with cells that take repr's path
+    on both sides of every block edge, and ints off the kernel's range in
+    the last block only."""
+    gen = np.random.default_rng(n)
+    f64 = gen.standard_normal(n) * 10.0 ** gen.integers(-6, 18, n)
+    for edge in [*range(0, n, B), n]:
+        at = np.arange(max(edge - 3, 0), min(edge + 3, n))
+        f64[at] = np.resize(REPR_CELLS, at.size)
+    ints = gen.integers(-10**6, 10**6, n)
+    ints[-2:] = 2**62
+    cells = [None if i % 5 == 0 else v if i % 5 < 3 else str(i)
+             for i, v in enumerate(f64.tolist())]
+    header, columns = ["i", "f32", "f64", "cell"], [
+        ints, f64.astype(np.float32), f64, cells]
+    ioutil.write_csv(tmp_path / "blocks.csv", header, columns)
+    monkeypatch.setattr(sparse, "ROW_BLOCK", max(n, 1))
+    ioutil.write_csv(tmp_path / "one.csv", header, columns)
+    assert (tmp_path / "blocks.csv").read_bytes() == \
+        (tmp_path / "one.csv").read_bytes()
 
 
 def test_dataset_hash_skips_the_manifest(tmp_path):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.special import gammaln, psi
 from betagraph import autodiff as ad
 from betagraph import graphs
 from betagraph import reasoning as rs
+from betagraph import sparse
 from betagraph.rng import rng
 from betagraph.training import TrainConfig, init_model
 from conftest import context_of
@@ -442,6 +444,30 @@ class TestFusedEncoderLayer:
         assert_same_bits(out, want_out, "inference layer")
         for got, want in zip(grads, want_grads):
             assert_grads_agree(got, want, "inference layer")
+
+    @pytest.mark.parametrize("offset", [-1, 1])
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_row_blocks_equal_one_pass(self, monkeypatch, offset, taped):
+        """One row off a block edge, the layer's softplus in row blocks
+        equals one whole-array pass bit for bit: the values and, taped,
+        the gradients, which read its derivative."""
+        n = sparse.ROW_BLOCK + offset
+        z, bn, weights = layer_setup(np.float32, seed=2, n=n, width=4)
+        z.data[::5] *= 40.0                 # exp(-|y|) underflows
+        runs = []
+        for block in (sparse.ROW_BLOCK, n):
+            monkeypatch.setattr(sparse, "ROW_BLOCK", block)
+            z.grad = bn.gamma.grad = bn.beta.grad = None
+            with contextlib.nullcontext() if taped else ad.no_grad():
+                out = rs.encoder_layer(z, bn, training=False,
+                                       floor=rs.EMB_EPS)
+            if taped:
+                ad.tsum(ad.mul(out, weights)).backward()
+            runs.append((out.data, z.grad, bn.gamma.grad, bn.beta.grad))
+        for name, got, want in zip(("forward", "z grad", "gamma grad",
+                                    "beta grad"), *runs):
+            if taped or name == "forward":
+                assert_same_bits(got, want, name)
 
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     def test_encode_bit_equal_to_per_op(self, tiny_graph, dropout):

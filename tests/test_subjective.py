@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betagraph import sparse
 from betagraph import subjective as sl
 from oracles import (MultinomialOpinion, balance, dissonance,
                      expected_probability, projected_probability, to_view,
@@ -181,3 +182,18 @@ class TestValidation:
     def test_base_rates_must_sum_to_one(self):
         with pytest.raises(ValueError):
             MultinomialOpinion(np.ones(2), 1.0, np.array([0.9, 0.3]))
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_dissonance_row_blocks_equal_one_pass(monkeypatch, offset):
+    """One row off a block edge, dissonance in row blocks equals one
+    whole-array pass bit for bit, zero denominators included."""
+    n = sparse.ROW_BLOCK + offset
+    gen = np.random.default_rng(n)
+    b = gen.dirichlet(np.ones(4), n) * gen.random((n, 1))
+    b[::3, 1] = 0.0
+    b[::7] = 0.0
+    b[::11, 1:] = 0.0
+    got = sl.dissonance_batch(b)
+    monkeypatch.setattr(sparse, "ROW_BLOCK", n)
+    assert got.tobytes() == sl.dissonance_batch(b).tobytes()
