@@ -3,26 +3,29 @@
 A Tensor wraps an ndarray plus the vector-Jacobian products linking it to
 its parents.  Calling backward() on a scalar walks the tape in reverse
 topological order and accumulates gradients into every reachable leaf
-with requires_grad=True.  Only the operations the models need are
-implemented; all of them broadcast like numpy and un-broadcast their
-gradients.  colmean_exact and the dropout keep arrays are array kernels
-for the fused layers.
+with requires_grad=True.  Every layer, the baseline's cross entropy
+included, is one tape node from fused_node, whose gradients for all
+parents come from a single hand-written call (reasoning, evidence,
+evaluation); for dropout they keep dropout_keep's bool array (PCG64
+generators only), or nothing.  But for the encoder layer's and the
+Beta-KL's closed forms, their VJPs replay the per-op composition's
+expressions in the tape's order of accumulation.
+
+What else lives here: the few generic ops the library still chains
+between nodes (matmul, reshape, take_rows), dropout, mul and tsum
+(bench/test_bench.py's tape check; no library caller), the array kernels
+of the fused layers (colmean_exact, relu_data, the dropout keep arrays)
+and Adam.  All ops broadcast like numpy and un-broadcast their gradients.
 
 backward() frees the tape as it goes: each interior node drops its VJP
 closures (and with them every intermediate array they hold) once its
 gradient has reached its parents, and the walk lets go of the node.  A
 finished backward holds nothing of the graph, which it walks only once.
-Layers with a hand-written VJP use fused_node, one tape node whose
-gradients for all parents come from a single call; for dropout they keep
-dropout_keep's bool array (PCG64 generators only), or nothing.  Every
-model layer is one (reasoning, evidence); but for the encoder layer's
-and the Beta-KL's closed forms, their VJPs replay the per-op
-composition's expressions in the tape's order of accumulation.
 
 The finite-difference oracle for these gradients, the per-op
-compositions, and the nodes only they use (concat, cols, div, digamma,
-lgamma, softplus, sqrt, a taped colmean_exact) live with the tests
-(tests/oracles.py).
+compositions, and the generic ops only they use (add, sub, tmean, relu,
+exp, log, logsumexp, spmm, concat, cols, div, digamma, lgamma, softplus,
+sqrt, a taped colmean_exact) live with the tests (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -31,9 +34,6 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-
-from . import special
-from .sparse import SparseMatrix
 
 _GRAD_ENABLED = True
 
@@ -156,37 +156,14 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-# -- arithmetic --------------------------------------------------------
+# -- products, sums and shaping -----------------------------------------
 # Non-Tensor operands (python scalars, ndarrays) stay untaped constants;
 # python scalars in particular keep numpy's weak promotion so float32
-# graphs are not silently upcast.
-
-def _raw(x):
-    return x.data if isinstance(x, Tensor) else x
-
-
-def add(a, b):
-    data = _raw(a) + _raw(b)
-    vjps = []
-    if isinstance(a, Tensor):
-        vjps.append((a, lambda g: _unbroadcast(g, a.data.shape)))
-    if isinstance(b, Tensor):
-        vjps.append((b, lambda g: _unbroadcast(g, b.data.shape)))
-    return _node(data, vjps)
-
-
-def sub(a, b):
-    data = _raw(a) - _raw(b)
-    vjps = []
-    if isinstance(a, Tensor):
-        vjps.append((a, lambda g: _unbroadcast(g, a.data.shape)))
-    if isinstance(b, Tensor):
-        vjps.append((b, lambda g: _unbroadcast(-g, b.data.shape)))
-    return _node(data, vjps)
-
+# graphs are not silently upcast.  mul and tsum have no library caller:
+# bench/test_bench.py builds its tape from them.
 
 def mul(a, b):
-    ad, bd = _raw(a), _raw(b)
+    ad, bd = (x.data if isinstance(x, Tensor) else x for x in (a, b))
     data = ad * bd
     vjps = []
     if isinstance(a, Tensor):
@@ -206,17 +183,6 @@ def matmul(a, b):
     ))
 
 
-def spmm(adj: SparseMatrix, x):
-    """adj @ x with the adjacency held constant.  The gradient adj^T @ g
-    is taken as adj @ g, which needs adj symmetric bit for bit, as
-    graphs.normalize_adjacency's output is: adj.T would build and keep a
-    second n x n matrix for the same product."""
-    x = as_tensor(x)
-    return _node(adj.matmul(x.data), ((x, adj.matmul),))
-
-
-# -- reductions and shaping --------------------------------------------
-
 def tsum(x, axis=None, keepdims=False):
     x = as_tensor(x)
 
@@ -225,22 +191,6 @@ def tsum(x, axis=None, keepdims=False):
         return np.broadcast_to(gg, x.data.shape).astype(x.data.dtype, copy=False)
 
     return _node(x.data.sum(axis=axis, keepdims=keepdims), ((x, vjp),))
-
-
-def tmean(x, axis=None, keepdims=False):
-    x = as_tensor(x)
-    if axis is None:
-        n = x.data.size
-    else:
-        n = x.data.shape[axis]
-
-    def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g / n, x.data.shape).astype(x.data.dtype, copy=False)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, x.data.shape) / n).astype(x.data.dtype, copy=False)
-
-    return _node(x.data.mean(axis=axis, keepdims=keepdims), ((x, vjp),))
 
 
 def colmean_exact(x):
@@ -301,13 +251,7 @@ def take_rows(x, idx):
     return _node(x.data[idx], ((x, vjp),))
 
 
-# -- elementwise nonlinearities ----------------------------------------
-
-def relu(x):
-    x = as_tensor(x)
-    mask = x.data > 0
-    return _node(relu_data(x.data), ((x, lambda g: g * mask),))
-
+# -- elementwise kernels -----------------------------------------------
 
 def relu_data(x, out=None):
     """max(x, 0) on an array, into out (which may be x) when given, with
@@ -320,33 +264,14 @@ def relu_data(x, out=None):
     return out
 
 
-def exp(x):
-    x = as_tensor(x)
-    out = np.exp(x.data)
-    return _node(out, ((x, lambda g: g * out),))
-
-
-def log(x):
-    x = as_tensor(x)
-    return _node(np.log(x.data), ((x, lambda g: g / x.data),))
-
-
-def logsumexp(x, axis=1):
-    """log(sum(exp(x))) along axis, which the result drops, with the usual
-    max shift (composite, fully taped)."""
-    x = as_tensor(x)
-    m = x.data.max(axis=axis, keepdims=True)
-    s = log(tsum(exp(sub(x, m)), axis=axis, keepdims=True))
-    return reshape(add(s, m), x.data.shape[:axis] + x.data.shape[axis + 1:])
-
-
 def dropout(x, rate, generator):
     """Inverted dropout with a mask drawn from the given generator."""
     if rate <= 0.0:
         return as_tensor(x)
     x = as_tensor(x)
-    keep = dropout_keep(x.data.shape, x.data.dtype, rate, generator)
-    return mul(x, keep * dropout_scale(rate, x.data.dtype))
+    mask = dropout_keep(x.data.shape, x.data.dtype, rate, generator) \
+        * dropout_scale(rate, x.data.dtype)
+    return _node(x.data * mask, ((x, lambda g: g * mask),))
 
 
 def dropout_scale(rate, dtype):

@@ -16,8 +16,9 @@ one protocol seed (split -> context -> train -> score -> evaluate);
 run_protocol prepares the graph once (training.PreparedGraph) and
 repeats it over a seed list, aggregating mean and standard deviation per
 metric, the usual report-five-runs convention.
-The direct head's graph network, trained with plain cross entropy,
-provides MaxLogit and Energy comparison scores.
+The direct head's graph network, trained with plain cross entropy
+(evidence.direct_logits and cross_entropy, one tape node each), provides
+MaxLogit and Energy comparison scores.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from . import evidence as ev
 from . import metrics as mt
-from .autodiff import Adam, no_grad
+from .autodiff import Adam, Tensor, no_grad
 from .graphs import Graph, SplitSpec
 from .rng import substream
 from .evidence import ScoreBatch
@@ -176,25 +177,43 @@ def node_scores_table(scores: ScoreBatch, split: SplitSpec):
 
 # -- plain cross-entropy classifier for MaxLogit / Energy -------------------
 
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean over the rows of logits, labelled in order by labels, of
+    logsumexp(row) - row[label], the logsumexp with the usual max shift.
+    One tape node, whose VJP replays the per-op composition's
+    (tests/oracles.py) expressions: with t the mean's gradient,
+    t / sum(exp) * exp from the logsumexp plus -t * onehot from the
+    picked logit."""
+    x = logits.data
+    onehot = np.zeros_like(x)
+    onehot[np.arange(x.shape[0]), labels] = 1.0
+    m = x.max(axis=1, keepdims=True)
+    e = np.exp(x - m)
+    s = e.sum(axis=1, keepdims=True)
+    lse = (np.log(s) + m).reshape(-1)
+
+    def grads(g):
+        t = g / x.shape[0]
+        return ((t / s) * e + -t * onehot,)
+
+    return ad.fused_node((lse - (x * onehot).sum(axis=1)).mean(), (logits,),
+                         grads)
+
+
 def train_baseline(ctx: RunContext, *, lr=0.01, epochs=200, seed=0):
     """The direct head's graph network (64 hidden units, dropout 0.5, the
-    context's dtype) trained with cross entropy on the split's training
-    nodes; returns (its parameters, logits over all nodes)."""
-    adj, px, k = ctx.adj, ctx.propagated_x, ctx.class_count
-    dt = px.data.dtype
-    model = ev.init_direct_head(substream(seed, 10), px.data.shape[1], 64, k,
-                                dt)
+    context's dtype) trained with cross_entropy on the split's training
+    nodes, two tape nodes per epoch; returns (its parameters, logits over
+    all nodes)."""
+    adj, px, train = ctx.adj, ctx.propagated_x, ctx.split.train
+    model = ev.init_direct_head(substream(seed, 10), px.data.shape[1], 64,
+                                ctx.class_count, px.data.dtype)
     drop = substream(seed, 11)
-    train_idx = ctx.split.train
-    onehot = np.zeros((train_idx.size, k), dtype=dt)
-    onehot[np.arange(train_idx.size), ctx.labels[train_idx]] = 1.0
 
     def loss():
-        logits = ad.take_rows(ev.direct_logits(
-            adj, px, model, dropout_rate=0.5, generator=drop), train_idx)
-        lse = ad.logsumexp(logits, axis=1)
-        picked = ad.tsum(ad.mul(logits, onehot), axis=1)
-        return ad.tmean(ad.sub(lse, picked))
+        return cross_entropy(ev.direct_logits(
+            adj, px, model, dropout_rate=0.5, generator=drop, rows=train),
+            ctx.labels[train])
 
     fit(Adam(model.tensors("direct"), lr=lr), epochs, loss, "baseline", 0)
     with no_grad():

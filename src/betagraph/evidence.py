@@ -291,13 +291,43 @@ def init_direct_head(generator, feature_dim, hidden_dim, class_count,
     )
 
 
-def direct_logits(adj: SparseMatrix, px, params: HeadParams, *,
-                  dropout_rate=0.0, generator=None) -> Tensor:
-    """(n, K) outputs of the plain two-layer graph network on px = adj @ x;
-    also the logits of the MaxLogit/Energy baseline."""
-    h = ad.relu(ad.add(ad.matmul(px, params.w1), params.b1))
-    h = ad.dropout(h, dropout_rate, generator)
-    return ad.add(ad.spmm(adj, ad.matmul(h, params.w2)), params.b2)
+def direct_logits(adj: SparseMatrix, px: Tensor, params: HeadParams, *,
+                  dropout_rate=0.0, generator=None, rows=None) -> Tensor:
+    """(n, K) outputs of the plain two-layer graph network on px = adj @ x,
+    held constant, or their given rows in order; also the logits of the
+    MaxLogit/Energy baseline:
+
+        h = relu(px @ w1 + b1) * keep * scale,  out = adj @ (h @ w2) + b2
+
+    One tape node over w1, b1, w2 and b2, whose VJP replays the per-op
+    composition's (tests/oracles.py): the rows' gradient scattered into
+    an (n, K) zero array, b2's the column sums of that, then adj @ g (adj
+    is symmetric) and, as in _head, dL/dz = (g @ w2.T) * (h > 0) * scale.
+    """
+    x, w2 = px.data, params.w2.data
+    z = x @ params.w1.data
+    z += params.b1.data
+    h = ad.relu_data(z, out=z)
+    scale = ad.dropout_scale(dropout_rate, h.dtype)
+    if dropout_rate > 0.0:
+        h *= ad.dropout_keep(h.shape, h.dtype, dropout_rate, generator)
+        h *= scale
+    full = adj.matmul(h @ w2)
+    full += params.b2.data
+
+    def grads(g):
+        if rows is not None:
+            g, taken = np.zeros_like(full), g
+            np.add.at(g, rows, taken)
+        g_b2 = g.sum(axis=0)
+        g = adj.matmul(g)
+        gz = g @ w2.T
+        gz *= h > 0
+        gz *= scale
+        return x.T @ gz, gz.sum(axis=0), h.T @ g, g_b2
+
+    return ad.fused_node(full if rows is None else full[rows],
+                         (params.w1, params.b1, params.w2, params.b2), grads)
 
 
 def direct_evidence_forward(adj: SparseMatrix, px, params: HeadParams, *,
@@ -305,12 +335,11 @@ def direct_evidence_forward(adj: SparseMatrix, px, params: HeadParams, *,
                             rows=None) -> NodeOpinionBatch:
     """Evidence for every class at once from direct_logits on px = adj @ x,
     with the classic fixed prior W = K; for the given rows only, in their
-    order, when rows is set.  The opinions are one tape node, whose VJP is
-    the per-op softplus's."""
+    order, when rows is set.  The opinions are one tape node over the
+    logits node, whose VJP is the per-op softplus's: with dirichlet_loss,
+    three nodes per training epoch."""
     logits = direct_logits(adj, px, params, dropout_rate=dropout_rate,
-                           generator=generator)
-    if rows is not None:
-        logits = ad.take_rows(logits, rows)
+                           generator=generator, rows=rows)
     x = logits.data
     out = np.concatenate([special.softplus(x), np.full(
         (x.shape[0], 1), float(x.shape[1]), dtype=x.dtype)], axis=1)

@@ -284,8 +284,9 @@ def save_dataset(graph: Graph, directory):
 def normalize_adjacency(graph: Graph) -> SparseMatrix:
     """D^{-1/2} (A + I) D^{-1/2} with degrees taken after self-loop insertion;
     entry (i, j) is scale[i] * scale[j], so the result equals its transpose
-    bit for bit: autodiff.spmm's and reasoning.propagate's VJPs multiply
-    by it in its place, sparing an n x n transpose as large as itself.
+    bit for bit: reasoning.propagate's and evidence.direct_logits' VJPs
+    multiply by it in its place, sparing an n x n transpose as large as
+    itself.
     The diagonal goes into A's CSR arrays, after each row's columns below
     it (A stores no self loops)."""
     a = graph.adjacency

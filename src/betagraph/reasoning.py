@@ -159,9 +159,10 @@ def encode(adj: SparseMatrix, px: Tensor, params: EncoderParams, *,
 def propagate(adj: SparseMatrix, h: Tensor, w: Tensor) -> Tensor:
     """adj @ (h @ w) as one tape node, which does not keep the (n, H)
     product h @ w.  The VJP computes adj @ g once, then the gradients of
-    h and w from it, in the order of ad.spmm's and ad.matmul's VJPs, so
-    values and gradients equal that composition bit for bit (adj is
-    symmetric, see ad.spmm)."""
+    h and w from it, in the order of the per-op spmm's and ad.matmul's
+    VJPs (tests/oracles.py), so values and gradients equal that
+    composition bit for bit (adj is symmetric, see
+    graphs.normalize_adjacency)."""
     hw = h.data @ w.data
     if not ad.grad_needed(h, w):    # untaped, h goes before adj @ hw: one
         del h                       # passed as a temporary is freed here

@@ -1,18 +1,21 @@
-"""Test-only oracles: per-op reference compositions, the
-finite-difference gradient check, the scalar subjective-logic forms,
-ln B(a, b), the float-draw dropout mask, the per-cell CSV writer and a
-sparse matrix built from coordinates.
+"""Test-only oracles: the generic per-op tape nodes, per-op reference
+compositions, the finite-difference gradient check, the scalar
+subjective-logic forms, ln B(a, b), the float-draw dropout mask, the
+per-cell CSV writer and a sparse matrix built from coordinates.
 
-The library fuses some layers into single tape nodes with hand-written
-VJPs, and steps Adam over flat vectors.  The per-op compositions and the
-per-parameter Adam step here are what those replaced.  The fused nodes'
-values must equal the compositions' bit for bit.  So must the gradients
-of the nodes whose VJPs replay the composition's (the class regions, the
-margin loss, the evidence heads and their assembly, the Dirichlet loss,
-propagate); the encoder layer's and the Beta-KL's gradients are closed
-forms, which must agree with the compositions' to 1e-12 of the largest
-entry in float64 (1e-5 in float32).  The Adam step must equal its
-reference bit for bit.
+The library fuses every layer and loss into single tape nodes with
+hand-written VJPs, and steps Adam over flat vectors.  The per-op
+compositions, the generic nodes they are built from (add, sub, tmean,
+relu, exp, log, logsumexp, spmm and the others below, with autodiff's
+mul, tsum, matmul, reshape and take_rows) and the per-parameter Adam
+step here are what those replaced.  The fused nodes' values must equal
+the compositions' bit for bit.  So must the gradients of the nodes whose
+VJPs replay the composition's (the class regions, the margin loss, the
+evidence heads and their assembly, the Dirichlet loss, propagate, the
+direct head, the baseline's cross entropy); the encoder layer's and the
+Beta-KL's gradients are closed forms, which must agree with the
+compositions' to 1e-12 of the largest entry in float64 (1e-5 in
+float32).  The Adam step must equal its reference bit for bit.
 grad_check is the independent oracle for every gradient used in
 training, and the one-opinion forms are the reference for subjective's
 batch forms.
@@ -41,11 +44,87 @@ def sparse_from_coo(rows, cols, vals, shape):
     return SparseMatrix(m.indptr, m.indices, m.data, shape)
 
 
-# -- tape helpers only the tests use ----------------------------------------
+# -- per-op tape nodes ------------------------------------------------------
+# Non-Tensor operands (python scalars, ndarrays) stay untaped constants,
+# as in autodiff.
 
 def parameter(data, dtype=None):
     arr = np.array(data, dtype=dtype if dtype is not None else np.float64)
     return ad.Tensor(arr, requires_grad=True)
+
+
+def _raw(x):
+    return x.data if isinstance(x, ad.Tensor) else x
+
+
+def add(a, b):
+    data = _raw(a) + _raw(b)
+    vjps = []
+    if isinstance(a, ad.Tensor):
+        vjps.append((a, lambda g: ad._unbroadcast(g, a.data.shape)))
+    if isinstance(b, ad.Tensor):
+        vjps.append((b, lambda g: ad._unbroadcast(g, b.data.shape)))
+    return ad._node(data, vjps)
+
+
+def sub(a, b):
+    data = _raw(a) - _raw(b)
+    vjps = []
+    if isinstance(a, ad.Tensor):
+        vjps.append((a, lambda g: ad._unbroadcast(g, a.data.shape)))
+    if isinstance(b, ad.Tensor):
+        vjps.append((b, lambda g: ad._unbroadcast(-g, b.data.shape)))
+    return ad._node(data, vjps)
+
+
+def spmm(adj, x):
+    """adj @ x with the adjacency held constant.  The gradient adj^T @ g
+    is taken as adj @ g, which needs adj symmetric bit for bit, as
+    graphs.normalize_adjacency's output is (sparse_matmul takes any
+    adj)."""
+    x = ad.as_tensor(x)
+    return ad._node(adj.matmul(x.data), ((x, adj.matmul),))
+
+
+def tmean(x, axis=None, keepdims=False):
+    x = ad.as_tensor(x)
+    n = x.data.size if axis is None else x.data.shape[axis]
+
+    def vjp(g):
+        if axis is None:
+            return np.broadcast_to(g / n, x.data.shape).astype(x.data.dtype,
+                                                               copy=False)
+        gg = g if keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, x.data.shape) / n).astype(x.data.dtype,
+                                                              copy=False)
+
+    return ad._node(x.data.mean(axis=axis, keepdims=keepdims), ((x, vjp),))
+
+
+def relu(x):
+    x = ad.as_tensor(x)
+    mask = x.data > 0
+    return ad._node(ad.relu_data(x.data), ((x, lambda g: g * mask),))
+
+
+def exp(x):
+    x = ad.as_tensor(x)
+    out = np.exp(x.data)
+    return ad._node(out, ((x, lambda g: g * out),))
+
+
+def log(x):
+    x = ad.as_tensor(x)
+    return ad._node(np.log(x.data), ((x, lambda g: g / x.data),))
+
+
+def logsumexp(x, axis=1):
+    """log(sum(exp(x))) along axis, which the result drops, with the usual
+    max shift (composite, fully taped)."""
+    x = ad.as_tensor(x)
+    m = x.data.max(axis=axis, keepdims=True)
+    s = log(ad.tsum(exp(sub(x, m)), axis=axis, keepdims=True))
+    return ad.reshape(add(s, m), x.data.shape[:axis] + x.data.shape[axis + 1:])
 
 
 def sqrt(x):
@@ -55,7 +134,7 @@ def sqrt(x):
 
 
 def div(a, b):
-    ad_, bd = ad._raw(a), ad._raw(b)
+    ad_, bd = _raw(a), _raw(b)
     out = ad_ / bd
     vjps = []
     if isinstance(a, ad.Tensor):
@@ -174,18 +253,18 @@ def _fmt(v):
 def batch_norm(x, bn: rs.BatchNormParams, training):
     """Batch norm composed of tape ops (ten nodes in training mode)."""
     if training:
-        mu = ad.tmean(x, axis=0, keepdims=True)
-        centered = ad.sub(x, mu)
-        var = ad.tmean(ad.mul(centered, centered), axis=0, keepdims=True)
+        mu = tmean(x, axis=0, keepdims=True)
+        centered = sub(x, mu)
+        var = tmean(ad.mul(centered, centered), axis=0, keepdims=True)
         m = rs.BN_MOMENTUM
         bn.running_mean = (1 - m) * bn.running_mean + m * mu.data.ravel()
         bn.running_var = (1 - m) * bn.running_var + m * var.data.ravel()
-        xhat = div(centered, sqrt(ad.add(var, rs.BN_EPS)))
+        xhat = div(centered, sqrt(add(var, rs.BN_EPS)))
     else:
         mean = bn.running_mean.astype(x.data.dtype)
         std = np.sqrt(bn.running_var + rs.BN_EPS).astype(x.data.dtype)
-        xhat = div(ad.sub(x, mean), std)
-    return ad.add(ad.mul(xhat, bn.gamma), bn.beta)
+        xhat = div(sub(x, mean), std)
+    return add(ad.mul(xhat, bn.gamma), bn.beta)
 
 
 def encoder_layer(z, bn, *, training, floor=0.0, dropout_rate=0.0,
@@ -194,7 +273,7 @@ def encoder_layer(z, bn, *, training, floor=0.0, dropout_rate=0.0,
     reference for reasoning.encoder_layer."""
     out = softplus(batch_norm(z, bn, training))
     if floor:
-        out = ad.add(out, floor)
+        out = add(out, floor)
     if dropout_rate > 0.0:
         out = dropout(out, dropout_rate, generator)
     return out
@@ -207,7 +286,7 @@ def encode(adj, px, params, *, training=False, dropout_rate=0.0,
                        training=training,
                        dropout_rate=dropout_rate if training else 0.0,
                        generator=generator)
-    z2 = ad.spmm(adj, ad.matmul(h1, params.w2))
+    z2 = spmm(adj, ad.matmul(h1, params.w2))
     return encoder_layer(z2, params.bn2, training=training, floor=rs.EMB_EPS)
 
 
@@ -219,15 +298,15 @@ def beta_kl(node, cls):
     d = node.data.shape[-1] // 2
     a_n, b_n = cols(node, 0, d), cols(node, d, 2 * d)
     a_c, b_c = cols(cls, 0, d), cols(cls, d, 2 * d)
-    ln_b_c = ad.add(lgamma(a_c), lgamma(b_c))
-    ln_b_c = ad.sub(ln_b_c, lgamma(ad.add(a_c, b_c)))
-    ln_b_n = ad.add(lgamma(a_n), lgamma(b_n))
-    ln_b_n = ad.sub(ln_b_n, lgamma(ad.add(a_n, b_n)))
-    s_n = ad.add(a_n, b_n)
-    term = ad.sub(ln_b_c, ln_b_n)
-    term = ad.add(term, ad.mul(ad.sub(a_n, a_c), digamma(a_n)))
-    term = ad.add(term, ad.mul(ad.sub(b_n, b_c), digamma(b_n)))
-    term = ad.add(term, ad.mul(ad.sub(ad.add(a_c, b_c), s_n), digamma(s_n)))
+    ln_b_c = add(lgamma(a_c), lgamma(b_c))
+    ln_b_c = sub(ln_b_c, lgamma(add(a_c, b_c)))
+    ln_b_n = add(lgamma(a_n), lgamma(b_n))
+    ln_b_n = sub(ln_b_n, lgamma(add(a_n, b_n)))
+    s_n = add(a_n, b_n)
+    term = sub(ln_b_c, ln_b_n)
+    term = add(term, ad.mul(sub(a_n, a_c), digamma(a_n)))
+    term = add(term, ad.mul(sub(b_n, b_c), digamma(b_n)))
+    term = add(term, ad.mul(sub(add(a_c, b_c), s_n), digamma(s_n)))
     return ad.tsum(term, axis=-1)
 
 
@@ -260,11 +339,11 @@ def disjunction(x2d, params):
     reference for reasoning.disjunction and build_class_embeddings."""
     if x2d.data.shape[0] == 0:
         raise ValueError("disjunction over an empty set")
-    u = ad.relu(ad.add(ad.matmul(x2d, params.h1_w), params.h1_b))
+    u = relu(add(ad.matmul(x2d, params.h1_w), params.h1_b))
     pooled = colmean_exact(u)
-    z = ad.add(ad.mul(pooled, params.w), params.bias)
+    z = add(ad.mul(pooled, params.w), params.bias)
     z = ad.reshape(z, (1, z.data.shape[0]))
-    return ad.add(softplus(ad.add(ad.matmul(z, params.h2_w), params.h2_b)),
+    return add(softplus(add(ad.matmul(z, params.h2_w), params.h2_b)),
                   rs.EMB_EPS)
 
 
@@ -299,11 +378,11 @@ def beta_loss(node_embs_2d, labels, regions, gamma, *, include_novel=True):
     onehot = np.zeros((m, c), dtype=dists.data.dtype)
     onehot[np.arange(m), labels] = 1.0
     pos = ad.tsum(ad.mul(dists, onehot), axis=1)
-    pos_term = softplus(ad.sub(pos, gamma))
-    neg_terms = softplus(ad.sub(gamma, dists))
+    pos_term = softplus(sub(pos, gamma))
+    neg_terms = softplus(sub(gamma, dists))
     neg_sum = ad.tsum(ad.mul(neg_terms, 1.0 - onehot), axis=1)
-    per_node = ad.add(pos_term, ad.mul(neg_sum, 1.0 / k))
-    return ad.tmean(per_node)
+    per_node = add(pos_term, ad.mul(neg_sum, 1.0 / k))
+    return tmean(per_node)
 
 
 # -- per-op evidence heads, assembly and Dirichlet loss -----------------------
@@ -342,8 +421,8 @@ def evidence_forward(adj, prop, row_scale, regions, params, *, dropout_rate,
         w_node = ad.take_rows(head.w1, np.arange(0, d2))
         w_cls = ad.take_rows(head.w1, np.arange(d2, 2 * d2))
         shift = ad.matmul(cls_row, w_cls)
-        z = ad.add(ad.matmul(prop, w_node), ad.mul(row_scale, shift))
-        h = ad.relu(ad.add(z, head.b1))
+        z = add(ad.matmul(prop, w_node), ad.mul(row_scale, shift))
+        h = relu(add(z, head.b1))
         if dropout_rate > 0.0:
             h = dropout(h, dropout_rate, generator)
         return ad.matmul(h, head.w2)
@@ -353,10 +432,10 @@ def evidence_forward(adj, prop, row_scale, regions, params, *, dropout_rate,
                      axis=1)
     if adj is not None:
         stacked = sparse_matmul(adj, stacked)
-    stacked = ad.add(stacked, concat([head.b2 for head in heads], axis=0))
+    stacked = add(stacked, concat([head.b2 for head in heads], axis=0))
     evidence = softplus(cols(stacked, 0, k))
     if learned_prior:
-        prior = ad.add(softplus(cols(stacked, k, k + 1)), ev.PRIOR_EPS)
+        prior = add(softplus(cols(stacked, k, k + 1)), ev.PRIOR_EPS)
     else:
         prior = ad.Tensor(np.full((stacked.data.shape[0], 1), float(k),
                                   dtype=prop.data.dtype))
@@ -369,14 +448,36 @@ def dirichlet_loss(batch, labels):
     labels = np.asarray(labels, dtype=np.int64)
     k = batch.base_rates.size
     e, w = batch.evidence, batch.prior_weight
-    s = ad.add(ad.tsum(e, axis=1, keepdims=True), w)     # (m, 1)
+    s = add(ad.tsum(e, axis=1, keepdims=True), w)     # (m, 1)
     onehot = np.zeros((labels.size, k), dtype=e.data.dtype)
     onehot[np.arange(labels.size), labels] = 1.0
     e_y = ad.tsum(ad.mul(e, onehot), axis=1, keepdims=True)
     a_y = batch.base_rates[labels].reshape(-1, 1).astype(e.data.dtype)
-    xi_y = ad.add(e_y, ad.mul(w, a_y))
-    per_node = ad.sub(digamma(s), digamma(xi_y))
-    return ad.tmean(per_node)
+    xi_y = add(e_y, ad.mul(w, a_y))
+    per_node = sub(digamma(s), digamma(xi_y))
+    return tmean(per_node)
+
+
+# -- per-op direct head and cross entropy -------------------------------------
+
+def direct_logits(adj, px, params, *, dropout_rate=0.0, generator=None,
+                  rows=None):
+    """evidence.direct_logits op by op (six nodes, one more each for
+    dropout, a float-draw mask, and for rows)."""
+    h = relu(add(ad.matmul(px, params.w1), params.b1))
+    if dropout_rate > 0.0:
+        h = dropout(h, dropout_rate, generator)
+    out = add(spmm(adj, ad.matmul(h, params.w2)), params.b2)
+    return out if rows is None else ad.take_rows(out, rows)
+
+
+def cross_entropy(logits, labels):
+    """evaluation.cross_entropy from tape ops: the mean of logsumexp minus
+    the labelled logit."""
+    onehot = np.zeros_like(logits.data)
+    onehot[np.arange(onehot.shape[0]), labels] = 1.0
+    lse = logsumexp(logits, axis=1)
+    return tmean(sub(lse, ad.tsum(ad.mul(logits, onehot), axis=1)))
 
 
 # -- per-parameter Adam -----------------------------------------------------

@@ -55,18 +55,18 @@ class TestBasicOps:
     @given(float_arrays())
     def test_relu_bit_equal_to_where_form(self, x):
         where = np.where(x > 0, x, 0.0).astype(x.dtype, copy=False)
-        assert ad.relu(ad.Tensor(x)).data.tobytes() == where.tobytes()
+        assert oracles.relu(ad.Tensor(x)).data.tobytes() == where.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_relu_edge_values(self, dtype):
         x = ad.Tensor(edge_values(dtype), requires_grad=True)
-        y = ad.relu(x)
+        y = oracles.relu(x)
         where = np.where(x.data > 0, x.data, 0.0).astype(dtype)
         assert y.data.dtype == dtype
         assert y.data.tobytes() == where.tobytes()
         assert not np.signbit(y.data).any()
         for v in x.data:                       # 0-d: numpy's scalar loops
-            assert not np.signbit(ad.relu(ad.Tensor(v)).data)
+            assert not np.signbit(oracles.relu(ad.Tensor(v)).data)
         ad.tsum(y).backward()
         assert np.array_equal(x.grad, x.data > 0)
 
@@ -76,17 +76,18 @@ class TestBasicOps:
         assert reports[0].analytic == pytest.approx(0.5, abs=1e-12)
 
     def test_add_mul_broadcast(self):
-        check_op(lambda a, b: ad.tsum(ad.mul(ad.add(a, b), a)), (3, 4), (4,))
+        check_op(lambda a, b: ad.tsum(ad.mul(oracles.add(a, b), a)),
+                 (3, 4), (4,))
 
     def test_sub_div(self):
-        check_op(lambda a, b: ad.tsum(oracles.div(ad.sub(a, b), b)), (2, 3),
-                 (2, 3))
+        check_op(lambda a, b: ad.tsum(oracles.div(oracles.sub(a, b), b)),
+                 (2, 3), (2, 3))
 
     def test_matmul(self):
         check_op(lambda a, b: ad.tsum(ad.matmul(a, b)), (3, 4), (4, 2))
 
     def test_mean_axis(self):
-        check_op(lambda a: ad.tsum(ad.tmean(a, axis=0)), (5, 3))
+        check_op(lambda a: ad.tsum(oracles.tmean(a, axis=0)), (5, 3))
 
     def test_take_rows_and_cols(self):
         idx = np.array([2, 0, 2])
@@ -102,14 +103,15 @@ class TestBasicOps:
 
     def test_reshape_broadcast_rows(self):
         check_op(lambda a: ad.tsum(ad.reshape(a, (2, 6))), (3, 4))
-        check_op(lambda a: ad.tsum(ad.mul(ad.matmul(np.ones((5, 1)), a), 2.0)),
-                 (1, 3))
+        check_op(lambda a: ad.tsum(ad.mul(
+            ad.matmul(np.ones((5, 1)), a), 2.0)), (1, 3))
 
     def test_nonlinearities(self):
-        check_op(lambda a: ad.tsum(ad.relu(ad.sub(a, 1.0))), (4, 4))
+        check_op(lambda a: ad.tsum(oracles.relu(oracles.sub(a, 1.0))),
+                 (4, 4))
         check_op(lambda a: ad.tsum(oracles.softplus(a)), (3, 3))
-        check_op(lambda a: ad.tsum(ad.exp(a)), (2, 2))
-        check_op(lambda a: ad.tsum(ad.log(a)), (2, 2))
+        check_op(lambda a: ad.tsum(oracles.exp(a)), (2, 2))
+        check_op(lambda a: ad.tsum(oracles.log(a)), (2, 2))
         check_op(lambda a: ad.tsum(oracles.sqrt(a)), (2, 2))
 
     def test_gamma_family(self):
@@ -117,13 +119,13 @@ class TestBasicOps:
         check_op(lambda a: ad.tsum(oracles.digamma(a)), (3, 3), tol=1e-5)
 
     def test_logsumexp(self):
-        check_op(lambda a: ad.tsum(ad.logsumexp(a, axis=1)), (4, 5))
+        check_op(lambda a: ad.tsum(oracles.logsumexp(a, axis=1)), (4, 5))
 
     def test_spmm_grad(self):
         # spmm's gradient is adj @ g, so the matrix must be symmetric
         adj = oracles.sparse_from_coo([0, 0, 1, 1, 2, 2], [0, 2, 1, 2, 0, 1],
                                       [1.0, 2.0, 0.5, 3.0, 2.0, 3.0], (3, 3))
-        check_op(lambda a: ad.tsum(ad.spmm(adj, a)), (3, 4))
+        check_op(lambda a: ad.tsum(oracles.spmm(adj, a)), (3, 4))
 
 
 class TestColmeanExact:
@@ -237,7 +239,7 @@ class TestEngineMechanics:
 
     def test_grad_accumulates_on_reuse(self):
         x = parameter(2.0)
-        y = ad.add(ad.mul(x, x), ad.mul(x, 3.0))   # x^2 + 3x
+        y = oracles.add(ad.mul(x, x), ad.mul(x, 3.0))   # x^2 + 3x
         y.backward()
         assert x.grad == pytest.approx(7.0)
 
@@ -248,12 +250,12 @@ class TestEngineMechanics:
 
     def test_constants_stay_untaped(self):
         x = parameter(np.ones(3))
-        y = ad.mul(ad.add(x, np.array([1.0, 2.0, 3.0])), 0.5)
+        y = ad.mul(oracles.add(x, np.array([1.0, 2.0, 3.0])), 0.5)
         assert len(y._vjps) == 1
 
     def test_float32_graph_stays_float32(self):
         x = ad.Tensor(np.ones((3, 3), dtype=np.float32), requires_grad=True)
-        y = oracles.softplus(ad.mul(ad.add(x, 1.0), -2.0))
+        y = oracles.softplus(ad.mul(oracles.add(x, 1.0), -2.0))
         assert y.data.dtype == np.float32
         ad.tsum(y).backward()
         assert x.grad.dtype == np.float32
@@ -262,7 +264,8 @@ class TestEngineMechanics:
         x = parameter(np.array([2.0, -1.0]))
         w = parameter(np.array([[1.0, 3.0], [0.5, -2.0]]))
         h = oracles.softplus(ad.matmul(ad.reshape(x, (1, 2)), w))
-        loss = ad.tsum(ad.add(ad.mul(h, h), ad.mul(x, 3.0)))
+        loss = ad.tsum(oracles.add(ad.mul(h, h),
+                                        ad.mul(x, 3.0)))
         interior = [t for t in ad._topo_order(loss) if t._vjps]
         assert len(interior) == 7
         loss.backward()
@@ -414,7 +417,7 @@ class TestGradCheckContract:
         x = parameter(0.0)
         with np.errstate(divide="ignore"):
             with pytest.raises(FloatingPointError):
-                grad_check(lambda: ad.log(x), {"x": x})
+                grad_check(lambda: oracles.log(x), {"x": x})
 
     def test_report_fields(self):
         x = parameter(np.array([1.0, 2.0]))
@@ -432,7 +435,7 @@ def test_unbroadcast_consistency(seed):
     gen = rng(seed)
     a = parameter(gen.standard_normal((3, 1)))
     b = parameter(gen.standard_normal((1, 4)))
-    loss = ad.tsum(ad.mul(ad.add(a, b), ad.sub(a, b)))
+    loss = ad.tsum(ad.mul(oracles.add(a, b), oracles.sub(a, b)))
     loss.backward()
     assert a.grad.shape == (3, 1)
     assert b.grad.shape == (1, 4)

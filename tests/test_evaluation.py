@@ -3,11 +3,18 @@ import json
 import numpy as np
 import pytest
 
+import oracles
+from betagraph import autodiff as ad
 from betagraph import evaluation as evl
+from betagraph import evidence as ev
 from betagraph import graphs
 from betagraph import training as tr
 from betagraph.ioutil import write_csv
+from betagraph.rng import rng
 from conftest import context_of, quick_config
+from oracles import grad_check
+from test_evidence import ROWS, direct_setup
+from test_training import count_calls
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +170,18 @@ class TestBaselines:
         model, logits = evl.train_baseline(ctx, epochs=2)
         assert logits.dtype == dtype and model.w1.data.dtype == dtype
 
+    def test_tape_size_per_epoch(self, monkeypatch):
+        """train_baseline on ppm6 builds 2 tensors per epoch, the direct
+        head and the cross entropy (18 with both op by op)."""
+        graph = graphs.zscore_features(graphs.gen_ppm6())
+        cfg = tr.TrainConfig(seed=0, ood_classes=graphs.PPM6_OOD_CLASSES)
+        ctx = context_of(graph, cfg.split(graph), cfg)
+        built = count_calls(monkeypatch, ad.Tensor, "__init__")
+        evl.train_baseline(ctx, epochs=2)
+        two = len(built)
+        evl.train_baseline(ctx, epochs=5)
+        assert (len(built) - 2 * two) / 3 == 2, (two, len(built) - two)
+
     def test_baseline_divergence_named(self, small_ppm_module):
         g, split = small_ppm_module
         ctx = context_of(g, split, tr.TrainConfig())
@@ -170,3 +189,60 @@ class TestBaselines:
             with pytest.raises(tr.TrainingDivergence,
                                match=r"phase baseline, round 0, epoch \d+"):
                 evl.train_baseline(ctx, lr=1e30, epochs=20)
+
+
+class TestCrossEntropy:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @ROWS
+    def test_bit_equal_to_per_op_composition(self, dtype, dropout, rows):
+        """The baseline's loss, cross_entropy over the fused direct head,
+        and the gradients of w1, b1, w2 and b2 equal the per-op
+        compositions' bit for bit."""
+        adj, px, params = direct_setup(dtype)
+        labels = rng(9).integers(0, 3, 30 if rows is None else rows.size)
+        tensors = params.tensors("direct")
+        runs = []
+        for logits_of, loss_of in ((ev.direct_logits, evl.cross_entropy),
+                                   (oracles.direct_logits,
+                                    oracles.cross_entropy)):
+            for t in tensors.values():
+                t.grad = None
+            loss = loss_of(logits_of(adj, px, params, dropout_rate=dropout,
+                                     generator=rng(7), rows=rows), labels)
+            loss.backward()
+            runs.append([loss.data, *(t.grad for t in tensors.values())])
+        for fused, ref in zip(*runs, strict=True):
+            assert fused.dtype == ref.dtype == dtype
+            assert fused.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_wide_logits_bit_equal(self, dtype):
+        """Logits whose exp underflows after the max shift, a tied row and
+        a row of -0 and +0: equal loss and logit gradient."""
+        x = rng(4).standard_normal((5, 4)) * 60.0
+        x[1] = 2.5
+        x[2] = [0.0, -0.0, 0.0, -0.0]
+        labels = np.array([0, 3, 1, 2, 2])
+        runs = []
+        for loss_of in (evl.cross_entropy, oracles.cross_entropy):
+            logits = oracles.parameter(x, dtype)
+            loss = loss_of(logits, labels)
+            loss.backward()
+            runs.append((loss.data, logits.grad))
+        for fused, ref in zip(*runs, strict=True):
+            assert fused.dtype == ref.dtype == dtype
+            assert fused.tobytes() == ref.tobytes()
+
+    def test_grad_check(self):
+        logits = oracles.parameter(rng(5).standard_normal((7, 4)))
+        labels = np.array([0, 1, 2, 3, 3, 0, 1])
+        (report,) = grad_check(lambda: evl.cross_entropy(logits, labels),
+                               {"logits": logits})
+        assert report.max_rel_err < 1e-8
+
+    def test_one_tape_node_over_the_logits(self):
+        logits = oracles.parameter(rng(5).standard_normal((3, 2)))
+        loss = evl.cross_entropy(logits, np.array([0, 1, 1]))
+        assert [p for p, _ in loss._vjps] == [logits]
+        assert loss.data.shape == ()

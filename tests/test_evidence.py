@@ -283,9 +283,10 @@ class TestEvidenceForward:
         outs = []
         for i, head in enumerate(heads.per_class + [heads.novel]):
             xk = context_features(ad.Tensor(emb), ce[[i]])
-            z1 = ad.add(ad.matmul(ad.spmm(adj, xk), head.w1), head.b1)
-            h = ad.relu(z1)
-            z2 = ad.add(ad.spmm(adj, ad.matmul(h, head.w2)), head.b2)
+            z1 = oracles.add(ad.matmul(oracles.spmm(adj, xk), head.w1),
+                             head.b1)
+            h = oracles.relu(z1)
+            z2 = oracles.add(oracles.spmm(adj, ad.matmul(h, head.w2)), head.b2)
             outs.append(z2.data)
         explicit = np.concatenate(outs, axis=1)
         e_expl = softplus(explicit[:, :3])
@@ -398,8 +399,75 @@ class TestDirectEvidence:
         g = graphs.gen_erdos_renyi(15, 0.3, 4, seed=3, class_count=3)
         adj = graphs.normalize_adjacency(g)
         params = ev.init_direct_head(rng(0), 4, 6, 3, np.float64)
-        px = ad.spmm(adj, ad.Tensor(g.features))
+        px = oracles.spmm(adj, ad.Tensor(g.features))
         batch = ev.direct_evidence_forward(adj, px, params)
         assert batch.evidence.shape == (15, 3)
         assert np.all(batch.prior_weight == 3.0)
         assert (batch.evidence >= 0).all()
+
+
+def direct_setup(dtype, seed=0, n=30, features=5, hidden=7, k=3):
+    """An ER graph's normalized adjacency in dtype, its propagated
+    features as a constant tensor, and a direct head with random biases
+    (init zeroes them)."""
+    g = graphs.gen_erdos_renyi(n, 0.2, features, seed=seed, class_count=k)
+    adj = graphs.normalize_adjacency(g).astype(np.dtype(dtype))
+    px = ad.Tensor(adj.matmul(g.features.astype(dtype)))
+    params = ev.init_direct_head(rng(seed), features, hidden, k, dtype)
+    gen = rng(seed + 1)
+    for t in (params.b1, params.b2):
+        t.data = gen.standard_normal(t.data.shape).astype(dtype)
+    return adj, px, params
+
+
+UNSORTED_ROWS = np.array([17, 4, 29, 4, 0, 11])
+ROWS = pytest.mark.parametrize("rows", [None, UNSORTED_ROWS],
+                               ids=["all", "unsorted"])
+
+
+class TestFusedDirectHead:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @ROWS
+    def test_bit_equal_to_per_op_composition(self, dtype, dropout, rows):
+        """Logits, and the gradients of w1, b1, w2 and b2 under a signed
+        upstream, equal the per-op composition's (float dropout draws from
+        the same seed, take_rows for the rows) bit for bit."""
+        adj, px, params = direct_setup(dtype)
+        tensors = params.tensors("direct")
+        runs = []
+        for logits_of in (ev.direct_logits, oracles.direct_logits):
+            for t in tensors.values():
+                t.grad = None
+            out = logits_of(adj, px, params, dropout_rate=dropout,
+                            generator=rng(7), rows=rows)
+            weights = rng(8).standard_normal(out.data.shape).astype(dtype)
+            ad.tsum(ad.mul(out, weights)).backward()
+            runs.append([out.data, *(t.grad for t in tensors.values())])
+        assert runs[0][0].shape == (30 if rows is None else rows.size, 3)
+        for fused, ref in zip(*runs, strict=True):
+            assert fused.dtype == ref.dtype == dtype
+            assert fused.tobytes() == ref.tobytes()
+
+    def test_one_tape_node_over_the_parameters(self):
+        adj, px, params = direct_setup(np.float64)
+        out = ev.direct_logits(adj, px, params, dropout_rate=0.5,
+                               generator=rng(7), rows=UNSORTED_ROWS)
+        assert [p for p, _ in out._vjps] == [params.w1, params.b1,
+                                             params.w2, params.b2]
+
+    @ROWS
+    def test_grad_check(self, rows):
+        adj, px, params = direct_setup(np.float64)
+        weights = rng(8).standard_normal((30 if rows is None else rows.size,
+                                          3))
+
+        def loss_fn():
+            # a fresh generator per call: the same dropout mask every probe
+            out = ev.direct_logits(adj, px, params, dropout_rate=0.5,
+                                   generator=rng(3), rows=rows)
+            return ad.tsum(ad.mul(out, weights))
+
+        worst = max(r.max_rel_err
+                    for r in grad_check(loss_fn, params.tensors("direct")))
+        assert worst < 1e-6

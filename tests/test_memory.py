@@ -20,6 +20,7 @@ from betagraph import reasoning as rs
 from betagraph import training as tr
 from betagraph.ioutil import write_csv
 
+import oracles
 from conftest import context_of
 from test_cli import PPM_ARGS, TRAIN_FLAGS
 

@@ -47,7 +47,7 @@ class TestEncoder:
                           reasoning_dim=6)
         adj = graphs.normalize_adjacency(g)
         enc = rs.init_encoder(rng(3), 2, 6, 4, np.float64)
-        px = ad.spmm(adj, ad.Tensor(g.features))
+        px = oracles.spmm(adj, ad.Tensor(g.features))
         out = rs.encode(adj, px, enc, training=False)
         assert np.abs(out.data - out.data[0]).max() == 0.0
 
@@ -565,8 +565,9 @@ class TestFusedBetaKL:
             nodes.grad = classes.grad = None
             out = dist(nodes, classes)
             # a margin term like beta_loss's, so the upstream gradient varies
-            loss = ad.add(ad.tsum(ad.mul(out, weights)),
-                          ad.tsum(oracles.softplus(ad.sub(3.0, out))))
+            loss = oracles.add(ad.tsum(ad.mul(out, weights)),
+                               ad.tsum(oracles.softplus(
+                                   oracles.sub(3.0, out))))
             loss.backward()
             runs.append((out.data, nodes.grad, classes.grad))
         (out, *grads), (want_out, *want_grads) = runs
@@ -633,7 +634,8 @@ class TestFusedBetaKL:
         weights = gen.standard_normal((4, 3))
 
         def loss_fn():
-            return ad.tsum(ad.mul(rs.dist_matrix(nodes, classes), weights))
+            return ad.tsum(ad.mul(rs.dist_matrix(nodes, classes),
+                                            weights))
 
         reports = grad_check(loss_fn, {"nodes": nodes, "classes": classes})
         assert max(r.max_rel_err for r in reports) < 1e-6

@@ -267,6 +267,20 @@ class TestPhases:
         phase2 = (len(built) - 3 * phase1) / 3
         assert phase1 <= 20 and phase2 <= 3, (phase1, phase2)
 
+    def test_direct_head_tape_size_per_epoch(self, monkeypatch):
+        """Variant a's phase 2 on ppm6 builds at most 3 tensors per epoch:
+        the direct head, its opinions and the Dirichlet loss, one node
+        each (10 with the head op by op)."""
+        graph = graphs.zscore_features(graphs.gen_ppm6())
+        cfg = tr.variant_config(tr.TrainConfig(
+            seed=0, ood_classes=graphs.PPM6_OOD_CLASSES), "a")
+        ctx = context_of(graph, cfg.split(graph), cfg)
+        state = tr.init_model(graph.feature_dim, ctx.class_count, cfg)
+        forward = tr.phase2_forward(state, ctx)
+        built = count_calls(monkeypatch, ad.Tensor, "__init__")
+        tr.train_phase2(state, ctx, 3, forward)
+        assert len(built) / 3 <= 3, len(built) / 3
+
     def test_phase1_peak_heap_bounded(self):
         """Three phase-1 epochs on n=2e4 nodes at H=2d=64 keep the traced
         heap peak under 20 (n, H) float32 arrays; it reads 9.4, against
@@ -385,7 +399,8 @@ class TestFit:
         losses = []
 
         def loss():
-            out = ad.add(ad.tsum(ad.mul(w, 0.0)), ad.tsum(b))
+            out = oracles.add(ad.tsum(ad.mul(w, 0.0)),
+                              ad.tsum(b))
             losses.append(float(out.data))
             return out
 
