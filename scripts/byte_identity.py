@@ -11,6 +11,8 @@ process with PYTHONPATH=<root>/src and BLAS on one thread:
     float32, H=64, d=32, D=64, OOD classes 4 5), eval --with-baselines,
     and eval --seeds S S+1 (the checkpoint's seed S, then a protocol
     run that retrains for S+1 on the same graph);
+  - the same model in float64 on ppm6 (its dropout draws take the
+    float64 path): train (1 round of 20+20 epochs) and eval;
   - the bench's ER graph (n=5e4, p=4e-4, 6 classes, 16 features, the
     seed as graph seed): synth, train (1 round of 2+2 epochs), eval;
   - ablate --variants a b c d e on ppm6 (2 rounds of 20+20 epochs).
@@ -37,8 +39,9 @@ import tempfile
 import numpy as np
 
 ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-MODEL = ["--dtype", "float32", "--hidden-dim", "64", "--embed-dim", "32",
-         "--reasoning-dim", "64", "--ood-classes", "4", "5"]
+WIDTHS = ["--hidden-dim", "64", "--embed-dim", "32", "--reasoning-dim", "64",
+          "--ood-classes", "4", "5"]
+MODEL = ["--dtype", "float32", *WIDTHS]
 PPM6 = ["synth", "ppm", "--blocks", "6", "--nodes-per-block", "200",
         "--p-in", "0.05", "--p-out", "0.002", "--feature-dim", "16",
         "--separation", "3.0", "--seed", "60601", "--out", "ppm6/data"]
@@ -49,19 +52,22 @@ def commands(seed):
     """The betagraph argument lists of one seed, run in order."""
     s = str(seed)
 
-    def train(graph, rounds, epochs):
-        return ["train", f"{graph}/data", "--out", f"{graph}/train",
+    def train(graph, rounds, epochs, dtype="float32", out="train"):
+        return ["train", f"{graph}/data", "--out", f"{graph}/{out}",
                 "--seed", s, "--rounds", str(rounds), "--epochs-p1",
-                str(epochs), "--epochs-p2", str(epochs), *MODEL]
+                str(epochs), "--epochs-p2", str(epochs), "--dtype", dtype,
+                *WIDTHS]
 
-    def evaluate(graph, *extra, out="eval"):
+    def evaluate(graph, *extra, out="eval", trained="train"):
         return ["eval", f"{graph}/data", "--checkpoint",
-                f"{graph}/train/checkpoint.npz", "--split",
-                f"{graph}/train/split.json", "--out", f"{graph}/{out}",
+                f"{graph}/{trained}/checkpoint.npz", "--split",
+                f"{graph}/{trained}/split.json", "--out", f"{graph}/{out}",
                 *extra]
 
     return [PPM6, train("ppm6", 2, 60), evaluate("ppm6", "--with-baselines"),
             evaluate("ppm6", "--seeds", s, str(seed + 1), out="eval_seeds"),
+            train("ppm6", 1, 20, "float64", out="train64"),
+            evaluate("ppm6", out="eval64", trained="train64"),
             ["synth", "er", "--nodes", "50000", "--density", "0.0004",
              "--classes", "6", "--feature-dim", "16", "--seed", s,
              "--out", "er/data"],

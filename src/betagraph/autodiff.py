@@ -35,6 +35,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from . import sparse
+
 _GRAD_ENABLED = True
 
 
@@ -286,19 +288,31 @@ def dropout_keep(shape, dtype, rate, generator):
     power of two, so keep iff the raw 64-bit r >= ceil(rate * 2**53) << 11,
     or in float32 iff each 32-bit half u of r (low first) is >= ceil(rate
     * 2**24) << 8, rate rounded as numpy compares (float32 for a Python float).
+
+    The raw words come a block of sparse.ROW_BLOCK rows of the last axis
+    (an even number of units) at a time, each block compared into the
+    keep array: the same words in the same order as one draw, with one
+    block's words the only temporary.  At (5, 36000, 64) float32 the
+    peak is 1.2 keep arrays, against 5.0 for one draw of 46 MB.
     """
     bitgen = generator.bit_generator
-    if np.dtype(dtype) != np.float32:
-        return bitgen.random_raw(shape) >= math.ceil(rate * 2.0 ** 53) << 11
-    # numpy's own draws take, and leave, the half PCG64 keeps buffered
     keep = np.empty(math.prod(shape), dtype=bool)
-    start = min(bitgen.state["has_uint32"], keep.size)
-    end = keep.size - (keep.size - start) % 2
+    halves = np.dtype(dtype) == np.float32
+    if halves:  # numpy's own draws take, and leave, the half PCG64 buffers
+        bound = math.ceil(float(np.result_type(np.float32, rate).type(rate))
+                          * 2.0 ** 24) << 8
+        start = min(bitgen.state["has_uint32"], keep.size)
+        end = keep.size - (keep.size - start) % 2
+    else:
+        bound, start, end = math.ceil(rate * 2.0 ** 53) << 11, 0, keep.size
     keep[:start] = generator.random(start, dtype=np.float32) >= rate
-    halves = bitgen.random_raw((end - start) // 2).astype("<u8", copy=False)
-    bound = math.ceil(float(np.result_type(np.float32, rate).type(rate))
-                      * 2.0 ** 24) << 8
-    np.greater_equal(halves.view("<u4"), bound, out=keep[start:end])
+    step = sparse.ROW_BLOCK * max(shape[-1] if shape else 1, 1)    # even
+    for lo in range(start, end, step):
+        hi = min(lo + step, end)
+        words = bitgen.random_raw((hi - lo) // (2 if halves else 1))
+        np.greater_equal(words.astype("<u8", copy=False).view("<u4")
+                         if halves else words, bound, out=keep[lo:hi])
+        del words                   # before the next block's are drawn
     keep[end:] = generator.random(keep.size - end, dtype=np.float32) >= rate
     return keep.reshape(shape)
 

@@ -15,8 +15,10 @@ while remaining the same function:
 
 The heads and the assembly of their outputs into opinions are one tape
 node over the heads' parameters; the node embeddings and class regions
-it reads are frozen arrays.  Each head's VJP (_head) keeps one (n, H)
-array, the hidden activation (dropout draws need a PCG64 generator).
+it reads are frozen arrays.  Each head keeps one (n, H) array, the
+hidden activation, in which its VJP (_head) forms dL/dz, and the heads
+share one bool dropout keep array, drawn from the raw PCG64 stream a
+row block at a time (autodiff.dropout_keep; PCG64 generators only).
 The Dirichlet loss is one more node.  Both VJPs replay the per-op
 composition's (tests/oracles.py) expressions in the tape's order, so
 values and gradients are the composition's bit for bit.  The heads stay
@@ -200,11 +202,13 @@ def _head(prop, cls_row, row_scale, head: HeadParams, keep, scale):
     in that op order, so it equals the per-op composition bit for bit;
     keep is the dropout keep array, None without dropout, and scale
     1/(1-rate).  The shift runs in row blocks and the relu over z, so a
-    head holds one (rows, H) array.  The VJP keeps only h and makes dL/dz
-    = (g @ w2.T) * (h > 0) * scale once for every parameter: h > 0 iff z
-    > 0 and the unit was kept.  Its outer products are broadcast products
-    plus 0, the bits of numpy's matmul loop (which starts from +0) in a
-    third of the time.
+    head holds one (rows, H) array.  The VJP keeps only h.  It takes dw2
+    = h.T @ g first, then makes dL/dz = (g @ w2.T) * (h > 0) * scale
+    once for every parameter, a row block at a time in h's own buffer:
+    nothing reads h after the VJP, which the tape runs once, so the VJP
+    allocates no (rows, H) array.  h > 0 iff z > 0 and the unit was
+    kept.  Its outer products are broadcast products plus 0, the bits of
+    numpy's matmul loop (which starts from +0) in a third of the time.
     """
     w = prop.shape[1]
     w1, w2 = head.w1.data, head.w2.data
@@ -219,15 +223,19 @@ def _head(prop, cls_row, row_scale, head: HeadParams, keep, scale):
         h *= scale
 
     def vjp(g):
-        gz = g * w2.T                                   # dL/dz = g @ w2.T
-        gz += 0
-        gz *= h > 0
-        gz *= scale
+        g_w2 = h.T @ g
+        gz = h                  # dL/dz, in h's buffer a row block at a time
+        for rows in row_blocks(h.shape[0]):
+            kept = h[rows] > 0
+            block = np.multiply(g[rows], w2.T, out=gz[rows])
+            block += 0
+            block *= kept
+            block *= scale
+            del kept                    # before the next block's
         g_w1, g_b1 = prop.T @ gz, gz.sum(axis=0)
         gz *= row_scale                                 # the shift's
         g_shift = gz.sum(axis=0, keepdims=True)
-        return (np.concatenate([g_w1, cls_row.T * g_shift + 0]), g_b1,
-                h.T @ g)
+        return (np.concatenate([g_w1, cls_row.T * g_shift + 0]), g_b1, g_w2)
 
     return h @ w2, vjp
 

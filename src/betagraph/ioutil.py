@@ -9,6 +9,7 @@ go through repr one by one."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 
@@ -20,11 +21,18 @@ from .sparse import row_blocks
 
 def atomic_write_bytes(path, payload):
     """Write bytes, or an iterable of bytes one at a time, via temp file +
-    rename so readers never see partial content."""
+    rename so readers never see partial content.  A write that fails,
+    the iterable's own errors included, removes the temp file, leaves
+    path as it was and re-raises."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.writelines([payload] if isinstance(payload, bytes) else payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines([payload] if isinstance(payload, bytes) else payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def atomic_write_text(path, text: str):

@@ -33,7 +33,9 @@ _pools = {}                 # pid -> its worker threads, made on first use
 os.register_at_fork(after_in_child=_pools.clear)    # the child has none
 # rows per block of the work whose temporaries are kept to a row block:
 # ioutil.write_csv, subjective.dissonance_batch, the encoder layer's
-# softplus and the evidence heads' shift (a ppm6 array is one block)
+# softplus, the evidence heads' shift and dL/dz, and the dropout draws'
+# raw words (a ppm6 array is one block); even, so a float32 draw's
+# blocks take whole words
 ROW_BLOCK = 2**13
 
 

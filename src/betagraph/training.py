@@ -28,6 +28,7 @@ adjacency nor the raw features.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import json
 import math
@@ -40,6 +41,7 @@ from . import reasoning as rs
 from .autodiff import Adam, Tensor, no_grad
 from .graphs import (Graph, SplitSpec, make_split, normalize_adjacency,
                      remap_labels, sorted_distinct)
+from .ioutil import atomic_write_bytes
 from .metrics import accuracy, aurc, auroc
 from .rng import substream
 from .sparse import SparseMatrix
@@ -512,7 +514,9 @@ RETIRED_FIELDS = {"normalize_features": True, "adam_beta1": 0.9,
 
 
 def save_checkpoint(path, state: ModelState, extra_meta=None):
-    """Single .npz holding every tensor by name plus a JSON meta entry."""
+    """Single .npz holding every tensor by name plus a JSON meta entry,
+    written whole to memory and then atomically: a failed save leaves
+    the previous file at path as it was."""
     arrays = state.snapshot()
     meta = {"version": CHECKPOINT_VERSION, "config": asdict(state.config),
             "class_count": state.class_count,
@@ -523,8 +527,9 @@ def save_checkpoint(path, state: ModelState, extra_meta=None):
     arrays["__meta__"] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     )
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    atomic_write_bytes(path, buffer.getvalue())
 
 
 def load_checkpoint(path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from betagraph import autodiff as ad
-from betagraph import special
+from betagraph import sparse, special
 from betagraph.rng import rng
 import oracles
 from oracles import grad_check, parameter
@@ -335,6 +336,44 @@ class TestDropoutKeep:
             assert np.array_equal(keep, ref), (dtype, rate, shape)
         assert got.random(dtype=np.float32) == want.random(dtype=np.float32)
         assert got.random() == want.random()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 8193, 3), (2, 12289, 5),
+                                       (24581, 1)])
+    @pytest.mark.parametrize("buffered", [0, 1])
+    @pytest.mark.parametrize("block", [sparse.ROW_BLOCK, 2])
+    def test_blocks_equal_float_draw(self, dtype, shape, buffered, block,
+                                     monkeypatch):
+        """Shapes of 3 row blocks or more (thousands of 2-row blocks), the
+        last one short, with odd unit counts and with or without a half
+        that PCG64 keeps buffered on entry, give numpy's float draws
+        compared with the rate and leave the stream where those leave
+        it."""
+        monkeypatch.setattr(sparse, "ROW_BLOCK", block)
+        got, want = rng(11), rng(11)
+        for gen in (got, want):
+            gen.random(2 - buffered, dtype=np.float32)
+        keep = ad.dropout_keep(shape, dtype, 0.3, got)
+        ref = oracles.dropout_mask(shape, dtype, 0.3, want) > 0
+        assert keep.shape == shape and np.array_equal(keep, ref)
+        assert got.random(3, dtype=np.float32).tobytes() == \
+            want.random(3, dtype=np.float32).tobytes()
+        assert got.random() == want.random()
+
+    def test_peak_is_the_keep_array_and_one_block(self):
+        """Phase 2's draw at the bench's scale, (5, 36000, 64) float32,
+        peaks at 1.18 keep arrays: the keep array and one block of raw
+        words (5.0 with the whole draw's 46 MB of words at once)."""
+        shape = (5, 36000, 64)
+        gen = rng(0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            keep = ad.dropout_keep(shape, np.float32, 0.5, gen)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * keep.nbytes, peak / keep.nbytes
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_dropout_equals_float_draw_mask(self, dtype):

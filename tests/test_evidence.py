@@ -189,6 +189,47 @@ class TestFusedHeads:
         assert off_main == [False] * (3 + learned_prior)
         assert scored.opinions.data.shape == runs[0][0].shape
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("propagate", [True, False])
+    @pytest.mark.parametrize("block", [sparse.ROW_BLOCK, 8])
+    def test_bit_equal_with_signed_zero_upstream(self, dtype, propagate,
+                                                 block, monkeypatch):
+        """An upstream gradient with an all +0 and an all -0 column gives
+        the per-op composition's gradients bit for bit, signs of zero
+        included, with dL/dz formed in the hidden activation's buffer a
+        row block at a time (one block of 40 rows, or five of 8)."""
+        monkeypatch.setattr(sparse, "ROW_BLOCK", block)
+        adj, emb, regions, heads, labels = grad_setup(dtype)
+        tensors = heads.tensors()
+        weights = rng(2).standard_normal((labels.size, 4)).astype(dtype)
+        weights[:, 1], weights[:, 3] = 0.0, -0.0
+        grads = []
+        for fused in (True, False):
+            for t in tensors.values():
+                t.grad = None
+            kw = dict(dropout_rate=0.4, generator=rng(7), learned_prior=True)
+            if fused:
+                batch = evidence_forward(adj, emb, regions, heads,
+                                         propagate=propagate, **kw)
+                loss = ad.tsum(ad.mul(batch.opinions, weights))
+            else:
+                n = emb.shape[0]
+                scale = adj.row_sums().astype(dtype).reshape(-1, 1) \
+                    if propagate else np.ones((n, 1), dtype=dtype)
+                batch = oracles.evidence_forward(
+                    adj if propagate else None,
+                    adj.matmul(emb) if propagate else emb, scale,
+                    regions, heads, **kw)
+                loss = oracles.add(
+                    ad.tsum(ad.mul(batch.evidence, weights[:, :3])),
+                    ad.tsum(ad.mul(batch.prior_weight, weights[:, 3:])))
+            loss.backward()
+            grads.append({name: t.grad for name, t in tensors.items()})
+        for name, want in grads[1].items():
+            got = grads[0][name]
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+
     def test_grad_check_with_dropout(self):
         adj, emb, regions, heads, labels = grad_setup(np.float64, n=15,
                                                       hidden=4)

@@ -219,6 +219,22 @@ def test_row_blocks_write_the_bytes_of_one(tmp_path, monkeypatch, n):
         (tmp_path / "one.csv").read_bytes()
 
 
+def test_failed_write_leaves_the_target_and_no_temp_file(tmp_path):
+    """A payload that raises part way, as write_csv's formatter may,
+    re-raises and leaves the previous file's bytes and no temp file."""
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"old\n")
+
+    def payload():
+        yield b"new,"
+        raise ValueError("cannot format")
+
+    with pytest.raises(ValueError, match="cannot format"):
+        ioutil.atomic_write_bytes(path, payload())
+    assert path.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
+
 def test_dataset_hash_skips_the_manifest(tmp_path):
     (tmp_path / "data.bin").write_bytes(b"\x00\x01")
     before = ioutil.sha256_dir(tmp_path)

@@ -16,6 +16,7 @@ import pytest
 
 from betagraph import autodiff as ad
 from betagraph import cli, graphs
+from betagraph import evidence as ev
 from betagraph import reasoning as rs
 from betagraph import training as tr
 from betagraph.ioutil import write_csv
@@ -95,6 +96,24 @@ def test_phase1_epoch_peak(er_model):
     gy * xhat (7.25 units)."""
     state, ctx = er_model
     assert peak_units(lambda: tr.train_phase1(state, ctx, 1)) < 7.5
+
+
+def test_head_vjp_peak():
+    """One evidence head's VJP at (R, H) forms dL/dz a row block at a time
+    in the hidden activation's buffer, which nothing reads after it: it
+    allocates 0.12 (R, H) arrays, mostly one block of h > 0 (1.26 with
+    dL/dz and h > 0 whole)."""
+    gen = np.random.default_rng(0)
+    prop = gen.standard_normal((N, H)).astype(np.float32)
+    head = ev.init_head(gen, 2 * H, H, np.float32)
+    for t in (head.b1, head.w2):
+        t.data = gen.standard_normal(t.data.shape).astype(np.float32)
+    scale = ad.dropout_scale(0.5, np.float32)
+    keep = ad.dropout_keep((N, H), np.float32, 0.5, gen)
+    _, vjp = ev._head(prop, prop[:1], np.ones((N, 1), np.float32), head,
+                      keep, scale)
+    g = gen.standard_normal((N, 1)).astype(np.float32)
+    assert peak_units(lambda: vjp(g)) < 0.5
 
 
 def test_write_csv_peak(tmp_path):
