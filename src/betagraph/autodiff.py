@@ -1,15 +1,17 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
-A Tensor wraps an ndarray plus the vector-Jacobian products linking it to
-its parents.  Calling backward() on a scalar walks the tape in reverse
-topological order and accumulates gradients into every reachable leaf
-with requires_grad=True.  Every layer, the baseline's cross entropy
-included, is one tape node from fused_node, whose gradients for all
-parents come from a single hand-written call (reasoning, evidence,
-evaluation); for dropout they keep dropout_keep's bool array (PCG64
-generators only), or nothing.  But for the encoder layer's and the
-Beta-KL's closed forms, their VJPs replay the per-op composition's
-expressions in the tape's order of accumulation.
+A Tensor wraps an ndarray and, if it is a tape node, its parents and
+one function grads(g) that gives the gradients of all of them at once;
+fused_node is the only node constructor.  Calling backward() on a
+scalar walks the tape in reverse topological order, calls each node's
+grads once and adds each entry into its parent, in parent order, for
+every parent with requires_grad=True.  Every layer, the baseline's
+cross entropy included, is one node whose grads is a single
+hand-written call (reasoning, evidence, evaluation); for dropout they
+keep dropout_keep's bool array (PCG64 generators only), or nothing.
+But for the encoder layer's and the Beta-KL's closed forms, they replay
+the per-op composition's expressions in the tape's order of
+accumulation.
 
 What else lives here: the few generic ops the library still chains
 between nodes (matmul, reshape, take_rows), dropout, mul and tsum
@@ -17,15 +19,17 @@ between nodes (matmul, reshape, take_rows), dropout, mul and tsum
 of the fused layers (colmean_exact, relu_data, the dropout keep arrays)
 and Adam.  All ops broadcast like numpy and un-broadcast their gradients.
 
-backward() frees the tape as it goes: each interior node drops its VJP
-closures (and with them every intermediate array they hold) once its
-gradient has reached its parents, and the walk lets go of the node.  A
-finished backward holds nothing of the graph, which it walks only once.
+backward() frees the tape as it goes: each interior node drops its
+parents and grads (and with them every intermediate array grads holds)
+once its gradient has reached its parents, each entry is dropped as it
+is added, and the walk lets go of the node.  A finished backward holds
+nothing of the graph, which it walks only once.
 
 The finite-difference oracle for these gradients, the per-op
 compositions, and the generic ops only they use (add, sub, tmean, relu,
 exp, log, logsumexp, spmm, concat, cols, div, digamma, lgamma, softplus,
-sqrt, a taped colmean_exact) live with the tests (tests/oracles.py).
+sqrt, a taped colmean_exact) live with the tests (tests/oracles.py),
+whose per-op VJPs reach fused_node through a small adapter.
 """
 
 from __future__ import annotations
@@ -52,18 +56,19 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_vjps")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grads")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._vjps = ()
+        self._parents = ()
+        self._grads = None
 
     def backward(self):
         """Accumulate d(self)/d(leaf) into every reachable leaf's grad.
 
-        Interior nodes lose their grad and their VJPs as soon as their
+        Interior nodes lose their grad, parents and grads as soon as their
         gradient has been passed on, so the graph cannot be walked again.
         """
         if self.data.size != 1:
@@ -72,16 +77,21 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         while order:                # popped: a walked node can be freed
             node = order.pop()
-            vjps, node._vjps = node._vjps, ()
-            if node.grad is None or not vjps:
+            parents, grads = node._parents, node._grads
+            node._parents, node._grads = (), None
+            if node.grad is None or not parents:
                 continue
             g = node.grad
             if node is not self:
                 node.grad = None
-            for parent, vjp in vjps:
-                parent.grad = vjp(g) if parent.grad is None \
-                    else parent.grad + vjp(g)
-            del g
+            pgs = list(grads(g))
+            del g, grads
+            for i, parent in enumerate(parents):
+                pg, pgs[i] = pgs[i], None       # dropped once taken
+                if parent.requires_grad:
+                    parent.grad = pg if parent.grad is None \
+                        else parent.grad + pg
+                del pg
         return self
 
 
@@ -96,8 +106,8 @@ def _topo_order(root):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent, _ in node._vjps:
-            if id(parent) not in seen:
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
     return order
 
@@ -113,36 +123,22 @@ def grad_needed(*parents):
     return _GRAD_ENABLED and any(p.requires_grad for p in parents)
 
 
-def _node(data, vjps):
-    out = Tensor(data)
-    if _GRAD_ENABLED:
-        live = tuple((p, f) for p, f in vjps if p.requires_grad)
-        if live:
-            out._vjps = live
-            out.requires_grad = True
-    return out
-
-
 def fused_node(data, parents, grads):
-    """One tape node over several parents whose gradients share work.
+    """The tape node of data over the Tensors parents, the only node
+    constructor.
 
-    grads(g) returns one gradient per parent, in the order of parents; it
-    runs once per backward, and each gradient is dropped as soon as the
-    engine has taken it.  Entries for parents that do not require grad
-    are ignored.
+    grads(g) returns one gradient per parent, in the order of parents,
+    from the upstream gradient g; it runs once per backward, and each
+    gradient is dropped as soon as the engine has taken it.  The entry
+    of a parent that does not require grad is ignored: grads should give
+    None there without computing it.  Nothing is taped when grad is
+    disabled or no parent requires grad.
     """
-    live = {i for i, p in enumerate(parents) if p.requires_grad}
-    pending = {}
-
-    def vjp_of(i):
-        def vjp(g):
-            if not pending:
-                pending.update((j, pg) for j, pg in enumerate(grads(g))
-                               if j in live)
-            return pending.pop(i)
-        return vjp
-
-    return _node(data, [(p, vjp_of(i)) for i, p in enumerate(parents)])
+    out = Tensor(data)
+    if grad_needed(*parents):
+        out._parents, out._grads = tuple(parents), grads
+        out.requires_grad = True
+    return out
 
 
 def _unbroadcast(grad, shape):
@@ -166,33 +162,31 @@ def _unbroadcast(grad, shape):
 
 def mul(a, b):
     ad, bd = (x.data if isinstance(x, Tensor) else x for x in (a, b))
-    data = ad * bd
-    vjps = []
-    if isinstance(a, Tensor):
-        vjps.append((a, lambda g: _unbroadcast(g * bd, a.data.shape)))
-    if isinstance(b, Tensor):
-        vjps.append((b, lambda g: _unbroadcast(g * ad, b.data.shape)))
-    return _node(data, vjps)
+    taped = [(x, other) for x, other in ((a, bd), (b, ad))
+             if isinstance(x, Tensor)]
+    return fused_node(ad * bd, [x for x, _ in taped], lambda g: [
+        _unbroadcast(g * other, x.data.shape) if x.requires_grad else None
+        for x, other in taped])
 
 
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError("matmul expects 2-D operands")
-    return _node(a.data @ b.data, (
-        (a, lambda g: g @ b.data.T),
-        (b, lambda g: a.data.T @ g),
-    ))
+    return fused_node(a.data @ b.data, (a, b), lambda g: (
+        g @ b.data.T if a.requires_grad else None,
+        a.data.T @ g if b.requires_grad else None))
 
 
 def tsum(x, axis=None, keepdims=False):
     x = as_tensor(x)
 
-    def vjp(g):
+    def grads(g):
         gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(gg, x.data.shape).astype(x.data.dtype, copy=False)
+        return (np.broadcast_to(gg, x.data.shape).astype(x.data.dtype,
+                                                         copy=False),)
 
-    return _node(x.data.sum(axis=axis, keepdims=keepdims), ((x, vjp),))
+    return fused_node(x.data.sum(axis=axis, keepdims=keepdims), (x,), grads)
 
 
 def colmean_exact(x):
@@ -236,21 +230,20 @@ def _fsum_columns(x):
 
 def reshape(x, shape):
     x = as_tensor(x)
-    return _node(x.data.reshape(shape), (
-        (x, lambda g: g.reshape(x.data.shape)),
-    ))
+    return fused_node(x.data.reshape(shape), (x,),
+                      lambda g: (g.reshape(x.data.shape),))
 
 
 def take_rows(x, idx):
     x = as_tensor(x)
     idx = np.asarray(idx, dtype=np.int64)
 
-    def vjp(g):
+    def grads(g):
         out = np.zeros_like(x.data)
         np.add.at(out, idx, g)
-        return out
+        return (out,)
 
-    return _node(x.data[idx], ((x, vjp),))
+    return fused_node(x.data[idx], (x,), grads)
 
 
 # -- elementwise kernels -----------------------------------------------
@@ -273,7 +266,7 @@ def dropout(x, rate, generator):
     x = as_tensor(x)
     mask = dropout_keep(x.data.shape, x.data.dtype, rate, generator) \
         * dropout_scale(rate, x.data.dtype)
-    return _node(x.data * mask, ((x, lambda g: g * mask),))
+    return fused_node(x.data * mask, (x,), lambda g: (g * mask,))
 
 
 def dropout_scale(rate, dtype):
@@ -321,12 +314,12 @@ def dropout_keep(shape, dtype, rate, generator):
 
 class Adam:
     """Adam with the default betas and eps over named parameter tensors
-    (full-batch usage); params maps each name to its tensor.
+    (full-batch usage); params maps each name to its tensor, and every
+    step reads every parameter's grad.
 
     The first and second moments of all parameters are two flat float64
-    vectors, so a step is a few numpy calls over the concatenated
-    gradients.  A parameter whose grad is None keeps its data and its
-    moments.
+    vectors, updated in place, so a step is a few numpy calls over the
+    concatenated gradients.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -336,9 +329,9 @@ class Adam:
         self.params = list(params.values())
         self.lr = float(lr)
         self.t = 0
-        self._sizes = [p.data.size for p in self.params]
-        self.m = np.zeros(sum(self._sizes))
-        self.v = np.zeros(sum(self._sizes))
+        size = sum(p.data.size for p in self.params)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
     def zero_grad(self):
         for p in self.params:
@@ -349,23 +342,17 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        has_grad = [p.grad is not None for p in self.params]
-        live = [p for p in self.params if p.grad is not None]
-        if not live:
-            return
-        g = np.concatenate([np.ravel(p.grad) for p in live], dtype=np.float64)
-        sel = slice(None) if all(has_grad) \
-            else np.repeat(has_grad, self._sizes)
+        g = np.concatenate([np.ravel(p.grad) for p in self.params],
+                           dtype=np.float64)
         # the per-parameter update b1*m + (1-b1)*g, ..., evaluated in place
         # over the flat vectors: the same operations, so the same bits
-        m, v = self.m[sel], self.v[sel]
+        m, v = self.m, self.v
         m *= b1
         m += (1.0 - b1) * g
         g *= g
         g *= 1.0 - b2
         v *= b2
         v += g
-        self.m[sel], self.v[sel] = m, v
         upd = m / bias1
         upd *= self.lr
         np.divide(v, bias2, out=g)
@@ -373,7 +360,7 @@ class Adam:
         g += self.eps
         upd /= g
         start = 0
-        for p in live:
+        for p in self.params:
             u = upd[start:start + p.data.size].reshape(p.data.shape)
             start += p.data.size
             p.data = (p.data - u.astype(p.data.dtype, copy=False)).astype(

@@ -21,13 +21,14 @@ share one bool dropout keep array, drawn from the raw PCG64 stream a
 row block at a time (autodiff.dropout_keep; PCG64 generators only).
 The Dirichlet loss is one more node.  Both VJPs replay the per-op
 composition's (tests/oracles.py) expressions in the tape's order, so
-values and gradients are the composition's bit for bit.  The heads stay
-K+1 two-dimensional products: stacking them into one (K+1, n, H) batch
-gives the same bits but was slower on an ER graph of n=5e4 (heads
-forward 258 -> 384 ms on one vCPU, BLAS single-threaded) and held about
-110 MB more.  Training runs the heads, and their VJPs, concurrently
-(sparse.parallel); scoring runs them one by one, each in one (n, H)
-array that its relu overwrites, freed before the next head.
+values and gradients are the composition's bit for bit (dL/dz alone may
+hold a -0 for the composition's +0, which no gradient reads as such).
+The heads stay K+1 two-dimensional products: stacking them into one
+(K+1, n, H) batch gives the same bits but was slower on an ER graph of
+n=5e4 (heads forward 258 -> 384 ms on one vCPU, BLAS single-threaded)
+and held about 110 MB more.  Training runs the heads, and their VJPs,
+concurrently (sparse.parallel); scoring runs them one by one, each in
+one (n, H) array that its relu overwrites, freed before the next head.
 
 Scoring runs the heads on every node.  Training runs them on the rows R
 its loss reads, the training nodes and their neighbours, and propagates
@@ -207,8 +208,11 @@ def _head(prop, cls_row, row_scale, head: HeadParams, keep, scale):
     once for every parameter, a row block at a time in h's own buffer:
     nothing reads h after the VJP, which the tape runs once, so the VJP
     allocates no (rows, H) array.  h > 0 iff z > 0 and the unit was
-    kept.  Its outer products are broadcast products plus 0, the bits of
-    numpy's matmul loop (which starts from +0) in a third of the time.
+    kept.  Its outer products are broadcast products, in a third of
+    numpy's matmul loop's time.  That loop starts from +0, so the
+    returned one adds 0 for the same bits; g * w2.T may hold a -0 where
+    the composition's g @ w2.T holds +0, which no gradient shows, since
+    the products and sums that read dL/dz start from +0 too.
     """
     w = prop.shape[1]
     w1, w2 = head.w1.data, head.w2.data
@@ -228,7 +232,6 @@ def _head(prop, cls_row, row_scale, head: HeadParams, keep, scale):
         for rows in row_blocks(h.shape[0]):
             kept = h[rows] > 0
             block = np.multiply(g[rows], w2.T, out=gz[rows])
-            block += 0
             block *= kept
             block *= scale
             del kept                    # before the next block's

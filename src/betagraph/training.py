@@ -300,7 +300,10 @@ def init_model(feature_dim: int, class_count: int, config: TrainConfig) -> Model
         state.direct = ev.init_direct_head(gen, feature_dim, config.hidden_dim,
                                            class_count, dtype)
     state.opt_p1 = Adam(state.phase1_tensors(), lr=config.lr_p1)
-    state.opt_p2 = Adam(state.phase2_tensors(), lr=config.lr_p2)
+    # head_nov feeds phase 2's loss only as the learned prior
+    state.opt_p2 = Adam({name: t for name, t in state.phase2_tensors().items()
+                         if config.learned_prior or
+                         not name.startswith("head_nov.")}, lr=config.lr_p2)
     state.rng_p1 = substream(config.seed, 1)
     state.rng_p2 = substream(config.seed, 2)
     return state

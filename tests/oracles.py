@@ -57,6 +57,13 @@ def _raw(x):
     return x.data if isinstance(x, ad.Tensor) else x
 
 
+def _node(data, vjps):
+    """ad.fused_node over per-op (parent, VJP) pairs; a VJP runs only for
+    a parent that requires grad."""
+    return ad.fused_node(data, [p for p, _ in vjps], lambda g: [
+        vjp(g) if p.requires_grad else None for p, vjp in vjps])
+
+
 def add(a, b):
     data = _raw(a) + _raw(b)
     vjps = []
@@ -64,7 +71,7 @@ def add(a, b):
         vjps.append((a, lambda g: ad._unbroadcast(g, a.data.shape)))
     if isinstance(b, ad.Tensor):
         vjps.append((b, lambda g: ad._unbroadcast(g, b.data.shape)))
-    return ad._node(data, vjps)
+    return _node(data, vjps)
 
 
 def sub(a, b):
@@ -74,7 +81,7 @@ def sub(a, b):
         vjps.append((a, lambda g: ad._unbroadcast(g, a.data.shape)))
     if isinstance(b, ad.Tensor):
         vjps.append((b, lambda g: ad._unbroadcast(-g, b.data.shape)))
-    return ad._node(data, vjps)
+    return _node(data, vjps)
 
 
 def spmm(adj, x):
@@ -83,7 +90,7 @@ def spmm(adj, x):
     graphs.normalize_adjacency's output is (sparse_matmul takes any
     adj)."""
     x = ad.as_tensor(x)
-    return ad._node(adj.matmul(x.data), ((x, adj.matmul),))
+    return _node(adj.matmul(x.data), ((x, adj.matmul),))
 
 
 def tmean(x, axis=None, keepdims=False):
@@ -98,24 +105,24 @@ def tmean(x, axis=None, keepdims=False):
         return (np.broadcast_to(gg, x.data.shape) / n).astype(x.data.dtype,
                                                               copy=False)
 
-    return ad._node(x.data.mean(axis=axis, keepdims=keepdims), ((x, vjp),))
+    return _node(x.data.mean(axis=axis, keepdims=keepdims), ((x, vjp),))
 
 
 def relu(x):
     x = ad.as_tensor(x)
     mask = x.data > 0
-    return ad._node(ad.relu_data(x.data), ((x, lambda g: g * mask),))
+    return _node(ad.relu_data(x.data), ((x, lambda g: g * mask),))
 
 
 def exp(x):
     x = ad.as_tensor(x)
     out = np.exp(x.data)
-    return ad._node(out, ((x, lambda g: g * out),))
+    return _node(out, ((x, lambda g: g * out),))
 
 
 def log(x):
     x = ad.as_tensor(x)
-    return ad._node(np.log(x.data), ((x, lambda g: g / x.data),))
+    return _node(np.log(x.data), ((x, lambda g: g / x.data),))
 
 
 def logsumexp(x, axis=1):
@@ -130,7 +137,7 @@ def logsumexp(x, axis=1):
 def sqrt(x):
     x = ad.as_tensor(x)
     out = np.sqrt(x.data)
-    return ad._node(out, ((x, lambda g: g * 0.5 / out),))
+    return _node(out, ((x, lambda g: g * 0.5 / out),))
 
 
 def div(a, b):
@@ -142,7 +149,7 @@ def div(a, b):
     if isinstance(b, ad.Tensor):
         vjps.append((b, lambda g: ad._unbroadcast(-g * out / bd,
                                                   b.data.shape)))
-    return ad._node(out, vjps)
+    return _node(out, vjps)
 
 
 def concat(tensors, axis=0):
@@ -157,14 +164,14 @@ def concat(tensors, axis=0):
         return lambda g: g[sl]
 
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    return ad._node(data, tuple((t, make_vjp(i))
+    return _node(data, tuple((t, make_vjp(i))
                                 for i, t in enumerate(tensors)))
 
 
 def softplus(x):
     x = ad.as_tensor(x)
     out = special.softplus(x.data)
-    return ad._node(out, ((x, lambda g: g * special.sigmoid(x.data)),))
+    return _node(out, ((x, lambda g: g * special.sigmoid(x.data)),))
 
 
 def cols(x, start, stop):
@@ -175,12 +182,12 @@ def cols(x, start, stop):
         out[..., start:stop] = g
         return out
 
-    return ad._node(x.data[..., start:stop], ((x, vjp),))
+    return _node(x.data[..., start:stop], ((x, vjp),))
 
 
 def digamma(x):
     x = ad.as_tensor(x)
-    return ad._node(special.digamma(x.data),
+    return _node(special.digamma(x.data),
                     ((x, lambda g: g * special.trigamma(x.data)),))
 
 
@@ -193,12 +200,12 @@ def colmean_exact(x):
         return np.broadcast_to(g / m, x.data.shape).astype(x.data.dtype,
                                                            copy=False)
 
-    return ad._node(ad.colmean_exact(x.data), ((x, vjp),))
+    return _node(ad.colmean_exact(x.data), ((x, vjp),))
 
 
 def lgamma(x):
     x = ad.as_tensor(x)
-    return ad._node(special.lgamma(x.data),
+    return _node(special.lgamma(x.data),
                     ((x, lambda g: g * special.digamma(x.data)),))
 
 
@@ -405,7 +412,7 @@ def sparse_matmul(adj, x):
     gradient is adj.T @ g: the propagation by the training block, which
     is not symmetric."""
     x = ad.as_tensor(x)
-    return ad._node(adj.matmul(x.data), ((x, adj.T.matmul),))
+    return _node(adj.matmul(x.data), ((x, adj.T.matmul),))
 
 
 def evidence_forward(adj, prop, row_scale, regions, params, *, dropout_rate,

@@ -236,7 +236,8 @@ class TestEngineMechanics:
         x = parameter(np.ones(3))
         with ad.no_grad():
             y = ad.mul(x, 2.0)
-        assert not y.requires_grad and y._vjps == ()
+        assert not y.requires_grad and y._parents == ()
+        assert y._grads is None
 
     def test_grad_accumulates_on_reuse(self):
         x = parameter(2.0)
@@ -252,7 +253,7 @@ class TestEngineMechanics:
     def test_constants_stay_untaped(self):
         x = parameter(np.ones(3))
         y = ad.mul(oracles.add(x, np.array([1.0, 2.0, 3.0])), 0.5)
-        assert len(y._vjps) == 1
+        assert len(y._parents) == 1
 
     def test_float32_graph_stays_float32(self):
         x = ad.Tensor(np.ones((3, 3), dtype=np.float32), requires_grad=True)
@@ -267,11 +268,11 @@ class TestEngineMechanics:
         h = oracles.softplus(ad.matmul(ad.reshape(x, (1, 2)), w))
         loss = ad.tsum(oracles.add(ad.mul(h, h),
                                         ad.mul(x, 3.0)))
-        interior = [t for t in ad._topo_order(loss) if t._vjps]
+        interior = [t for t in ad._topo_order(loss) if t._parents]
         assert len(interior) == 7
         loss.backward()
         for t in interior:
-            assert t._vjps == ()
+            assert t._parents == () and t._grads is None
             assert t.grad is None or t is loss
         hx = special.softplus(x.data @ w.data)
         gz = 2.0 * hx * special.sigmoid(x.data @ w.data)
@@ -290,12 +291,15 @@ class TestEngineMechanics:
 
         def grads(g):
             calls.append(g)
-            return g * 2.0, None, g * 3.0
+            return g * 2.0, g * 4.0, g * 3.0     # b's is ignored
 
         out = ad.fused_node(a.data + b.data + c.data, (a, b, c), grads)
-        assert [p for p, _ in out._vjps] == [a, c]
-        ad.tsum(out).backward()
+        assert out._parents == (a, b, c)
+        loss = ad.tsum(out)
+        assert b not in ad._topo_order(loss)
+        loss.backward()
         assert len(calls) == 1
+        assert b.grad is None
         assert np.array_equal(a.grad, [2.0, 2.0])
         assert np.array_equal(c.grad, [3.0, 3.0])
 
@@ -394,16 +398,19 @@ class TestAdam:
             opt.step()
         assert np.abs(x.data).max() < 1e-2
 
-    def test_skips_params_without_grad(self):
+    def test_rejects_params_without_grad(self):
+        """An optimizer holds only parameters its loss reads: one left
+        without a gradient is an error, and no parameter moves."""
         x = parameter(np.ones(2))
         y = parameter(np.ones(2))
         opt = ad.Adam({"x": x, "y": y}, lr=0.5)
         loss = ad.tsum(ad.mul(x, x))
         opt.zero_grad()
         loss.backward()
-        opt.step()
+        with pytest.raises(TypeError):
+            opt.step()
+        assert np.array_equal(x.data, np.ones(2))
         assert np.array_equal(y.data, np.ones(2))
-        assert not np.array_equal(x.data, np.ones(2))
 
 
 class TestFlatAdam:
@@ -418,13 +425,9 @@ class TestFlatAdam:
         m = [np.zeros(s) for s in shapes]
         v = [np.zeros(s) for s in shapes]
         for step in range(1, 8):
-            # the second parameter has no gradient on odd steps, the last
-            # one never: both must keep their data and moments
             for i, (p, q) in enumerate(zip(flat, ref)):
                 g = gen.standard_normal(shapes[i]).astype(dtypes[i])
-                missing = i == 3 or (i == 1 and step % 2)
-                p.grad = None if missing else g
-                q.grad = None if missing else g.copy()
+                p.grad, q.grad = g, g.copy()
             opt.step()
             oracles.adam_step(ref, 0.05, step, m, v)
             for p, q in zip(flat, ref):
@@ -435,7 +438,6 @@ class TestFlatAdam:
                 lo, hi = bounds[i], bounds[i + 1]
                 assert opt.m[lo:hi].tobytes() == m[i].ravel().tobytes()
                 assert opt.v[lo:hi].tobytes() == v[i].ravel().tobytes()
-        assert not opt.m[bounds[3]:].any() and not opt.v[bounds[3]:].any()
 
     def test_params_and_grads_stay_readable(self):
         x = parameter(np.ones(3))

@@ -54,10 +54,12 @@ def test_verdict(tool):
 
 
 def test_statistics_are_quick(tool):
-    t0 = time.perf_counter()
+    """The CPU seconds of the statistics themselves, not the wall time,
+    which also counts the host's other work."""
+    t0 = time.process_time()
     for seed in range(10):
         tool.paired_stats(np.random.default_rng(seed).standard_normal(20))
-    assert time.perf_counter() - t0 < 0.5
+    assert time.process_time() - t0 < 0.5
 
 
 def test_takes_two_checkout_roots(tool, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 import oracles
 from betagraph import autodiff as ad
 from betagraph import evidence as ev
+from betagraph import evaluation as evl
 from betagraph import graphs
 from betagraph import reasoning as rs
 from betagraph import training as tr
@@ -148,6 +149,34 @@ class TestPhases:
             assert after[name] == before[name], name
         changed = [n for n in state.phase2_tensors() if after[n] != before[n]]
         assert changed
+
+    @pytest.mark.parametrize("variant", ["a", "b", "c", "d", "e",
+                                         "baseline"])
+    def test_every_held_parameter_gets_a_gradient(
+            self, small_ppm, small_split, variant, monkeypatch):
+        """One epoch of each phase, for every ablation variant and for the
+        baseline, gives a gradient to every parameter its optimizer holds:
+        without learned_prior (b, d), phase 2's leaves out head_nov."""
+        step, held, missing = ad.Adam.step, [], []
+
+        def checked(opt):
+            held.extend(opt.names)
+            missing.extend(name for name, p in zip(opt.names, opt.params)
+                           if p.grad is None)
+            step(opt)
+
+        monkeypatch.setattr(ad.Adam, "step", checked)
+        cfg = quick_config()
+        if variant == "baseline":
+            evl.train_baseline(context_of(small_ppm, small_split, cfg),
+                               epochs=1)
+        else:
+            cfg = tr.variant_config(cfg, variant)
+            ctx = context_of(small_ppm, small_split, cfg)
+            state = tr.init_model(small_ppm.feature_dim, ctx.class_count, cfg)
+            tr.train_phase1(state, ctx, 1)
+            tr.train_phase2(state, ctx, 1, tr.phase2_forward(state, ctx))
+        assert held and missing == []
 
     def test_losses_descend(self, small_ppm, small_split):
         cfg = quick_config()
