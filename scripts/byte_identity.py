@@ -159,9 +159,15 @@ def main(argv=None):
     parser.add_argument("base")
     parser.add_argument("head")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
-    parser.add_argument("--work", help="scratch directory (default: a "
-                        "temporary one, removed afterwards)")
+    parser.add_argument("--work", help="scratch directory, holding no "
+                        "run, base or head (default: a temporary one, "
+                        "removed afterwards)")
     args = parser.parse_args(argv)
+    taken = [name for name in ("run", "base", "head")
+             if args.work and os.path.exists(os.path.join(args.work, name))]
+    if taken:
+        parser.error(f"--work {args.work} already holds {', '.join(taken)}; "
+                     "remove it or name another directory")
     work = args.work or tempfile.mkdtemp(prefix="byte_identity_")
     run_dir = os.path.join(work, "run")
     peaks = {}

@@ -8,7 +8,8 @@ grads once and adds each entry into its parent, in parent order, for
 every parent with requires_grad=True.  Every layer, the baseline's
 cross entropy included, is one node whose grads is a single
 hand-written call (reasoning, evidence, evaluation); for dropout they
-keep dropout_keep's bool array (PCG64 generators only), or nothing.
+keep a bool keep array (dropout_keep, dropout_keeps; PCG64 generators
+only), or nothing.
 But for the encoder layer's and the Beta-KL's closed forms, they replay
 the per-op composition's expressions in the tape's order of
 accumulation.
@@ -22,8 +23,10 @@ and Adam.  All ops broadcast like numpy and un-broadcast their gradients.
 backward() frees the tape as it goes: each interior node drops its
 parents and grads (and with them every intermediate array grads holds)
 once its gradient has reached its parents, each entry is dropped as it
-is added, and the walk lets go of the node.  A finished backward holds
-nothing of the graph, which it walks only once.
+is added, and the walk lets go of the node before its grads runs.  A
+finished backward holds nothing of the graph, which it walks only once,
+so a VJP may form its gradients in the buffers its own closure owns;
+never in a parent's data or in the upstream gradient, which others read.
 
 The finite-difference oracle for these gradients, the per-op
 compositions, and the generic ops only they use (add, sub, tmean, relu,
@@ -70,6 +73,9 @@ class Tensor:
 
         Interior nodes lose their grad, parents and grads as soon as their
         gradient has been passed on, so the graph cannot be walked again.
+        The walk lets go of each node before calling its grads, so an
+        output that nothing else holds (propagate's, layer 1's in phase
+        1) is freed while its own VJP runs.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
@@ -84,6 +90,7 @@ class Tensor:
             g = node.grad
             if node is not self:
                 node.grad = None
+            del node            # an output held by nothing else goes now
             pgs = list(grads(g))
             del g, grads
             for i, parent in enumerate(parents):
@@ -92,6 +99,7 @@ class Tensor:
                     parent.grad = pg if parent.grad is None \
                         else parent.grad + pg
                 del pg
+            del parent, parents     # before the next node is popped
         return self
 
 
@@ -277,10 +285,22 @@ def dropout_scale(rate, dtype):
 def dropout_keep(shape, dtype, rate, generator):
     """Bool keep array equal bit for bit to generator.random(shape, draw)
     >= rate (draw: float32 for float32, else float64), with the same
-    generator state after; PCG64 only.  The draw is an integer times a
-    power of two, so keep iff the raw 64-bit r >= ceil(rate * 2**53) << 11,
-    or in float32 iff each 32-bit half u of r (low first) is >= ceil(rate
-    * 2**24) << 8, rate rounded as numpy compares (float32 for a Python float).
+    generator state after; PCG64 only.  See dropout_keeps."""
+    return next(dropout_keeps(1, shape, dtype, rate, generator))
+
+
+def dropout_keeps(count, shape, dtype, rate, generator):
+    """count bool keep arrays of shape, each drawn when it is asked for,
+    which together equal dropout_keep((count, *shape), ...) bit for bit,
+    with the same generator state after the last; nothing else may draw
+    from generator between them.  PCG64 only.
+
+    The draw is an integer times a power of two, so keep iff the raw
+    64-bit r >= ceil(rate * 2**53) << 11, or in float32 iff each 32-bit
+    half u of r (low first) is >= ceil(rate * 2**24) << 8, rate rounded
+    as numpy compares (float32 for a Python float).  The arrays share
+    this setup: a float32 array of odd size ends in half a word, which
+    numpy's own draw keeps buffered for the next array's first unit.
 
     The raw words come a block of sparse.ROW_BLOCK rows of the last axis
     (an even number of units) at a time, each block compared into the
@@ -289,25 +309,34 @@ def dropout_keep(shape, dtype, rate, generator):
     peak is 1.2 keep arrays, against 5.0 for one draw of 46 MB.
     """
     bitgen = generator.bit_generator
-    keep = np.empty(math.prod(shape), dtype=bool)
+    size = math.prod(shape)
     halves = np.dtype(dtype) == np.float32
     if halves:  # numpy's own draws take, and leave, the half PCG64 buffers
         bound = math.ceil(float(np.result_type(np.float32, rate).type(rate))
                           * 2.0 ** 24) << 8
-        start = min(bitgen.state["has_uint32"], keep.size)
-        end = keep.size - (keep.size - start) % 2
+        buffered = bitgen.state["has_uint32"]
     else:
-        bound, start, end = math.ceil(rate * 2.0 ** 53) << 11, 0, keep.size
-    keep[:start] = generator.random(start, dtype=np.float32) >= rate
+        bound, buffered = math.ceil(rate * 2.0 ** 53) << 11, 0
     step = sparse.ROW_BLOCK * max(shape[-1] if shape else 1, 1)    # even
-    for lo in range(start, end, step):
-        hi = min(lo + step, end)
-        words = bitgen.random_raw((hi - lo) // (2 if halves else 1))
-        np.greater_equal(words.astype("<u8", copy=False).view("<u4")
-                         if halves else words, bound, out=keep[lo:hi])
-        del words                   # before the next block's are drawn
-    keep[end:] = generator.random(keep.size - end, dtype=np.float32) >= rate
-    return keep.reshape(shape)
+
+    def draw(start):                # start: 1 to take the buffered half
+        keep = np.empty(size, dtype=bool)
+        end = size - (size - start) % 2 if halves else size
+        keep[:start] = generator.random(start, dtype=np.float32) >= rate
+        for lo in range(start, end, step):
+            hi = min(lo + step, end)
+            words = bitgen.random_raw((hi - lo) // (2 if halves else 1))
+            np.greater_equal(words.astype("<u8", copy=False).view("<u4")
+                             if halves else words, bound, out=keep[lo:hi])
+            del words               # before the next block's are drawn
+        keep[end:] = generator.random(size - end, dtype=np.float32) >= rate
+        return keep.reshape(shape)
+
+    for _ in range(count):          # yielded unnamed: the caller's to free
+        start = min(buffered, size)
+        if halves:
+            buffered = (buffered + size) % 2
+        yield draw(start)
 
 
 # -- optimization -------------------------------------------------------
@@ -338,6 +367,11 @@ class Adam:
             p.grad = None
 
     def step(self):
+        """One update of every parameter; ValueError naming the first one
+        without a gradient, before anything moves."""
+        for name, p in zip(self.names, self.params):
+            if p.grad is None:
+                raise ValueError(f"parameter {name} has no gradient")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t

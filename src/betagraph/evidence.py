@@ -16,19 +16,24 @@ while remaining the same function:
 The heads and the assembly of their outputs into opinions are one tape
 node over the heads' parameters; the node embeddings and class regions
 it reads are frozen arrays.  Each head keeps one (n, H) array, the
-hidden activation, in which its VJP (_head) forms dL/dz, and the heads
-share one bool dropout keep array, drawn from the raw PCG64 stream a
-row block at a time (autodiff.dropout_keep; PCG64 generators only).
-The Dirichlet loss is one more node.  Both VJPs replay the per-op
+hidden activation, in which its VJP (_head) forms dL/dz, and draws its
+own bool dropout keep array as it starts, from the raw PCG64 stream a
+row block at a time; the K+1 arrays are together the one draw they
+replace (autodiff.dropout_keeps; PCG64 generators only).  The
+Dirichlet loss is one more node.  Both VJPs replay the per-op
 composition's (tests/oracles.py) expressions in the tape's order, so
 values and gradients are the composition's bit for bit (dL/dz alone may
 hold a -0 for the composition's +0, which no gradient reads as such).
 The heads stay K+1 two-dimensional products: stacking them into one
 (K+1, n, H) batch gives the same bits but was slower on an ER graph of
 n=5e4 (heads forward 258 -> 384 ms on one vCPU, BLAS single-threaded)
-and held about 110 MB more.  Training runs the heads, and their VJPs,
-concurrently (sparse.parallel); scoring runs them one by one, each in
-one (n, H) array that its relu overwrites, freed before the next head.
+and held about 110 MB more.  The heads run one after another on the
+caller, each in one (n, H) array that its relu overwrites (freed before
+the next head in scoring), so a head's keep array is drawn as it starts
+and lives only while it runs.  Concurrent forwards would need every
+keep array drawn first (sparse.parallel's calls draw nothing); on two
+workers they saved about 15 of a phase-2 epoch's 100 ms on an ER graph
+of n=5e4.  Training runs the heads' VJPs concurrently (sparse.parallel).
 
 Scoring runs the heads on every node.  Training runs them on the rows R
 its loss reads, the training nodes and their neighbours, and propagates
@@ -42,6 +47,7 @@ learned head.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,30 +151,33 @@ def evidence_forward(adj: SparseMatrix, prop, row_scale, regions,
     1) row sums on prop's rows, or ones.  All three and the regions are
     arrays: nothing differentiates them.
 
-    One dropout draw covers every head, the K+1 draws the heads took one
-    by one.  The heads and the assembly (their outputs side by side, adj
-    @ them, the output biases, the softplus and the prior) are one tape
-    node over every head's w1, b1, w2 and b2, whose VJP replays the
-    per-op composition's (tests/oracles.py).
+    The heads run in order on the caller, each drawing its keep array as
+    it starts: the K+1 draws the per-op composition takes, sharing one
+    setup (autodiff.dropout_keeps).  The heads and the assembly (their
+    outputs side by side, adj @ them, the output biases, the softplus and
+    the prior) are one tape node over every head's w1, b1, w2 and b2,
+    whose VJP replays the per-op composition's (tests/oracles.py).  It
+    forms dL/dz in the heads' own buffers, so an upstream gradient of
+    another dtype than the opinions' is a ValueError.
     """
     k = regions.shape[0] - 1
     heads = list(params.per_class) + ([params.novel] if learned_prior else [])
     parents = [t for head in heads
                for t in (head.w1, head.b1, head.w2, head.b2)]
-    keep = [None] * len(heads)
-    if dropout_rate > 0.0:
-        keep = ad.dropout_keep((len(heads), prop.shape[0],
-                                heads[0].b1.data.size), prop.dtype,
-                               dropout_rate, generator)
+    taped = ad.grad_needed(*parents)
+    keeps = itertools.repeat(None)
+    if dropout_rate > 0.0:          # each head's drawn as it starts
+        keeps = ad.dropout_keeps(len(heads), (prop.shape[0],
+                                              heads[0].b1.data.size),
+                                 prop.dtype, dropout_rate, generator)
     scale = ad.dropout_scale(dropout_rate, prop.dtype)
-    calls = [functools.partial(_head, prop, regions[[i]], row_scale, head,
-                               keep[i], scale)     # head i reads row i
-             for i, head in enumerate(heads)]
-    work = prop.size * heads[0].b1.data.size * len(heads)
-    if ad.grad_needed(*parents):
-        outs, vjps = zip(*parallel(calls, work))
-    else:       # scoring frees each hidden activation before the next head
-        outs = [call()[0] for call in calls]
+    outs, vjps = [], []
+    for i, (head, keep) in enumerate(zip(heads, keeps)):
+        h_out, vjp = _head(prop, regions[[i]], row_scale, head, keep, scale)
+        outs.append(h_out)                              # head i reads row i
+        if taped:
+            vjps.append(vjp)
+        del keep, vjp   # untaped, the hidden activation goes before the next
     stacked = np.concatenate(outs, axis=1)
     if adj is not None:
         stacked = adj.matmul(stacked)                   # heads batched
@@ -180,7 +189,12 @@ def evidence_forward(adj: SparseMatrix, prop, row_scale, regions,
         out = np.concatenate([out, np.full((out.shape[0], 1), float(k),
                                            dtype=out.dtype)], axis=1)
 
+    work = prop.size * heads[0].b1.data.size * len(heads)
+
     def grads(g):
+        if g.dtype != stacked.dtype:        # the opinions' dtype
+            raise ValueError(f"the upstream gradient is {g.dtype}, the "
+                             f"opinions {stacked.dtype}")
         g = g[:, :len(heads)] * special.sigmoid(stacked)
         g_bias = ad._unbroadcast(g, (len(heads),))
         if adj is not None:

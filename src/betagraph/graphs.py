@@ -24,7 +24,7 @@ import numpy as np
 
 from .ioutil import atomic_write_bytes
 from .rng import rng as make_rng
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, row_blocks
 
 
 class DatasetError(Exception):
@@ -260,9 +260,11 @@ def save_dataset(graph: Graph, directory):
     rows = np.repeat(np.arange(graph.n), np.diff(a.indptr))
     upper = rows < a.indices
     pairs = np.column_stack([rows[upper], a.indices[upper]])
-    atomic_write_bytes(os.path.join(directory, "edges.tsv"),
-                       ("%d\t%d\n" * len(pairs)
-                        % tuple(pairs.ravel().tolist())).encode())
+    del rows, upper
+    atomic_write_bytes(os.path.join(directory, "edges.tsv"), (
+        ("%d\t%d\n" * (r.stop - r.start)
+         % tuple(pairs[r].ravel().tolist())).encode()
+        for r in row_blocks(len(pairs))))     # formatted a block at a time
 
     atomic_write_bytes(os.path.join(directory, "features.bin"),
                        graph.features.astype("<f4").tobytes())

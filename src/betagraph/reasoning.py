@@ -184,10 +184,11 @@ def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
     Batch norm uses the column statistics of all of z in training (and
     updates the running ones) and the running ones otherwise.  The
     forward runs the per-op composition's ops in its order, in place
-    where it can, and once the statistics are taken on the rows that are
-    read only (dropout draws for all n, as the composition does); the
-    softplus runs a row block at a time (sparse.row_blocks).  The
-    VJP is the closed form of Ioffe & Szegedy (2015), with gy the
+    where it can (the variance squares z - mean in its own buffer, which
+    then takes z - mean again), and once the statistics are taken on the
+    rows that are read only (dropout draws for all n, as the composition
+    does); the softplus runs a row block at a time (sparse.row_blocks).
+    The VJP is the closed form of Ioffe & Szegedy (2015), with gy the
     gradient of the batch-norm output and xhat = (z - mean) / std: dbeta
     = sum gy, dgamma = sum gy xhat, and dz = gy gamma / std, less (dbeta
     + xhat dgamma) gamma / (n std) in training.  The dbeta term goes
@@ -196,10 +197,15 @@ def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
     off the read rows, so both sums run over those rows, in row order:
     numpy's column sums start from +0, and the unread rows' zero terms
     change no bit.  The upstream gradient is summed per read row (a row
-    can be asked for twice) and gy enters the (n, H) dz by one
-    assignment.  Backward keeps the softplus derivative and the bool
-    dropout keep array of the read rows (float32 softplus can underflow
-    to 0) and two (1, H) statistics.
+    can be asked for twice).  Backward keeps the softplus derivative and
+    the bool dropout keep array of the read rows (float32 softplus can
+    underflow to 0) and two (1, H) statistics.  The VJP, which the tape
+    runs once, forms gy in the softplus derivative's buffer, a row block
+    at a time, and xhat dgamma / n (t) in xhat's; with read rows, dz is
+    then formed in xhat's buffer, gy - t on the read rows and 0 - t off
+    them: the composition's zero array less t, without the zero array.
+    An upstream gradient of another dtype than the layer's is a
+    ValueError, not a silent rounding into those buffers.
     """
     x = z.data
     taped = ad.grad_needed(z, bn.gamma, bn.beta)
@@ -208,7 +214,9 @@ def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
     if training:
         mean = x.mean(axis=0, keepdims=True)
         y = x - mean
-        var = (y * y).mean(axis=0, keepdims=True)
+        y *= y                              # the variance's squares
+        var = y.mean(axis=0, keepdims=True)
+        np.subtract(x, mean, out=y)
         m = BN_MOMENTUM
         bn.running_mean = (1 - m) * bn.running_mean + m * mean.ravel()
         bn.running_var = (1 - m) * bn.running_var + m * var.ravel()
@@ -248,26 +256,39 @@ def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
         y *= ad.dropout_scale(dropout_rate, y.dtype)
 
     def grads(g):
+        if g.dtype != sig.dtype:
+            raise ValueError(f"the upstream gradient is {g.dtype}, the "
+                             f"layer {sig.dtype}")
         if rows is not None:                # ad.take_rows's VJP, read rows
             g, gathered = np.zeros((read.size, g.shape[1]), g.dtype), g
             np.add.at(g, inv, gathered)
-        # through dropout and softplus: dL/dy
-        if keep is None:
-            gy = g * sig
-        else:
-            gy = g * keep
-            gy *= ad.dropout_scale(dropout_rate, gy.dtype)
-            gy *= sig
+        # through dropout and softplus: dL/dy, in sig's buffer a row block
+        # at a time (nothing reads sig after the VJP, which runs once)
+        gy, scale = sig, ad.dropout_scale(dropout_rate, g.dtype)
+        for r in row_blocks(gy.shape[0]):
+            if keep is None:
+                gy[r] *= g[r]
+            else:
+                block = g[r] * keep[r]
+                block *= scale
+                gy[r] *= block
+                del block                   # before the next block's
         g_beta = gy.sum(axis=0)
         xhat = z.data - mean
         xhat /= std
         g_gamma = (gy * (xhat if rows is None else xhat[read])).sum(axis=0)
-        if rows is not None:
-            gy, gread = np.zeros_like(xhat), gy
-            gy[read] = gread
-        if training:                        # mean and std depend on z
+        if training:                        # mean and std depend on z: t
             xhat *= g_gamma
             xhat /= x.shape[0]
+        if rows is not None:        # dL/dz in xhat's buffer: gy - t on the
+            if training:            # read rows, 0 - t (0 untrained) off them
+                gy -= xhat[read]
+                np.subtract(0, xhat, out=xhat)
+            else:
+                xhat[...] = 0
+            xhat[read] = gy
+            gy = xhat
+        elif training:
             gy -= xhat
         gy *= gamma / std
         if training:                        # the dbeta / n term

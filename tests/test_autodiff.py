@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -262,6 +263,25 @@ class TestEngineMechanics:
         ad.tsum(y).backward()
         assert x.grad.dtype == np.float32
 
+    def test_backward_frees_an_output_during_its_own_vjp(self):
+        """backward lets go of a node before it calls the node's grads,
+        so an interior output that nothing else holds (propagate's z2,
+        layer 1's h1) is freed while its own VJP runs."""
+        x = parameter(np.ones(3))
+        alive = []
+
+        def grads(g):
+            alive.append(data() is not None)
+            return (g * 2.0,)
+
+        mid = ad.fused_node(x.data * 2.0, (x,), grads)
+        data = weakref.ref(mid.data)
+        loss = ad.tsum(mid)
+        del mid
+        loss.backward()
+        assert alive == [False]
+        assert np.array_equal(x.grad, np.full(3, 2.0))
+
     def test_backward_releases_the_tape(self):
         x = parameter(np.array([2.0, -1.0]))
         w = parameter(np.array([[1.0, 3.0], [0.5, -2.0]]))
@@ -324,6 +344,13 @@ _DRAW = st.tuples(
     st.lists(st.integers(0, 7), max_size=3).map(tuple))
 
 
+def _stream(generator):
+    """What a PCG64 generator's next draws depend on: its state, and the
+    half word it keeps buffered, if it keeps one."""
+    state = generator.bit_generator.state
+    return state["state"], state["has_uint32"] and state["uinteger"]
+
+
 class TestDropoutKeep:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.lists(_DRAW, min_size=1,
@@ -364,6 +391,31 @@ class TestDropoutKeep:
             want.random(3, dtype=np.float32).tobytes()
         assert got.random() == want.random()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("buffered", [0, 1])
+    @pytest.mark.parametrize("block", [sparse.ROW_BLOCK, 2])
+    def test_arrays_one_at_a_time_equal_one_draw(self, dtype, buffered,
+                                                 block, monkeypatch):
+        """K+1 = 5 keep arrays of an odd unit count (701 x 63, so float32
+        arrays start and end mid-word), drawn one at a time, equal one
+        (5, 701, 63) draw bit for bit, and leave the generator in its
+        state after that draw; each array is drawn when it is asked for,
+        no sooner."""
+        monkeypatch.setattr(sparse, "ROW_BLOCK", block)
+        shape = (701, 63)
+        got, want, first = rng(5), rng(5), rng(5)
+        for gen in (got, want, first):
+            gen.random(2 - buffered, dtype=np.float32)
+        keeps = ad.dropout_keeps(5, shape, dtype, 0.4, got)
+        assert _stream(got) == _stream(want)
+        head = next(keeps)
+        oracles.dropout_mask(shape, dtype, 0.4, first)
+        assert _stream(got) == _stream(first)
+        drawn = np.stack([head, *keeps])
+        ref = oracles.dropout_mask((5, *shape), dtype, 0.4, want) > 0
+        assert drawn.dtype == bool and drawn.tobytes() == ref.tobytes()
+        assert _stream(got) == _stream(want)
+
     def test_peak_is_the_keep_array_and_one_block(self):
         """Phase 2's draw at the bench's scale, (5, 36000, 64) float32,
         peaks at 1.18 keep arrays: the keep array and one block of raw
@@ -400,17 +452,21 @@ class TestAdam:
 
     def test_rejects_params_without_grad(self):
         """An optimizer holds only parameters its loss reads: one left
-        without a gradient is an error, and no parameter moves."""
+        without a gradient is a ValueError that names it (training.fit
+        turns it into TrainingDivergence), and neither a parameter nor a
+        moment moves."""
         x = parameter(np.ones(2))
         y = parameter(np.ones(2))
         opt = ad.Adam({"x": x, "y": y}, lr=0.5)
         loss = ad.tsum(ad.mul(x, x))
         opt.zero_grad()
         loss.backward()
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=r"^parameter y has no gradient$"):
             opt.step()
         assert np.array_equal(x.data, np.ones(2))
         assert np.array_equal(y.data, np.ones(2))
+        assert opt.t == 0
+        assert not opt.m.any() and not opt.v.any()
 
 
 class TestFlatAdam:

@@ -82,16 +82,33 @@ def grad_setup(dtype, seed=0, n=40, d=3, k=3, hidden=6):
 
 
 class TestFusedHeads:
+    @pytest.mark.parametrize("dtype,upstream", [(np.float32, np.float64),
+                                                (np.float64, np.float32)])
+    def test_upstream_of_another_dtype_is_an_error(self, dtype, upstream):
+        """The VJP writes dL/dz into the heads' own buffers: an upstream
+        gradient in another dtype than the opinions' is a ValueError
+        naming both, not a silent rounding, and no head gets a gradient."""
+        adj, emb, regions, heads, _ = grad_setup(dtype)
+        op = evidence_forward(adj, emb, regions, heads, dropout_rate=0.4,
+                              generator=rng(7), learned_prior=True).opinions
+        loss = ad.fused_node(op.data.sum(), (op,), lambda g: (
+            np.ones(op.data.shape, upstream),))
+        with pytest.raises(ValueError, match=(
+                f"upstream gradient is {np.dtype(upstream)}, the opinions "
+                f"{np.dtype(dtype)}")):
+            loss.backward()
+        assert all(t.grad is None for t in heads.tensors().values())
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dropout", [0.0, 0.4])
     @pytest.mark.parametrize("propagate", [True, False])
     @pytest.mark.parametrize("learned_prior", [True, False])
     def test_bit_equal_to_per_op_composition(self, dtype, dropout, propagate,
                                              learned_prior):
-        """Heads (one dropout draw for all of them), assembly and Dirichlet
-        loss, on every row and on rows taken with ad.take_rows, against
-        the per-op composition with a draw per head from the same seed:
-        equal opinions and loss bit for bit, equal gradients."""
+        """Heads (each drawing its keep array as it starts), assembly and
+        Dirichlet loss, on every row and on rows taken with ad.take_rows,
+        against the per-op composition with a draw per head from the same
+        seed: equal opinions and loss bit for bit, equal gradients."""
         adj, emb, regions, heads, labels = grad_setup(dtype)
         tensors = heads.tensors()
         for rows in (np.arange(labels.size), None):
@@ -143,9 +160,11 @@ class TestFusedHeads:
     @pytest.mark.parametrize("learned_prior", [True, False])
     def test_concurrent_heads_equal_sequential(self, dtype, learned_prior,
                                                monkeypatch):
-        """Above the work floor, training runs the heads and their VJPs in
-        the worker threads: the same opinions, loss and gradients bit for
-        bit as one after another; scoring runs them on the caller."""
+        """Above the work floor, training runs the heads' VJPs in the
+        worker threads: the same opinions, loss and gradients bit for bit
+        as one after another.  The heads' forward, whose dropout draws
+        come one head at a time, runs on the caller in training and in
+        scoring."""
         adj, emb, regions, heads, labels = grad_setup(dtype)
         tensors = heads.tensors()
         head = ev._head
@@ -178,7 +197,8 @@ class TestFusedHeads:
             runs.append([batch.opinions.data, loss.data,
                          *(t.grad for t in tensors.values()
                            if t.grad is not None)])
-            assert off_main == [floor == 0] * (2 * (3 + learned_prior))
+            assert off_main == [False] * (3 + learned_prior) \
+                + [floor == 0] * (3 + learned_prior)
         for sequential, concurrent in zip(*runs, strict=True):
             assert sequential.dtype == concurrent.dtype
             assert sequential.tobytes() == concurrent.tobytes()

@@ -404,6 +404,23 @@ def assert_grads_agree(got, want, what):
 
 
 class TestFusedEncoderLayer:
+    @pytest.mark.parametrize("dtype,upstream", [(np.float32, np.float64),
+                                                (np.float64, np.float32)])
+    def test_upstream_of_another_dtype_is_an_error(self, dtype, upstream):
+        """The VJP forms dL/dy in the softplus derivative's buffer: an
+        upstream gradient in another dtype than the layer's is a
+        ValueError naming both, not a silent rounding."""
+        z, bn, _ = layer_setup(dtype)
+        out = rs.encoder_layer(z, bn, training=True, dropout_rate=0.4,
+                               generator=rng(4))
+        loss = ad.fused_node(out.data.sum(), (out,), lambda g: (
+            np.ones(out.data.shape, upstream),))
+        with pytest.raises(ValueError, match=(
+                f"upstream gradient is {np.dtype(upstream)}, the layer "
+                f"{np.dtype(dtype)}")):
+            loss.backward()
+        assert z.grad is None and bn.gamma.grad is None
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("floor", [0.0, rs.EMB_EPS])

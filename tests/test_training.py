@@ -235,10 +235,9 @@ class TestPhases:
     @pytest.mark.parametrize("learned_prior", [True, False])
     def test_phase2_bit_equal_to_per_op_reference(
             self, small_ppm, small_split, context_propagation, learned_prior):
-        """Phase 2 on the receptive rows, with one dropout draw for all
-        heads per epoch, reproduces the per-op heads, assembly and loss
-        with a draw per head from the same stream, and per-parameter
-        Adam."""
+        """Phase 2 on the receptive rows, each head drawing its keep array
+        as it starts, reproduces the per-op heads, assembly and loss with
+        a draw per head from the same stream, and per-parameter Adam."""
         cfg = quick_config(learned_prior=learned_prior, dropout_p2=0.2,
                            context_propagation=context_propagation)
         ctx = context_of(small_ppm, small_split, cfg)
@@ -312,10 +311,12 @@ class TestPhases:
 
     def test_phase1_peak_heap_bounded(self):
         """Three phase-1 epochs on n=2e4 nodes at H=2d=64 keep the traced
-        heap peak under 9 (n, H) float32 arrays; it reads 7.3, against
-        11.4 while the tape kept layer 2's full output, a float32 dropout
-        mask and every walked node, and 42 for a tape that outlived its
-        backward, with per-op encoder layers."""
+        heap peak under 7.75 (n, H) float32 arrays; it reads 6.3, against
+        7.3 while backward held each node through its own VJP and the
+        encoder layer's VJP made dL/dy a new array, 11.4 while the tape
+        kept layer 2's full output, a float32 dropout mask and every
+        walked node, and 42 for a tape that outlived its backward, with
+        per-op encoder layers."""
         n = 20_000
         g = graphs.zscore_features(
             graphs.gen_erdos_renyi(n, 4e-4, 16, seed=0, class_count=6))
@@ -332,15 +333,17 @@ class TestPhases:
         finally:
             tracemalloc.stop()
         arrays = peak / (n * 64 * 4)
-        assert arrays < 9, f"phase-1 heap peak {arrays:.1f} (n, H) arrays"
+        assert arrays < 7.75, f"phase-1 heap peak {arrays:.1f} (n, H) arrays"
 
     def test_phase2_peak_heap_bounded(self):
         """Three phase-2 epochs on n=2e4 nodes at H=64 with five heads keep
-        the traced heap peak under 5 (n, H) float32 arrays: backward holds
-        one per head, the hidden activation in which the head's VJP forms
-        dL/dz, and it reads 3.8 (4.0 with the dropout words drawn at once
-        and dL/dz made whole in each VJP).  Heads that kept their float32
-        dropout mask and bool relu mask as well peaked at 13.8."""
+        the traced heap peak under 4.25 (n, H) float32 arrays: backward
+        holds one per head, the hidden activation in which the head's VJP
+        forms dL/dz, and each head draws its own keep array as it starts;
+        it reads 3.4 (3.85 with one keep array for all heads, 4.0 with the
+        dropout words drawn at once and dL/dz made whole in each VJP).
+        Heads that kept their float32 dropout mask and bool relu mask as
+        well peaked at 13.8."""
         n = 20_000
         g = graphs.zscore_features(
             graphs.gen_erdos_renyi(n, 4e-4, 16, seed=0, class_count=6))
@@ -358,7 +361,7 @@ class TestPhases:
         finally:
             tracemalloc.stop()
         arrays = peak / (n * 64 * 4)
-        assert arrays < 5, f"phase-2 heap peak {arrays:.1f} (n, H) arrays"
+        assert arrays < 4.25, f"phase-2 heap peak {arrays:.1f} (n, H) arrays"
 
     def test_divergence_detected(self, small_ppm, small_split):
         cfg = quick_config(lr_p1=1e18, epochs_p1=60)
