@@ -1,8 +1,8 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 A Tensor wraps an ndarray and, if it is a tape node, its parents and
-one function grads(g) that gives the gradients of all of them at once;
-fused_node is the only node constructor.  Calling backward() on a
+one function grads(upstream) that gives the gradients of all of them at
+once; fused_node is the only node constructor.  Calling backward() on a
 scalar walks the tape in reverse topological order, calls each node's
 grads once and adds each entry into its parent, in parent order, for
 every parent with requires_grad=True.  Every layer, the baseline's
@@ -15,7 +15,7 @@ the per-op composition's expressions in the tape's order of
 accumulation.
 
 What else lives here: the few generic ops the library still chains
-between nodes (matmul, reshape, take_rows), dropout, mul and tsum
+between nodes (reshape, take_rows), dropout, mul and tsum
 (bench/test_bench.py's tape check; no library caller), the array kernels
 of the fused layers (colmean_exact, relu_data, the dropout keep arrays)
 and Adam.  All ops broadcast like numpy and un-broadcast their gradients.
@@ -26,13 +26,22 @@ once its gradient has reached its parents, each entry is dropped as it
 is added, and the walk lets go of the node before its grads runs.  A
 finished backward holds nothing of the graph, which it walks only once,
 so a VJP may form its gradients in the buffers its own closure owns;
-never in a parent's data or in the upstream gradient, which others read.
+never in a parent's data, which others read.
+
+Who owns the upstream gradient: the VJP.  backward hands it over as
+the one item of a list, keeps no reference of its own, and every grads
+takes it with upstream.pop(), so a VJP can drop it as soon as it has
+formed what it needs from it (propagate's once adj @ g is formed).  A
+VJP never writes into the upstream gradient: the gradients one VJP
+returns may share memory (evidence_forward's output biases get views of
+one array), and backward hands each on as it is.
 
 The finite-difference oracle for these gradients, the per-op
 compositions, and the generic ops only they use (add, sub, tmean, relu,
 exp, log, logsumexp, spmm, concat, cols, div, digamma, lgamma, softplus,
-sqrt, a taped colmean_exact) live with the tests (tests/oracles.py),
-whose per-op VJPs reach fused_node through a small adapter.
+sqrt, matmul, a taped colmean_exact) live with the tests
+(tests/oracles.py), whose per-op VJPs reach fused_node through a small
+adapter.
 """
 
 from __future__ import annotations
@@ -74,8 +83,10 @@ class Tensor:
         Interior nodes lose their grad, parents and grads as soon as their
         gradient has been passed on, so the graph cannot be walked again.
         The walk lets go of each node before calling its grads, so an
-        output that nothing else holds (propagate's, layer 1's in phase
-        1) is freed while its own VJP runs.
+        output that nothing else holds (propagate's in phase 1) is freed
+        while its own VJP runs, and hands the node's gradient to grads
+        in a one-item list, without keeping it: a VJP that pops it and
+        drops it frees it.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
@@ -87,12 +98,12 @@ class Tensor:
             node._parents, node._grads = (), None
             if node.grad is None or not parents:
                 continue
-            g = node.grad
+            upstream = [node.grad]          # the VJP's to pop and drop
             if node is not self:
                 node.grad = None
             del node            # an output held by nothing else goes now
-            pgs = list(grads(g))
-            del g, grads
+            pgs = list(grads(upstream))
+            del upstream, grads
             for i, parent in enumerate(parents):
                 pg, pgs[i] = pgs[i], None       # dropped once taken
                 if parent.requires_grad:
@@ -135,8 +146,9 @@ def fused_node(data, parents, grads):
     """The tape node of data over the Tensors parents, the only node
     constructor.
 
-    grads(g) returns one gradient per parent, in the order of parents,
-    from the upstream gradient g; it runs once per backward, and each
+    grads(upstream) returns one gradient per parent, in the order of
+    parents, from the upstream gradient g = upstream.pop(), which it
+    owns and never writes into; it runs once per backward, and each
     gradient is dropped as soon as the engine has taken it.  The entry
     of a parent that does not require grad is ignored: grads should give
     None there without computing it.  Nothing is taped when grad is
@@ -172,24 +184,20 @@ def mul(a, b):
     ad, bd = (x.data if isinstance(x, Tensor) else x for x in (a, b))
     taped = [(x, other) for x, other in ((a, bd), (b, ad))
              if isinstance(x, Tensor)]
-    return fused_node(ad * bd, [x for x, _ in taped], lambda g: [
-        _unbroadcast(g * other, x.data.shape) if x.requires_grad else None
-        for x, other in taped])
 
+    def grads(upstream):
+        g = upstream.pop()
+        return [_unbroadcast(g * other, x.data.shape) if x.requires_grad
+                else None for x, other in taped]
 
-def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    return fused_node(a.data @ b.data, (a, b), lambda g: (
-        g @ b.data.T if a.requires_grad else None,
-        a.data.T @ g if b.requires_grad else None))
+    return fused_node(ad * bd, [x for x, _ in taped], grads)
 
 
 def tsum(x, axis=None, keepdims=False):
     x = as_tensor(x)
 
-    def grads(g):
+    def grads(upstream):
+        g = upstream.pop()
         gg = g if axis is None or keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, x.data.shape).astype(x.data.dtype,
                                                          copy=False),)
@@ -239,16 +247,16 @@ def _fsum_columns(x):
 def reshape(x, shape):
     x = as_tensor(x)
     return fused_node(x.data.reshape(shape), (x,),
-                      lambda g: (g.reshape(x.data.shape),))
+                      lambda upstream: (upstream.pop().reshape(x.data.shape),))
 
 
 def take_rows(x, idx):
     x = as_tensor(x)
     idx = np.asarray(idx, dtype=np.int64)
 
-    def grads(g):
+    def grads(upstream):
         out = np.zeros_like(x.data)
-        np.add.at(out, idx, g)
+        np.add.at(out, idx, upstream.pop())
         return (out,)
 
     return fused_node(x.data[idx], (x,), grads)
@@ -274,7 +282,8 @@ def dropout(x, rate, generator):
     x = as_tensor(x)
     mask = dropout_keep(x.data.shape, x.data.dtype, rate, generator) \
         * dropout_scale(rate, x.data.dtype)
-    return fused_node(x.data * mask, (x,), lambda g: (g * mask,))
+    return fused_node(x.data * mask, (x,),
+                      lambda upstream: (upstream.pop() * mask,))
 
 
 def dropout_scale(rate, dtype):

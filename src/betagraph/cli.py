@@ -18,6 +18,9 @@ train, eval, ablate and gridsearch z-score the dataset's features per
 column on load; scale trains on its generated features as drawn.  They
 keep the dataset as a training.PreparedGraph in the config's dtype,
 made once per command, and let go of the raw adjacency and features.
+scale runs each point in a forked child and writes its seconds of
+training and its peak resident memory; a point whose child runs out of
+memory or is killed is an "oom" row, and the sweep goes on.
 
 main first calls tune_allocator, which fixes glibc's mmap and trim
 thresholds and its arena count for the betagraph process (see there);
@@ -32,6 +35,7 @@ import datetime
 import itertools
 import json
 import os
+import pickle
 import platform
 import sys
 import time
@@ -411,30 +415,81 @@ def cmd_ablate(args):
 
 # -- scale -------------------------------------------------------------
 
+SCALE_COLUMNS = ("nodes", "density", "edges", "seconds", "peak_rss_mb",
+                 "status")
+
+
+def _in_child(fn, *args):
+    """fn(*args) in a forked child, which starts from this process with
+    the library imported: (what it returned, or None where it ran out of
+    memory or was killed, and its peak resident MB from os.wait4).  An
+    exception other than MemoryError is raised again here.  scale's
+    process trains nothing itself, so it forks without worker threads
+    (sparse.parallel's pool is made per process, on first use)."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                result = fn(*args)
+            except MemoryError:
+                result = None
+            except Exception as exc:        # raised again by the parent
+                result = exc
+            with os.fdopen(write_fd, "wb") as fh:
+                pickle.dump(result, fh)
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as fh:
+        payload = fh.read()
+    _, _, usage = os.wait4(pid, 0)
+    result = pickle.loads(payload) if payload else None     # None: killed
+    if isinstance(result, Exception):
+        raise result
+    return result, usage.ru_maxrss / 1024       # Linux reports KiB
+
+
+def _scale_point(n, density, args, config):
+    """(edges, seconds of train_alternating) on the ER graph of one scale
+    point; the raw graph goes once prepared, as in train."""
+    g = graphs.gen_erdos_renyi(n, density, args.feature_dim, seed=config.seed,
+                               class_count=args.classes)
+    edges, split = g.edge_count, config.split(g)
+    ctx = build_context(prepare_graph(g, config.np_dtype), split, config)
+    del g
+    t0 = time.perf_counter()
+    train_alternating(ctx, config)
+    return edges, time.perf_counter() - t0
+
+
 def cmd_scale(args):
     started = _now()
+    for n in args.nodes:
+        graphs.check_sizes(n=n)
+    graphs.check_sizes(feature_dim=args.feature_dim, class_count=args.classes)
     out = _out_dir(args.out)
     base = _build_config(args)
     base = replace(base, rounds=1, ood_classes=())
     rows = []
     for n, density in itertools.product(args.nodes, args.densities):
-        try:
-            g = graphs.gen_erdos_renyi(n, density, args.feature_dim,
-                                       seed=base.seed, class_count=args.classes)
-            split = base.split(g)
-            t0 = time.perf_counter()
-            train_alternating(build_context(
-                prepare_graph(g, base.np_dtype), split, base), base)
-            elapsed = time.perf_counter() - t0
-            rows.append([n, density, g.edge_count, elapsed, "ok"])
-            print(f"n={n} density={density}: {elapsed:.2f}s "
-                  f"({g.edge_count} edges)")
-        except MemoryError:
-            rows.append([n, density, "", "", "oom"])
-            print(f"n={n} density={density}: out of memory", file=sys.stderr)
+        point, peak = _in_child(_scale_point, n, density, args, base)
+        if point is None:
+            rows.append([n, density, "", "", peak, "oom"])
+            print(f"n={n} density={density}: out of memory or killed "
+                  f"(peak {peak:.0f} MB)", file=sys.stderr)
+            continue
+        edges, elapsed = point
+        rows.append([n, density, edges, elapsed, peak, "ok"])
+        print(f"n={n} density={density}: {elapsed:.2f}s, peak {peak:.0f} MB "
+              f"({edges} edges)")
     table = os.path.join(out, "timings.csv")
-    write_csv(table, ["nodes", "density", "edges", "seconds", "status"],
-              zip(*rows))
+    write_csv(table, SCALE_COLUMNS, zip(*rows))
     _write_manifest(out, "scale", [table], seeds=[base.seed], started=started)
     return 0
 
@@ -526,7 +581,8 @@ def build_parser() -> _Parser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("scale", help="time training rounds on growing graphs")
+    p = sub.add_parser("scale", help="time training rounds on growing "
+                                     "graphs and read their peak memory")
     p.add_argument("--nodes", type=int, nargs="+", required=True)
     p.add_argument("--densities", type=float, nargs="+", required=True)
     p.add_argument("--feature-dim", type=int, default=16)

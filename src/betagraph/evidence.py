@@ -59,6 +59,9 @@ from .reasoning import glorot
 from .sparse import SparseMatrix, parallel, row_blocks
 
 PRIOR_EPS = 1e-6
+# rows per block of a head's shift: its product is the head's only
+# temporary, alive beside the earlier heads' activations and the keep array
+SHIFT_ROWS = 2**10
 
 
 @dataclass
@@ -172,12 +175,13 @@ def evidence_forward(adj: SparseMatrix, prop, row_scale, regions,
                                  prop.dtype, dropout_rate, generator)
     scale = ad.dropout_scale(dropout_rate, prop.dtype)
     outs, vjps = [], []
-    for i, (head, keep) in enumerate(zip(heads, keeps)):
-        h_out, vjp = _head(prop, regions[[i]], row_scale, head, keep, scale)
+    for i, head in enumerate(heads):    # keep i goes before draw i + 1
+        h_out, vjp = _head(prop, regions[[i]], row_scale, head, next(keeps),
+                           scale)
         outs.append(h_out)                              # head i reads row i
         if taped:
             vjps.append(vjp)
-        del keep, vjp   # untaped, the hidden activation goes before the next
+        del vjp         # untaped, the hidden activation goes before the next
     stacked = np.concatenate(outs, axis=1)
     if adj is not None:
         stacked = adj.matmul(stacked)                   # heads batched
@@ -191,7 +195,8 @@ def evidence_forward(adj: SparseMatrix, prop, row_scale, regions,
 
     work = prop.size * heads[0].b1.data.size * len(heads)
 
-    def grads(g):
+    def grads(upstream):
+        g = upstream.pop()
         if g.dtype != stacked.dtype:        # the opinions' dtype
             raise ValueError(f"the upstream gradient is {g.dtype}, the "
                              f"opinions {stacked.dtype}")
@@ -216,15 +221,15 @@ def _head(prop, cls_row, row_scale, head: HeadParams, keep, scale):
 
     in that op order, so it equals the per-op composition bit for bit;
     keep is the dropout keep array, None without dropout, and scale
-    1/(1-rate).  The shift runs in row blocks and the relu over z, so a
-    head holds one (rows, H) array.  The VJP keeps only h.  It takes dw2
-    = h.T @ g first, then makes dL/dz = (g @ w2.T) * (h > 0) * scale
-    once for every parameter, a row block at a time in h's own buffer:
-    nothing reads h after the VJP, which the tape runs once, so the VJP
-    allocates no (rows, H) array.  h > 0 iff z > 0 and the unit was
-    kept.  Its outer products are broadcast products, in a third of
-    numpy's matmul loop's time.  That loop starts from +0, so the
-    returned one adds 0 for the same bits; g * w2.T may hold a -0 where
+    1/(1-rate).  The shift runs in blocks of SHIFT_ROWS rows and the
+    relu over z, so a head holds one (rows, H) array.  The VJP keeps
+    only h.  It takes dw2 = h.T @ g first, then makes dL/dz = (g @ w2.T)
+    * (h > 0) * scale once for every parameter, a row block at a time in
+    h's own buffer: nothing reads h after the VJP, which the tape runs
+    once, so the VJP allocates no (rows, H) array.  h > 0 iff z > 0 and
+    the unit was kept.  Its outer products are broadcast products, in a
+    third of numpy's matmul loop's time.  That loop starts from +0, so
+    the returned one adds 0 for the same bits; g * w2.T may hold a -0 where
     the composition's g @ w2.T holds +0, which no gradient shows, since
     the products and sums that read dL/dz start from +0 too.
     """
@@ -232,7 +237,8 @@ def _head(prop, cls_row, row_scale, head: HeadParams, keep, scale):
     w1, w2 = head.w1.data, head.w2.data
     z = prop @ w1[:w]
     shift = cls_row @ w1[w:]
-    for rows in row_blocks(z.shape[0]):
+    for lo in range(0, z.shape[0], SHIFT_ROWS):
+        rows = slice(lo, lo + SHIFT_ROWS)
         z[rows] += row_scale[rows] * shift
     z += head.b1.data
     h = ad.relu_data(z, out=z)
@@ -293,8 +299,8 @@ def dirichlet_loss(batch: NodeOpinionBatch, labels) -> Tensor:
     xi_y = (e * onehot).sum(axis=1, keepdims=True) + w * a_y
     per_node = special.digamma(s) - special.digamma(xi_y)
 
-    def grads(g):                          # broadcasting spreads the sums
-        g = g / m
+    def grads(upstream):                   # broadcasting spreads the sums
+        g = upstream.pop() / m
         g_s = g * special.trigamma(s)
         g_xi = -g * special.trigamma(xi_y)
         return (np.concatenate([g_s + g_xi * onehot, g_s + g_xi * a_y],
@@ -340,7 +346,8 @@ def direct_logits(adj: SparseMatrix, px: Tensor, params: HeadParams, *,
     full = adj.matmul(h @ w2)
     full += params.b2.data
 
-    def grads(g):
+    def grads(upstream):
+        g = upstream.pop()
         if rows is not None:
             g, taken = np.zeros_like(full), g
             np.add.at(g, rows, taken)
@@ -369,4 +376,5 @@ def direct_evidence_forward(adj: SparseMatrix, px, params: HeadParams, *,
     out = np.concatenate([special.softplus(x), np.full(
         (x.shape[0], 1), float(x.shape[1]), dtype=x.dtype)], axis=1)
     return NodeOpinionBatch(ad.fused_node(
-        out, (logits,), lambda g: (g[:, :-1] * special.sigmoid(x),)))
+        out, (logits,),
+        lambda upstream: (upstream.pop()[:, :-1] * special.sigmoid(x),)))

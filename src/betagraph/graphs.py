@@ -392,14 +392,23 @@ def remap_labels(graph: Graph, split: SplitSpec) -> np.ndarray:
 
 # -- synthetic generators ---------------------------------------------------
 
+def check_sizes(**sizes):
+    """ValueError naming the first of the given sizes that is below 1."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def gen_erdos_renyi(n, density, feature_dim, seed, class_count=4,
                     name=None) -> Graph:
     """G(n, p) with standard-normal features and round-robin dummy labels.
 
     Each unordered pair is included independently with probability
     `density`, sampled by geometric skipping over the linearized upper
-    triangle (exact Bernoulli process, O(edges) work).
+    triangle (exact Bernoulli process, O(edges) work).  n, feature_dim
+    and class_count below 1 are a ValueError naming the argument.
     """
+    check_sizes(n=n, feature_dim=feature_dim, class_count=class_count)
     if not 0.0 <= density < 1.0:
         raise ValueError("density must lie in [0, 1)")
     gen = make_rng(seed)
@@ -442,8 +451,11 @@ def gen_planted_partition(blocks, nodes_per_block, p_in, p_out, feature_dim,
     Edges within a block appear with probability p_in, across blocks with
     p_out (p_in > p_out required).  Each block's feature mean is a random
     direction scaled to `mean_separation`; unit-variance noise is added.
-    Labels are block ids.
+    Labels are block ids.  blocks, nodes_per_block and feature_dim below
+    1 are a ValueError naming the argument.
     """
+    check_sizes(blocks=blocks, nodes_per_block=nodes_per_block,
+                feature_dim=feature_dim)
     if not p_in > p_out:
         raise ValueError("p_in must exceed p_out")
     if mean_separation < 0:

@@ -142,14 +142,16 @@ def encode(adj: SparseMatrix, px: Tensor, params: EncoderParams, *,
 
     px is the propagated feature matrix adj @ x: the features are
     constant, so the first propagation is computed once per graph
-    (training.PreparedGraph).  Training updates the batch-norm running
-    statistics; inference reads them.  Untaped, each layer's softplus
-    runs in place, in row blocks, and the first layer's output is let go
-    of once multiplied by w2, before the sparse product: at most two
-    (n, H) arrays and a block are alive at a time.
+    (training.PreparedGraph).  The first layer's node reads px and w1,
+    not their (n, H) product, which it forms in its forward and again in
+    its VJP.  Training updates the batch-norm running statistics;
+    inference reads them.  Untaped, each layer's softplus runs in place,
+    in row blocks, and the first layer's output is let go of once
+    multiplied by w2, before the sparse product: at most two (n, H)
+    arrays and a block are alive at a time.
     """
     z2 = propagate(adj, encoder_layer(
-        ad.matmul(px, params.w1), params.bn1, training=training,
+        px, params.bn1, weight=params.w1, training=training,
         dropout_rate=dropout_rate if training else 0.0,
         generator=generator), params.w2)
     return encoder_layer(z2, params.bn2, training=training, floor=EMB_EPS,
@@ -158,9 +160,9 @@ def encode(adj: SparseMatrix, px: Tensor, params: EncoderParams, *,
 
 def propagate(adj: SparseMatrix, h: Tensor, w: Tensor) -> Tensor:
     """adj @ (h @ w) as one tape node, which does not keep the (n, H)
-    product h @ w.  The VJP computes adj @ g once, then the gradients of
-    h and w from it, in the order of the per-op spmm's and ad.matmul's
-    VJPs (tests/oracles.py), so values and gradients equal that
+    product h @ w.  The VJP computes adj @ g once, and drops g, then the
+    gradients of h and w from it, in the order of the per-op spmm's and
+    matmul's VJPs (tests/oracles.py), so values and gradients equal that
     composition bit for bit (adj is symmetric, see
     graphs.normalize_adjacency)."""
     hw = h.data @ w.data
@@ -169,30 +171,37 @@ def propagate(adj: SparseMatrix, h: Tensor, w: Tensor) -> Tensor:
         return Tensor(adj.matmul(hw))
     out = adj.matmul(hw)
 
-    def grads(g):
-        ga = adj.matmul(g)
+    def grads(upstream):
+        ga = adj.matmul(upstream.pop())     # g goes once adj @ g is formed
         return ga @ w.data.T, h.data.T @ ga
 
     return ad.fused_node(out, (h, w), grads)
 
 
-def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
-                  dropout_rate=0.0, generator=None, rows=None) -> Tensor:
-    """softplus(batch_norm(z)) + floor, then inverted dropout, then the
-    given rows (all by default), as one tape node.
+def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, weight=None,
+                  floor=0.0, dropout_rate=0.0, generator=None,
+                  rows=None) -> Tensor:
+    """softplus(batch_norm(x)) + floor, then inverted dropout, then the
+    given rows (all by default), as one tape node, where x is z, or
+    z @ weight when a weight is given.
 
-    Batch norm uses the column statistics of all of z in training (and
+    Batch norm uses the column statistics of all of x in training (and
     updates the running ones) and the running ones otherwise.  The
     forward runs the per-op composition's ops in its order, in place
-    where it can (the variance squares z - mean in its own buffer, which
-    then takes z - mean again), and once the statistics are taken on the
+    where it can (the variance squares x - mean in its own buffer, which
+    then takes x - mean again), and once the statistics are taken on the
     rows that are read only (dropout draws for all n, as the composition
     does); the softplus runs a row block at a time (sparse.row_blocks).
+    With a weight, the node's parents are z and the weight, not their
+    product: the forward lets go of x once x - mean is formed, and the
+    VJP forms z @ weight again (the same product, so the same bits) as
+    xhat's buffer, and returns the weight's gradient z.T @ dz, and z's
+    dz @ weight.T where z requires grad, as the per-op matmul's VJP does.
     The VJP is the closed form of Ioffe & Szegedy (2015), with gy the
-    gradient of the batch-norm output and xhat = (z - mean) / std: dbeta
-    = sum gy, dgamma = sum gy xhat, and dz = gy gamma / std, less (dbeta
+    gradient of the batch-norm output and xhat = (x - mean) / std: dbeta
+    = sum gy, dgamma = sum gy xhat, and dx = gy gamma / std, less (dbeta
     + xhat dgamma) gamma / (n std) in training.  The dbeta term goes
-    last, as a column mean, so that dz's columns sum to zero to rounding
+    last, as a column mean, so that dx's columns sum to zero to rounding
     like the composition's (float32 sums downstream cancel).  gy is zero
     off the read rows, so both sums run over those rows, in row order:
     numpy's column sums start from +0, and the unread rows' zero terms
@@ -201,14 +210,18 @@ def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
     the bool dropout keep array of the read rows (float32 softplus can
     underflow to 0) and two (1, H) statistics.  The VJP, which the tape
     runs once, forms gy in the softplus derivative's buffer, a row block
-    at a time, and xhat dgamma / n (t) in xhat's; with read rows, dz is
-    then formed in xhat's buffer, gy - t on the read rows and 0 - t off
-    them: the composition's zero array less t, without the zero array.
-    An upstream gradient of another dtype than the layer's is a
-    ValueError, not a silent rounding into those buffers.
+    at a time, and drops the upstream gradient; then xhat dgamma / n (t)
+    in xhat's buffer; with read rows, dx is then formed in xhat's
+    buffer, gy - t on the read rows and 0 - t off them: the
+    composition's zero array less t, without the zero array.  An
+    upstream gradient of another dtype than the layer's is a ValueError,
+    not a silent rounding into those buffers.
     """
-    x = z.data
-    taped = ad.grad_needed(z, bn.gamma, bn.beta)
+    parents = (z, bn.gamma, bn.beta) if weight is None else \
+        (z, weight, bn.gamma, bn.beta)
+    taped = ad.grad_needed(*parents)
+    x = z.data if weight is None else z.data @ weight.data
+    n, width = x.shape
     if rows is not None:                    # the read rows, sorted
         read, inv = np.unique(rows, return_inverse=True)
     if training:
@@ -225,6 +238,7 @@ def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
         mean = bn.running_mean.astype(x.dtype)
         std = np.sqrt(bn.running_var + BN_EPS).astype(x.dtype)
         y = x - mean
+    del x                                   # z @ weight goes here
     if rows is not None:
         y = y[read]
     gamma, beta = bn.gamma.data, bn.beta.data
@@ -249,19 +263,21 @@ def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
         y += floor
     keep = None
     if dropout_rate > 0.0:
-        keep = ad.dropout_keep(x.shape, y.dtype, dropout_rate, generator)
+        keep = ad.dropout_keep((n, width), y.dtype, dropout_rate, generator)
         if rows is not None:
             keep = keep[read]
         y *= keep
         y *= ad.dropout_scale(dropout_rate, y.dtype)
 
-    def grads(g):
+    def grads(upstream):
+        g = upstream.pop()
         if g.dtype != sig.dtype:
             raise ValueError(f"the upstream gradient is {g.dtype}, the "
                              f"layer {sig.dtype}")
         if rows is not None:                # ad.take_rows's VJP, read rows
-            g, gathered = np.zeros((read.size, g.shape[1]), g.dtype), g
+            g, gathered = np.zeros((read.size, width), g.dtype), g
             np.add.at(g, inv, gathered)
+            del gathered
         # through dropout and softplus: dL/dy, in sig's buffer a row block
         # at a time (nothing reads sig after the VJP, which runs once)
         gy, scale = sig, ad.dropout_scale(dropout_rate, g.dtype)
@@ -273,14 +289,19 @@ def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
                 block *= scale
                 gy[r] *= block
                 del block                   # before the next block's
+        del g                               # the upstream goes here
         g_beta = gy.sum(axis=0)
-        xhat = z.data - mean
+        if weight is None:
+            xhat = z.data - mean
+        else:                               # z @ weight again
+            xhat = z.data @ weight.data
+            xhat -= mean
         xhat /= std
         g_gamma = (gy * (xhat if rows is None else xhat[read])).sum(axis=0)
-        if training:                        # mean and std depend on z: t
+        if training:                        # mean and std depend on x: t
             xhat *= g_gamma
-            xhat /= x.shape[0]
-        if rows is not None:        # dL/dz in xhat's buffer: gy - t on the
+            xhat /= n
+        if rows is not None:        # dL/dx in xhat's buffer: gy - t on the
             if training:            # read rows, 0 - t (0 untrained) off them
                 gy -= xhat[read]
                 np.subtract(0, xhat, out=xhat)
@@ -293,10 +314,12 @@ def encoder_layer(z: Tensor, bn: BatchNormParams, *, training, floor=0.0,
         gy *= gamma / std
         if training:                        # the dbeta / n term
             gy -= gy.mean(axis=0)
-        return gy, g_gamma, g_beta
+        if weight is None:
+            return gy, g_gamma, g_beta
+        return (gy @ weight.data.T if z.requires_grad else None,
+                z.data.T @ gy, g_gamma, g_beta)
 
-    return ad.fused_node(y if rows is None else y[inv],
-                         (z, bn.gamma, bn.beta), grads)
+    return ad.fused_node(y if rows is None else y[inv], parents, grads)
 
 
 def _disjoin(x, p: DisjunctionParams):
@@ -347,7 +370,8 @@ def build_class_embeddings(node_embs_2d: Tensor, class_train_indices,
     known, union_vjp = _disjoin(per_class, params)
     novel = 1.0 / known
 
-    def grads(g):
+    def grads(upstream):
+        g = upstream.pop()
         g_per, total = g[:-1], None
         if g[-1:].any():
             g_union, *total = union_vjp(-g[-1:] * novel / known)
@@ -400,7 +424,8 @@ def beta_kl(node: Tensor, cls: Tensor) -> Tensor:
     out = term.sum(axis=-1)
     del term
 
-    def grads(g):
+    def grads(upstream):
+        g = upstream.pop()
         # the a and b halves side by side on a second-to-last axis of 2
         x_n = node.data.reshape(node.data.shape[:-1] + (2, d))
         x_c = cls.data.reshape(cls.data.shape[:-1] + (2, d))
@@ -451,8 +476,8 @@ def beta_loss(node_embs_2d: Tensor, labels, regions: Tensor, gamma, *,
     per_node = special.softplus(pos) + \
         (special.softplus(neg) * (1.0 - onehot)).sum(axis=1) * (1.0 / k)
 
-    def grads(g):                          # broadcasting spreads the means
-        g = g / m
+    def grads(upstream):                   # broadcasting spreads the means
+        g = upstream.pop() / m
         return ((g * special.sigmoid(pos))[:, None] * onehot
                 - g * (1.0 / k) * (1.0 - onehot) * special.sigmoid(neg),)
 

@@ -402,7 +402,12 @@ def phase2_forward(state: ModelState, ctx: RunContext):
     direct head or the Beta heads over class regions frozen here, once:
     every node's opinions, or in training the training nodes', in
     split.train order, with the Beta heads run on the rows R those read
-    (RunContext.receptive_field)."""
+    (RunContext.receptive_field).
+
+    The node embeddings are held once: the first training call gathers
+    their rows R and keeps only the rows outside R besides, and every
+    call for all nodes scatters the two back into one array, the same
+    bits, for the heads to run on."""
     cfg, train = state.config, ctx.split.train
     if state.direct is not None:
         return lambda training: ev.direct_evidence_forward(
@@ -417,13 +422,29 @@ def phase2_forward(state: ModelState, ctx: RunContext):
     scale = np.ones((prop.shape[0], 1), dtype=prop.dtype) if adj is None \
         else ctx.adj.row_sums().astype(prop.dtype).reshape(-1, 1)
 
+    parts = None                    # prop's rows R and the rest, once split
+
     @functools.cache
     def receptive():                    # on the round's first training epoch
+        nonlocal prop, parts
         rows, block = (train, None) if adj is None else ctx.receptive_field()
-        return block, prop[rows], scale[rows]
+        outside = np.ones(prop.shape[0], dtype=bool)
+        outside[rows] = False
+        parts = rows, prop[rows], outside, prop[outside]
+        prop = None                     # one copy from here on, in two parts
+        return block, parts[1], scale[rows]
+
+    def embeddings():                   # every node's, as one array
+        if prop is not None:
+            return prop
+        rows, inside, outside, rest = parts
+        out = np.empty((outside.size, inside.shape[1]), dtype=inside.dtype)
+        out[rows] = inside
+        out[outside] = rest
+        return out
 
     return lambda training: heads(*receptive(), dropout_rate=cfg.dropout_p2) \
-        if training else heads(adj, prop, scale, dropout_rate=0.0)
+        if training else heads(adj, embeddings(), scale, dropout_rate=0.0)
 
 
 def train_phase2(state: ModelState, ctx: RunContext, epochs: int,

@@ -6,8 +6,8 @@ per-cell CSV writer and a sparse matrix built from coordinates.
 The library fuses every layer and loss into single tape nodes with
 hand-written VJPs, and steps Adam over flat vectors.  The per-op
 compositions, the generic nodes they are built from (add, sub, tmean,
-relu, exp, log, logsumexp, spmm and the others below, with autodiff's
-mul, tsum, matmul, reshape and take_rows) and the per-parameter Adam
+relu, exp, log, logsumexp, spmm, matmul and the others below, with
+autodiff's mul, tsum, reshape and take_rows) and the per-parameter Adam
 step here are what those replaced.  The fused nodes' values must equal
 the compositions' bit for bit.  So must the gradients of the nodes whose
 VJPs replay the composition's (the class regions, the margin loss, the
@@ -60,8 +60,19 @@ def _raw(x):
 def _node(data, vjps):
     """ad.fused_node over per-op (parent, VJP) pairs; a VJP runs only for
     a parent that requires grad."""
-    return ad.fused_node(data, [p for p, _ in vjps], lambda g: [
-        vjp(g) if p.requires_grad else None for p, vjp in vjps])
+    def grads(upstream):
+        g = upstream.pop()
+        return [vjp(g) if p.requires_grad else None for p, vjp in vjps]
+
+    return ad.fused_node(data, [p for p, _ in vjps], grads)
+
+
+def matmul(a, b):
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ValueError("matmul expects 2-D operands")
+    return _node(a.data @ b.data, ((a, lambda g: g @ b.data.T),
+                                   (b, lambda g: a.data.T @ g)))
 
 
 def add(a, b):
@@ -289,11 +300,11 @@ def encoder_layer(z, bn, *, training, floor=0.0, dropout_rate=0.0,
 def encode(adj, px, params, *, training=False, dropout_rate=0.0,
            generator=None):
     """reasoning.encode with both layers composed op by op."""
-    h1 = encoder_layer(ad.matmul(px, params.w1), params.bn1,
+    h1 = encoder_layer(matmul(px, params.w1), params.bn1,
                        training=training,
                        dropout_rate=dropout_rate if training else 0.0,
                        generator=generator)
-    z2 = spmm(adj, ad.matmul(h1, params.w2))
+    z2 = spmm(adj, matmul(h1, params.w2))
     return encoder_layer(z2, params.bn2, training=training, floor=rs.EMB_EPS)
 
 
@@ -346,11 +357,11 @@ def disjunction(x2d, params):
     reference for reasoning.disjunction and build_class_embeddings."""
     if x2d.data.shape[0] == 0:
         raise ValueError("disjunction over an empty set")
-    u = relu(add(ad.matmul(x2d, params.h1_w), params.h1_b))
+    u = relu(add(matmul(x2d, params.h1_w), params.h1_b))
     pooled = colmean_exact(u)
     z = add(ad.mul(pooled, params.w), params.bias)
     z = ad.reshape(z, (1, z.data.shape[0]))
-    return add(softplus(add(ad.matmul(z, params.h2_w), params.h2_b)),
+    return add(softplus(add(matmul(z, params.h2_w), params.h2_b)),
                   rs.EMB_EPS)
 
 
@@ -427,12 +438,12 @@ def evidence_forward(adj, prop, row_scale, regions, params, *, dropout_rate,
     def head_out(head, cls_row):
         w_node = ad.take_rows(head.w1, np.arange(0, d2))
         w_cls = ad.take_rows(head.w1, np.arange(d2, 2 * d2))
-        shift = ad.matmul(cls_row, w_cls)
-        z = add(ad.matmul(prop, w_node), ad.mul(row_scale, shift))
+        shift = matmul(cls_row, w_cls)
+        z = add(matmul(prop, w_node), ad.mul(row_scale, shift))
         h = relu(add(z, head.b1))
         if dropout_rate > 0.0:
             h = dropout(h, dropout_rate, generator)
-        return ad.matmul(h, head.w2)
+        return matmul(h, head.w2)
 
     heads = list(params.per_class) + ([params.novel] if learned_prior else [])
     stacked = concat([head_out(h, regions[[i]]) for i, h in enumerate(heads)],
@@ -471,10 +482,10 @@ def direct_logits(adj, px, params, *, dropout_rate=0.0, generator=None,
                   rows=None):
     """evidence.direct_logits op by op (six nodes, one more each for
     dropout, a float-draw mask, and for rows)."""
-    h = relu(add(ad.matmul(px, params.w1), params.b1))
+    h = relu(add(matmul(px, params.w1), params.b1))
     if dropout_rate > 0.0:
         h = dropout(h, dropout_rate, generator)
-    out = add(spmm(adj, ad.matmul(h, params.w2)), params.b2)
+    out = add(spmm(adj, matmul(h, params.w2)), params.b2)
     return out if rows is None else ad.take_rows(out, rows)
 
 

@@ -86,7 +86,7 @@ class TestBasicOps:
                  (2, 3), (2, 3))
 
     def test_matmul(self):
-        check_op(lambda a, b: ad.tsum(ad.matmul(a, b)), (3, 4), (4, 2))
+        check_op(lambda a, b: ad.tsum(oracles.matmul(a, b)), (3, 4), (4, 2))
 
     def test_mean_axis(self):
         check_op(lambda a: ad.tsum(oracles.tmean(a, axis=0)), (5, 3))
@@ -106,7 +106,7 @@ class TestBasicOps:
     def test_reshape_broadcast_rows(self):
         check_op(lambda a: ad.tsum(ad.reshape(a, (2, 6))), (3, 4))
         check_op(lambda a: ad.tsum(ad.mul(
-            ad.matmul(np.ones((5, 1)), a), 2.0)), (1, 3))
+            oracles.matmul(np.ones((5, 1)), a), 2.0)), (1, 3))
 
     def test_nonlinearities(self):
         check_op(lambda a: ad.tsum(oracles.relu(oracles.sub(a, 1.0))),
@@ -270,9 +270,9 @@ class TestEngineMechanics:
         x = parameter(np.ones(3))
         alive = []
 
-        def grads(g):
+        def grads(upstream):
             alive.append(data() is not None)
-            return (g * 2.0,)
+            return (upstream.pop() * 2.0,)
 
         mid = ad.fused_node(x.data * 2.0, (x,), grads)
         data = weakref.ref(mid.data)
@@ -285,7 +285,7 @@ class TestEngineMechanics:
     def test_backward_releases_the_tape(self):
         x = parameter(np.array([2.0, -1.0]))
         w = parameter(np.array([[1.0, 3.0], [0.5, -2.0]]))
-        h = oracles.softplus(ad.matmul(ad.reshape(x, (1, 2)), w))
+        h = oracles.softplus(oracles.matmul(ad.reshape(x, (1, 2)), w))
         loss = ad.tsum(oracles.add(ad.mul(h, h),
                                         ad.mul(x, 3.0)))
         interior = [t for t in ad._topo_order(loss) if t._parents]
@@ -303,13 +303,35 @@ class TestEngineMechanics:
         assert np.array_equal(x.grad, grads[0])
         assert np.array_equal(w.grad, grads[1])
 
+    def test_a_vjp_owns_its_upstream(self):
+        """backward hands a node's gradient to its grads as the one item of
+        a list and keeps no reference of its own: a VJP that pops it and
+        drops it frees it while the VJP still runs."""
+        x = parameter(np.ones(3))
+        alive = []
+
+        def grads(upstream):
+            g = upstream.pop()
+            ref = weakref.ref(g)
+            alive.append(ref() is not None)
+            out = g * 2.0
+            del g
+            alive.append(ref() is not None)
+            return (out,)
+
+        loss = ad.tsum(ad.mul(ad.fused_node(x.data * 2.0, (x,), grads), 3.0))
+        loss.backward()
+        assert alive == [True, False]
+        assert np.array_equal(x.grad, np.full(3, 6.0))
+
     def test_fused_node_hands_out_each_gradient_once(self):
         a = parameter(np.array([1.0, 2.0]))
         b = ad.Tensor(np.array([3.0, 4.0]))
         c = parameter(np.array([5.0, 6.0]))
         calls = []
 
-        def grads(g):
+        def grads(upstream):
+            g = upstream.pop()
             calls.append(g)
             return g * 2.0, g * 4.0, g * 3.0     # b's is ignored
 

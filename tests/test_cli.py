@@ -3,6 +3,7 @@ import io
 import json
 import os
 import platform
+import signal
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,7 @@ import scipy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from betagraph import graphs, sparse, training
+from betagraph import cli, graphs, sparse, training
 from betagraph.cli import _add_config_flags, _Parser, build_parser, main
 
 PPM_ARGS = ["synth", "ppm", "--blocks", "4", "--nodes-per-block", "40",
@@ -68,6 +69,25 @@ class TestSynth:
                    "--out", str(tmp_path / "x")])
         assert rc == 1
         assert "density must lie in [0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["er", "--nodes", "-5"], "n must be >= 1, got -5"),
+        (["er", "--nodes", "0"], "n must be >= 1, got 0"),
+        (["er", "--classes", "0"], "class_count must be >= 1, got 0"),
+        (["er", "--classes", "-2"], "class_count must be >= 1, got -2"),
+        (["er", "--feature-dim", "0"], "feature_dim must be >= 1, got 0"),
+        (["ppm", "--blocks", "0"], "blocks must be >= 1, got 0"),
+        (["ppm", "--nodes-per-block", "0"],
+         "nodes_per_block must be >= 1, got 0"),
+        (["ppm", "--feature-dim", "0"], "feature_dim must be >= 1, got 0")])
+    def test_bad_sizes_usage_error(self, tmp_path, capsys, flags, message):
+        """A size below 1 exits 1 naming the generator's argument, with no
+        traceback or numpy warning, and writes no dataset."""
+        rc = main(["synth", *flags, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.strip() == f"error: {message}"
+        assert not (tmp_path / "x" / "meta.json").exists()
 
     def test_p_in_not_above_p_out_usage_error(self, tmp_path, capsys):
         rc = main(["synth", "ppm", "--p-in", "0.01", "--p-out", "0.01",
@@ -668,11 +688,61 @@ class TestScale:
                    "--out", str(out)])
         assert rc == 0
         lines = open(out / "timings.csv").read().strip().splitlines()
-        assert lines[0] == "nodes,density,edges,seconds,status"
+        assert lines[0] == "nodes,density,edges,seconds,peak_rss_mb,status"
         assert len(lines) == 4
         for line in lines[1:]:
             assert line.endswith("ok")
             assert float(line.split(",")[3]) > 0
+            assert float(line.split(",")[4]) > 0
+
+    def test_each_point_runs_in_its_own_child(self, tmp_path, monkeypatch):
+        """A point whose child is killed (as the kernel kills one out of
+        memory) or raises MemoryError is an oom row, with the child's
+        peak memory, and the sweep goes on to the next point."""
+        point = cli._scale_point
+
+        def dies(n, density, args, config):
+            if n == 200:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if n == 300:
+                raise MemoryError
+            return point(n, density, args, config)
+
+        monkeypatch.setattr(cli, "_scale_point", dies)
+        out = tmp_path / "scale"
+        assert main(["scale", "--nodes", "200", "300", "400",
+                     "--densities", "0.02", "--epochs-p1", "1",
+                     "--epochs-p2", "1", "--hidden-dim", "8",
+                     "--embed-dim", "4", "--reasoning-dim", "8",
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in
+                open(out / "timings.csv").read().strip().splitlines()[1:]]
+        assert [(r[0], r[2], r[3], r[-1]) for r in rows] == [
+            ("200", "", "", "oom"), ("300", "", "", "oom"),
+            ("400", rows[2][2], rows[2][3], "ok")]
+        assert all(float(r[4]) > 0 for r in rows)
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--nodes", "100", "0"], "n must be >= 1, got 0"),
+        (["--nodes", "-5"], "n must be >= 1, got -5"),
+        (["--nodes", "100", "--feature-dim", "0"],
+         "feature_dim must be >= 1, got 0"),
+        (["--nodes", "100", "--classes", "0"],
+         "class_count must be >= 1, got 0")])
+    def test_bad_sizes_exit_1_before_any_point(self, tmp_path, capsys,
+                                               flags, message):
+        out = tmp_path / "scale"
+        assert main(["scale", *flags, "--densities", "0.02",
+                     "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_failing_point_exits_as_in_process(self, tmp_path, capsys):
+        """An error raised in a point's child is raised again in the
+        parent, and exits as it would without the child."""
+        assert main(["scale", "--nodes", "100", "--densities", "1.5",
+                     "--out", str(tmp_path / "scale")]) == 1
+        assert "density must lie in [0, 1)" in capsys.readouterr().err
 
 
 class TestGridsearch:

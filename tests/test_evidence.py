@@ -48,7 +48,7 @@ def context_features(node_embs_2d, class_emb):
     """Rows [alpha_i || beta_i || alpha_C || beta_C]: the explicit input of
     one head, the class part repeated on every node row."""
     n = node_embs_2d.data.shape[0]
-    cls_row = ad.matmul(np.ones((n, 1)), class_emb)
+    cls_row = oracles.matmul(np.ones((n, 1)), class_emb)
     return oracles.concat([node_embs_2d, cls_row], axis=1)
 
 
@@ -91,7 +91,7 @@ class TestFusedHeads:
         adj, emb, regions, heads, _ = grad_setup(dtype)
         op = evidence_forward(adj, emb, regions, heads, dropout_rate=0.4,
                               generator=rng(7), learned_prior=True).opinions
-        loss = ad.fused_node(op.data.sum(), (op,), lambda g: (
+        loss = ad.fused_node(op.data.sum(), (op,), lambda _: (
             np.ones(op.data.shape, upstream),))
         with pytest.raises(ValueError, match=(
                 f"upstream gradient is {np.dtype(upstream)}, the opinions "
@@ -344,10 +344,11 @@ class TestEvidenceForward:
         outs = []
         for i, head in enumerate(heads.per_class + [heads.novel]):
             xk = context_features(ad.Tensor(emb), ce[[i]])
-            z1 = oracles.add(ad.matmul(oracles.spmm(adj, xk), head.w1),
+            z1 = oracles.add(oracles.matmul(oracles.spmm(adj, xk), head.w1),
                              head.b1)
             h = oracles.relu(z1)
-            z2 = oracles.add(oracles.spmm(adj, ad.matmul(h, head.w2)), head.b2)
+            z2 = oracles.add(oracles.spmm(adj, oracles.matmul(h, head.w2)),
+                             head.b2)
             outs.append(z2.data)
         explicit = np.concatenate(outs, axis=1)
         e_expl = softplus(explicit[:, :3])

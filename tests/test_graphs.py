@@ -322,6 +322,38 @@ def test_split_json_is_json_dumps_indent_1(id_classes, ood_classes, parts,
     assert split.to_json() == json.dumps(payload, indent=1)
 
 
+class TestGeneratorSizes:
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(n=-5), "n"), (dict(n=0), "n"), (dict(feature_dim=0),
+                                                 "feature_dim"),
+        (dict(class_count=0), "class_count"),
+        (dict(class_count=-2), "class_count")])
+    def test_erdos_renyi(self, kwargs, name):
+        args = dict(n=20, density=0.1, feature_dim=2, seed=0, class_count=3)
+        args.update(kwargs)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got "
+                                             f"{kwargs[name]}$"):
+            graphs.gen_erdos_renyi(**args)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(blocks=0), "blocks"), (dict(nodes_per_block=0),
+                                     "nodes_per_block"),
+        (dict(nodes_per_block=-1), "nodes_per_block"),
+        (dict(feature_dim=0), "feature_dim")])
+    def test_planted_partition(self, kwargs, name):
+        args = dict(blocks=2, nodes_per_block=5, p_in=0.4, p_out=0.1,
+                    feature_dim=2, mean_separation=1.0, seed=0)
+        args.update(kwargs)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got "
+                                             f"{kwargs[name]}$"):
+            graphs.gen_planted_partition(**args)
+
+    def test_one_of_each_is_a_graph(self):
+        assert graphs.gen_erdos_renyi(1, 0.5, 1, seed=0, class_count=1).n == 1
+        g = graphs.gen_planted_partition(1, 1, 0.5, 0.1, 1, 1.0, seed=0)
+        assert (g.n, g.class_count, g.feature_dim) == (1, 1, 1)
+
+
 class TestErdosRenyi:
     def test_zero_density(self):
         g = graphs.gen_erdos_renyi(50, 0.0, 4, seed=0)

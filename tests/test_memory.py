@@ -7,6 +7,7 @@ Peaks are in units of one (n, H) float32 array on an ER graph of n=2e4
 with the bench's model widths (H = 2d = 64).
 """
 
+import contextlib
 import gc
 import tracemalloc
 import weakref
@@ -98,33 +99,118 @@ def test_inference_encode_holds_two_arrays(er_model):
 
 
 def test_scoring_peak(er_model):
-    """Scoring holds the heads' input and one head's z, whose shift and
-    relu run over z in row blocks, and dissonance takes its (rows, K, K)
-    temporaries a block at a time (2.50 units; 3.43 with whole arrays)."""
+    """Scoring holds the heads' input and one head's z, whose shift runs
+    in blocks of evidence.SHIFT_ROWS rows and relu over z, and
+    dissonance takes its (rows, K, K) temporaries a row block at a time
+    (2.41 units; 2.50 with the shift a sparse.ROW_BLOCK at a time, 3.43
+    with whole arrays)."""
     state, ctx = er_model
-    assert peak_units(lambda: tr.forward_scores(state, ctx)) < 2.75
+    assert peak_units(lambda: tr.forward_scores(state, ctx)) < 2.5
 
 
 def test_phase1_epoch_peak(er_model):
-    """Layer 2 normalizes, softplusses and back-propagates the training
-    rows only, and backward lets go of each node before its VJP, so h1
-    is gone in layer 1's: an epoch peaks there, with z1, its softplus
-    derivative (in which the VJP forms gy) and keep array on the tape
-    and the VJP's dh1, xhat and gy * xhat (6.26 units; 7.26 with h1
-    held through its VJP and gy a new array)."""
+    """backward hands each VJP its upstream, which propagate's drops once
+    adj @ g is formed and layer 1's once dL/dy is formed, and layer 1's
+    node forms px @ w1 again in its VJP instead of keeping it on the
+    tape: propagate's VJP holds layer 1's softplus derivative, keep
+    array and output, adj @ g and dL/dh1 (4.27 units), and an epoch now
+    peaks in the Beta-KL's VJP, whose float64 trigamma temporaries come
+    1.2 units above its entry (4.87 units; 6.26 with px @ w1 on the tape
+    and dL/dz2 held through propagate's VJP)."""
     state, ctx = er_model
-    assert peak_units(lambda: tr.train_phase1(state, ctx, 1)) < 6.5
+    assert peak_units(lambda: tr.train_phase1(state, ctx, 1)) < 5.0
+
+
+def test_layer1_keeps_no_product_and_drops_its_upstream():
+    """Layer 1's node reads px and w1, not their product: its forward
+    leaves its output, the softplus derivative and the bool keep array
+    alive (2.25 units; 3.25 with px @ w1 kept for the VJP).  Its VJP
+    drops the upstream dL/dh1 once dL/dy is formed in the derivative's
+    buffer, before it forms px @ w1 again as xhat: from the upstream's
+    allocation on, xhat and gy * xhat are the most alive at once (2.0
+    units; 3.0 with the upstream held through the VJP)."""
+    gen = np.random.default_rng(0)
+    px = ad.Tensor(gen.standard_normal((N, 16)).astype(np.float32))
+    encoder = rs.init_encoder(gen, 16, H, H // 2, np.float32)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = rs.encoder_layer(px, encoder.bn1, weight=encoder.w1,
+                               training=True, dropout_rate=0.2,
+                               generator=gen)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept / UNIT < 2.3
+    grads = out._grads
+    del out
+    assert peak_units(lambda: grads([np.ones((N, H), np.float32)])) < 2.25
+
+
+def test_phase2_first_epoch_and_validation_peak(er_model):
+    """From the frozen encoder pass through a round's first phase-2 epoch
+    and validation, the node embeddings are held once: the gather of
+    their receptive rows R keeps the rows outside R besides, not the
+    whole array, and validation scatters the two back into one array
+    (3.89 to 3.95 units, with the two workers' head VJPs overlapping or
+    not; 4.80 with the whole array kept beside its rows R)."""
+    state, ctx = er_model
+
+    def first_epoch_and_validation():
+        forward = tr.phase2_forward(state, ctx)
+        tr.train_phase2(state, ctx, 1, forward)
+        return tr.validation_metrics(state, ctx, forward)
+
+    assert peak_units(first_epoch_and_validation) < 4.25
 
 
 def test_phase2_epoch_peak(er_model):
     """Each head draws its keep array as it starts, and it goes once the
     head has run: an epoch holds the heads' hidden activations and one
-    keep array at a time (3.21 units; 4.16 with every head's keep array
-    drawn before the first head)."""
+    keep array at a time.  It peaks in backward, where the two workers'
+    head VJPs each hold a row block of h > 0, overlapping or not (2.86
+    to 3.02 units; 3.21 with each head's shift a sparse.ROW_BLOCK at a
+    time, 4.16 with every head's keep array drawn before the first
+    head)."""
     state, ctx = er_model
     forward = tr.phase2_forward(state, ctx)
     tr.train_phase2(state, ctx, 1, forward)     # the receptive rows
-    assert peak_units(lambda: tr.train_phase2(state, ctx, 1, forward)) < 3.5
+    assert peak_units(lambda: tr.train_phase2(state, ctx, 1, forward)) < 3.25
+
+
+def test_heads_hold_one_keep_array_at_a_time(monkeypatch):
+    """evidence_forward takes each head's keep array as the head starts
+    and holds nothing of it afterwards: when head i + 1's draw starts,
+    head i's keep array is already freed."""
+    gen = np.random.default_rng(0)
+    n, d, k = 500, 4, 3
+    heads = ev.init_evidence_heads(gen, d, 8, k, np.float32)
+    prop = gen.uniform(0.5, 2.0, (n, 2 * d)).astype(np.float32)
+    regions = gen.uniform(0.5, 2.0, (k + 1, 2 * d)).astype(np.float32)
+    draws, refs, freed = ad.dropout_keeps, [], []
+
+    def watched(*args, **kwargs):
+        inner = draws(*args, **kwargs)
+        while True:
+            gc.collect()
+            freed.append([r() is None for r in refs])
+            box = [next(inner, None)]
+            if box[0] is None:
+                return
+            refs.append(weakref.ref(box[0]))
+            yield box.pop()
+
+    monkeypatch.setattr(ad, "dropout_keeps", watched)
+    for taped in (True, False):
+        refs.clear()
+        freed.clear()
+        with ad.no_grad() if not taped else contextlib.nullcontext():
+            ev.evidence_forward(None, prop, np.ones((n, 1), np.float32),
+                                regions, heads, dropout_rate=0.5,
+                                generator=gen, learned_prior=True)
+        assert len(refs) == k + 1
+        assert freed[:k + 1] == [[True] * i for i in range(k + 1)]
 
 
 def test_head_vjp_peak():

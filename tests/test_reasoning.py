@@ -413,7 +413,7 @@ class TestFusedEncoderLayer:
         z, bn, _ = layer_setup(dtype)
         out = rs.encoder_layer(z, bn, training=True, dropout_rate=0.4,
                                generator=rng(4))
-        loss = ad.fused_node(out.data.sum(), (out,), lambda g: (
+        loss = ad.fused_node(out.data.sum(), (out,), lambda _: (
             np.ones(out.data.shape, upstream),))
         with pytest.raises(ValueError, match=(
                 f"upstream gradient is {np.dtype(upstream)}, the layer "
@@ -446,6 +446,40 @@ class TestFusedEncoderLayer:
         for name, got, want in zip(names, *runs):
             check = assert_grads_agree if "grad" in name else assert_same_bits
             check(got, want, name)
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("z_grad", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weight_bit_equal_to_the_layer_over_the_product(
+            self, dtype, training, z_grad):
+        """encoder_layer(z, weight=w) equals encoder_layer(matmul(z, w))
+        bit for bit, though its node keeps neither z @ w nor a gradient
+        of it and its VJP forms z @ w again: values, running statistics
+        and every gradient, z's too where it requires grad."""
+        x, bn, weights = layer_setup(dtype, seed=3, n=80, width=6)
+        w_data = rng(4).standard_normal((5, 6)).astype(dtype)
+        z_data = x.data[:, :5].copy()
+        stats = bn.running_mean.copy(), bn.running_var.copy()
+        runs = []
+        for fused in (True, False):
+            z = ad.Tensor(z_data, requires_grad=z_grad)
+            w = ad.Tensor(w_data, requires_grad=True)
+            bn.gamma.grad = bn.beta.grad = None
+            bn.running_mean, bn.running_var = (a.copy() for a in stats)
+            kw = dict(training=training, dropout_rate=0.4, generator=rng(5))
+            out = rs.encoder_layer(z, bn, weight=w, **kw) if fused else \
+                rs.encoder_layer(oracles.matmul(z, w), bn, **kw)
+            assert len(ad._topo_order(out)) == (4 if fused else 5) + z_grad
+            ad.tsum(ad.mul(out, weights)).backward()
+            runs.append((out.data, bn.running_mean, bn.running_var, w.grad,
+                         z.grad, bn.gamma.grad, bn.beta.grad))
+        for name, got, want in zip(("forward", "running mean",
+                                    "running var", "w grad", "z grad",
+                                    "gamma grad", "beta grad"), *runs):
+            if name == "z grad" and not z_grad:
+                assert got is None and want is None
+            else:
+                assert_same_bits(got, want, name)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_inference_mode_bit_equal(self, dtype):

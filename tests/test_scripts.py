@@ -1,6 +1,7 @@
 """The scripts under scripts/ parse their arguments: --help prints usage
 and exits 0, an unknown flag exits 2, and neither writes anything."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 from conftest import REPO_ROOT
 
-SCRIPTS = ("make_ppm6.py", "run_ppm6_experiment.py")
+SCRIPTS = ("make_ppm6.py", "run_ppm6_experiment.py", "scale_sweep.py")
 
 
 @pytest.mark.parametrize("script", SCRIPTS)
@@ -42,3 +43,23 @@ def test_byte_identity_refuses_a_used_work_directory(tmp_path, held):
     assert f"--work {work} already holds {held}" in done.stderr
     assert sorted(os.listdir(work)) == [held]
     assert os.listdir(work / held) == []
+
+
+def test_scale_sweep_writes_every_point(tmp_path):
+    """scale_sweep.py runs betagraph scale once per n at mean degree 20
+    and writes each point's row, with its peak memory, to one JSON."""
+    path = os.path.join(REPO_ROOT, "scripts", "scale_sweep.py")
+    out = tmp_path / "sweep.json"
+    done = subprocess.run([sys.executable, path, str(out), "--nodes", "300",
+                           "200"], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(out.read_text())
+    points = result["points"]
+    assert [p["nodes"] for p in points] == [200, 300]
+    for p in points:
+        assert p["status"] == "ok" and p["peak_rss_mb"] > 0
+        assert p["density"] == pytest.approx(20 / (p["nodes"] - 1))
+    assert result["kib_per_node_between_largest"] is not None
+    assert result["environment"]["numpy"]
+    assert os.listdir(tmp_path) == ["sweep.json"]
